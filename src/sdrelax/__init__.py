@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .fields import (  # noqa: F401
     BoxDomain,
+    FacetTable,
     PiecewiseAffineField,
     PiecewiseConstantField,
     SecondOrderField,

@@ -110,7 +110,8 @@ class _EstimateCache:
 
     Thread-safe with deterministic hit/miss counts: the first arrival at a
     key owns the solve, later arrivals wait, so misses always equal the
-    number of distinct keys regardless of scheduling.
+    number of distinct keys regardless of scheduling.  A solve that raises
+    stores its exception, which every waiter and later arrival re-raises.
     """
 
     def __init__(self, quantize: float, enabled: bool):
@@ -143,7 +144,13 @@ class _EstimateCache:
             else:
                 self.hits += 1
         if entry is None:
-            value = compute()
+            try:
+                value = compute()
+            except BaseException as err:
+                with self._lock:
+                    self.store[k] = ("error", err)
+                event.set()
+                raise
             with self._lock:
                 self.store[k] = ("done", value)
             event.set()
@@ -152,7 +159,9 @@ class _EstimateCache:
         if kind == "pending":
             payload.wait()
             with self._lock:
-                return self.store[k][1]
+                kind, payload = self.store[k]
+        if kind == "error":
+            raise payload
         return payload
 
 

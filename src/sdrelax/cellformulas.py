@@ -25,6 +25,7 @@ import numpy as np
 
 from .constructions import elementary_jump, staircase
 from .densities import DensityTriple, InterfacialDensity, recession
+from .energy import interfacial_energy
 from .fields import (
     AffineBoundary,
     PiecewiseAffineField,
@@ -115,43 +116,6 @@ def rotation_to_last_axis(nu: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _facet_energy(psi: InterfacialDensity, field: PiecewiseAffineField, x0: np.ndarray,
-                  R: np.ndarray | None) -> tuple[float, int]:
-    """Interfacial energy of all jump facets at the frozen point x0.
-
-    Facets are summed at their centroids (the package's discrete interfacial
-    measure); a facet with affine jump variation is upgraded to the density's
-    exact facet integral when one is shipped, otherwise the centroid sample
-    stands and the facet is counted as inexact.  Centroid sums stay compatible
-    with the discrete Gauss-Green certificates: the affine pairing of jumps
-    against normals is integrated exactly by centroids.
-    """
-    widths = field.domain.widths
-    facets = field.jump_set()
-    terms = []
-    inexact = 0
-    exact_idx = [i for i, f in enumerate(facets)
-                 if psi.facet_integral is None or not np.any(f.jump_lin != 0.0)]
-    hook_idx = [i for i, f in enumerate(facets)
-                if psi.facet_integral is not None and np.any(f.jump_lin != 0.0)]
-    if exact_idx:
-        payload = np.stack([facets[i].jump for i in exact_idx])
-        normals = np.stack([facets[i].normal for i in exact_idx])
-        if R is not None:
-            normals = normals @ R.T
-        xs = np.broadcast_to(x0, (len(exact_idx), len(x0)))
-        vals = np.asarray(psi(xs, payload, normals), dtype=float)
-        terms.extend(float(v) * facets[i].area for v, i in zip(vals, exact_idx))
-        inexact += sum(1 for i in exact_idx if np.any(facets[i].jump_lin != 0.0))
-    for i in hook_idx:
-        f = facets[i]
-        normal = f.normal if R is None else R @ f.normal
-        tangent_axes = [k for k in range(len(widths)) if k != f.axis]
-        twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
-        terms.append(psi.facet_integral(x0, f.jump, f.jump_lin, normal, twidths, tangent_axes))
-    return fsum(terms), inexact
-
-
 def _bulk_energy_W(problem: CellProblem, field: PiecewiseAffineField) -> float:
     """Bulk term of the W2 formula: W(x0, A, grad v) summed over cells."""
     dom = field.domain
@@ -181,9 +145,10 @@ def _bulk_energy_recession(problem: CellProblem, field: PiecewiseAffineField,
 
 def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
                       R: np.ndarray | None = None) -> tuple[float, int]:
+    facets, widths = field.jump_set(), field.domain.widths
     if problem.variant in ("W1", "Gamma1"):
-        return _facet_energy(problem.densities.psi1, field, problem.x, R)
-    jump, inexact = _facet_energy(problem.densities.psi2, field, problem.x, R)
+        return interfacial_energy(problem.densities.psi1, facets, widths, problem.x, R)
+    jump, inexact = interfacial_energy(problem.densities.psi2, facets, widths, problem.x, R)
     if problem.variant == "W2":
         return _bulk_energy_W(problem, field) + jump, inexact
     return _bulk_energy_recession(problem, field, R) + jump, inexact

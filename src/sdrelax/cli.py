@@ -6,8 +6,9 @@ Every report embeds the fully resolved config for reproducibility, and
 repeated runs with the same config and seed are byte-identical up to the
 timestamp field.
 
-Exit codes: 0 success, 2 config validation error, 3 estimator failure,
-4 hypothesis-check hard failures under --strict.
+Exit codes: 0 success, 2 config validation error (non-finite input
+included), 3 estimator failure or a non-finite result, 4 hypothesis-check
+hard failures under --strict.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .constructions import SD2Triple, approximating_sequence
 from .densities import DensityTriple, catalog, triple_from_expressions
 from .energy import total_energy
 from .expressions import CompiledExpression, ExpressionError
-from .fields import BoxDomain, PiecewiseAffineField, SecondOrderField
+from .fields import AffineBoundary, BoxDomain, PiecewiseAffineField, SecondOrderField, StepBoundary
 from .hypotheses import CheckConfig, check_hypotheses
 from .trace_formula import verify_example
 
@@ -44,6 +45,39 @@ TASKS = ("check-hypotheses", "energy", "approx-sequence", "cell-sweep",
 
 class ConfigError(ValueError):
     pass
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+def _load_json(fh):
+    """``json.load`` that refuses NaN and Infinity."""
+    return json.load(fh, parse_constant=_reject_constant)
+
+
+def _require_finite(name: str, *arrays):
+    for arr in arrays:
+        if not np.all(np.isfinite(arr)):
+            raise ConfigError(f"{name} has non-finite values")
+
+
+def _finite_array(value, name: str) -> np.ndarray:
+    """``value`` as a float array; an overflowing literal such as 1e999 is refused."""
+    arr = np.asarray(value, dtype=float)
+    _require_finite(name, arr)
+    return arr
+
+
+def _require_finite_field(name: str, field: PiecewiseAffineField):
+    """Cell data, jump tolerance, domain bounds and boundary data of a field."""
+    arrays = [field.const, field.lin, field.jump_tol, field.domain.lower, field.domain.upper]
+    bd = field.boundary_data
+    if isinstance(bd, AffineBoundary):
+        arrays += [bd.const, bd.lin]
+    elif isinstance(bd, StepBoundary):
+        arrays += [bd.payload, bd.threshold]
+    _require_finite(f"field {name!r}", *arrays)
 
 
 def _check_keys(section: dict, allowed: set, path: str):
@@ -60,9 +94,11 @@ def _check_keys(section: dict, allowed: set, path: str):
 def _build_domain(cfg: dict) -> BoxDomain:
     _check_keys(cfg, {"lower", "upper", "resolution"}, "domain.")
     try:
-        return BoxDomain(cfg["lower"], cfg["upper"], cfg["resolution"])
+        domain = BoxDomain(cfg["lower"], cfg["upper"], cfg["resolution"])
     except KeyError as err:
         raise ConfigError(f"domain section missing {err}") from err
+    _require_finite("domain", domain.lower, domain.upper)
+    return domain
 
 
 def _build_density_component(which: str, cfg: dict, d: int, N: int):
@@ -119,7 +155,8 @@ def _sample_expression_field(domain: BoxDomain, exprs, grad_exprs=None) -> Piece
         if isinstance(node, CompiledExpression):
             out = np.asarray(node(x=pts), dtype=float)
             return np.broadcast_to(out, (pts.shape[0],)).astype(float)
-        return np.stack([eval_tree(child, pts) for child in node], axis=-1)
+        # children fill the axis right after the points axis, in order
+        return np.stack([eval_tree(child, pts) for child in node], axis=1)
 
     compiled = compile_nested(exprs)
     pts = domain.cell_centers().reshape(-1, domain.ndim)
@@ -146,25 +183,31 @@ def _build_field(domain: BoxDomain, cfg: dict, name: str) -> PiecewiseAffineFiel
     _check_keys(cfg, {"file", "expression", "grad_expression", "constant", "linear"},
                 f"fields.{name}.")
     if "file" in cfg:
-        with open(cfg["file"]) as fh:
-            return PiecewiseAffineField.from_dict(json.load(fh))
-    if "expression" in cfg:
         try:
-            return _sample_expression_field(domain, cfg["expression"], cfg.get("grad_expression"))
+            with open(cfg["file"]) as fh:
+                field = PiecewiseAffineField.from_dict(_load_json(fh))
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"cannot read field file for {name!r}: {err}") from err
+    elif "expression" in cfg:
+        try:
+            field = _sample_expression_field(domain, cfg["expression"], cfg.get("grad_expression"))
         except ExpressionError as err:
             raise ConfigError(f"bad field expression for {name!r}: {err}") from err
-    if "linear" in cfg:
+    elif "linear" in cfg:
         lin = np.asarray(cfg["linear"], dtype=float)
         centers = domain.cell_centers()
         const = np.einsum("...k,ck->c...", lin, centers.reshape(-1, domain.ndim))
         const = const.reshape(domain.cells_shape + lin.shape[:-1])
         linb = np.broadcast_to(lin, domain.cells_shape + lin.shape).copy()
-        return PiecewiseAffineField(domain, const, linb)
-    if "constant" in cfg:
+        field = PiecewiseAffineField(domain, const, linb)
+    elif "constant" in cfg:
         value = np.asarray(cfg["constant"], dtype=float)
         const = np.broadcast_to(value, domain.cells_shape + value.shape).copy()
-        return PiecewiseAffineField(domain, const)
-    raise ConfigError(f"fields.{name} needs one of: file, expression, constant, linear")
+        field = PiecewiseAffineField(domain, const)
+    else:
+        raise ConfigError(f"fields.{name} needs one of: file, expression, constant, linear")
+    _require_finite_field(name, field)
+    return field
 
 
 def _build_sd2(config: dict) -> SD2Triple:
@@ -195,6 +238,7 @@ def _build_sd2(config: dict) -> SD2Triple:
         gamma = sampled.const
     else:
         raise ConfigError("fields.Gamma needs 'constant', 'table', or 'expression'")
+    _require_finite("field 'Gamma'", gamma)
     return SD2Triple(g, G, gamma)
 
 
@@ -261,25 +305,25 @@ def _task_cell_sweep(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
     _check_keys(section, {"variant", "x", "A", "lam", "Lam", "nu", "L", "M",
                           "budget", "resolution"}, "cell.")
     variant = section.get("variant")
-    x = np.asarray(section.get("x", [0.0, 0.0]), dtype=float)
+    x = _finite_array(section.get("x", [0.0, 0.0]), "cell.x")
     budget = int(section.get("budget", 1))
     kwargs = {"budget": budget}
     if "resolution" in section:
         kwargs["resolution"] = int(section["resolution"])
     try:
         if variant == "W1":
-            result = estimate_W1(x, np.asarray(section["A"], dtype=float), densities, **kwargs)
+            result = estimate_W1(x, _finite_array(section["A"], "cell.A"), densities, **kwargs)
         elif variant == "Gamma1":
-            result = estimate_gamma1(x, np.asarray(section["lam"], dtype=float),
-                                     np.asarray(section["nu"], dtype=float), densities, **kwargs)
+            result = estimate_gamma1(x, _finite_array(section["lam"], "cell.lam"),
+                                     _finite_array(section["nu"], "cell.nu"), densities, **kwargs)
         elif variant == "W2":
-            result = estimate_W2(x, np.asarray(section["A"], dtype=float),
-                                 np.asarray(section["L"], dtype=float),
-                                 np.asarray(section["M"], dtype=float), densities, **kwargs)
+            result = estimate_W2(x, _finite_array(section["A"], "cell.A"),
+                                 _finite_array(section["L"], "cell.L"),
+                                 _finite_array(section["M"], "cell.M"), densities, **kwargs)
         elif variant == "Gamma2":
-            result = estimate_gamma2(x, np.asarray(section["A"], dtype=float),
-                                     np.asarray(section["Lam"], dtype=float),
-                                     np.asarray(section["nu"], dtype=float), densities, **kwargs)
+            result = estimate_gamma2(x, _finite_array(section["A"], "cell.A"),
+                                     _finite_array(section["Lam"], "cell.Lam"),
+                                     _finite_array(section["nu"], "cell.nu"), densities, **kwargs)
         else:
             raise ConfigError(f"unknown cell variant {variant!r}")
     except KeyError as err:
@@ -294,10 +338,10 @@ def _task_example(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
     if section is None:
         raise ConfigError("missing example section")
     _check_keys(section, {"a", "L", "M", "tolerance", "random_count"}, "example.")
-    a = np.asarray(section.get("a", [1.0, 0.0]), dtype=float)
+    a = _finite_array(section.get("a", [1.0, 0.0]), "example.a")
     N = len(a)
-    L = np.asarray(section.get("L", np.zeros((N, N, N))), dtype=float)
-    M = np.asarray(section.get("M", np.zeros((N, N, N))), dtype=float)
+    L = _finite_array(section.get("L", np.zeros((N, N, N))), "example.L")
+    M = _finite_array(section.get("M", np.zeros((N, N, N))), "example.M")
     report = verify_example(L, M, a,
                             tolerance=float(section.get("tolerance", 1e-9)),
                             random_count=int(section.get("random_count", 0)),
@@ -375,8 +419,8 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
     """Execute the task named in the config file; returns the exit code."""
     try:
         with open(config_path) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+            config = _load_json(fh)
+    except (OSError, ValueError) as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
     try:
@@ -385,6 +429,8 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
         if task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
         resolved_seed = int(config.get("seed", 0)) if seed is None else int(seed)
+        output_cfg = config.get("output", {})
+        _check_keys(output_cfg, {"json", "csv"}, "output.")
         runner = _RUNNERS[task]
         payload, code = runner(config, resolved_seed, jobs)
     except ConfigError as err:
@@ -394,10 +440,6 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
         print(f"estimator failure: {err}", file=sys.stderr)
         return 3
 
-    out_dir = out_dir or os.environ.get("SDRELAX_OUT", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    output_cfg = config.get("output", {})
-    _check_keys(output_cfg, {"json", "csv"}, "output.")
     csv_rows = payload.pop("_csv_rows", None)
     report = {
         "task": task,
@@ -408,11 +450,16 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
         "config": config,
         **payload,
     }
-    json_name = output_cfg.get("json", "report.json")
-    json_path = os.path.join(out_dir, json_name)
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as err:
+        print(f"error: non-finite result, no report written: {err}", file=sys.stderr)
+        return 3
+    out_dir = out_dir or os.environ.get("SDRELAX_OUT", ".")
+    os.makedirs(out_dir, exist_ok=True)
+    json_path = os.path.join(out_dir, output_cfg.get("json", "report.json"))
     with open(json_path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     if csv_rows and "csv" in output_cfg:
         _write_csv(os.path.join(out_dir, output_cfg["csv"]), csv_rows)
     print(json_path)
@@ -444,8 +491,8 @@ def main(argv=None) -> int:
     if args.command != "run":
         try:
             with open(args.config) as fh:
-                declared = json.load(fh).get("task")
-        except (OSError, json.JSONDecodeError) as err:
+                declared = _load_json(fh).get("task")
+        except (OSError, ValueError) as err:
             print(f"error: cannot read config: {err}", file=sys.stderr)
             return 2
         if declared != args.command:

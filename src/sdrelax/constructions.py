@@ -184,7 +184,15 @@ def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, di
         "grid_stage2": [int(r) for r in res2],
         "l1_u": l1_distance(u_n, g2),
         "l1_grad": l1_distance(w_n2, sd2.G.refine(res2 // base.resolution)),
-        "second_gradient_exact": bool(np.array_equal(w_n2.lin,
-                                                     PiecewiseConstantField(base, sd2.Gamma).refine(res2 // base.resolution).const)),
+        "second_gradient_exact": _blocks_equal(w_n2.lin, sd2.Gamma, res2 // base.resolution),
     }
     return pair, diagnostics
+
+
+def _blocks_equal(fine: np.ndarray, coarse: np.ndarray, factor) -> bool:
+    """Whether every block of ``factor`` fine cells holds its coarse cell's value."""
+    N = len(factor)
+    cells = coarse.shape[:N]
+    fine_blocks = fine.reshape(tuple(x for r, f in zip(cells, factor) for x in (r, int(f))) + fine.shape[N:])
+    coarse_blocks = coarse.reshape(tuple(x for r in cells for x in (r, 1)) + coarse.shape[N:])
+    return bool(np.all(fine_blocks == coarse_blocks))

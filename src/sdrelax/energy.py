@@ -17,7 +17,7 @@ import numpy as np
 
 from .constructions import SD2Triple
 from .densities import DensityTriple, InterfacialDensity
-from .fields import JumpFacet, PiecewiseAffineField, SecondOrderField
+from .fields import FacetTable, PiecewiseAffineField, SecondOrderField
 from .integrate import fsum
 
 
@@ -39,38 +39,46 @@ class EnergyBreakdown:
         }
 
 
-def _in_ranges(index: tuple, cell_ranges) -> bool:
-    return all(lo <= i < hi for i, (lo, hi) in zip(index, cell_ranges))
+def _in_ranges(facets: FacetTable, cell_ranges) -> FacetTable:
+    """The facets whose index lies in the sub-box of cell index ranges."""
+    keep = np.ones(len(facets), dtype=bool)
+    for column, (lo, hi) in zip(facets.index.T, cell_ranges):
+        keep &= (lo <= column) & (column < hi)
+    return facets if keep.all() else facets.select(keep)
 
 
-def interfacial_energy(psi: InterfacialDensity, facets: list[JumpFacet], widths) -> tuple[float, int]:
+def interfacial_energy(psi: InterfacialDensity, facets: FacetTable, widths,
+                       x0: np.ndarray | None = None, R: np.ndarray | None = None) -> tuple[float, int]:
     """Sum psi over facets; returns (energy, number of centroid-only facets).
 
     The discrete interfacial measure samples each facet at its centroid
     (exact for facet-constant jumps).  Affine jump variation is integrated
     exactly when the density ships a facet integral; otherwise the centroid
-    sample stands and the facet counts as inexact in the metadata.
+    sample stands and the facet counts as inexact in the metadata.  Centroid
+    sums stay compatible with the discrete Gauss-Green certificates: the
+    affine pairing of jumps against normals is integrated exactly by
+    centroids.
+
+    A cell problem evaluates the density at its frozen point ``x0`` instead
+    of the facet centroids, and its competitors live in rotated coordinates:
+    ``R`` maps their facet normals to the true ones.
     """
-    plain, hooked = [], []
-    for f in facets:
-        if psi.facet_integral is not None and np.any(f.jump_lin != 0.0):
-            hooked.append(f)
-        else:
-            plain.append(f)
-    terms = []
-    inexact = 0
-    if plain:
-        x = np.stack([f.centroid for f in plain])
-        payload = np.stack([f.jump for f in plain])
-        nu = np.stack([f.normal for f in plain])
-        vals = np.asarray(psi(x, payload, nu), dtype=float)
-        terms.extend(float(v) * f.area for v, f in zip(vals, plain))
-        inexact = sum(1 for f in plain if np.any(f.jump_lin != 0.0))
-    for f in hooked:
+    varies = facets.varies()
+    hooked = varies if psi.facet_integral is not None else np.zeros(len(facets), dtype=bool)
+    plain = facets.select(~hooked) if hooked.any() else facets
+    plain_terms = np.zeros(0)
+    if len(plain):
+        x = plain.centroid if x0 is None else np.broadcast_to(x0, (len(plain), len(x0)))
+        nu = plain.normal if R is None else plain.normal @ R.T
+        plain_terms = np.asarray(psi(x, plain.jump, nu), dtype=float) * plain.area
+    hooked_terms = []
+    for f in facets.select(hooked):
+        normal = f.normal if R is None else R @ f.normal
         tangent_axes = [k for k in range(len(widths)) if k != f.axis]
         twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
-        terms.append(psi.facet_integral(f.centroid, f.jump, f.jump_lin, f.normal, twidths, tangent_axes))
-    return fsum(terms), inexact
+        hooked_terms.append(psi.facet_integral(f.centroid if x0 is None else x0, f.jump,
+                                               f.jump_lin, normal, twidths, tangent_axes))
+    return fsum(np.append(plain_terms, hooked_terms)), int(np.count_nonzero(varies & ~hooked))
 
 
 def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdown:
@@ -99,8 +107,8 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
     vals = np.asarray(densities.W(centers[mask], A[mask], M[mask]), dtype=float)
     bulk = fsum(vals * dom.cell_volume)
 
-    facets1 = [f for f in u.u.jump_set() if _in_ranges(f.index, cell_ranges)]
-    facets2 = [f for f in u.grad.jump_set() if _in_ranges(f.index, cell_ranges)]
+    facets1 = _in_ranges(u.u.jump_set(), cell_ranges)
+    facets2 = _in_ranges(u.grad.jump_set(), cell_ranges)
     jump1, inexact1 = interfacial_energy(densities.psi1, facets1, dom.widths)
     jump2, inexact2 = interfacial_energy(densities.psi2, facets2, dom.widths)
 

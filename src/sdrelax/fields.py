@@ -205,7 +205,7 @@ class StepBoundary(BoundaryData):
 
 @dataclass(frozen=True)
 class JumpFacet:
-    """One grid facet carrying a jump.
+    """One grid facet carrying a jump: a row of a :class:`FacetTable`.
 
     ``jump`` is the trace difference (+ side minus - side) at the facet
     centroid; ``jump_lin`` is its tangential affine variation over the facet
@@ -233,6 +233,110 @@ class JumpFacet:
 
     def trace_minus(self) -> np.ndarray:
         return self.trace_mean - 0.5 * self.jump
+
+
+@dataclass(frozen=True, eq=False)
+class FacetTable:
+    """The jump set of a field, one array per facet attribute.
+
+    Row ``i`` of every column describes facet ``i``: ``axis``, ``boundary``
+    and ``area`` have shape ``(F,)``; ``index`` (the adjacent cell on the
+    lower side, or the boundary cell), ``normal`` and ``centroid`` have shape
+    ``(F, N)``; ``jump`` and ``trace_mean`` have shape ``(F,) + value_shape``
+    and ``jump_lin`` has shape ``(F,) + value_shape + (N,)``.  Indexing or
+    iterating the table yields :class:`JumpFacet` rows.
+    """
+
+    axis: np.ndarray
+    index: np.ndarray
+    boundary: np.ndarray
+    normal: np.ndarray
+    area: np.ndarray
+    jump: np.ndarray
+    jump_lin: np.ndarray
+    centroid: np.ndarray
+    trace_mean: np.ndarray
+
+    @classmethod
+    def empty(cls, ndim: int, value_shape: tuple) -> "FacetTable":
+        return cls(
+            axis=np.zeros(0, dtype=int),
+            index=np.zeros((0, ndim), dtype=int),
+            boundary=np.zeros(0, dtype=bool),
+            normal=np.zeros((0, ndim)),
+            area=np.zeros(0),
+            jump=np.zeros((0,) + value_shape),
+            jump_lin=np.zeros((0,) + value_shape + (ndim,)),
+            centroid=np.zeros((0, ndim)),
+            trace_mean=np.zeros((0,) + value_shape),
+        )
+
+    @classmethod
+    def concat(cls, parts: list, ndim: int, value_shape: tuple) -> "FacetTable":
+        """Stack tables row-wise; the empty table of that shape for no rows."""
+        parts = [p for p in parts if len(p)]
+        if not parts:
+            return cls.empty(ndim, value_shape)
+        if len(parts) == 1:
+            return parts[0]
+        return cls(**{name: np.concatenate([getattr(p, name) for p in parts])
+                      for name in cls.__dataclass_fields__})
+
+    def select(self, rows) -> "FacetTable":
+        """Sub-table of the rows picked by a boolean mask or an index array."""
+        return FacetTable(**{name: getattr(self, name)[rows] for name in self.__dataclass_fields__})
+
+    def __len__(self) -> int:
+        return len(self.area)
+
+    def __getitem__(self, i: int) -> JumpFacet:
+        return JumpFacet(
+            axis=int(self.axis[i]),
+            index=tuple(int(v) for v in self.index[i]),
+            boundary=bool(self.boundary[i]),
+            normal=np.array(self.normal[i]),
+            area=float(self.area[i]),
+            jump=np.array(self.jump[i]),
+            jump_lin=np.array(self.jump_lin[i]),
+            centroid=np.array(self.centroid[i]),
+            trace_mean=np.array(self.trace_mean[i]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def magnitudes(self) -> np.ndarray:
+        """Frobenius norm of each facet's jump."""
+        flat = _rows(self.jump)
+        return np.sqrt(np.sum(flat * flat, axis=1))
+
+    def varies(self) -> np.ndarray:
+        """Per facet: does the jump carry affine variation (any nonzero jump_lin)?"""
+        return np.any(_rows(self.jump_lin) != 0.0, axis=1)
+
+
+def _rows(arr: np.ndarray) -> np.ndarray:
+    """View a column as (rows, entries), also when it has no rows."""
+    return arr.reshape(arr.shape[0], int(np.prod(arr.shape[1:], dtype=int)))
+
+
+def _facet_rows(keep, index, axis: int, boundary: bool, sign: float, area: float,
+                jump, jump_lin, centroid, trace_mean) -> FacetTable:
+    """Table of the facets of one axis (and side) that ``keep`` selects."""
+    count = len(index)
+    normal = np.zeros((count, index.shape[1]))
+    normal[:, axis] = sign
+    return FacetTable(
+        axis=np.full(count, axis),
+        index=index,
+        boundary=np.full(count, boundary),
+        normal=normal,
+        area=np.full(count, area),
+        jump=jump[keep],
+        jump_lin=jump_lin[keep],
+        centroid=centroid[keep],
+        trace_mean=trace_mean[keep],
+    )
 
 
 class PiecewiseAffineField:
@@ -282,16 +386,21 @@ class PiecewiseAffineField:
 
     # -- jump set -----------------------------------------------------------
 
-    def jump_set(self) -> list[JumpFacet]:
+    def jump_set(self) -> FacetTable:
+        """The facets whose jump exceeds ``jump_tol``: interior ones first
+        (by axis, then cell), then boundary ones (by axis, lower side before
+        upper).  Built once and cached."""
         if self._jump_cache is None:
-            self._jump_cache = self._build_interior_facets() + self._build_boundary_facets()
+            self._jump_cache = FacetTable.concat(
+                [self._build_interior_facets(), self._build_boundary_facets()],
+                self.domain.ndim, self.value_shape)
         return self._jump_cache
 
-    def _build_interior_facets(self) -> list[JumpFacet]:
+    def _build_interior_facets(self) -> FacetTable:
         dom = self.domain
         N = dom.ndim
         vnd = self.value_ndim
-        facets: list[JumpFacet] = []
+        parts = []
         centers = dom.cell_centers()
         for m in range(N):
             if dom.resolution[m] < 2:
@@ -308,37 +417,22 @@ class PiecewiseAffineField:
             jump = trace_hi - trace_lo
             tmean = 0.5 * (trace_hi + trace_lo)
             jlin = self.lin[sl_hi] - self.lin[sl_lo]
-            jlin = jlin.copy()
             jlin[..., m] = 0.0
             mag = _vnorm(jump, vnd) + _vnorm(jlin, vnd + 1)
-            normal = np.zeros(N)
-            normal[m] = 1.0
             cent = centers[sl_lo].copy()
             cent[..., m] += 0.5 * h
-            for cell in np.argwhere(mag > self.jump_tol):
-                cid = tuple(int(c) for c in cell)
-                facets.append(
-                    JumpFacet(
-                        axis=m,
-                        index=cid,
-                        boundary=False,
-                        normal=normal.copy(),
-                        area=area,
-                        jump=np.array(jump[cid]),
-                        jump_lin=np.array(jlin[cid]),
-                        centroid=np.array(cent[cid]),
-                        trace_mean=np.array(tmean[cid]),
-                    )
-                )
-        return facets
+            keep = mag > self.jump_tol
+            parts.append(_facet_rows(keep, np.argwhere(keep), m, False, 1.0, area,
+                                     jump, jlin, cent, tmean))
+        return FacetTable.concat(parts, N, self.value_shape)
 
-    def _build_boundary_facets(self) -> list[JumpFacet]:
-        if self.boundary_data is None:
-            return []
+    def _build_boundary_facets(self) -> FacetTable:
         dom = self.domain
         N = dom.ndim
+        if self.boundary_data is None:
+            return FacetTable.empty(N, self.value_shape)
         vnd = self.value_ndim
-        facets: list[JumpFacet] = []
+        parts = []
         centers = dom.cell_centers()
         for m in range(N):
             h = dom.widths[m]
@@ -348,43 +442,22 @@ class PiecewiseAffineField:
                 sl[m] = side
                 sl = tuple(sl)
                 trace = self.const[sl] + normal_sign * 0.5 * h * self.lin[sl + (Ellipsis, m)]
-                cent = centers[sl].copy()
-                cent = cent.reshape((-1, N))
+                cent = centers[sl].reshape((-1, N)).copy()
                 cent[:, m] = dom.lower[m] if side == 0 else dom.upper[m]
                 prescribed, plin = self.boundary_data.value_and_lin(cent)
                 trace_flat = trace.reshape((-1,) + self.value_shape)
                 lin_flat = self.lin[sl].reshape((-1,) + self.value_shape + (N,))
                 jump = prescribed - trace_flat
                 jlin = plin - lin_flat
-                jlin = jlin.copy()
                 jlin[..., m] = 0.0
                 mag = _vnorm(jump, vnd) + _vnorm(jlin, vnd + 1)
-                normal = np.zeros(N)
-                normal[m] = normal_sign
+                keep = ~(mag <= self.jump_tol)  # a NaN magnitude counts as a jump here
                 side_idx = 0 if side == 0 else int(dom.resolution[m]) - 1
-                grid_idx = np.argwhere(np.ones(trace.shape[: N - 1], dtype=bool)) if N > 1 else np.array([[]])
-                for flat_i in range(trace_flat.shape[0]):
-                    if mag.ravel()[flat_i] <= self.jump_tol:
-                        continue
-                    if N > 1:
-                        rest = tuple(int(v) for v in grid_idx[flat_i])
-                        cid = rest[:m] + (side_idx,) + rest[m:]
-                    else:
-                        cid = (side_idx,)
-                    facets.append(
-                        JumpFacet(
-                            axis=m,
-                            index=cid,
-                            boundary=True,
-                            normal=normal.copy(),
-                            area=area,
-                            jump=np.array(jump[flat_i]),
-                            jump_lin=np.array(jlin[flat_i]),
-                            centroid=np.array(cent[flat_i]),
-                            trace_mean=np.array(0.5 * (prescribed[flat_i] + trace_flat[flat_i])),
-                        )
-                    )
-        return facets
+                face = np.argwhere(np.ones(trace.shape[: N - 1], dtype=bool))
+                index = np.insert(face, m, side_idx, axis=1)[keep]
+                parts.append(_facet_rows(keep, index, m, True, normal_sign, area, jump, jlin, cent,
+                                         0.5 * (prescribed + trace_flat)))
+        return FacetTable.concat(parts, N, self.value_shape)
 
     # -- norms and pairings ---------------------------------------------------
 
@@ -459,7 +532,7 @@ class PiecewiseConstantField(PiecewiseAffineField):
 # ---------------------------------------------------------------------------
 
 
-def jump_set(field: PiecewiseAffineField) -> list[JumpFacet]:
+def jump_set(field: PiecewiseAffineField) -> FacetTable:
     return field.jump_set()
 
 
@@ -470,7 +543,8 @@ def total_jump_mass(field: PiecewiseAffineField) -> float:
     variation this is the centroid-sampled mass (a lower bound on the exact
     facet integral), which is what all mass bounds in this package refer to.
     """
-    return fsum([f.magnitude * f.area for f in field.jump_set()])
+    facets = field.jump_set()
+    return fsum(facets.magnitudes() * facets.area)
 
 
 def _common_domain(f: PiecewiseAffineField, g: PiecewiseAffineField):
@@ -507,6 +581,10 @@ def l1_norm(f: PiecewiseAffineField, quad_order: int = 6) -> float:
     return _l1_of_cell_data(f.domain, f.const, f.lin, f.value_shape, quad_order)
 
 
+# cells per batch of the Gauss-Legendre L1 path: bounds its temporaries
+_L1_BLOCK_CELLS = 4096
+
+
 def _l1_of_cell_data(dom: BoxDomain, const, lin, value_shape, quad_order) -> float:
     widths = dom.widths
     vol = dom.cell_volume
@@ -523,10 +601,29 @@ def _l1_of_cell_data(dom: BoxDomain, const, lin, value_shape, quad_order) -> flo
             terms.append(box_abs_affine(float(c[0]) if c.size else float(c), b[0] if b.size else b, widths))
     else:
         pts, wts = gauss_legendre_points(-widths / 2.0, widths / 2.0, quad_order)
-        for c, b in zip(flat_c, flat_l):
-            vals = c + np.einsum("...k,mk->m...", b, pts)
-            terms.append(float(np.dot(_vnorm(vals, vnd), wts)))
+        for start in range(0, flat_c.shape[0], _L1_BLOCK_CELLS):
+            vals = _affine_at_points(flat_c[start:start + _L1_BLOCK_CELLS],
+                                     flat_l[start:start + _L1_BLOCK_CELLS], pts)
+            # one dot per cell: a single matrix-vector product rounds differently
+            terms.extend(map(wts.dot, _vnorm(vals, vnd)))
     return fsum(terms)
+
+
+def _affine_at_points(const, lin, pts) -> np.ndarray:
+    """``const + lin . p`` per cell and point: shape (cells, points) + value_shape."""
+    N = pts.shape[1]
+    if N > 2:
+        return const[:, None] + np.einsum("c...k,mk->cm...", lin, pts)
+    # With two products or fewer per entry any summation order gives the same
+    # bits, so explicit products match the einsum; they are kept because the
+    # einsum alone made a 256x256 seq-fine process ~37% slower (median 1.51 s
+    # against 1.10 s on a 2-vCPU host), while for N = 3 only the einsum keeps
+    # the digits.
+    shape = pts.shape[:1] + (1,) * (lin.ndim - 2)
+    out = lin[:, None, ..., 0] * pts[:, 0].reshape(shape)
+    if N == 2:
+        out = out + lin[:, None, ..., 1] * pts[:, 1].reshape(shape)
+    return const[:, None] + out
 
 
 def trace_boundary(field: PiecewiseAffineField) -> list[dict]:
@@ -640,11 +737,20 @@ def gauss_green_residual(field: PiecewiseAffineField) -> np.ndarray:
     N = dom.ndim
     shape = field.value_shape + (N,)
     acc = np.sum(field.lin.reshape((-1,) + shape), axis=0) * vol
-    for f in field.jump_set():
-        acc = acc + np.multiply.outer(f.jump, f.normal) * f.area
-    for rec in trace_boundary(field):
-        acc = acc - np.multiply.outer(rec["effective"], rec["normal"]) * rec["area"]
+    facets = field.jump_set()
+    acc = acc + _flux(facets.jump, facets.normal, facets.area)
+    records = trace_boundary(field)
+    if records:
+        acc = acc - _flux(np.stack([rec["effective"] for rec in records]),
+                          np.stack([rec["normal"] for rec in records]),
+                          np.array([rec["area"] for rec in records]))
     return acc
+
+
+def _flux(values: np.ndarray, normals: np.ndarray, areas: np.ndarray) -> np.ndarray:
+    """Sum over rows of values x normal * area."""
+    weighted = values * areas.reshape((-1,) + (1,) * (values.ndim - 1))
+    return np.tensordot(weighted, normals, axes=(0, 0))
 
 
 class SecondOrderField:

@@ -144,4 +144,4 @@ def gauss_legendre_points(lower, upper, order: int):
 
 def fsum(values) -> float:
     """Exactly rounded sum; shared by all energy accumulations."""
-    return math.fsum(float(v) for v in np.asarray(values, dtype=float).ravel())
+    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())

@@ -1,7 +1,12 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from sdrelax import assembly
 from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
+from sdrelax.cellformulas import EstimationError
 from sdrelax.constructions import SD2Triple, approximating_sequence
 from sdrelax.densities import example_triple, norm_triple
 from sdrelax.energy import total_energy
@@ -119,6 +124,30 @@ class TestParallelDeterminism:
         r8 = assemble_relaxed_energy(sd2, norm_triple(), AssembleConfig(jobs=8))
         assert r1.to_dict()["total"] == r8.to_dict()["total"]
         assert r1.to_dict()["bulk2"] == r8.to_dict()["bulk2"]
+
+
+class TestParallelFailure:
+    def test_failed_solve_reaches_every_waiter(self, monkeypatch):
+        # all four cells share one W1 key; the owner fails while the other
+        # worker waits on that key, which must re-raise instead of hanging
+        def planted(*args, **kwargs):
+            time.sleep(0.2)
+            raise EstimationError("planted")
+
+        monkeypatch.setattr(assembly, "estimate_W1", planted)
+        outcome = []
+
+        def target():
+            try:
+                assemble_relaxed_energy(affine_sd2(), norm_triple(), AssembleConfig(jobs=2))
+            except Exception as err:  # noqa: BLE001 - recorded for the assertion below
+                outcome.append(err)
+
+        worker = threading.Thread(target=target, daemon=True)
+        worker.start()
+        worker.join(timeout=20)
+        assert not worker.is_alive(), "parallel assembly hung after a failed solve"
+        assert len(outcome) == 1 and isinstance(outcome[0], EstimationError)
 
 
 class TestSequenceConsistency:

@@ -82,6 +82,13 @@ class TestExitCodes:
         assert run(cfg, out_dir=str(tmp_path)) == 2
         assert "pressure" in capsys.readouterr().err
 
+    def test_unknown_output_key_exit_2(self, tmp_path, capsys):
+        bad = dict(EXAMPLE_CONFIG)
+        bad["output"] = {"jsn": "x.json"}
+        cfg = write_config(tmp_path, bad)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert "jsn" in capsys.readouterr().err
+
     def test_unknown_task_exit_2(self, tmp_path):
         bad = dict(CHECK_CONFIG)
         bad["task"] = "make-coffee"
@@ -235,3 +242,100 @@ class TestExpressionDensities:
                                                 "psi2": "norm(Lam)"}}
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2
+
+
+class TestExpressionFields:
+    DOMAIN = {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "resolution": [2, 2]}
+
+    def build(self, cfg):
+        from sdrelax.cli import _build_domain, _build_field
+
+        return _build_field(_build_domain(self.DOMAIN), cfg, "G")
+
+    def test_matrix_expression_keeps_index_order(self):
+        field = self.build({"expression": [["1", "2"], ["3", "4"]]})
+        assert field.value_shape == (2, 2)
+        assert np.array_equal(field.const[0, 0], [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_matrix_expression_in_x_keeps_index_order(self):
+        field = self.build({"expression": [["x[0]", "2*x[1]"], ["3", "x[0] + x[1]"]]})
+        x, y = 0.25, 0.75  # center of cell (0, 1)
+        assert np.array_equal(field.const[0, 1], [[x, 2 * y], [3.0, x + y]])
+
+    def test_three_level_grad_expression_keeps_index_order(self):
+        grad = [[[str(4 * i + 2 * j + k + 1) for k in range(2)] for j in range(2)] for i in range(2)]
+        field = self.build({"expression": [["0", "0"], ["0", "0"]], "grad_expression": grad})
+        expected = np.arange(1.0, 9.0).reshape(2, 2, 2)
+        for cell in np.ndindex(2, 2):
+            assert np.array_equal(field.lin[cell], expected)
+
+
+class TestNonFinite:
+    def test_nan_in_config_exit_2(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+        payload["fields"]["g"] = {"linear": [[float("nan")]]}
+        cfg = write_config(tmp_path, payload)
+        assert "NaN" in open(cfg).read()
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert not (tmp_path / "relax.json").exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_infinity_in_subcommand_config_exit_2(self, tmp_path):
+        payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+        payload["fields"]["G"] = {"constant": [[float("inf")]]}
+        cfg = write_config(tmp_path, payload)
+        assert main(["relax-assemble", cfg, "--out", str(tmp_path)]) == 2
+
+    # each edit plants the marker 12345.0, which the file then carries as 1e999
+    FIELD_FILE_EDITS = {
+        "const": lambda d: d["const"][2].__setitem__(0, 12345.0),
+        "jump_tol": lambda d: d.__setitem__("jump_tol", 12345.0),
+        "domain": lambda d: d["domain"].__setitem__("upper", [12345.0]),
+        "affine_boundary": lambda d: d.__setitem__(
+            "boundary", {"kind": "affine", "const": [12345.0], "lin": [[0.0]]}),
+        "step_boundary": lambda d: d.__setitem__(
+            "boundary", {"kind": "step", "payload": [1.0], "axis": 0, "threshold": 12345.0}),
+    }
+
+    @pytest.mark.parametrize("where", sorted(FIELD_FILE_EDITS))
+    def test_overflowing_field_file_exit_2(self, tmp_path, capsys, where):
+        from sdrelax.fields import BoxDomain, PiecewiseAffineField
+
+        field = PiecewiseAffineField(BoxDomain([0.0], [1.0], [4]), np.zeros((4, 1)))
+        data = field.to_dict()
+        self.FIELD_FILE_EDITS[where](data)
+        (tmp_path / "g.json").write_text(json.dumps(data).replace("12345.0", "1e999"))
+        payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+        payload["fields"]["g"] = {"file": str(tmp_path / "g.json")}
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert not (tmp_path / "relax.json").exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("base, section, key", [
+        # constant fields stay finite on an infinite domain, so only the domain check sees it
+        (dict(ASSEMBLE_CONFIG, fields={"g": {"constant": [0.0]}, "G": {"constant": [[0.0]]}}),
+         "domain", "upper"),
+        (SWEEP_CONFIG, "cell", "A"),
+        (SWEEP_CONFIG, "cell", "x"),
+        (EXAMPLE_CONFIG, "example", "a"),
+        (EXAMPLE_CONFIG, "example", "L"),
+    ])
+    def test_overflowing_config_array_exit_2(self, tmp_path, capsys, base, section, key):
+        payload = json.loads(json.dumps(base))
+        value = np.asarray(payload[section][key], dtype=float)
+        value.flat[0] = 12345.0
+        payload[section][key] = value.tolist()
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload).replace("12345.0", "1e999"))
+        assert run(str(path), out_dir=str(tmp_path)) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_result_writes_no_report(self, tmp_path, monkeypatch, capsys):
+        from sdrelax import cli
+
+        monkeypatch.setattr(cli, "verify_example", lambda *a, **k: {"value": float("nan")})
+        cfg = write_config(tmp_path, EXAMPLE_CONFIG)
+        assert run(cfg, out_dir=str(tmp_path)) == 3
+        assert not (tmp_path / "report.json").exists()
+        assert "non-finite" in capsys.readouterr().err

@@ -1,0 +1,236 @@
+"""The facet table and the batched L1 against the loops they replaced.
+
+Every comparison is bitwise: the array code must reproduce the per-facet
+and per-cell reference loops in ``reference_loops.py`` exactly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_loops as ref
+from sdrelax.cellformulas import rotation_to_last_axis
+from sdrelax.densities import BulkDensity, DensityTriple, InterfacialDensity, psi2_proj
+from sdrelax.energy import interfacial_energy, total_energy
+from sdrelax.fields import (
+    AffineBoundary,
+    BoxDomain,
+    FacetTable,
+    JumpFacet,
+    PiecewiseAffineField,
+    StepBoundary,
+    _l1_of_cell_data,
+    gauss_green_residual,
+    total_jump_mass,
+)
+
+COLUMNS = ("normal", "jump", "jump_lin", "centroid", "trace_mean")
+
+
+@st.composite
+def fields(draw, value_shape=None):
+    """Random piecewise-affine fields on 1-D to 3-D grids.
+
+    Covers axes of resolution 1, value shapes (), (d,) and (d, N), fields
+    without jumps, and affine and step boundary data.
+    """
+    N = draw(st.integers(1, 3))
+    res = [draw(st.integers(1, 3)) for _ in range(N)]
+    if value_shape is None:
+        d = draw(st.integers(1, 3))
+        value_shape = draw(st.sampled_from([(), (d,), (d, N)]))
+    elif value_shape == "square":
+        value_shape = (N, N)
+    kind = draw(st.sampled_from(["random", "affine", "steps", "zero"]))
+    boundary = draw(st.sampled_from(["none", "affine", "matching", "step"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    lower = rng.uniform(-1.0, 0.0, N)
+    dom = BoxDomain(lower, lower + rng.uniform(0.5, 2.0, N), res)
+    cells = dom.cells_shape
+    A = rng.standard_normal(value_shape + (N,))
+    c0 = rng.standard_normal(value_shape)
+    if kind == "random":
+        const = rng.standard_normal(cells + value_shape)
+        lin = rng.standard_normal(cells + value_shape + (N,))
+    elif kind == "affine":
+        const = c0 + np.einsum("...k,ck->c...", A, dom.cell_centers().reshape(-1, N)).reshape(
+            cells + value_shape)
+        lin = np.broadcast_to(A, cells + A.shape).copy()
+    elif kind == "steps":
+        const = rng.integers(0, 2, cells + value_shape).astype(float)
+        lin = np.zeros(cells + value_shape + (N,))
+    else:
+        const = np.zeros(cells + value_shape)
+        lin = np.zeros(cells + value_shape + (N,))
+
+    if boundary == "affine":
+        data = AffineBoundary(rng.standard_normal(value_shape), rng.standard_normal(value_shape + (N,)))
+    elif boundary == "matching":  # the trace of an affine or zero field: no boundary jumps
+        data = AffineBoundary(c0, A) if kind == "affine" else AffineBoundary.zero(value_shape, N)
+    elif boundary == "step":
+        payload = rng.integers(0, 2, value_shape).astype(float)
+        axis = int(rng.integers(0, N))
+        data = StepBoundary(payload, axis, float(dom.lower[axis] + rng.uniform(0.0, 1.0)))
+    else:
+        data = None
+    return PiecewiseAffineField(dom, const, lin, boundary_data=data)
+
+
+def _generic_fn(x, lam=None, Lam=None, nu=None):
+    payload = lam if Lam is None else Lam
+    flat = payload.reshape(payload.shape[0], -1)
+    return np.sqrt(np.sum(flat * flat, axis=1)) * (1.0 + 0.25 * np.sin(x[:, 0])) + 0.5 * np.abs(nu[:, -1])
+
+
+def generic_psi(kind: int) -> InterfacialDensity:
+    return InterfacialDensity(f"generic{kind}", kind, _generic_fn)
+
+
+def generic_triple(psi2=None) -> DensityTriple:
+    def W(x, A, M):
+        a = A.reshape(A.shape[0], -1)
+        m = M.reshape(M.shape[0], -1)
+        return np.sqrt(np.sum(a * a, axis=1)) + np.sum(np.abs(m), axis=1)
+
+    return DensityTriple(BulkDensity("W", W), generic_psi(1), psi2 or generic_psi(2))
+
+
+def assert_rows_equal(table: FacetTable, rows: list):
+    assert len(table) == len(rows)
+    for new, old in zip(table, rows):
+        assert isinstance(new, JumpFacet)
+        assert new.axis == old.axis and new.index == old.index and new.boundary == old.boundary
+        assert new.area == old.area
+        for name in COLUMNS:
+            a, b = getattr(new, name), getattr(old, name)
+            assert a.shape == b.shape and np.array_equal(a, b), name
+
+
+def unit_vector(rng, N):
+    v = rng.standard_normal(N)
+    return v / np.linalg.norm(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields())
+def test_jump_set_matches_per_facet_builders(u):
+    assert_rows_equal(u._build_interior_facets(), ref.interior_facets(u))
+    assert_rows_equal(u._build_boundary_facets(), ref.boundary_facets(u))
+    assert_rows_equal(u.jump_set(), ref.jump_set(u))
+    assert u.jump_set() is u.jump_set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields())
+def test_total_jump_mass_matches(u):
+    assert total_jump_mass(u) == ref.total_jump_mass(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields())
+def test_gauss_green_residual_matches_to_rounding(u):
+    new, old = gauss_green_residual(u), ref.gauss_green_residual(u)
+    scale = 1.0 + float(np.max(np.abs(u.const))) + float(np.max(np.abs(u.lin)))
+    assert new.shape == old.shape
+    assert np.max(np.abs(new - old), initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields(), st.integers(0, 2**32 - 1))
+def test_interfacial_energy_matches_both_routines(u, seed):
+    rng = np.random.default_rng(seed)
+    N = u.domain.ndim
+    psi = generic_psi(1)
+    facets, widths = u.jump_set(), u.domain.widths
+    assert interfacial_energy(psi, facets, widths) == ref.interfacial_energy(psi, list(facets), widths)
+    x0 = rng.standard_normal(N)
+    R = rotation_to_last_axis(unit_vector(rng, N))
+    for rot in (None, R):
+        assert interfacial_energy(psi, facets, widths, x0, rot) == ref.facet_energy(psi, u, x0, rot)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields(value_shape="square"), st.integers(0, 2**32 - 1))
+def test_psi2_proj_facet_integral_hook(u, seed):
+    rng = np.random.default_rng(seed)
+    N = u.domain.ndim
+    psi = psi2_proj(unit_vector(rng, N))
+    facets, widths = u.jump_set(), u.domain.widths
+    assert interfacial_energy(psi, facets, widths) == ref.interfacial_energy(psi, list(facets), widths)
+    x0 = rng.standard_normal(N)
+    R = rotation_to_last_axis(unit_vector(rng, N))
+    for rot in (None, R):
+        assert interfacial_energy(psi, facets, widths, x0, rot) == ref.facet_energy(psi, u, x0, rot)
+
+
+def _reference_jumps(u, psi1, psi2, cell_ranges):
+    facets1 = [f for f in ref.jump_set(u) if ref.in_ranges(f.index, cell_ranges)]
+    grad = u.gradient_field()
+    facets2 = [f for f in ref.jump_set(grad) if ref.in_ranges(f.index, cell_ranges)]
+    jump1, inexact1 = ref.interfacial_energy(psi1, facets1, u.domain.widths)
+    jump2, inexact2 = ref.interfacial_energy(psi2, facets2, u.domain.widths)
+    return jump1, jump2, inexact1 + inexact2
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields(), st.integers(0, 2**32 - 1), st.booleans())
+def test_total_energy_on_sub_boxes(u, seed, proj):
+    rng = np.random.default_rng(seed)
+    N = u.domain.ndim
+    psi2 = psi2_proj(unit_vector(rng, N)) if proj and u.value_shape == (N,) else None
+    triple = generic_triple(psi2)
+    ranges = []
+    for r in u.domain.cells_shape:
+        lo = int(rng.integers(0, r))
+        ranges.append((lo, int(rng.integers(lo + 1, r + 1))))
+    for cell_ranges in (None, tuple(ranges)):
+        out = total_energy(u, triple, cell_ranges)
+        full = tuple((0, r) for r in u.domain.cells_shape)
+        jump1, jump2, inexact = _reference_jumps(u, triple.psi1, triple.psi2, cell_ranges or full)
+        assert (out.jump1, out.jump2, out.quadrature["inexact_facets"]) == (jump1, jump2, inexact)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields(), st.integers(2, 6))
+def test_l1_matches_per_cell_loop(u, quad_order):
+    args = (u.domain, u.const, u.lin, u.value_shape, quad_order)
+    assert _l1_of_cell_data(*args) == ref.l1_of_cell_data(*args)
+
+
+def test_l1_blocks_match_per_cell_loop():
+    # more cells than one block, on the grid and value shape of the benchmark
+    rng = np.random.default_rng(7)
+    dom = BoxDomain([0.0, 0.0], [1.0, 1.0], [80, 80])
+    const = rng.standard_normal(dom.cells_shape + (2, 2))
+    lin = rng.standard_normal(dom.cells_shape + (2, 2, 2))
+    assert _l1_of_cell_data(dom, const, lin, (2, 2), 6) == ref.l1_of_cell_data(dom, const, lin, (2, 2), 6)
+
+
+class TestFacetTable:
+    def test_rows_and_selection(self):
+        dom = BoxDomain([0.0], [1.0], [3])
+        u = PiecewiseAffineField(dom, np.array([[0.0], [1.0], [3.0]]),
+                                 boundary_data=AffineBoundary.zero((1,), 1))
+        table = u.jump_set()
+        assert len(table) == 3
+        assert [f.index for f in table] == [(0,), (1,), (2,)]
+        assert [f.boundary for f in table] == [False, False, True]
+        assert table[1].jump == pytest.approx([2.0])
+        assert table[-1].normal == pytest.approx([1.0])
+        sub = table.select(table.boundary)
+        assert len(sub) == 1 and sub[0].jump == pytest.approx([-3.0])
+        assert np.array_equal(table.magnitudes(), [1.0, 2.0, 3.0])
+
+    def test_empty_table_shapes(self):
+        table = FacetTable.empty(2, (3,))
+        assert len(table) == 0 and list(table) == []
+        assert table.jump_lin.shape == (0, 3, 2)
+        assert table.magnitudes().shape == (0,) and table.varies().shape == (0,)
+
+    def test_nan_cells_match_the_reference_facet_choice(self):
+        dom = BoxDomain([0.0], [1.0], [2])
+        const = np.array([[0.0], [np.nan]])
+        u = PiecewiseAffineField(dom, const, boundary_data=AffineBoundary.zero((1,), 1))
+        assert len(u.jump_set()) == len(ref.jump_set(u))
