@@ -9,15 +9,15 @@ areas.  Every term carries an upper/lower bracket; the report exposes the
 split into a first-gradient part and a second-gradient part whose sum is the
 total by construction.
 
-Identical cell problems are solved once: estimates are cached under their
+Cells and facets are solved one after another, in grid and table order.
+Identical cell problems are solved once: estimates are memoized under their
 quantized arguments, which changes no reported digit at the default
-quantization because the estimators are deterministic.
+quantization because the estimators are deterministic.  ``jobs`` is only
+recorded in the report; nothing runs in parallel.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -32,9 +32,8 @@ from .cellformulas import (
 )
 from .constructions import SD2Triple
 from .densities import DensityTriple
-from .fields import common_refinement
 from .integrate import fsum
-from .trace_formula import closed_form_W2
+from .trace_formula import closed_form_W2, swap_layout
 
 
 @dataclass
@@ -106,12 +105,10 @@ class RelaxedEnergyReport:
 
 
 class _EstimateCache:
-    """Compute-once cache keyed by quantized arguments.
+    """Compute-once memo keyed by quantized arguments.
 
-    Thread-safe with deterministic hit/miss counts: the first arrival at a
-    key owns the solve, later arrivals wait, so misses always equal the
-    number of distinct keys regardless of scheduling.  A solve that raises
-    stores its exception, which every waiter and later arrival re-raises.
+    Misses equal the number of distinct keys; with the memo disabled every
+    call is a miss.
     """
 
     def __init__(self, quantize: float, enabled: bool):
@@ -120,7 +117,6 @@ class _EstimateCache:
         self.store: dict = {}
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock()
 
     def key(self, variant: str, *arrays) -> tuple:
         parts = [variant]
@@ -131,38 +127,15 @@ class _EstimateCache:
 
     def get_or_compute(self, variant, arrays, compute):
         if not self.enabled:
-            with self._lock:
-                self.misses += 1
+            self.misses += 1
             return compute()
         k = self.key(variant, *arrays)
-        with self._lock:
-            entry = self.store.get(k)
-            if entry is None:
-                event = threading.Event()
-                self.store[k] = ("pending", event)
-                self.misses += 1
-            else:
-                self.hits += 1
-        if entry is None:
-            try:
-                value = compute()
-            except BaseException as err:
-                with self._lock:
-                    self.store[k] = ("error", err)
-                event.set()
-                raise
-            with self._lock:
-                self.store[k] = ("done", value)
-            event.set()
-            return value
-        kind, payload = entry
-        if kind == "pending":
-            payload.wait()
-            with self._lock:
-                kind, payload = self.store[k]
-        if kind == "error":
-            raise payload
-        return payload
+        if k in self.store:
+            self.hits += 1
+            return self.store[k]
+        self.misses += 1
+        self.store[k] = compute()
+        return self.store[k]
 
 
 def _trace_formula_estimate(x, L_bil, M_bil, a) -> EstimateResult:
@@ -189,15 +162,10 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
                              "and the directional-jump interfacial density")
     if config.gamma2_representative not in ("average", "plus", "minus"):
         raise ValueError(f"unknown trace representative {config.gamma2_representative!r}")
+    if not (np.isfinite(config.quantize) and config.quantize > 0):
+        raise ValueError(f"quantize must be finite and > 0, got {config.quantize!r}")
 
-    g, G = common_refinement(sd2.g, sd2.G) if not np.array_equal(
-        sd2.g.domain.resolution, sd2.G.domain.resolution) else (sd2.g, sd2.G)
-    base = sd2.G.domain
-    Gamma = sd2.Gamma
-    if not np.array_equal(G.domain.resolution, base.resolution):
-        factor = G.domain.resolution // base.resolution
-        for ax, f in enumerate(factor):
-            Gamma = np.repeat(Gamma, f, axis=ax)
+    g, G, Gamma = sd2.g, sd2.G, sd2.Gamma
     dom = G.domain
     N = dom.ndim
     cells = dom.num_cells
@@ -217,8 +185,8 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
 
     def solve_cell(i: int) -> tuple[EstimateResult, EstimateResult]:
         x = centers[i]
-        L_bil = L_field[i].transpose(0, 2, 1)
-        M_bil = M_field[i].transpose(0, 2, 1)
+        L_bil = swap_layout(L_field[i])
+        M_bil = swap_layout(M_field[i])
         try:
             r1 = cache.get_or_compute(
                 "W1", (zero_x if x_free_1 else x, A1[i]),
@@ -239,11 +207,7 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
                 f"cell {i} at x={x.tolist()}: {err}; "
                 f"A1={A1[i].tolist()}, L={L_bil.tolist()}, M={M_bil.tolist()}") from err
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            cell_results = list(pool.map(solve_cell, range(cells)))
-    else:
-        cell_results = [solve_cell(i) for i in range(cells)]
+    cell_results = [solve_cell(i) for i in range(cells)]
 
     bulk1 = TermBracket(
         fsum([r1.upper * vol for r1, _ in cell_results]),

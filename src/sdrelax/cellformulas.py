@@ -19,7 +19,7 @@ lexicographically smallest parameter vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -30,11 +30,11 @@ from .fields import (
     AffineBoundary,
     PiecewiseAffineField,
     StepBoundary,
-    frobenius,
     trace_boundary,
     unit_cube,
 )
-from .integrate import fsum
+from .integrate import fsum, norm
+from .trace_formula import swap_layout
 
 ADMISSIBILITY_TOL = 1e-10
 DEFAULT_RESOLUTION = 4
@@ -169,7 +169,7 @@ def _prescription(problem: CellProblem):
     elif problem.variant == "Gamma2":
         payload = problem.Lam
     else:
-        L_field = Bilinear_to_field(problem.L)
+        L_field = swap_layout(problem.L)
         return lambda pts: np.einsum("...k,mk->m...", L_field, pts)
     step = StepBoundary(payload, N - 1, 0.0)
     return lambda pts: step.value_and_lin(pts)[0]
@@ -186,11 +186,6 @@ def _payload_shape(problem: CellProblem) -> tuple:
     return problem.L.shape[:1] + problem.L.shape[2:3]
 
 
-def Bilinear_to_field(T: np.ndarray) -> np.ndarray:
-    """Bilinear layout (i, y-slot, z-slot) -> field linear part (i, col, deriv)."""
-    return np.asarray(T, dtype=float).transpose(0, 2, 1)
-
-
 def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tuple[bool, float]:
     """Re-verify trace and gradient constraints before an energy may count."""
     dom = field.domain
@@ -202,9 +197,9 @@ def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tu
         residual = max(residual, float(np.max(np.abs(lin))) if lin.size else 0.0)
     else:
         target = np.zeros(lin.shape[dom.ndim:]) if problem.variant == "Gamma2" \
-            else Bilinear_to_field(problem.M)
+            else swap_layout(problem.M)
         avg = np.sum(lin.reshape((-1,) + lin.shape[dom.ndim:]), axis=0) * dom.cell_volume
-        residual = max(residual, frobenius(avg - target))
+        residual = max(residual, float(norm(avg - target, avg.ndim)))
     prescription = _prescription(problem)
     for rec in trace_boundary(field):
         want = prescription(rec["centroid"][None])[0]
@@ -291,7 +286,7 @@ class AffineFamily:
 
     def build(self, problem: CellProblem, params):
         N = len(problem.x)
-        L_field = Bilinear_to_field(problem.L)
+        L_field = swap_layout(problem.L)
         dom = unit_cube(N, problem.resolution)
         centers = dom.cell_centers()
         const = np.einsum("vwk,...k->...vw", L_field, centers)
@@ -310,8 +305,8 @@ class LaminateFamily:
 
     def build(self, problem: CellProblem, params):
         N = len(problem.x)
-        L_field = Bilinear_to_field(problem.L)
-        M_field = Bilinear_to_field(problem.M)
+        L_field = swap_layout(problem.L)
+        M_field = swap_layout(problem.M)
         dom = unit_cube(N, problem.resolution)
         centers = dom.cell_centers()
         const = np.einsum("vwk,...k->...vw", L_field, centers)
@@ -357,8 +352,8 @@ class InclusionFamily:
         res = problem.resolution
         dom = unit_cube(N, res)
         w = dom.widths
-        L_field = Bilinear_to_field(problem.L)
-        M_field = Bilinear_to_field(problem.M)
+        L_field = swap_layout(problem.L)
+        M_field = swap_layout(problem.M)
         vol_R = float(np.prod(2 * half * w))
         P_field = (M_field - (1.0 - vol_R) * L_field) / vol_R
         centers = dom.cell_centers()
@@ -514,7 +509,7 @@ def estimate_W1(x, A, densities: DensityTriple, budget: int = 1,
     if families is None:
         families = [StaircaseFamily()]
     result = _sweep(problem, families, budget)
-    result.lower = _certified_lower_interfacial(densities.psi1, frobenius(problem.A))
+    result.lower = _certified_lower_interfacial(densities.psi1, float(norm(problem.A, problem.A.ndim)))
     if result.lower is not None and result.lower > result.upper:
         result.notes = "certified lower exceeded best upper; check declared constants"
     return result
@@ -548,7 +543,8 @@ def estimate_W2(x, A, L, M, densities: DensityTriple, budget: int = 1,
     if families is None:
         families = [AffineFamily(), LaminateFamily(), InclusionFamily()]
     result = _sweep(problem, families, budget)
-    result.lower = _certified_lower_interfacial(densities.psi2, frobenius(problem.L - problem.M))
+    delta = problem.L - problem.M
+    result.lower = _certified_lower_interfacial(densities.psi2, float(norm(delta, delta.ndim)))
     return result
 
 
@@ -562,40 +558,30 @@ def estimate_gamma2(x, A, Lam, nu, densities: DensityTriple, budget: int = 1,
     if families is None:
         families = [ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()]
     result = _sweep(problem, families, budget)
-    result.lower = _certified_lower_interfacial(densities.psi2, frobenius(problem.Lam))
+    result.lower = _certified_lower_interfacial(densities.psi2, float(norm(problem.Lam, problem.Lam.ndim)))
     return result
 
 
-def _scale_estimate(result: EstimateResult, scale: float) -> EstimateResult:
-    return EstimateResult(
-        upper=scale * result.upper,
-        lower=None if result.lower is None else scale * result.lower,
-        best_family=result.best_family,
-        best_params=result.best_params,
-        evaluations=result.evaluations,
-        seed=result.seed,
-        inexact_quadrature=result.inexact_quadrature,
-        admissibility_residual=result.admissibility_residual,
-        rows=result.rows,
-        notes=result.notes,
-    )
+def _homogeneous_extension(estimate, head: tuple, theta, densities: DensityTriple,
+                           kwargs: dict) -> EstimateResult:
+    """``estimate(*head, nu, densities, **kwargs)`` extended with degree one
+    in the direction: zero at theta = 0, else |theta| times the value at
+    nu = theta / |theta|."""
+    theta = np.asarray(theta, dtype=float)
+    length = float(np.linalg.norm(theta))
+    if length == 0.0:
+        return EstimateResult(0.0, 0.0, "zero-direction", (), 0)
+    result = estimate(*head, theta / length, densities, **kwargs)
+    return replace(result, upper=length * result.upper,
+                   lower=None if result.lower is None else length * result.lower)
 
 
 def estimate_gamma1_extended(x, lam, theta, densities: DensityTriple, **kwargs) -> EstimateResult:
     """Degree-one homogeneous extension of the first boundary formula to
-    non-unit directions: zero at theta = 0, else |theta| times the value at
-    the normalized direction."""
-    theta = np.asarray(theta, dtype=float)
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
-        return EstimateResult(0.0, 0.0, "zero-direction", (), 0)
-    return _scale_estimate(estimate_gamma1(x, lam, theta / norm, densities, **kwargs), norm)
+    non-unit directions."""
+    return _homogeneous_extension(estimate_gamma1, (x, lam), theta, densities, kwargs)
 
 
 def estimate_gamma2_extended(x, A, Lam, theta, densities: DensityTriple, **kwargs) -> EstimateResult:
     """Degree-one homogeneous extension of the second boundary formula."""
-    theta = np.asarray(theta, dtype=float)
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
-        return EstimateResult(0.0, 0.0, "zero-direction", (), 0)
-    return _scale_estimate(estimate_gamma2(x, A, Lam, theta / norm, densities, **kwargs), norm)
+    return _homogeneous_extension(estimate_gamma2, (x, A, Lam), theta, densities, kwargs)

@@ -1,7 +1,8 @@
 """Command-line interface: config ingestion, task dispatch, report emission.
 
 One task per invocation.  Anything nontrivial lives in a single JSON config
-file; flags cover only paths, seed, strictness, and parallelism degree.
+file; flags cover only paths, seed, strictness, and a ``jobs`` value that is
+recorded in the report (nothing runs in parallel).
 Every report embeds the fully resolved config for reproducibility, and
 repeated runs with the same config and seed are byte-identical up to the
 timestamp field.
@@ -17,6 +18,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -51,9 +53,22 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"non-finite number {text} is not allowed (it overflows)")
+    return value
+
+
+def _parse_int(text: str) -> int:
+    _parse_float(text)  # an integer beyond the float range overflows just the same
+    return int(text)
+
+
 def _load_json(fh):
-    """``json.load`` that refuses NaN and Infinity."""
-    return json.load(fh, parse_constant=_reject_constant)
+    """``json.load`` that refuses NaN, Infinity and literals that overflow to infinity."""
+    return json.load(fh, parse_constant=_reject_constant, parse_float=_parse_float,
+                     parse_int=_parse_int)
 
 
 def _require_finite(name: str, *arrays):
@@ -63,7 +78,7 @@ def _require_finite(name: str, *arrays):
 
 
 def _finite_array(value, name: str) -> np.ndarray:
-    """``value`` as a float array; an overflowing literal such as 1e999 is refused."""
+    """``value`` as a float array with finite entries only."""
     arr = np.asarray(value, dtype=float)
     _require_finite(name, arr)
     return arr
@@ -107,7 +122,10 @@ def _build_density_component(which: str, cfg: dict, d: int, N: int):
         params = dict(cfg.get("params", {}))
         d = int(params.pop("d", d))
         N = int(params.pop("N", N))
-        return catalog(cfg["catalog"], d=d, N=N, **params)
+        try:
+            return catalog(cfg["catalog"], d=d, N=N, **params)
+        except ValueError as err:
+            raise ConfigError(f"bad density densities.{which}: {err}") from err
     if "expression" in cfg:
         raise ConfigError("per-component expressions are given together; "
                           "use densities.expressions")
@@ -239,7 +257,10 @@ def _build_sd2(config: dict) -> SD2Triple:
     else:
         raise ConfigError("fields.Gamma needs 'constant', 'table', or 'expression'")
     _require_finite("field 'Gamma'", gamma)
-    return SD2Triple(g, G, gamma)
+    try:
+        return SD2Triple(g, G, gamma)
+    except ValueError as err:
+        raise ConfigError(f"bad structured deformation: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +501,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--strict", action="store_true",
                        help="exit 4 on hypothesis-check hard failures")
-        p.add_argument("--jobs", type=int, default=1, help="parallelism degree")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="recorded in the report; does not run anything in parallel")
 
     add_common(sub.add_parser("run", help="run the task named in the config"))
     for task in TASKS:

@@ -31,8 +31,11 @@ class SD2Triple:
     """A second-order structured deformation on a grid.
 
     ``g`` is vector-valued and may jump; ``G`` is matrix-valued and may jump;
-    ``Gamma`` holds the cellwise third-order values (stored with the
-    derivative index last, matching field linear parts).
+    ``Gamma`` holds the cellwise third-order values on the grid of ``G``
+    (stored with the derivative index last, matching field linear parts).
+    Construction puts all three on one grid, the least common refinement of
+    the grids of ``g`` and ``G``; ``Gamma`` is repeated along with ``G``.
+    Inputs already on one grid are kept as the same objects.
     """
 
     g: PiecewiseAffineField
@@ -48,6 +51,11 @@ class SD2Triple:
         expected = self.G.domain.cells_shape + (d, N, N)
         if self.Gamma.shape != expected:
             raise ValueError(f"Gamma shape {self.Gamma.shape} != {expected}")
+        coarse = self.G.domain.resolution
+        self.g, self.G = common_refinement(self.g, self.G)
+        for axis, factor in enumerate(self.G.domain.resolution // coarse):
+            if factor > 1:
+                self.Gamma = np.repeat(self.Gamma, factor, axis=axis)
 
     @property
     def domain(self) -> BoxDomain:

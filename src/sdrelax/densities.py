@@ -20,17 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expressions
-from .integrate import box_abs_affine
+from .integrate import box_abs_affine, norm
 
 DEFAULT_SCHEDULE = tuple(float(2**k) for k in range(7, 18))
-
-
-def _core_norm(arr, rank: int):
-    arr = np.asarray(arr, dtype=float)
-    if rank == 0:
-        return np.abs(arr)
-    axes = tuple(range(arr.ndim - rank, arr.ndim))
-    return np.sqrt(np.sum(arr * arr, axis=axes))
 
 
 @dataclass
@@ -126,7 +118,7 @@ def recession(W: BulkDensity, x, A, M, schedule=None, envelope_tol: float = 1e-9
     x = np.asarray(x, dtype=float)
     A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
-    m = float(_core_norm(M, M.ndim))
+    m = float(norm(M, M.ndim))
     if m == 0.0:
         return RecessionResult(0.0, True, 0.0, W.recession_closed_form is not None)
     Mhat = M / m
@@ -153,20 +145,16 @@ def recession(W: BulkDensity, x, A, M, schedule=None, envelope_tol: float = 1e-9
                            quotients=tuple(qs), tail_sup=tail_sup)
 
 
-def recession_value(W: BulkDensity, x, A, M, schedule=None) -> float:
-    return recession(W, x, A, M, schedule).value
-
-
 def extend_homogeneous(psi: Callable, x, payload, theta) -> float:
     """Degree-one homogeneous extension in the direction argument.
 
     Returns 0 at theta = 0, else |theta| * psi(x, payload, theta/|theta|).
     """
     theta = np.asarray(theta, dtype=float)
-    norm = float(np.linalg.norm(theta))
-    if norm == 0.0:
+    length = float(np.linalg.norm(theta))
+    if length == 0.0:
         return 0.0
-    return norm * float(psi(x, payload, theta / norm))
+    return length * float(psi(x, payload, theta / length))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +170,7 @@ def bulk_norm(d: int = 2, N: int = 2, probe_range: float = 10.0, t_min: float = 
     """
 
     def fn(x, A, M):
-        return _core_norm(A, 2) + _core_norm(M, 3)
+        return norm(A, 2) + norm(M, 3)
 
     corner_A = probe_range * np.sqrt(d * N)
     constants = {
@@ -203,7 +191,7 @@ def bulk_norm(d: int = 2, N: int = 2, probe_range: float = 10.0, t_min: float = 
         fn=fn,
         constants=constants,
         coercive=True,
-        recession_closed_form=lambda x, A, M: _core_norm(M, 3),
+        recession_closed_form=lambda x, A, M: norm(M, 3),
     )
 
 
@@ -241,7 +229,7 @@ def psi1_norm(d: int = 2, N: int = 2) -> InterfacialDensity:
     """Psi1(x, lam, nu) = |lam|."""
 
     def fn(x, lam, nu):
-        return _core_norm(lam, 1)
+        return norm(lam, 1)
 
     constants = {"H5.lower": 1.0, "H5.upper": 1.0, "H6": 0.0}
     return InterfacialDensity("Psi1_norm", 1, fn, constants=constants, coercive=True)
@@ -259,7 +247,7 @@ def psi1_weighted(d: int = 2, N: int = 2) -> InterfacialDensity:
         return 1.25 + 0.75 * np.cos(np.pi * x[..., 0])
 
     def fn(x, lam, nu):
-        return weight(x) * _core_norm(lam, 1)
+        return weight(x) * norm(lam, 1)
 
     lam0 = np.zeros(d)
     lam0[0] = 1.0
@@ -286,7 +274,7 @@ def psi2_norm(d: int = 2, N: int = 2) -> InterfacialDensity:
     """Psi2(x, Lam, nu) = |Lam| (Frobenius)."""
 
     def fn(x, Lam, nu):
-        return _core_norm(Lam, 2)
+        return norm(Lam, 2)
 
     constants = {"H5.lower": 1.0, "H5.upper": 1.0, "H6": 0.0}
     return InterfacialDensity("Psi2_norm", 2, fn, constants=constants, coercive=True)
@@ -346,7 +334,7 @@ def psi1_square(d: int = 2, N: int = 2) -> InterfacialDensity:
     """Planted homogeneity violator Psi1 = |lam|^2 (test fixture, not catalog)."""
 
     def fn(x, lam, nu):
-        v = _core_norm(lam, 1)
+        v = norm(lam, 1)
         return v * v
 
     return InterfacialDensity("Psi1_square", 1, fn, constants={}, coercive=True)

@@ -123,17 +123,7 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
 
 def disarrangement_density(sd2: SD2Triple) -> np.ndarray:
     """Cellwise difference between the macroscopic gradient and G."""
-    gg, GG = common_refinement_pair_values(sd2.g, sd2.G)
-    return gg - GG
-
-
-def common_refinement_pair_values(g: PiecewiseAffineField, G: PiecewiseAffineField):
-    """Return (grad g, G) sampled on the least common grid."""
-    res_g, res_G = g.domain.resolution, G.domain.resolution
-    lcm = np.lcm(res_g, res_G)
-    gg = g if np.all(lcm == res_g) else g.refine(lcm // res_g)
-    GG = G if np.all(lcm == res_G) else G.refine(lcm // res_G)
-    return gg.lin, GG.const
+    return sd2.g.lin - sd2.G.const
 
 
 def gradient_disarrangement_density(sd2: SD2Triple) -> np.ndarray:

@@ -16,6 +16,8 @@ import re
 
 import numpy as np
 
+from .integrate import norm
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -200,10 +202,7 @@ def _evaluate(node, env):
             return np.abs(v), r
         if name == "norm":
             (v, r), = vals
-            if r == 0:
-                return np.abs(v), 0
-            axes = tuple(range(-r, 0))
-            return np.sqrt(np.sum(np.asarray(v) * v, axis=axes)), 0
+            return norm(v, r), 0
         if name == "dot":
             (a, ra), (b, rb) = vals
             rule = _DOT_RULES.get((ra, rb))

@@ -16,22 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import box_abs_affine, fsum, gauss_legendre_points
+from .integrate import box_abs_affine, fsum, gauss_legendre_points, norm
 
 DEFAULT_JUMP_TOL = 1e-12
 
-
-def _vnorm(arr: np.ndarray, value_ndim: int) -> np.ndarray:
-    """Frobenius norm over the trailing ``value_ndim`` axes."""
-    if value_ndim == 0:
-        return np.abs(arr)
-    axes = tuple(range(arr.ndim - value_ndim, arr.ndim))
-    return np.sqrt(np.sum(arr * arr, axis=axes))
-
-
-def frobenius(arr) -> float:
-    arr = np.asarray(arr, dtype=float)
-    return float(np.sqrt(np.sum(arr * arr)))
+# the name under which the test suite's reference loops import the norm
+_vnorm = norm
 
 
 @dataclass(frozen=True)
@@ -226,7 +216,7 @@ class JumpFacet:
 
     @property
     def magnitude(self) -> float:
-        return frobenius(self.jump)
+        return float(norm(self.jump, self.jump.ndim))
 
     def trace_plus(self) -> np.ndarray:
         return self.trace_mean + 0.5 * self.jump
@@ -307,8 +297,7 @@ class FacetTable:
 
     def magnitudes(self) -> np.ndarray:
         """Frobenius norm of each facet's jump."""
-        flat = _rows(self.jump)
-        return np.sqrt(np.sum(flat * flat, axis=1))
+        return norm(self.jump, self.jump.ndim - 1)
 
     def varies(self) -> np.ndarray:
         """Per facet: does the jump carry affine variation (any nonzero jump_lin)?"""
@@ -418,7 +407,7 @@ class PiecewiseAffineField:
             tmean = 0.5 * (trace_hi + trace_lo)
             jlin = self.lin[sl_hi] - self.lin[sl_lo]
             jlin[..., m] = 0.0
-            mag = _vnorm(jump, vnd) + _vnorm(jlin, vnd + 1)
+            mag = norm(jump, vnd) + norm(jlin, vnd + 1)
             cent = centers[sl_lo].copy()
             cent[..., m] += 0.5 * h
             keep = mag > self.jump_tol
@@ -450,7 +439,7 @@ class PiecewiseAffineField:
                 jump = prescribed - trace_flat
                 jlin = plin - lin_flat
                 jlin[..., m] = 0.0
-                mag = _vnorm(jump, vnd) + _vnorm(jlin, vnd + 1)
+                mag = norm(jump, vnd) + norm(jlin, vnd + 1)
                 keep = ~(mag <= self.jump_tol)  # a NaN magnitude counts as a jump here
                 side_idx = 0 if side == 0 else int(dom.resolution[m]) - 1
                 face = np.argwhere(np.ones(trace.shape[: N - 1], dtype=bool))
@@ -489,6 +478,8 @@ class PiecewiseAffineField:
         return PiecewiseAffineField(new_dom, const, lin, boundary_data=self.boundary_data, jump_tol=self.jump_tol)
 
     def __add__(self, other: "PiecewiseAffineField") -> "PiecewiseAffineField":
+        if self.value_shape != other.value_shape:
+            raise ValueError(f"value shape mismatch: {self.value_shape} vs {other.value_shape}")
         a, b = common_refinement(self, other)
         return PiecewiseAffineField(a.domain, a.const + b.const, a.lin + b.lin, jump_tol=min(a.jump_tol, b.jump_tol))
 
@@ -547,20 +538,15 @@ def total_jump_mass(field: PiecewiseAffineField) -> float:
     return fsum(facets.magnitudes() * facets.area)
 
 
-def _common_domain(f: PiecewiseAffineField, g: PiecewiseAffineField):
+def common_refinement(f: PiecewiseAffineField, g: PiecewiseAffineField):
+    """Both fields on the least common grid of their box; a field already on
+    it is returned as the same object.  Value shapes may differ."""
     if not f.domain.compatible(g.domain):
         raise ValueError("fields live on different boxes")
-    if f.value_shape != g.value_shape:
-        raise ValueError(f"value shape mismatch: {f.value_shape} vs {g.value_shape}")
     res_f, res_g = f.domain.resolution, g.domain.resolution
     lcm = np.lcm(res_f, res_g)
-    return lcm // res_f, lcm // res_g
-
-
-def common_refinement(f: PiecewiseAffineField, g: PiecewiseAffineField):
-    kf, kg = _common_domain(f, g)
-    ff = f if np.all(kf == 1) else f.refine(kf)
-    gg = g if np.all(kg == 1) else g.refine(kg)
+    ff = f if np.all(lcm == res_f) else f.refine(lcm // res_f)
+    gg = g if np.all(lcm == res_g) else g.refine(lcm // res_g)
     return ff, gg
 
 
@@ -571,6 +557,8 @@ def l1_distance(f: PiecewiseAffineField, g: PiecewiseAffineField, quad_order: in
     values with affine variation fall back to Gauss-Legendre of the given
     order (the integrand is then a square root of a quadratic).
     """
+    if f.value_shape != g.value_shape:
+        raise ValueError(f"value shape mismatch: {f.value_shape} vs {g.value_shape}")
     ff, gg = common_refinement(f, g)
     const = ff.const - gg.const
     lin = ff.lin - gg.lin
@@ -591,7 +579,7 @@ def _l1_of_cell_data(dom: BoxDomain, const, lin, value_shape, quad_order) -> flo
     scalar = int(np.prod(value_shape, dtype=int)) <= 1
     vnd = len(value_shape)
     if np.all(lin == 0.0):
-        mags = _vnorm(const, vnd)
+        mags = norm(const, vnd)
         return fsum(mags * vol)
     flat_c = const.reshape((-1,) + value_shape)
     flat_l = lin.reshape((-1,) + value_shape + (dom.ndim,))
@@ -605,7 +593,7 @@ def _l1_of_cell_data(dom: BoxDomain, const, lin, value_shape, quad_order) -> flo
             vals = _affine_at_points(flat_c[start:start + _L1_BLOCK_CELLS],
                                      flat_l[start:start + _L1_BLOCK_CELLS], pts)
             # one dot per cell: a single matrix-vector product rounds differently
-            terms.extend(map(wts.dot, _vnorm(vals, vnd)))
+            terms.extend(map(wts.dot, norm(vals, vnd)))
     return fsum(terms)
 
 
@@ -764,9 +752,7 @@ class SecondOrderField:
 
     def __init__(self, u: PiecewiseAffineField, grad: PiecewiseAffineField, check: bool = True, tol: float = 1e-9):
         if check:
-            if not u.domain.compatible(grad.domain):
-                raise ValueError("u and grad live on different boxes")
-            uu, gg = common_refinement_pair(u, grad)
+            uu, gg = common_refinement(u, grad)
             mismatch = np.max(np.abs(uu.lin - gg.const)) if uu.lin.size else 0.0
             if mismatch > tol:
                 raise ValueError(f"gradient field inconsistent with u (max mismatch {mismatch:.3e})")
@@ -787,11 +773,3 @@ class SecondOrderField:
         grad = PiecewiseConstantField(u.domain, u.lin.copy(), jump_tol=u.jump_tol)
         return cls(u, grad, check=False)
 
-
-def common_refinement_pair(u: PiecewiseAffineField, grad: PiecewiseAffineField):
-    """Refine a (u, grad) pair onto the least common grid."""
-    res_u, res_g = u.domain.resolution, grad.domain.resolution
-    lcm = np.lcm(res_u, res_g)
-    uu = u if np.all(lcm == res_u) else u.refine(lcm // res_u)
-    gg = grad if np.all(lcm == res_g) else grad.refine(lcm // res_g)
-    return uu, gg

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .densities import BulkDensity, DensityTriple, InterfacialDensity, DEFAULT_SCHEDULE, _core_norm
+from .densities import BulkDensity, DensityTriple, InterfacialDensity, DEFAULT_SCHEDULE
+from .integrate import norm
 
 _TINY = 1e-300
 
@@ -167,7 +168,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     xA = np.concatenate([x, x[:n_grow]])
     AA = np.concatenate([A, A_big])
     MM = np.concatenate([M, M_big])
-    S = _core_norm(AA, 2) + _core_norm(MM, 3)
+    S = norm(AA, 2) + norm(MM, 3)
     vals = np.asarray(W(xA, AA, MM), dtype=float)
     up_ratio = vals / (1.0 + S)
     out["H1.upper"] = _validate(float(np.max(up_ratio)), W.constants.get("H1.upper"),
@@ -192,7 +193,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     M1p = np.concatenate([M1, M1])
     M2p = np.concatenate([M2, 2.0 * M1])
     xpp = np.concatenate([xp, xp])
-    den = _core_norm(A1p - A2p, 2) + _core_norm(M1p - M2p, 3)
+    den = norm(A1p - A2p, 2) + norm(M1p - M2p, 3)
     num = np.abs(np.asarray(W(xpp, A1p, M1p), dtype=float) - np.asarray(W(xpp, A2p, M2p), dtype=float))
     mask = den > 1e-12
     ratios = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
@@ -210,7 +211,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
         sep = np.linalg.norm(x1 - x0, axis=1)
         Ah = A[:n3]
         Mh = M[:n3]
-        Sh = 1.0 + _core_norm(Ah, 2) + _core_norm(Mh, 3)
+        Sh = 1.0 + norm(Ah, 2) + norm(Mh, 3)
         dW = np.abs(np.asarray(W(x1, Ah, Mh), dtype=float) - np.asarray(W(x0, Ah, Mh), dtype=float))
         mask = sep > 1e-12
         ratio = np.where(mask, dW / (np.where(mask, sep, 1.0) * Sh), 0.0)
@@ -269,7 +270,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     A2s = np.concatenate([A4[:half4], A4[: half4 // 2]])
     winf_1 = _winf_batch(W, x2s, A2s, M1s, schedule)
     winf_2 = _winf_batch(W, x2s, A2s, M2s, schedule)
-    den = _core_norm(M1s - M2s, 3)
+    den = norm(M1s - M2s, 3)
     mask = den > 1e-12
     ratios = np.where(mask, np.abs(winf_1 - winf_2) / np.where(mask, den, 1.0), 0.0)
     out["h2infty"] = _validate(float(np.max(ratios)), W.constants.get("h2infty"), cfg.rel_factor,
@@ -290,7 +291,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
 
 
 def _winf_batch(W: BulkDensity, x, A, M, schedule) -> np.ndarray:
-    norms = _core_norm(M, 3)
+    norms = norm(M, 3)
     safe = np.where(norms > 0, norms, 1.0)
     Mhat = M / safe[..., None, None, None]
     if W.recession_closed_form is not None:
@@ -332,7 +333,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
         payload = np.concatenate([payload, [p]])
         nu = np.concatenate([nu, [np.asarray(probe["nu"], dtype=float)]])
     vals = np.asarray(psi(x, payload, nu), dtype=float)
-    mags = _core_norm(payload, prank)
+    mags = norm(payload, prank)
     mask = mags > 1e-12
     ratios = np.where(mask, vals / np.where(mask, mags, 1.0), np.nan)
     finite = ratios[np.isfinite(ratios)]
@@ -365,7 +366,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
         nn = nu[:n6]
         sep = np.linalg.norm(x1 - x0, axis=1)
         dpsi = np.abs(np.asarray(psi(x1, pl, nn), dtype=float) - np.asarray(psi(x0, pl, nn), dtype=float))
-        den = sep * _core_norm(pl, prank)
+        den = sep * norm(pl, prank)
         mask = den > 1e-12
         ratio = np.where(mask, dpsi / np.where(mask, den, 1.0), 0.0)
         mods.append(float(np.max(ratio)))
@@ -379,7 +380,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
         nn = np.asarray(probe["nu"], dtype=float)[None]
         sep = np.linalg.norm(x1 - x0, axis=1)
         dpsi = np.abs(np.asarray(psi(x1, pl, nn), dtype=float) - np.asarray(psi(x0, pl, nn), dtype=float))
-        ratio = float(dpsi[0] / max(sep[0] * float(_core_norm(pl, prank)[0]), _TINY))
+        ratio = float(dpsi[0] / max(sep[0] * float(norm(pl, prank)[0]), _TINY))
         mods.append(ratio)
         count += 1
     out[f"H6.{tag}"] = _validate(max(mods), psi.constants.get("H6"), cfg.rel_factor, count, worst,

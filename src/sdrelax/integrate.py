@@ -142,6 +142,15 @@ def gauss_legendre_points(lower, upper, order: int):
     return pts, wts
 
 
+def norm(arr, rank: int) -> np.ndarray:
+    """Frobenius norm over the trailing ``rank`` axes; the absolute value for rank 0."""
+    arr = np.asarray(arr, dtype=float)
+    if rank == 0:
+        return np.abs(arr)
+    axes = tuple(range(arr.ndim - rank, arr.ndim))
+    return np.sqrt(np.sum(arr * arr, axis=axes))
+
+
 def fsum(values) -> float:
     """Exactly rounded sum; shared by all energy accumulations."""
     return math.fsum(np.asarray(values, dtype=float).ravel().tolist())

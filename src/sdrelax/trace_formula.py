@@ -8,7 +8,8 @@ and a verifier that brackets the closed form against competitor families.
 
 Tensor layout: third-order tensors here use the bilinear-map convention
 T(y, z)_i = sum_jk T_ijk y_j z_k; field linear parts store the derivative
-index last, so conversion swaps the last two axes.
+index last, so conversion swaps the last two axes.  ``swap_layout`` is that
+conversion, in both directions, for the whole package.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import box_abs_affine, fsum
+
+
+def swap_layout(T) -> np.ndarray:
+    """Bilinear layout (i, y-slot, z-slot) <-> field layout (i, col, deriv)."""
+    return np.asarray(T, dtype=float).transpose(0, 2, 1)
 
 
 class Bilinear3:
@@ -46,10 +52,10 @@ class Bilinear3:
     @classmethod
     def from_field_tensor(cls, stored) -> "Bilinear3":
         """Convert from field layout (value row, value col, derivative)."""
-        return cls(np.asarray(stored, dtype=float).transpose(0, 2, 1))
+        return cls(swap_layout(stored))
 
     def to_field_tensor(self) -> np.ndarray:
-        return self.entries.transpose(0, 2, 1)
+        return swap_layout(self.entries)
 
     def __sub__(self, other: "Bilinear3") -> "Bilinear3":
         return Bilinear3(self.entries - other.entries)

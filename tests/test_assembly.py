@@ -211,3 +211,62 @@ class TestJumpSurfaces:
                                           AssembleConfig(gamma2_representative=rep_choice))
             values.add(rep.surf2.upper)
         assert len(values) == 1  # norm densities ignore the frozen slot
+
+
+def random_field(domain, value_shape, rng):
+    cells = domain.cells_shape
+    return PiecewiseAffineField(domain, rng.standard_normal(cells + value_shape),
+                                rng.standard_normal(cells + value_shape + (domain.ndim,)))
+
+
+class TestMixedGrids:
+    """g and (G, Gamma) on different grids of one box behave as if the caller
+    had refined both onto their least common grid first."""
+
+    def fields(self):
+        rng = np.random.default_rng(7)
+        coarse = BoxDomain([0, 0], [1, 1], [2, 2])
+        fine = BoxDomain([0, 0], [1, 1], [4, 4])
+        g = random_field(coarse, (2,), rng)
+        G = random_field(fine, (2, 2), rng)
+        Gamma = rng.standard_normal((4, 4, 2, 2, 2))
+        return g, G, Gamma
+
+    def test_coarse_g_assembles_like_refined_g(self):
+        g, G, Gamma = self.fields()
+        mixed = assemble_relaxed_energy(SD2Triple(g, G, Gamma), norm_triple())
+        refined = assemble_relaxed_energy(SD2Triple(g.refine(2), G, Gamma), norm_triple())
+        assert mixed.cells == 16
+        assert mixed.to_dict() == refined.to_dict()
+
+    def test_coarse_G_assembles_like_refined_G(self):
+        rng = np.random.default_rng(8)
+        coarse = BoxDomain([0.0], [1.0], [2])
+        fine = BoxDomain([0.0], [1.0], [4])
+        g = random_field(fine, (1,), rng)
+        G = random_field(coarse, (1, 1), rng)
+        Gamma = rng.standard_normal((2, 1, 1, 1))
+        mixed = assemble_relaxed_energy(SD2Triple(g, G, Gamma), norm_triple(d=1, N=1))
+        refined = assemble_relaxed_energy(
+            SD2Triple(g, G.refine(2), np.repeat(Gamma, 2, axis=0)), norm_triple(d=1, N=1))
+        assert mixed.to_dict() == refined.to_dict()
+
+    def test_coarse_g_sequence_like_refined_g(self):
+        g, G, Gamma = self.fields()
+        mixed, diag_mixed = approximating_sequence(SD2Triple(g, G, Gamma), 2)
+        refined, diag_refined = approximating_sequence(SD2Triple(g.refine(2), G, Gamma), 2)
+        assert diag_mixed == diag_refined
+        for a, b in ((mixed.u, refined.u), (mixed.grad, refined.grad)):
+            assert np.array_equal(a.const, b.const) and np.array_equal(a.lin, b.lin)
+
+    def test_one_grid_inputs_are_kept(self):
+        sd2 = affine_sd2()
+        again = SD2Triple(sd2.g, sd2.G, sd2.Gamma)
+        assert again.g is sd2.g and again.G is sd2.G and again.Gamma is sd2.Gamma
+
+
+class TestQuantizeCheck:
+    @pytest.mark.parametrize("quantize", [0.0, -1e-6, float("inf"), float("nan")])
+    def test_rejected(self, quantize):
+        with pytest.raises(ValueError, match="quantize"):
+            assemble_relaxed_energy(affine_sd2(), norm_triple(), AssembleConfig(quantize=quantize))

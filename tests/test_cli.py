@@ -339,3 +339,69 @@ class TestNonFinite:
         assert run(cfg, out_dir=str(tmp_path)) == 3
         assert not (tmp_path / "report.json").exists()
         assert "non-finite" in capsys.readouterr().err
+
+
+class TestIngestionErrors:
+    def test_catalog_constructor_error_exit_2(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(CHECK_CONFIG))
+        payload["densities"]["psi2"] = {"catalog": "Psi2_proj", "params": {"a": [2.0, 0.0]}}
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert "unit vector" in capsys.readouterr().err
+
+    def test_gamma_shape_error_exit_2(self, tmp_path, capsys):
+        payload = {
+            "task": "relax-assemble",
+            "densities": {"W": {"catalog": "W_norm"}, "psi1": {"catalog": "Psi1_norm"},
+                          "psi2": {"catalog": "Psi2_norm"}},
+            "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "resolution": [2, 2]},
+            "fields": {"g": {"linear": [[1.0, 0.0], [0.0, 1.0]]},
+                       "G": {"constant": [[1.0, 0.0], [0.0, 1.0]]},
+                       "Gamma": {"table": np.zeros((2, 2, 1, 1, 1)).tolist()}},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert "Gamma shape" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("quantize, message", [("0", "quantize"), ("1e999", "non-finite")])
+    def test_bad_quantize_exit_2(self, tmp_path, capsys, quantize, message):
+        payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+        payload["assemble"]["quantize"] = 12345.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload).replace("12345.0", quantize))
+        assert run(str(path), out_dir=str(tmp_path)) == 2
+        assert not (tmp_path / "relax.json").exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400])
+    def test_overflowing_scalar_literal_exit_2(self, tmp_path, capsys, literal):
+        payload = json.loads(json.dumps(EXAMPLE_CONFIG))
+        payload["example"]["tolerance"] = 12345.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload).replace("12345.0", literal))
+        assert run(str(path), out_dir=str(tmp_path)) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+class TestMixedGridFiles:
+    def test_fields_on_two_grids_assemble(self, tmp_path):
+        from sdrelax.fields import BoxDomain, PiecewiseAffineField
+
+        rng = np.random.default_rng(3)
+        g = PiecewiseAffineField(BoxDomain([0.0], [1.0], [2]), rng.standard_normal((2, 1)),
+                                 rng.standard_normal((2, 1, 1)))
+        G = PiecewiseAffineField(BoxDomain([0.0], [1.0], [4]), rng.standard_normal((4, 1, 1)),
+                                 rng.standard_normal((4, 1, 1, 1)))
+        reports = []
+        for name, g_file in (("mixed", g), ("refined", g.refine(2))):
+            (tmp_path / f"g_{name}.json").write_text(json.dumps(g_file.to_dict()))
+            (tmp_path / "G.json").write_text(json.dumps(G.to_dict()))
+            payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+            payload["fields"]["g"] = {"file": str(tmp_path / f"g_{name}.json")}
+            payload["fields"]["G"] = {"file": str(tmp_path / "G.json")}
+            payload["output"] = {"json": f"{name}.json"}
+            cfg = write_config(tmp_path, payload, name=f"{name}_config.json")
+            assert run(cfg, out_dir=str(tmp_path)) == 0
+            with open(tmp_path / f"{name}.json") as fh:
+                reports.append(json.load(fh)["relaxed"])
+        assert reports[0] == reports[1]
