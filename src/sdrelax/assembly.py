@@ -121,8 +121,13 @@ class _EstimateCache:
     def key(self, variant: str, *arrays) -> tuple:
         parts = [variant]
         for a in arrays:
-            a = np.asarray(a, dtype=float)
-            parts.append(np.round(a / self.q).astype(np.int64).tobytes())
+            with np.errstate(over="ignore"):  # an overflow is caught as inf just below
+                steps = np.round(np.asarray(a, dtype=float) / self.q)
+            if not np.all(np.isfinite(steps)):
+                raise ValueError(f"quantize {self.q!r} is too small for the cell data: "
+                                 "a quantized value overflows")
+            # float bits, so no integer cast can wrap; + 0.0 folds -0.0 into 0.0
+            parts.append((steps + 0.0).tobytes())
         return tuple(parts)
 
     def get_or_compute(self, variant, arrays, compute):

@@ -28,6 +28,7 @@ from .densities import DensityTriple, InterfacialDensity, recession
 from .energy import interfacial_energy
 from .fields import (
     AffineBoundary,
+    BoundaryData,
     PiecewiseAffineField,
     StepBoundary,
     trace_boundary,
@@ -159,35 +160,23 @@ def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
 # ---------------------------------------------------------------------------
 
 
-def _prescription(problem: CellProblem):
-    """The variant's boundary prescription as a function of boundary points."""
+def _prescription(problem: CellProblem) -> BoundaryData:
+    """The variant's prescribed boundary trace."""
     N = len(problem.x)
     if problem.variant == "W1":
-        return lambda pts: np.zeros((pts.shape[0],) + _payload_shape(problem))
-    if problem.variant == "Gamma1":
-        payload = problem.lam
-    elif problem.variant == "Gamma2":
-        payload = problem.Lam
-    else:
-        L_field = swap_layout(problem.L)
-        return lambda pts: np.einsum("...k,mk->m...", L_field, pts)
-    step = StepBoundary(payload, N - 1, 0.0)
-    return lambda pts: step.value_and_lin(pts)[0]
-
-
-def _payload_shape(problem: CellProblem) -> tuple:
-    if problem.variant == "W1":
-        return problem.A.shape[:1]
-    if problem.variant == "Gamma1":
-        return problem.lam.shape
-    if problem.variant == "Gamma2":
-        return problem.Lam.shape
-    # W2 fields are matrix-valued: (value row, value column) of the boundary tensor
-    return problem.L.shape[:1] + problem.L.shape[2:3]
+        return AffineBoundary.zero(problem.A.shape[:1], N)
+    if problem.variant == "W2":
+        return AffineBoundary.linear(swap_layout(problem.L))
+    payload = problem.lam if problem.variant == "Gamma1" else problem.Lam
+    return StepBoundary(payload, N - 1, 0.0)
 
 
 def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tuple[bool, float]:
-    """Re-verify trace and gradient constraints before an energy may count."""
+    """Re-verify trace and gradient constraints before an energy may count.
+
+    The trace residual compares the field's effective trace with the variant's
+    prescription at every outer-face centroid; a NaN there rejects the field.
+    """
     dom = field.domain
     residual = 0.0
     lin = field.lin
@@ -200,10 +189,9 @@ def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tu
             else swap_layout(problem.M)
         avg = np.sum(lin.reshape((-1,) + lin.shape[dom.ndim:]), axis=0) * dom.cell_volume
         residual = max(residual, float(norm(avg - target, avg.ndim)))
-    prescription = _prescription(problem)
-    for rec in trace_boundary(field):
-        want = prescription(rec["centroid"][None])[0]
-        residual = max(residual, float(np.max(np.abs(rec["effective"] - want))))
+    faces = trace_boundary(field)
+    want, _ = _prescription(problem).value_and_lin(faces.centroid)
+    residual = float(np.max(np.abs(faces.effective - want), initial=residual))
     return residual <= ADMISSIBILITY_TOL, residual
 
 

@@ -273,14 +273,17 @@ def _task_check(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
     section = config.get("check", {})
     _check_keys(section, {"samples", "input_range", "d", "N", "schedule", "pair_scales"},
                 "check.")
-    cfg = CheckConfig(
-        d=int(section.get("d", config.get("densities", {}).get("d", 2))),
-        N=int(section.get("N", config.get("densities", {}).get("N", 2))),
-        samples=int(section.get("samples", 10_000)),
-        input_range=float(section.get("input_range", 10.0)),
-        seed=seed,
-        schedule=tuple(section.get("schedule", [float(2**k) for k in range(7, 18)])),
-    )
+    try:
+        cfg = CheckConfig(
+            d=int(section.get("d", config.get("densities", {}).get("d", 2))),
+            N=int(section.get("N", config.get("densities", {}).get("N", 2))),
+            samples=int(section.get("samples", 10_000)),
+            input_range=float(section.get("input_range", 10.0)),
+            seed=seed,
+            schedule=tuple(section.get("schedule", [float(2**k) for k in range(7, 18)])),
+        )
+    except ValueError as err:
+        raise ConfigError(f"bad check section: {err}") from err
     report = check_hypotheses(densities, cfg)
     return {"report": report.to_dict()}, (0 if report.all_pass else 4)
 

@@ -345,20 +345,26 @@ CATALOG_NAMES = ("W_norm", "W_zero", "Psi1_norm", "Psi1_weighted", "Psi2_norm", 
 
 def catalog(name: str, d: int = 2, N: int = 2, **params):
     """Look up a built-in density by name; extras beyond the six core entries
-    (zero interfacial densities, the planted violator) are also reachable."""
+    (zero interfacial densities, the planted violator) are also reachable.
+    Each entry takes only its own ``params`` keys (``ValueError`` otherwise)."""
     table = {
-        "W_norm": lambda: bulk_norm(d=d, N=N, **params),
-        "W_zero": lambda: bulk_zero(d=d, N=N),
-        "Psi1_norm": lambda: psi1_norm(d=d, N=N),
-        "Psi1_weighted": lambda: psi1_weighted(d=d, N=N),
-        "Psi2_norm": lambda: psi2_norm(d=d, N=N),
-        "Psi2_proj": lambda: psi2_proj(params.get("a", _default_a(N)), d=d, N=N),
-        "Psi1_zero": lambda: psi1_zero(d=d, N=N),
-        "Psi1_square": lambda: psi1_square(d=d, N=N),
+        "W_norm": (("probe_range", "t_min"), lambda: bulk_norm(d=d, N=N, **params)),
+        "W_zero": ((), lambda: bulk_zero(d=d, N=N)),
+        "Psi1_norm": ((), lambda: psi1_norm(d=d, N=N)),
+        "Psi1_weighted": ((), lambda: psi1_weighted(d=d, N=N)),
+        "Psi2_norm": ((), lambda: psi2_norm(d=d, N=N)),
+        "Psi2_proj": (("a",), lambda: psi2_proj(params.get("a", _default_a(N)), d=d, N=N)),
+        "Psi1_zero": ((), lambda: psi1_zero(d=d, N=N)),
+        "Psi1_square": ((), lambda: psi1_square(d=d, N=N)),
     }
     if name not in table:
         raise KeyError(f"unknown catalog density {name!r}")
-    return table[name]()
+    allowed, build = table[name]
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown params {unknown} for catalog density {name!r} "
+                         f"(allowed: {list(allowed)})")
+    return build()
 
 
 def _default_a(N: int) -> np.ndarray:

@@ -5,7 +5,10 @@ cell center plus a linear part).  Jump sets live on grid facets only; a field
 may carry prescribed boundary data, in which case trace mismatches on the
 outer faces are accounted as boundary jump facets with the outward normal.
 That accounting is what lets zero-trace constructions keep an exact cellwise
-gradient while their jump mass stays fully visible to the energy.
+gradient while their jump mass stays fully visible to the energy.  Both
+one-sided values on the outer faces are computed once per field, as a cached
+:class:`BoundaryTrace` that the boundary jump facets, the cell-formula
+admissibility check and the Gauss-Green closure all read.
 
 All operations are pure; fields are treated as immutable after construction.
 """
@@ -19,9 +22,6 @@ import numpy as np
 from .integrate import box_abs_affine, fsum, gauss_legendre_points, norm
 
 DEFAULT_JUMP_TOL = 1e-12
-
-# the name under which the test suite's reference loops import the norm
-_vnorm = norm
 
 
 @dataclass(frozen=True)
@@ -309,23 +309,30 @@ def _rows(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[0], int(np.prod(arr.shape[1:], dtype=int)))
 
 
-def _facet_rows(keep, index, axis: int, boundary: bool, sign: float, area: float,
-                jump, jump_lin, centroid, trace_mean) -> FacetTable:
-    """Table of the facets of one axis (and side) that ``keep`` selects."""
-    count = len(index)
-    normal = np.zeros((count, index.shape[1]))
-    normal[:, axis] = sign
-    return FacetTable(
-        axis=np.full(count, axis),
-        index=index,
-        boundary=np.full(count, boundary),
-        normal=normal,
-        area=np.full(count, area),
-        jump=jump[keep],
-        jump_lin=jump_lin[keep],
-        centroid=centroid[keep],
-        trace_mean=trace_mean[keep],
-    )
+@dataclass(frozen=True, eq=False)
+class BoundaryTrace:
+    """Both one-sided values of a field on every outer face of its box.
+
+    Rows run by axis, lower side before upper, then by face.  ``axis`` and
+    ``area`` have shape ``(F,)``; ``index`` (the boundary cell), ``normal``
+    (outward) and ``centroid`` have shape ``(F, N)``; ``interior`` (the
+    field's own trace at the centroid) and ``effective`` (the prescribed value
+    when the field carries boundary data, the interior trace otherwise) have
+    shape ``(F,) + value_shape``; ``jump_lin`` (the tangential linear part of
+    effective minus interior) has shape ``(F,) + value_shape + (N,)``.
+    """
+
+    axis: np.ndarray
+    index: np.ndarray
+    normal: np.ndarray
+    area: np.ndarray
+    centroid: np.ndarray
+    interior: np.ndarray
+    effective: np.ndarray
+    jump_lin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.area)
 
 
 class PiecewiseAffineField:
@@ -349,6 +356,7 @@ class PiecewiseAffineField:
         self.boundary_data = boundary_data
         self.jump_tol = float(jump_tol)
         self._jump_cache = None
+        self._trace_cache = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -411,16 +419,34 @@ class PiecewiseAffineField:
             cent = centers[sl_lo].copy()
             cent[..., m] += 0.5 * h
             keep = mag > self.jump_tol
-            parts.append(_facet_rows(keep, np.argwhere(keep), m, False, 1.0, area,
-                                     jump, jlin, cent, tmean))
+            count = int(np.count_nonzero(keep))
+            normal = np.zeros((count, N))
+            normal[:, m] = 1.0
+            parts.append(FacetTable(
+                axis=np.full(count, m), index=np.argwhere(keep), boundary=np.zeros(count, dtype=bool),
+                normal=normal, area=np.full(count, area), jump=jump[keep], jump_lin=jlin[keep],
+                centroid=cent[keep], trace_mean=tmean[keep]))
         return FacetTable.concat(parts, N, self.value_shape)
 
     def _build_boundary_facets(self) -> FacetTable:
+        if self.boundary_data is None:
+            return FacetTable.empty(self.domain.ndim, self.value_shape)
+        faces = self.boundary_trace()
+        jump = faces.effective - faces.interior
+        mag = norm(jump, self.value_ndim) + norm(faces.jump_lin, self.value_ndim + 1)
+        keep = np.flatnonzero(~(mag <= self.jump_tol))  # a NaN magnitude counts as a jump here
+        return FacetTable(
+            axis=faces.axis[keep], index=faces.index[keep], boundary=np.ones(len(keep), dtype=bool),
+            normal=faces.normal[keep], area=faces.area[keep], jump=jump[keep],
+            jump_lin=faces.jump_lin[keep], centroid=faces.centroid[keep],
+            trace_mean=(0.5 * (faces.effective + faces.interior))[keep])
+
+    def boundary_trace(self) -> BoundaryTrace:
+        """Both one-sided values on every outer face.  Built once and cached."""
+        if self._trace_cache is not None:
+            return self._trace_cache
         dom = self.domain
         N = dom.ndim
-        if self.boundary_data is None:
-            return FacetTable.empty(N, self.value_shape)
-        vnd = self.value_ndim
         parts = []
         centers = dom.cell_centers()
         for m in range(N):
@@ -433,20 +459,26 @@ class PiecewiseAffineField:
                 trace = self.const[sl] + normal_sign * 0.5 * h * self.lin[sl + (Ellipsis, m)]
                 cent = centers[sl].reshape((-1, N)).copy()
                 cent[:, m] = dom.lower[m] if side == 0 else dom.upper[m]
-                prescribed, plin = self.boundary_data.value_and_lin(cent)
-                trace_flat = trace.reshape((-1,) + self.value_shape)
+                interior = trace.reshape((-1,) + self.value_shape)
                 lin_flat = self.lin[sl].reshape((-1,) + self.value_shape + (N,))
-                jump = prescribed - trace_flat
+                if self.boundary_data is None:
+                    effective, plin = interior, lin_flat
+                else:
+                    effective, plin = self.boundary_data.value_and_lin(cent)
                 jlin = plin - lin_flat
                 jlin[..., m] = 0.0
-                mag = norm(jump, vnd) + norm(jlin, vnd + 1)
-                keep = ~(mag <= self.jump_tol)  # a NaN magnitude counts as a jump here
+                count = len(cent)
+                normal = np.zeros((count, N))
+                normal[:, m] = normal_sign
                 side_idx = 0 if side == 0 else int(dom.resolution[m]) - 1
                 face = np.argwhere(np.ones(trace.shape[: N - 1], dtype=bool))
-                index = np.insert(face, m, side_idx, axis=1)[keep]
-                parts.append(_facet_rows(keep, index, m, True, normal_sign, area, jump, jlin, cent,
-                                         0.5 * (prescribed + trace_flat)))
-        return FacetTable.concat(parts, N, self.value_shape)
+                parts.append(BoundaryTrace(
+                    axis=np.full(count, m), index=np.insert(face, m, side_idx, axis=1), normal=normal,
+                    area=np.full(count, area), centroid=cent, interior=interior, effective=effective,
+                    jump_lin=jlin))
+        self._trace_cache = BoundaryTrace(**{name: np.concatenate([getattr(p, name) for p in parts])
+                                             for name in BoundaryTrace.__dataclass_fields__})
+        return self._trace_cache
 
     # -- norms and pairings ---------------------------------------------------
 
@@ -614,47 +646,9 @@ def _affine_at_points(const, lin, pts) -> np.ndarray:
     return const[:, None] + out
 
 
-def trace_boundary(field: PiecewiseAffineField) -> list[dict]:
-    """One-sided boundary values per boundary facet.
-
-    Each record carries the interior trace at the facet centroid and the
-    effective exterior value (prescribed data when the field carries any,
-    otherwise the interior trace itself).
-    """
-    dom = field.domain
-    N = dom.ndim
-    records = []
-    centers = dom.cell_centers()
-    for m in range(N):
-        h = dom.widths[m]
-        area = dom.cell_volume / h
-        for side, sgn in ((0, -1.0), (-1, 1.0)):
-            sl = [slice(None)] * N
-            sl[m] = side
-            sl = tuple(sl)
-            trace = field.const[sl] + sgn * 0.5 * h * field.lin[sl + (Ellipsis, m)]
-            cent = centers[sl].reshape((-1, N)).copy()
-            cent[:, m] = dom.lower[m] if side == 0 else dom.upper[m]
-            trace_flat = trace.reshape((-1,) + field.value_shape)
-            if field.boundary_data is not None:
-                effective, _ = field.boundary_data.value_and_lin(cent)
-            else:
-                effective = trace_flat
-            normal = np.zeros(N)
-            normal[m] = sgn
-            for i in range(cent.shape[0]):
-                records.append(
-                    {
-                        "axis": m,
-                        "side": "lower" if side == 0 else "upper",
-                        "normal": normal.copy(),
-                        "centroid": cent[i],
-                        "area": area,
-                        "interior": np.array(trace_flat[i]),
-                        "effective": np.array(effective[i]),
-                    }
-                )
-    return records
+def trace_boundary(field: PiecewiseAffineField) -> BoundaryTrace:
+    """The field's cached table of one-sided values on its outer faces."""
+    return field.boundary_trace()
 
 
 def weak_star_pairing(field_or_values, alpha, domain: BoxDomain | None = None) -> np.ndarray:
@@ -727,12 +721,8 @@ def gauss_green_residual(field: PiecewiseAffineField) -> np.ndarray:
     acc = np.sum(field.lin.reshape((-1,) + shape), axis=0) * vol
     facets = field.jump_set()
     acc = acc + _flux(facets.jump, facets.normal, facets.area)
-    records = trace_boundary(field)
-    if records:
-        acc = acc - _flux(np.stack([rec["effective"] for rec in records]),
-                          np.stack([rec["normal"] for rec in records]),
-                          np.array([rec["area"] for rec in records]))
-    return acc
+    faces = trace_boundary(field)
+    return acc - _flux(faces.effective, faces.normal, faces.area)
 
 
 def _flux(values: np.ndarray, normals: np.ndarray, areas: np.ndarray) -> np.ndarray:

@@ -21,6 +21,8 @@ from .densities import BulkDensity, DensityTriple, InterfacialDensity, DEFAULT_S
 from .integrate import norm
 
 _TINY = 1e-300
+# each position-modulus rung probes at least this many of the random samples
+MIN_SAMPLES = 64
 
 
 @dataclass
@@ -36,6 +38,11 @@ class CheckConfig:
     pair_scales: tuple = (1e-1, 1e-2, 1e-3)
     rel_factor: float = 1.01
     exact_tol: float = 1e-9
+
+    def __post_init__(self):
+        if self.samples < MIN_SAMPLES:
+            raise ValueError(f"samples must be at least {MIN_SAMPLES} (the structured probes), "
+                             f"got {self.samples}")
 
     def lower(self) -> np.ndarray:
         return np.zeros(self.N) if self.domain_lower is None else np.asarray(self.domain_lower, dtype=float)
@@ -203,7 +210,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     # H3: position modulus at a ladder of separations ("consistent with")
     mods = []
     worst = None
-    n3 = max(64, n // len(cfg.pair_scales) // 2)
+    n3 = max(MIN_SAMPLES, n // len(cfg.pair_scales) // 2)
     for scale in cfg.pair_scales:
         x0 = _sample_x(cfg, rng, n3)
         dx = scale * _sample_unit(rng, n3, N)
@@ -357,7 +364,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
     # H6: position modulus
     mods = []
     worst = None
-    n6 = max(64, n // len(cfg.pair_scales) // 2)
+    n6 = max(MIN_SAMPLES, n // len(cfg.pair_scales) // 2)
     for scale in cfg.pair_scales:
         x0 = _sample_x(cfg, rng, n6)
         dx = scale * _sample_unit(rng, n6, N)

@@ -1,17 +1,20 @@
 """Per-facet and per-cell loops that the array code in ``sdrelax`` replaced.
 
-They build one ``JumpFacet`` per facet, filter and sum facet by facet, and
-integrate the tensor L1 norm cell by cell.  The property tests in
-``test_facet_table.py`` require the array code to reproduce their results
-bit for bit.
+They build one ``JumpFacet`` per facet and one dict per outer face, filter
+and sum facet by facet, integrate the tensor L1 norm cell by cell, and check
+admissibility face by face.  The property tests in ``test_facet_table.py``
+require the array code to reproduce their results bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sdrelax.fields import JumpFacet, _vnorm, trace_boundary
+from sdrelax.cellformulas import ADMISSIBILITY_TOL
+from sdrelax.fields import JumpFacet, StepBoundary
 from sdrelax.integrate import box_abs_affine, fsum, gauss_legendre_points
+from sdrelax.integrate import norm as _vnorm
+from sdrelax.trace_formula import swap_layout
 
 
 def interior_facets(field) -> list[JumpFacet]:
@@ -193,3 +196,94 @@ def gauss_green_residual(field) -> np.ndarray:
     for rec in trace_boundary(field):
         acc = acc - np.multiply.outer(rec["effective"], rec["normal"]) * rec["area"]
     return acc
+
+
+def trace_boundary(field) -> list[dict]:
+    """One-sided boundary values per boundary facet.
+
+    Each record carries the interior trace at the facet centroid and the
+    effective exterior value (prescribed data when the field carries any,
+    otherwise the interior trace itself).
+    """
+    dom = field.domain
+    N = dom.ndim
+    records = []
+    centers = dom.cell_centers()
+    for m in range(N):
+        h = dom.widths[m]
+        area = dom.cell_volume / h
+        for side, sgn in ((0, -1.0), (-1, 1.0)):
+            sl = [slice(None)] * N
+            sl[m] = side
+            sl = tuple(sl)
+            trace = field.const[sl] + sgn * 0.5 * h * field.lin[sl + (Ellipsis, m)]
+            cent = centers[sl].reshape((-1, N)).copy()
+            cent[:, m] = dom.lower[m] if side == 0 else dom.upper[m]
+            trace_flat = trace.reshape((-1,) + field.value_shape)
+            if field.boundary_data is not None:
+                effective, _ = field.boundary_data.value_and_lin(cent)
+            else:
+                effective = trace_flat
+            normal = np.zeros(N)
+            normal[m] = sgn
+            for i in range(cent.shape[0]):
+                records.append(
+                    {
+                        "axis": m,
+                        "side": "lower" if side == 0 else "upper",
+                        "normal": normal.copy(),
+                        "centroid": cent[i],
+                        "area": area,
+                        "interior": np.array(trace_flat[i]),
+                        "effective": np.array(effective[i]),
+                    }
+                )
+    return records
+
+
+def _prescription(problem):
+    """The variant's boundary prescription as a function of boundary points."""
+    N = len(problem.x)
+    if problem.variant == "W1":
+        return lambda pts: np.zeros((pts.shape[0],) + _payload_shape(problem))
+    if problem.variant == "Gamma1":
+        payload = problem.lam
+    elif problem.variant == "Gamma2":
+        payload = problem.Lam
+    else:
+        L_field = swap_layout(problem.L)
+        return lambda pts: np.einsum("...k,mk->m...", L_field, pts)
+    step = StepBoundary(payload, N - 1, 0.0)
+    return lambda pts: step.value_and_lin(pts)[0]
+
+
+def _payload_shape(problem) -> tuple:
+    if problem.variant == "W1":
+        return problem.A.shape[:1]
+    if problem.variant == "Gamma1":
+        return problem.lam.shape
+    if problem.variant == "Gamma2":
+        return problem.Lam.shape
+    # W2 fields are matrix-valued: (value row, value column) of the boundary tensor
+    return problem.L.shape[:1] + problem.L.shape[2:3]
+
+
+def check_admissibility(problem, field) -> tuple[bool, float]:
+    """The cell-formula check: one prescription call per boundary record."""
+    dom = field.domain
+    residual = 0.0
+    lin = field.lin
+    if problem.variant == "W1":
+        residual = max(residual, float(np.max(np.abs(lin - problem.A))))
+    elif problem.variant == "Gamma1":
+        residual = max(residual, float(np.max(np.abs(lin))) if lin.size else 0.0)
+    else:
+        target = np.zeros(lin.shape[dom.ndim:]) if problem.variant == "Gamma2" \
+            else swap_layout(problem.M)
+        avg = np.sum(lin.reshape((-1,) + lin.shape[dom.ndim:]), axis=0) * dom.cell_volume
+        residual = max(residual, float(_vnorm(avg - target, avg.ndim)))
+    prescription = _prescription(problem)
+    for rec in trace_boundary(field):
+        want = prescription(rec["centroid"][None])[0]
+        residual = max(residual, float(np.max(np.abs(rec["effective"] - want))))
+    return residual <= ADMISSIBILITY_TOL, residual

@@ -270,3 +270,26 @@ class TestQuantizeCheck:
     def test_rejected(self, quantize):
         with pytest.raises(ValueError, match="quantize"):
             assemble_relaxed_energy(affine_sd2(), norm_triple(), AssembleConfig(quantize=quantize))
+
+    def test_tiny_quantize_keeps_distinct_problems(self):
+        rng = np.random.default_rng(0)
+        dom = BoxDomain([0, 0], [1, 1], [2, 2])
+        g = PiecewiseAffineField(dom, rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2, 2, 2)))
+        G = PiecewiseAffineField(dom, rng.standard_normal((2, 2, 2, 2)),
+                                 rng.standard_normal((2, 2, 2, 2, 2)))
+        sd2 = SD2Triple(g, G, rng.standard_normal((2, 2, 2, 2, 2)))
+        reports = [assemble_relaxed_energy(sd2, norm_triple(), AssembleConfig(quantize=q))
+                   for q in (1e-6, 1e-300)]
+        assert reports[0].cache_misses == 16
+        assert (reports[1].cache_hits, reports[1].cache_misses) == (reports[0].cache_hits,
+                                                                    reports[0].cache_misses)
+        assert reports[1].total == reports[0].total
+
+    def test_key_folds_signed_zero(self):
+        cache = assembly._EstimateCache(1e-6, True)
+        assert cache.key("W1", [0.0, -1e-9]) == cache.key("W1", [-0.0, 1e-9])
+        assert cache.key("W1", [1.0]) != cache.key("W1", [2.0])
+
+    def test_overflowing_quotient_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            assembly._EstimateCache(1e-320, True).key("W1", [1e10])

@@ -373,6 +373,30 @@ class TestIngestionErrors:
         assert not (tmp_path / "relax.json").exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("samples", [1, 50])
+    def test_too_few_samples_exit_2(self, tmp_path, capsys, samples):
+        payload = json.loads(json.dumps(CHECK_CONFIG))
+        payload["check"]["samples"] = samples
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert "at least 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, name", [("W", "W_norm"), ("psi1", "Psi1_norm")])
+    def test_unknown_catalog_param_exit_2(self, tmp_path, capsys, which, name):
+        payload = json.loads(json.dumps(CHECK_CONFIG))
+        payload["densities"][which] = {"catalog": name, "params": {"bogus": 1.0}}
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_overflowing_quantized_value_exit_2(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+        payload["assemble"]["quantize"] = 1e-320
+        payload["fields"]["G"] = {"constant": [[1e10]]}
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert "overflows" in capsys.readouterr().err
+
     @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400])
     def test_overflowing_scalar_literal_exit_2(self, tmp_path, capsys, literal):
         payload = json.loads(json.dumps(EXAMPLE_CONFIG))

@@ -62,8 +62,8 @@ class TestStaircase:
 
     def test_effective_boundary_trace_zero(self):
         u = staircase(np.array([[1.0, 2.0], [0.0, 1.0]]), 4, UNIT_2D)
-        for rec in trace_boundary(u):
-            assert np.max(np.abs(rec["effective"])) <= 1e-12
+        for effective in trace_boundary(u).effective:
+            assert np.max(np.abs(effective)) <= 1e-12
 
     def test_mass_identity_and_bound_random(self):
         rng = np.random.default_rng(11)

@@ -142,6 +142,15 @@ class TestCatalog:
         with pytest.raises(KeyError):
             catalog("W_unknown")
 
+    @pytest.mark.parametrize("name", ["W_norm", "Psi1_norm"])
+    def test_unknown_params_rejected(self, name):
+        with pytest.raises(ValueError, match="bogus"):
+            catalog(name, bogus=1.0)
+
+    def test_declared_params_accepted(self):
+        assert catalog("W_norm", probe_range=5.0, t_min=4.0).name == "W_norm"
+        assert catalog("Psi2_proj", a=[0.0, 1.0]).params["a"] == [0.0, 1.0]
+
 
 def test_proj_facet_integral_matches_quadrature():
     a = np.array([1.0, 0.0])

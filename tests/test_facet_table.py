@@ -1,7 +1,8 @@
-"""The facet table and the batched L1 against the loops they replaced.
+"""The facet table, the boundary trace table, the batched L1 and the
+admissibility check against the loops they replaced.
 
-Every comparison is bitwise: the array code must reproduce the per-facet
-and per-cell reference loops in ``reference_loops.py`` exactly.
+Every comparison is bitwise: the array code must reproduce the per-facet,
+per-face and per-cell reference loops in ``reference_loops.py`` exactly.
 """
 
 import numpy as np
@@ -10,8 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from sdrelax.cellformulas import rotation_to_last_axis
-from sdrelax.densities import BulkDensity, DensityTriple, InterfacialDensity, psi2_proj
+from sdrelax import cellformulas
+from sdrelax.cellformulas import (
+    estimate_W1,
+    estimate_W2,
+    estimate_gamma1,
+    estimate_gamma2,
+    rotation_to_last_axis,
+)
+from sdrelax.densities import BulkDensity, DensityTriple, InterfacialDensity, norm_triple, psi2_proj
 from sdrelax.energy import interfacial_energy, total_energy
 from sdrelax.fields import (
     AffineBoundary,
@@ -23,6 +31,7 @@ from sdrelax.fields import (
     _l1_of_cell_data,
     gauss_green_residual,
     total_jump_mass,
+    trace_boundary,
 )
 
 COLUMNS = ("normal", "jump", "jump_lin", "centroid", "trace_mean")
@@ -120,6 +129,73 @@ def test_jump_set_matches_per_facet_builders(u):
     assert_rows_equal(u._build_boundary_facets(), ref.boundary_facets(u))
     assert_rows_equal(u.jump_set(), ref.jump_set(u))
     assert u.jump_set() is u.jump_set()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields())
+def test_boundary_trace_matches_per_face_records(u):
+    faces, records = trace_boundary(u), ref.trace_boundary(u)
+    assert faces is u.boundary_trace() and len(faces) == len(records)
+    dom = u.domain
+    for i, rec in enumerate(records):
+        assert faces.axis[i] == rec["axis"] and faces.area[i] == rec["area"]
+        assert (faces.normal[i, rec["axis"]] > 0) == (rec["side"] == "upper")
+        for name in ("normal", "centroid", "interior", "effective"):
+            a, b = getattr(faces, name)[i], rec[name]
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        # the boundary cell: its center agrees with the centroid off the normal axis
+        center = dom.lower + (faces.index[i] + 0.5) * dom.widths
+        off = np.arange(dom.ndim) != rec["axis"]
+        assert np.array_equal(center[off], faces.centroid[i][off])
+        assert faces.index[i, rec["axis"]] == (0 if rec["side"] == "lower" else dom.resolution[rec["axis"]] - 1)
+    assert faces.jump_lin.shape == (len(records),) + u.value_shape + (dom.ndim,)
+    if u.boundary_data is None:
+        assert not np.any(faces.jump_lin)
+
+
+@st.composite
+def cell_problems(draw):
+    """Seeded inputs for one estimator of each variant, in 2-D or 3-D."""
+    N = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    x = rng.uniform(0.0, 1.0, N)
+    nu = unit_vector(rng, N)
+    densities = norm_triple(d=N, N=N)
+    A = scale * rng.standard_normal((N, N))
+    L = scale * rng.standard_normal((N, N, N))
+    M = draw(st.sampled_from(["equal", "random"]))
+    M = L.copy() if M == "equal" else scale * rng.standard_normal((N, N, N))
+    return [
+        lambda: estimate_W1(x, A, densities, budget=2),
+        lambda: estimate_gamma1(x, scale * rng.standard_normal(N), nu, densities, budget=2),
+        lambda: estimate_W2(x, A, L, M, densities, budget=2),
+        lambda: estimate_gamma2(x, A, scale * rng.standard_normal((N, N)), nu, densities, budget=2),
+    ]
+
+
+@settings(max_examples=12, deadline=None)
+@given(cell_problems())
+def test_check_admissibility_matches_per_face_loop(estimators):
+    # the default families of the four estimators are all seven families
+    check = cellformulas.check_admissibility
+    seen = set()
+
+    def checked(problem, field):
+        result = check(problem, field)
+        assert result == ref.check_admissibility(problem, field)
+        assert_rows_equal(field.jump_set(), ref.jump_set(field))
+        # the same field read with its own interior trace, which no longer matches
+        free = PiecewiseAffineField(field.domain, field.const + 0.5, field.lin)
+        assert check(problem, free) == ref.check_admissibility(problem, free)
+        seen.add(problem.variant)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cellformulas, "check_admissibility", checked)
+        for estimate in estimators:
+            estimate()
+    assert seen == {"W1", "Gamma1", "W2", "Gamma2"}
 
 
 @settings(max_examples=200, deadline=None)

@@ -139,23 +139,25 @@ class TestTraceBoundary:
         L = np.array([[1.0, 2.0], [3.0, 4.0]])
         dom = BoxDomain([0, 0], [1, 1], [2, 2])
         u = affine_field(dom, L)
-        for rec in trace_boundary(u):
-            assert rec["interior"] == pytest.approx(L @ rec["centroid"], abs=1e-14)
+        faces = trace_boundary(u)
+        for interior, centroid in zip(faces.interior, faces.centroid):
+            assert interior == pytest.approx(L @ centroid, abs=1e-14)
 
     def test_staircase_effective_trace_zero(self):
         u = staircase_1d_left_anchored(4)
-        for rec in trace_boundary(u):
-            assert np.max(np.abs(rec["effective"])) <= 1e-12
+        for effective in trace_boundary(u).effective:
+            assert np.max(np.abs(effective)) <= 1e-12
 
     def test_elementary_jump_traces(self):
         from sdrelax.constructions import elementary_jump
 
         u = elementary_jump(np.array([2.0, 0.0]), ndim=2, resolution=4)
-        for rec in trace_boundary(u):
-            if rec["axis"] == 1 and rec["side"] == "upper":
-                assert rec["effective"] == pytest.approx([2.0, 0.0])
-            if rec["axis"] == 1 and rec["side"] == "lower":
-                assert rec["effective"] == pytest.approx([0.0, 0.0])
+        faces = trace_boundary(u)
+        for axis, normal, effective in zip(faces.axis, faces.normal, faces.effective):
+            if axis == 1 and normal[axis] > 0:
+                assert effective == pytest.approx([2.0, 0.0])
+            if axis == 1 and normal[axis] < 0:
+                assert effective == pytest.approx([0.0, 0.0])
 
 
 class TestWeakStarPairing:

@@ -13,7 +13,7 @@ from sdrelax.densities import (
     psi1_weighted,
     psi2_proj,
 )
-from sdrelax.hypotheses import CheckConfig, check_hypotheses, check_interfacial
+from sdrelax.hypotheses import MIN_SAMPLES, CheckConfig, check_hypotheses, check_interfacial
 
 CFG = CheckConfig(samples=2000, seed=7)
 
@@ -33,6 +33,17 @@ class TestNormTriple:
         report = check_hypotheses(norm_triple(), CFG)
         blob = json.dumps(report.to_dict(), sort_keys=True)
         assert "H4" in blob
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", [1, 10, 50, MIN_SAMPLES - 1])
+    def test_below_structured_probes_rejected(self, samples):
+        with pytest.raises(ValueError, match=f"at least {MIN_SAMPLES}"):
+            CheckConfig(samples=samples, seed=7)
+
+    def test_minimum_runs(self):
+        report = check_hypotheses(norm_triple(), CheckConfig(samples=MIN_SAMPLES, seed=7))
+        assert "H3" in report.results and "H6.psi2" in report.results
 
 
 class TestPlantedViolator:
