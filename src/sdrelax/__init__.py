@@ -8,6 +8,5 @@ from .fields import (  # noqa: F401
     PiecewiseAffineField,
     PiecewiseConstantField,
     SecondOrderField,
-    JumpFacet,
     unit_cube,
 )

@@ -225,30 +225,32 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
 
     facets_g = g.jump_set()
     surf1_up, surf1_lo = [], []
-    for f in facets_g:
+    for centroid, jump, normal, area in zip(facets_g.centroid, facets_g.jump, facets_g.normal,
+                                            facets_g.area):
         r = cache.get_or_compute(
-            "G1", (zero_x if x_free_1 else f.centroid, f.jump, f.normal),
-            lambda: estimate_gamma1(f.centroid, f.jump, f.normal, densities,
+            "G1", (zero_x if x_free_1 else centroid, jump, normal),
+            lambda: estimate_gamma1(centroid, jump, normal, densities,
                                     budget=config.budget, resolution=config.resolution))
-        surf1_up.append(r.upper * f.area)
-        surf1_lo.append(max(0.0, r.lower or 0.0) * f.area)
+        surf1_up.append(r.upper * area)
+        surf1_lo.append(max(0.0, r.lower or 0.0) * area)
     surf1 = TermBracket(fsum(surf1_up), fsum(surf1_lo))
 
     facets_G = G.jump_set()
+    # the plus/minus representatives are mean +- half the jump; reading the
+    # plus/minus columns directly rounds differently and would move reported digits
+    reps = facets_G.trace_mean
+    if config.gamma2_representative != "average":
+        half = 0.5 * facets_G.jump
+        reps = reps + half if config.gamma2_representative == "plus" else reps - half
     surf2_up, surf2_lo = [], []
-    for f in facets_G:
-        if config.gamma2_representative == "average":
-            rep = f.trace_mean
-        elif config.gamma2_representative == "plus":
-            rep = f.trace_plus()
-        else:
-            rep = f.trace_minus()
+    for centroid, rep, jump, normal, area in zip(facets_G.centroid, reps, facets_G.jump,
+                                                 facets_G.normal, facets_G.area):
         r = cache.get_or_compute(
-            "G2", (zero_x if x_free_2 else f.centroid, rep, f.jump, f.normal),
-            lambda: estimate_gamma2(f.centroid, rep, f.jump, f.normal, densities,
+            "G2", (zero_x if x_free_2 else centroid, rep, jump, normal),
+            lambda: estimate_gamma2(centroid, rep, jump, normal, densities,
                                     budget=config.budget, resolution=config.resolution))
-        surf2_up.append(r.upper * f.area)
-        surf2_lo.append(max(0.0, r.lower or 0.0) * f.area)
+        surf2_up.append(r.upper * area)
+        surf2_lo.append(max(0.0, r.lower or 0.0) * area)
     surf2 = TermBracket(fsum(surf2_up), fsum(surf2_lo))
 
     cell_rows = []

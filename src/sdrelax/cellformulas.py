@@ -174,24 +174,26 @@ def _prescription(problem: CellProblem) -> BoundaryData:
 def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tuple[bool, float]:
     """Re-verify trace and gradient constraints before an energy may count.
 
-    The trace residual compares the field's effective trace with the variant's
-    prescription at every outer-face centroid; a NaN there rejects the field.
+    The trace residual compares the field's outer trace (the ``plus`` side of
+    its outer faces) with the variant's prescription at every outer-face
+    centroid.  The residuals are combined with ``np.max``, which propagates a
+    NaN (Python's ``max`` may drop one), so a NaN in the gradient or the
+    trace rejects the field.
     """
     dom = field.domain
-    residual = 0.0
     lin = field.lin
     if problem.variant == "W1":
-        residual = max(residual, float(np.max(np.abs(lin - problem.A))))
+        residual = float(np.max(np.abs(lin - problem.A)))
     elif problem.variant == "Gamma1":
-        residual = max(residual, float(np.max(np.abs(lin))) if lin.size else 0.0)
+        residual = float(np.max(np.abs(lin), initial=0.0))
     else:
         target = np.zeros(lin.shape[dom.ndim:]) if problem.variant == "Gamma2" \
             else swap_layout(problem.M)
         avg = np.sum(lin.reshape((-1,) + lin.shape[dom.ndim:]), axis=0) * dom.cell_volume
-        residual = max(residual, float(norm(avg - target, avg.ndim)))
+        residual = float(norm(avg - target, avg.ndim))
     faces = trace_boundary(field)
     want, _ = _prescription(problem).value_and_lin(faces.centroid)
-    residual = float(np.max(np.abs(faces.effective - want), initial=residual))
+    residual = float(np.max(np.abs(faces.plus - want), initial=residual))
     return residual <= ADMISSIBILITY_TOL, residual
 
 
@@ -523,8 +525,6 @@ def estimate_W2(x, A, L, M, densities: DensityTriple, budget: int = 1,
     second interfacial density the Gauss-Green closure certifies
     c2 |L - M| from below (the bulk term is nonnegative).
     """
-    L = getattr(L, "entries", L)
-    M = getattr(M, "entries", M)
     problem = CellProblem("W2", x, densities, A=np.asarray(A, dtype=float),
                           L=np.asarray(L, dtype=float), M=np.asarray(M, dtype=float),
                           resolution=resolution)

@@ -7,9 +7,9 @@ Every report embeds the fully resolved config for reproducibility, and
 repeated runs with the same config and seed are byte-identical up to the
 timestamp field.
 
-Exit codes: 0 success, 2 config validation error (non-finite input
-included), 3 estimator failure or a non-finite result, 4 hypothesis-check
-hard failures under --strict.
+Exit codes: 0 success, 2 config validation error (non-finite input and any
+value the library rejects with ``ValueError`` included), 3 estimator failure
+or a non-finite result, 4 hypothesis-check hard failures under --strict.
 """
 
 from __future__ import annotations
@@ -391,10 +391,7 @@ def _task_assemble(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
         jobs=jobs,
         collect_cells=bool(section.get("collect_cells", False)),
     )
-    try:
-        report = assemble_relaxed_energy(sd2, densities, cfg)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    report = assemble_relaxed_energy(sd2, densities, cfg)
     payload = report.to_dict()
     payload.pop("cell_rows", None)
     return {"relaxed": payload, "_csv_rows": report.cell_rows}, 0
@@ -457,7 +454,7 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
         _check_keys(output_cfg, {"json", "csv"}, "output.")
         runner = _RUNNERS[task]
         payload, code = runner(config, resolved_seed, jobs)
-    except ConfigError as err:
+    except ValueError as err:  # ConfigError, and bad values the library rejects
         print(f"error: {err}", file=sys.stderr)
         return 2
     except EstimationError as err:

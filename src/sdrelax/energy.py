@@ -72,12 +72,14 @@ def interfacial_energy(psi: InterfacialDensity, facets: FacetTable, widths,
         nu = plain.normal if R is None else plain.normal @ R.T
         plain_terms = np.asarray(psi(x, plain.jump, nu), dtype=float) * plain.area
     hooked_terms = []
-    for f in facets.select(hooked):
-        normal = f.normal if R is None else R @ f.normal
-        tangent_axes = [k for k in range(len(widths)) if k != f.axis]
+    rows = facets.select(hooked)
+    for axis, centroid, jump, jump_lin, normal in zip(rows.axis, rows.centroid, rows.jump,
+                                                      rows.jump_lin, rows.normal):
+        normal = normal if R is None else R @ normal
+        tangent_axes = [k for k in range(len(widths)) if k != axis]
         twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
-        hooked_terms.append(psi.facet_integral(f.centroid if x0 is None else x0, f.jump,
-                                               f.jump_lin, normal, twidths, tangent_axes))
+        hooked_terms.append(psi.facet_integral(centroid if x0 is None else x0, jump,
+                                               jump_lin, normal, twidths, tangent_axes))
     return fsum(np.append(plain_terms, hooked_terms)), int(np.count_nonzero(varies & ~hooked))
 
 

@@ -5,10 +5,13 @@ cell center plus a linear part).  Jump sets live on grid facets only; a field
 may carry prescribed boundary data, in which case trace mismatches on the
 outer faces are accounted as boundary jump facets with the outward normal.
 That accounting is what lets zero-trace constructions keep an exact cellwise
-gradient while their jump mass stays fully visible to the energy.  Both
-one-sided values on the outer faces are computed once per field, as a cached
-:class:`BoundaryTrace` that the boundary jump facets, the cell-formula
-admissibility check and the Gauss-Green closure all read.
+gradient while their jump mass stays fully visible to the energy.
+
+Facets have one record, the column table :class:`FacetTable`, which keeps
+both one-sided traces of every facet.  The jump set is such a table; so is
+the cached table of all outer faces, which the boundary jump facets (its rows
+that jump), the cell-formula admissibility check and the Gauss-Green closure
+all read.
 
 All operations are pure; fields are treated as immutable after construction.
 """
@@ -193,48 +196,23 @@ class StepBoundary(BoundaryData):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpFacet:
-    """One grid facet carrying a jump: a row of a :class:`FacetTable`.
-
-    ``jump`` is the trace difference (+ side minus - side) at the facet
-    centroid; ``jump_lin`` is its tangential affine variation over the facet
-    (zero along ``axis``).  Interior facets are canonicalized with normal
-    ``+e_axis``; boundary facets use the outward normal, so a prescribed-trace
-    mismatch reads ``prescribed - interior``.
-    """
-
-    axis: int
-    index: tuple
-    boundary: bool
-    normal: np.ndarray
-    area: float
-    jump: np.ndarray
-    jump_lin: np.ndarray
-    centroid: np.ndarray
-    trace_mean: np.ndarray = None
-
-    @property
-    def magnitude(self) -> float:
-        return float(norm(self.jump, self.jump.ndim))
-
-    def trace_plus(self) -> np.ndarray:
-        return self.trace_mean + 0.5 * self.jump
-
-    def trace_minus(self) -> np.ndarray:
-        return self.trace_mean - 0.5 * self.jump
-
-
 @dataclass(frozen=True, eq=False)
 class FacetTable:
-    """The jump set of a field, one array per facet attribute.
+    """Grid facets as one array per attribute: the jump set, or the outer faces.
 
     Row ``i`` of every column describes facet ``i``: ``axis``, ``boundary``
     and ``area`` have shape ``(F,)``; ``index`` (the adjacent cell on the
     lower side, or the boundary cell), ``normal`` and ``centroid`` have shape
-    ``(F, N)``; ``jump`` and ``trace_mean`` have shape ``(F,) + value_shape``
-    and ``jump_lin`` has shape ``(F,) + value_shape + (N,)``.  Indexing or
-    iterating the table yields :class:`JumpFacet` rows.
+    ``(F, N)``; ``plus`` and ``minus`` have shape ``(F,) + value_shape`` and
+    ``jump_lin`` has shape ``(F,) + value_shape + (N,)``.
+
+    ``plus`` is the trace at the centroid on the side the normal points to,
+    ``minus`` the trace on the other side.  Interior facets are canonicalized
+    with normal ``+e_axis``; boundary facets use the outward normal, with the
+    prescribed value (or the interior trace when the field carries no data)
+    as ``plus`` and the interior trace as ``minus``, so a prescribed-trace
+    mismatch reads ``prescribed - interior``.  ``jump_lin`` is the tangential
+    affine variation of ``plus - minus`` over the facet (zero along ``axis``).
     """
 
     axis: np.ndarray
@@ -242,10 +220,10 @@ class FacetTable:
     boundary: np.ndarray
     normal: np.ndarray
     area: np.ndarray
-    jump: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
     jump_lin: np.ndarray
     centroid: np.ndarray
-    trace_mean: np.ndarray
 
     @classmethod
     def empty(cls, ndim: int, value_shape: tuple) -> "FacetTable":
@@ -255,10 +233,10 @@ class FacetTable:
             boundary=np.zeros(0, dtype=bool),
             normal=np.zeros((0, ndim)),
             area=np.zeros(0),
-            jump=np.zeros((0,) + value_shape),
+            plus=np.zeros((0,) + value_shape),
+            minus=np.zeros((0,) + value_shape),
             jump_lin=np.zeros((0,) + value_shape + (ndim,)),
             centroid=np.zeros((0, ndim)),
-            trace_mean=np.zeros((0,) + value_shape),
         )
 
     @classmethod
@@ -279,25 +257,20 @@ class FacetTable:
     def __len__(self) -> int:
         return len(self.area)
 
-    def __getitem__(self, i: int) -> JumpFacet:
-        return JumpFacet(
-            axis=int(self.axis[i]),
-            index=tuple(int(v) for v in self.index[i]),
-            boundary=bool(self.boundary[i]),
-            normal=np.array(self.normal[i]),
-            area=float(self.area[i]),
-            jump=np.array(self.jump[i]),
-            jump_lin=np.array(self.jump_lin[i]),
-            centroid=np.array(self.centroid[i]),
-            trace_mean=np.array(self.trace_mean[i]),
-        )
+    @property
+    def jump(self) -> np.ndarray:
+        """The trace difference ``plus - minus`` of each facet."""
+        return self.plus - self.minus
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    @property
+    def trace_mean(self) -> np.ndarray:
+        """The mean of the two one-sided traces of each facet."""
+        return 0.5 * (self.plus + self.minus)
 
     def magnitudes(self) -> np.ndarray:
         """Frobenius norm of each facet's jump."""
-        return norm(self.jump, self.jump.ndim - 1)
+        jump = self.jump
+        return norm(jump, jump.ndim - 1)
 
     def varies(self) -> np.ndarray:
         """Per facet: does the jump carry affine variation (any nonzero jump_lin)?"""
@@ -307,32 +280,6 @@ class FacetTable:
 def _rows(arr: np.ndarray) -> np.ndarray:
     """View a column as (rows, entries), also when it has no rows."""
     return arr.reshape(arr.shape[0], int(np.prod(arr.shape[1:], dtype=int)))
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryTrace:
-    """Both one-sided values of a field on every outer face of its box.
-
-    Rows run by axis, lower side before upper, then by face.  ``axis`` and
-    ``area`` have shape ``(F,)``; ``index`` (the boundary cell), ``normal``
-    (outward) and ``centroid`` have shape ``(F, N)``; ``interior`` (the
-    field's own trace at the centroid) and ``effective`` (the prescribed value
-    when the field carries boundary data, the interior trace otherwise) have
-    shape ``(F,) + value_shape``; ``jump_lin`` (the tangential linear part of
-    effective minus interior) has shape ``(F,) + value_shape + (N,)``.
-    """
-
-    axis: np.ndarray
-    index: np.ndarray
-    normal: np.ndarray
-    area: np.ndarray
-    centroid: np.ndarray
-    interior: np.ndarray
-    effective: np.ndarray
-    jump_lin: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.area)
 
 
 class PiecewiseAffineField:
@@ -412,7 +359,6 @@ class PiecewiseAffineField:
             trace_lo = self.const[sl_lo] + 0.5 * h * self.lin[sl_lo + (Ellipsis, m)]
             trace_hi = self.const[sl_hi] - 0.5 * h * self.lin[sl_hi + (Ellipsis, m)]
             jump = trace_hi - trace_lo
-            tmean = 0.5 * (trace_hi + trace_lo)
             jlin = self.lin[sl_hi] - self.lin[sl_lo]
             jlin[..., m] = 0.0
             mag = norm(jump, vnd) + norm(jlin, vnd + 1)
@@ -424,25 +370,22 @@ class PiecewiseAffineField:
             normal[:, m] = 1.0
             parts.append(FacetTable(
                 axis=np.full(count, m), index=np.argwhere(keep), boundary=np.zeros(count, dtype=bool),
-                normal=normal, area=np.full(count, area), jump=jump[keep], jump_lin=jlin[keep],
-                centroid=cent[keep], trace_mean=tmean[keep]))
+                normal=normal, area=np.full(count, area), plus=trace_hi[keep], minus=trace_lo[keep],
+                jump_lin=jlin[keep], centroid=cent[keep]))
         return FacetTable.concat(parts, N, self.value_shape)
 
     def _build_boundary_facets(self) -> FacetTable:
         if self.boundary_data is None:
             return FacetTable.empty(self.domain.ndim, self.value_shape)
         faces = self.boundary_trace()
-        jump = faces.effective - faces.interior
-        mag = norm(jump, self.value_ndim) + norm(faces.jump_lin, self.value_ndim + 1)
-        keep = np.flatnonzero(~(mag <= self.jump_tol))  # a NaN magnitude counts as a jump here
-        return FacetTable(
-            axis=faces.axis[keep], index=faces.index[keep], boundary=np.ones(len(keep), dtype=bool),
-            normal=faces.normal[keep], area=faces.area[keep], jump=jump[keep],
-            jump_lin=faces.jump_lin[keep], centroid=faces.centroid[keep],
-            trace_mean=(0.5 * (faces.effective + faces.interior))[keep])
+        mag = norm(faces.jump, self.value_ndim) + norm(faces.jump_lin, self.value_ndim + 1)
+        return faces.select(~(mag <= self.jump_tol))  # a NaN magnitude counts as a jump here
 
-    def boundary_trace(self) -> BoundaryTrace:
-        """Both one-sided values on every outer face.  Built once and cached."""
+    def boundary_trace(self) -> FacetTable:
+        """Every outer face, jump or not, as boundary facets: rows by axis,
+        lower side before upper, then by face.  ``plus`` is the prescribed
+        value when the field carries boundary data and the interior trace
+        otherwise; ``minus`` is the interior trace.  Built once and cached."""
         if self._trace_cache is not None:
             return self._trace_cache
         dom = self.domain
@@ -472,12 +415,11 @@ class PiecewiseAffineField:
                 normal[:, m] = normal_sign
                 side_idx = 0 if side == 0 else int(dom.resolution[m]) - 1
                 face = np.argwhere(np.ones(trace.shape[: N - 1], dtype=bool))
-                parts.append(BoundaryTrace(
-                    axis=np.full(count, m), index=np.insert(face, m, side_idx, axis=1), normal=normal,
-                    area=np.full(count, area), centroid=cent, interior=interior, effective=effective,
-                    jump_lin=jlin))
-        self._trace_cache = BoundaryTrace(**{name: np.concatenate([getattr(p, name) for p in parts])
-                                             for name in BoundaryTrace.__dataclass_fields__})
+                parts.append(FacetTable(
+                    axis=np.full(count, m), index=np.insert(face, m, side_idx, axis=1),
+                    boundary=np.ones(count, dtype=bool), normal=normal, area=np.full(count, area),
+                    plus=effective, minus=interior, jump_lin=jlin, centroid=cent))
+        self._trace_cache = FacetTable.concat(parts, N, self.value_shape)
         return self._trace_cache
 
     # -- norms and pairings ---------------------------------------------------
@@ -646,8 +588,8 @@ def _affine_at_points(const, lin, pts) -> np.ndarray:
     return const[:, None] + out
 
 
-def trace_boundary(field: PiecewiseAffineField) -> BoundaryTrace:
-    """The field's cached table of one-sided values on its outer faces."""
+def trace_boundary(field: PiecewiseAffineField) -> FacetTable:
+    """The field's cached table of its outer faces."""
     return field.boundary_trace()
 
 
@@ -722,7 +664,7 @@ def gauss_green_residual(field: PiecewiseAffineField) -> np.ndarray:
     facets = field.jump_set()
     acc = acc + _flux(facets.jump, facets.normal, facets.area)
     faces = trace_boundary(field)
-    return acc - _flux(faces.effective, faces.normal, faces.area)
+    return acc - _flux(faces.plus, faces.normal, faces.area)
 
 
 def _flux(values: np.ndarray, normals: np.ndarray, areas: np.ndarray) -> np.ndarray:

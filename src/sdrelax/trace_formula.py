@@ -26,43 +26,14 @@ def swap_layout(T) -> np.ndarray:
     return np.asarray(T, dtype=float).transpose(0, 2, 1)
 
 
-class Bilinear3:
-    """Third-order tensor viewed as a bilinear map on R^N."""
-
-    def __init__(self, entries):
-        self.entries = np.asarray(entries, dtype=float)
-        if self.entries.ndim != 3 or len(set(self.entries.shape)) != 1:
+def _difference(L, M) -> np.ndarray:
+    """``L - M`` for two N x N x N tensors."""
+    L = np.asarray(L, dtype=float)
+    M = np.asarray(M, dtype=float)
+    for T in (L, M):
+        if T.ndim != 3 or len(set(T.shape)) != 1:
             raise ValueError("entries must be an N x N x N array")
-
-    @property
-    def N(self) -> int:
-        return self.entries.shape[0]
-
-    def __call__(self, y, z) -> np.ndarray:
-        return np.einsum("ijk,j,k->i", self.entries, np.asarray(y, dtype=float), np.asarray(z, dtype=float))
-
-    def slice(self, a) -> np.ndarray:
-        """The linear map y -> T(y, a), as an N x N matrix."""
-        return np.einsum("ijk,k->ij", self.entries, np.asarray(a, dtype=float))
-
-    def value_matrix_at(self, x) -> np.ndarray:
-        """The value matrix (i, k) -> T(x, e_k)_i of the linear field x -> Tx."""
-        return np.einsum("ijk,j->ik", self.entries, np.asarray(x, dtype=float))
-
-    @classmethod
-    def from_field_tensor(cls, stored) -> "Bilinear3":
-        """Convert from field layout (value row, value col, derivative)."""
-        return cls(swap_layout(stored))
-
-    def to_field_tensor(self) -> np.ndarray:
-        return swap_layout(self.entries)
-
-    def __sub__(self, other: "Bilinear3") -> "Bilinear3":
-        return Bilinear3(self.entries - other.entries)
-
-
-def _as_bilinear(T) -> Bilinear3:
-    return T if isinstance(T, Bilinear3) else Bilinear3(T)
+    return L - M
 
 
 def closed_form_W2(L, M, a) -> float:
@@ -70,7 +41,7 @@ def closed_form_W2(L, M, a) -> float:
     a = np.asarray(a, dtype=float)
     if abs(np.linalg.norm(a) - 1.0) > 1e-12:
         raise ValueError("a must be a unit vector")
-    delta = _as_bilinear(L).entries - _as_bilinear(M).entries
+    delta = _difference(L, M)
     return float(abs(np.einsum("iij,j->", delta, a)))
 
 
@@ -113,7 +84,7 @@ def inclusion_energy(L, M, a, box: BoxInclusion, margin: float = 1e-9) -> float:
         raise ValueError("a must be a unit vector")
     if not box.corners_inside_cube(margin=margin):
         raise ValueError("R must be compactly contained in the unit cell cube")
-    B = (_as_bilinear(L).entries - _as_bilinear(M).entries)
+    B = _difference(L, M)
     B = np.einsum("ijk,k->ij", B, a)
     N = B.shape[0]
     V = np.eye(N) if box.basis is None else np.asarray(box.basis, dtype=float)
@@ -140,7 +111,7 @@ def laminate_energy(L, M, a, basis=None) -> float:
     full average-gradient constraint at cost sum_m |C_mm| with
     C = V^-1 (L - M)(., a) V; this always dominates |tr C| = the closed form.
     """
-    B = (_as_bilinear(L).entries - _as_bilinear(M).entries)
+    B = _difference(L, M)
     B = np.einsum("ijk,k->ij", B, np.asarray(a, dtype=float))
     N = B.shape[0]
     V = np.eye(N) if basis is None else np.asarray(basis, dtype=float)
@@ -174,7 +145,7 @@ def eigen_basis(B, tol: float = 1e-9) -> np.ndarray | None:
 
 def default_box_family(L, M, a, use_eigenbasis: bool = True) -> list[BoxInclusion]:
     """Centered and shifted boxes, axis-aligned plus eigenbasis when available."""
-    B = (_as_bilinear(L).entries - _as_bilinear(M).entries)
+    B = _difference(L, M)
     B = np.einsum("ijk,k->ij", B, np.asarray(a, dtype=float))
     N = B.shape[0]
     family: list[BoxInclusion] = []
@@ -206,7 +177,7 @@ def default_box_family(L, M, a, use_eigenbasis: bool = True) -> list[BoxInclusio
 def random_competitors(L, M, a, count: int = 1000, seed: int = 0) -> list[dict]:
     """Seeded random admissible boxes and laminates with their exact energies."""
     rng = np.random.default_rng(seed)
-    N = _as_bilinear(L).N
+    N = _difference(L, M).shape[0]
     out = []
     n_boxes = count // 2
     for _ in range(n_boxes):
@@ -250,7 +221,7 @@ def verify_example(L, M, a, family: list[BoxInclusion] | None = None,
         extras.extend(random_competitors(L, M, a, count=random_count, seed=seed))
     everything = boxes + extras
     lower_ok = all(e["energy"] >= closed - tolerance for e in everything)
-    B = np.einsum("ijk,k->ij", (_as_bilinear(L).entries - _as_bilinear(M).entries), a)
+    B = np.einsum("ijk,k->ij", _difference(L, M), a)
     laminates = [e["energy"] for e in everything if e["kind"] == "laminate"]
     return {
         "closed_form": closed,

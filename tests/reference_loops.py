@@ -8,13 +8,57 @@ require the array code to reproduce their results bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from sdrelax.cellformulas import ADMISSIBILITY_TOL
-from sdrelax.fields import JumpFacet, StepBoundary
+from sdrelax.fields import StepBoundary
 from sdrelax.integrate import box_abs_affine, fsum, gauss_legendre_points
 from sdrelax.integrate import norm as _vnorm
 from sdrelax.trace_formula import swap_layout
+
+
+@dataclass(frozen=True)
+class JumpFacet:
+    """One grid facet carrying a jump.
+
+    ``jump`` is the trace difference (+ side minus - side) at the facet
+    centroid; ``jump_lin`` is its tangential affine variation over the facet
+    (zero along ``axis``).  Interior facets are canonicalized with normal
+    ``+e_axis``; boundary facets use the outward normal, so a prescribed-trace
+    mismatch reads ``prescribed - interior``.
+    """
+
+    axis: int
+    index: tuple
+    boundary: bool
+    normal: np.ndarray
+    area: float
+    jump: np.ndarray
+    jump_lin: np.ndarray
+    centroid: np.ndarray
+    trace_mean: np.ndarray = None
+
+    @property
+    def magnitude(self) -> float:
+        return float(_vnorm(self.jump, self.jump.ndim))
+
+
+def rows(table) -> list[JumpFacet]:
+    """A ``FacetTable`` read row by row, as the per-facet loops saw it."""
+    jump, trace_mean = table.jump, table.trace_mean
+    return [JumpFacet(
+        axis=int(table.axis[i]),
+        index=tuple(int(v) for v in table.index[i]),
+        boundary=bool(table.boundary[i]),
+        normal=np.array(table.normal[i]),
+        area=float(table.area[i]),
+        jump=np.array(jump[i]),
+        jump_lin=np.array(table.jump_lin[i]),
+        centroid=np.array(table.centroid[i]),
+        trace_mean=np.array(trace_mean[i]),
+    ) for i in range(len(table))]
 
 
 def interior_facets(field) -> list[JumpFacet]:

@@ -212,6 +212,36 @@ class TestSweepMechanics:
         ok2, residual2 = check_admissibility(problem, broken)
         assert not ok2 and residual2 > 1e-10
 
+    @pytest.mark.parametrize("variant", ["W1", "Gamma1", "W2", "Gamma2"])
+    def test_nan_gradient_rejected(self, variant):
+        from sdrelax.cellformulas import (
+            ElementaryJumpFamily,
+            GradientZigzagFamily,
+            LaminateFamily,
+            StaircaseFamily,
+        )
+        from sdrelax.fields import PiecewiseAffineField
+
+        nu = np.array([0.0, 1.0])
+        L = np.arange(8.0).reshape(2, 2, 2)
+        problem, family, params = {
+            "W1": (CellProblem("W1", X0, NT, A=np.eye(2)), StaircaseFamily(), (4,)),
+            "Gamma1": (CellProblem("Gamma1", X0, NT, lam=np.array([1.0, 0.0]), nu=nu),
+                       ElementaryJumpFamily(), ()),
+            "W2": (CellProblem("W2", X0, NT, A=np.eye(2), L=L, M=L), LaminateFamily(), ()),
+            "Gamma2": (CellProblem("Gamma2", X0, NT, A=np.eye(2), Lam=np.eye(2), nu=nu),
+                       GradientZigzagFamily(), (0.25,)),
+        }[variant]
+        field, _ = family.build(problem, params)
+        assert check_admissibility(problem, field) == (True, 0.0)
+        # a NaN gradient with the boundary data kept: only the gradient check sees it
+        lin = field.lin.copy()
+        lin.flat[0] = np.nan
+        broken = PiecewiseAffineField(field.domain, field.const, lin,
+                                      boundary_data=field.boundary_data)
+        ok, residual = check_admissibility(problem, broken)
+        assert ok is False and np.isnan(residual)
+
     def test_lower_never_exceeds_upper(self):
         rng = np.random.default_rng(5)
         for _ in range(20):

@@ -407,6 +407,56 @@ class TestIngestionErrors:
         assert "non-finite" in capsys.readouterr().err
 
 
+def _sweep(cell):
+    payload = json.loads(json.dumps(SWEEP_CONFIG))
+    payload["cell"] = {"x": [0.5, 0.5], "budget": 1, **cell}
+    return payload
+
+
+def _example(**example):
+    payload = json.loads(json.dumps(EXAMPLE_CONFIG))
+    payload["example"].update(example, random_count=0)
+    return payload
+
+
+def _sequence(ns):
+    payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+    del payload["assemble"], payload["output"]
+    return {**payload, "task": "approx-sequence", "sequence": {"n": ns}}
+
+
+def _energy_with_inconsistent_grad():
+    payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+    return {"task": "energy", "densities": payload["densities"], "domain": payload["domain"],
+            "fields": {"u": {"linear": [[1.0]]}, "grad": {"constant": [[2.0]]}}}
+
+
+ZERO_L = np.zeros((2, 2, 2)).tolist()
+
+
+class TestLibraryValueErrors:
+    """Bad values that only the library checks still exit 2, with no traceback."""
+
+    @pytest.mark.parametrize("payload, message", [
+        (_sweep({"variant": "Gamma1", "lam": [1.0, 0.0], "nu": [0.0, 2.0]}), "unit vector"),
+        (_sweep({"variant": "Gamma1", "lam": [1.0, 0.0], "nu": [0.0, 1.0], "resolution": 3}),
+         "must be even"),
+        (_sweep({"variant": "W2", "A": [[1.0, 0.0], [0.0, 1.0]], "L": ZERO_L, "M": ZERO_L,
+                 "resolution": 0}), "resolution"),
+        (_sequence([0]), "n must be >= 1"),
+        (_example(a=[2.0, 0.0]), "unit vector"),
+        (_example(L=[[1.0, 0.0], [0.0, 1.0]]), "N x N x N"),
+        (_energy_with_inconsistent_grad(), "inconsistent"),
+    ], ids=["gamma1-nu", "gamma1-odd-resolution", "w2-resolution-0", "sequence-n-0",
+            "example-a", "example-2x2-L", "energy-grad"])
+    def test_exit_2(self, tmp_path, capsys, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
+
 class TestMixedGridFiles:
     def test_fields_on_two_grids_assemble(self, tmp_path):
         from sdrelax.fields import BoxDomain, PiecewiseAffineField

@@ -46,23 +46,25 @@ class TestStaircase:
         u = staircase(np.array([[1.0]]), 4, UNIT_1D)
         assert np.all(u.lin == 1.0)
         assert total_jump_mass(u) == pytest.approx(1.0, abs=1e-15)
-        interior = [f for f in jump_set(u) if not f.boundary]
+        facets = jump_set(u)
+        interior = facets.select(~facets.boundary)
         assert len(interior) == 3
-        for f in interior:
-            assert abs(f.jump[0]) == pytest.approx(0.25, abs=1e-15)
+        for jump in interior.jump:
+            assert abs(jump[0]) == pytest.approx(0.25, abs=1e-15)
 
     def test_single_column_only_one_sawtooth_active(self):
         u = staircase(np.array([[1.0, 0.0]]), 6, UNIT_2D)
         assert total_jump_mass(u) == pytest.approx(1.0, abs=1e-12)
         # all jump mass sits on planes orthogonal to the active axis; the
         # lateral boundary facets carry only affine variation, no mass
-        for f in jump_set(u):
-            if f.axis != 0:
-                assert f.magnitude == 0.0
+        facets = jump_set(u)
+        for axis, magnitude in zip(facets.axis, facets.magnitudes()):
+            if axis != 0:
+                assert magnitude == 0.0
 
     def test_effective_boundary_trace_zero(self):
         u = staircase(np.array([[1.0, 2.0], [0.0, 1.0]]), 4, UNIT_2D)
-        for effective in trace_boundary(u).effective:
+        for effective in trace_boundary(u).plus:
             assert np.max(np.abs(effective)) <= 1e-12
 
     def test_mass_identity_and_bound_random(self):
@@ -114,7 +116,7 @@ class TestGradientPrimitive:
         u = gradient_primitive(f)
         facets = jump_set(u)
         assert len(facets) == 1
-        assert facets[0].jump[0] == pytest.approx(-0.5, abs=1e-15)
+        assert facets.jump[0, 0] == pytest.approx(-0.5, abs=1e-15)
         assert total_jump_mass(u) == pytest.approx(0.5, abs=1e-15)
         assert total_jump_mass(u) <= gradient_primitive_mass_bound(f)
 
@@ -126,8 +128,8 @@ class TestGradientPrimitive:
         u = gradient_primitive(f)
         mass = total_jump_mass(u)
         assert mass <= 4 * 2 * l1_norm(f) + 1e-12
-        for facet in jump_set(u):
-            assert facet.index[0] >= 1  # no jumps in the untouched left strip
+        for index in jump_set(u).index:
+            assert index[0] >= 1  # no jumps in the untouched left strip
 
     def test_mass_and_l1_bounds_random(self):
         rng = np.random.default_rng(5)
@@ -156,10 +158,10 @@ class TestElementaryJump:
     def test_vector_payload(self):
         u = elementary_jump(np.array([1.0, 0.0]), ndim=2, resolution=4)
         facets = jump_set(u)
-        assert all(f.axis == 1 and not f.boundary for f in facets)
-        assert sum(f.area for f in facets) == pytest.approx(1.0, abs=1e-15)
-        for f in facets:
-            assert f.jump == pytest.approx([1.0, 0.0])
+        assert all(axis == 1 and not boundary for axis, boundary in zip(facets.axis, facets.boundary))
+        assert sum(facets.area) == pytest.approx(1.0, abs=1e-15)
+        for jump in facets.jump:
+            assert jump == pytest.approx([1.0, 0.0])
         assert total_jump_mass(u) == pytest.approx(1.0, abs=1e-15)
 
     def test_matrix_payload(self):

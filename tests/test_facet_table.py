@@ -1,4 +1,4 @@
-"""The facet table, the boundary trace table, the batched L1 and the
+"""The facet table (jump sets and outer faces), the batched L1 and the
 admissibility check against the loops they replaced.
 
 Every comparison is bitwise: the array code must reproduce the per-facet,
@@ -21,11 +21,11 @@ from sdrelax.cellformulas import (
 )
 from sdrelax.densities import BulkDensity, DensityTriple, InterfacialDensity, norm_triple, psi2_proj
 from sdrelax.energy import interfacial_energy, total_energy
+from sdrelax.integrate import norm
 from sdrelax.fields import (
     AffineBoundary,
     BoxDomain,
     FacetTable,
-    JumpFacet,
     PiecewiseAffineField,
     StepBoundary,
     _l1_of_cell_data,
@@ -108,8 +108,7 @@ def generic_triple(psi2=None) -> DensityTriple:
 
 def assert_rows_equal(table: FacetTable, rows: list):
     assert len(table) == len(rows)
-    for new, old in zip(table, rows):
-        assert isinstance(new, JumpFacet)
+    for new, old in zip(ref.rows(table), rows):
         assert new.axis == old.axis and new.index == old.index and new.boundary == old.boundary
         assert new.area == old.area
         for name in COLUMNS:
@@ -140,8 +139,9 @@ def test_boundary_trace_matches_per_face_records(u):
     for i, rec in enumerate(records):
         assert faces.axis[i] == rec["axis"] and faces.area[i] == rec["area"]
         assert (faces.normal[i, rec["axis"]] > 0) == (rec["side"] == "upper")
-        for name in ("normal", "centroid", "interior", "effective"):
-            a, b = getattr(faces, name)[i], rec[name]
+        for name, key in (("normal", "normal"), ("centroid", "centroid"),
+                          ("minus", "interior"), ("plus", "effective")):
+            a, b = getattr(faces, name)[i], rec[key]
             assert a.shape == b.shape and np.array_equal(a, b), name
         # the boundary cell: its center agrees with the centroid off the normal axis
         center = dom.lower + (faces.index[i] + 0.5) * dom.widths
@@ -151,6 +151,21 @@ def test_boundary_trace_matches_per_face_records(u):
     assert faces.jump_lin.shape == (len(records),) + u.value_shape + (dom.ndim,)
     if u.boundary_data is None:
         assert not np.any(faces.jump_lin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields())
+def test_boundary_jumps_are_the_outer_faces_that_jump(u):
+    faces, jumps = u.boundary_trace(), u.jump_set()
+    assert faces.boundary.all()
+    expected = FacetTable.empty(u.domain.ndim, u.value_shape)
+    if u.boundary_data is not None:
+        mag = norm(faces.jump, u.value_ndim) + norm(faces.jump_lin, u.value_ndim + 1)
+        expected = faces.select(~(mag <= u.jump_tol))
+    got = jumps.select(jumps.boundary)
+    for name in FacetTable.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
 
 
 @st.composite
@@ -220,7 +235,7 @@ def test_interfacial_energy_matches_both_routines(u, seed):
     N = u.domain.ndim
     psi = generic_psi(1)
     facets, widths = u.jump_set(), u.domain.widths
-    assert interfacial_energy(psi, facets, widths) == ref.interfacial_energy(psi, list(facets), widths)
+    assert interfacial_energy(psi, facets, widths) == ref.interfacial_energy(psi, ref.rows(facets), widths)
     x0 = rng.standard_normal(N)
     R = rotation_to_last_axis(unit_vector(rng, N))
     for rot in (None, R):
@@ -234,7 +249,7 @@ def test_psi2_proj_facet_integral_hook(u, seed):
     N = u.domain.ndim
     psi = psi2_proj(unit_vector(rng, N))
     facets, widths = u.jump_set(), u.domain.widths
-    assert interfacial_energy(psi, facets, widths) == ref.interfacial_energy(psi, list(facets), widths)
+    assert interfacial_energy(psi, facets, widths) == ref.interfacial_energy(psi, ref.rows(facets), widths)
     x0 = rng.standard_normal(N)
     R = rotation_to_last_axis(unit_vector(rng, N))
     for rot in (None, R):
@@ -291,18 +306,30 @@ class TestFacetTable:
                                  boundary_data=AffineBoundary.zero((1,), 1))
         table = u.jump_set()
         assert len(table) == 3
-        assert [f.index for f in table] == [(0,), (1,), (2,)]
-        assert [f.boundary for f in table] == [False, False, True]
-        assert table[1].jump == pytest.approx([2.0])
-        assert table[-1].normal == pytest.approx([1.0])
+        assert table.index.tolist() == [[0], [1], [2]]
+        assert table.boundary.tolist() == [False, False, True]
+        assert table.jump[1] == pytest.approx([2.0])
+        assert table.normal[-1] == pytest.approx([1.0])
         sub = table.select(table.boundary)
-        assert len(sub) == 1 and sub[0].jump == pytest.approx([-3.0])
+        assert len(sub) == 1 and sub.jump[0] == pytest.approx([-3.0])
         assert np.array_equal(table.magnitudes(), [1.0, 2.0, 3.0])
+
+    def test_one_sided_traces(self):
+        dom = BoxDomain([0.0], [1.0], [3])
+        u = PiecewiseAffineField(dom, np.array([[0.0], [1.0], [3.0]]),
+                                 boundary_data=AffineBoundary.zero((1,), 1))
+        table = u.jump_set()
+        # interior facets: plus is the upper cell; the boundary facet: plus is the prescribed zero
+        assert table.plus[:, 0].tolist() == [1.0, 3.0, 0.0]
+        assert table.minus[:, 0].tolist() == [0.0, 1.0, 3.0]
+        assert np.array_equal(table.jump, table.plus - table.minus)
+        assert np.array_equal(table.trace_mean, 0.5 * (table.plus + table.minus))
 
     def test_empty_table_shapes(self):
         table = FacetTable.empty(2, (3,))
-        assert len(table) == 0 and list(table) == []
+        assert len(table) == 0 and ref.rows(table) == []
         assert table.jump_lin.shape == (0, 3, 2)
+        assert table.plus.shape == table.minus.shape == table.jump.shape == (0, 3)
         assert table.magnitudes().shape == (0,) and table.varies().shape == (0,)
 
     def test_nan_cells_match_the_reference_facet_choice(self):

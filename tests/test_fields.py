@@ -54,27 +54,26 @@ class TestJumpSet:
         u = PiecewiseConstantField(dom, np.array([[0.0], [1.0]]))
         facets = jump_set(u)
         assert len(facets) == 1
-        f = facets[0]
-        assert f.jump == pytest.approx([1.0])
-        assert f.normal == pytest.approx([1.0])
-        assert f.centroid == pytest.approx([0.5])
+        assert facets.jump[0] == pytest.approx([1.0])
+        assert facets.normal[0] == pytest.approx([1.0])
+        assert facets.centroid[0] == pytest.approx([0.5])
 
     def test_staircase_interior_jumps(self):
         u = staircase_1d_left_anchored(4)
-        interior = [f for f in jump_set(u) if not f.boundary]
+        facets = jump_set(u)
+        interior = facets.select(~facets.boundary)
         assert len(interior) == 3
-        for f in interior:
-            assert abs(f.jump[0]) == pytest.approx(0.25, abs=1e-15)
+        for jump in interior.jump:
+            assert abs(jump[0]) == pytest.approx(0.25, abs=1e-15)
 
     def test_canonicalization_idempotent(self):
         u = staircase_1d_left_anchored(4)
         first = jump_set(u)
         second = jump_set(u)
         assert len(first) == len(second)
-        for a, b in zip(first, second):
-            assert a.index == b.index and a.axis == b.axis
-            assert np.array_equal(a.jump, b.jump)
-            assert np.array_equal(a.normal, b.normal)
+        assert np.array_equal(first.index, second.index) and np.array_equal(first.axis, second.axis)
+        assert np.array_equal(first.jump, second.jump)
+        assert np.array_equal(first.normal, second.normal)
 
 
 class TestTotalJumpMass:
@@ -91,10 +90,11 @@ class TestTotalJumpMass:
         # 3 interior jumps of 1/4 plus the right-boundary mismatch 1/4
         u = staircase_1d_left_anchored(4)
         assert total_jump_mass(u) == pytest.approx(1.0, abs=1e-15)
-        boundary = [f for f in jump_set(u) if f.boundary]
+        facets = jump_set(u)
+        boundary = facets.select(facets.boundary)
         assert len(boundary) == 1
-        assert boundary[0].jump[0] == pytest.approx(-0.25, abs=1e-15)
-        assert boundary[0].normal == pytest.approx([1.0])
+        assert boundary.jump[0, 0] == pytest.approx(-0.25, abs=1e-15)
+        assert boundary.normal[0] == pytest.approx([1.0])
 
     def test_refinement_invariance_constant_jumps(self):
         u = staircase_1d_left_anchored(4)
@@ -140,12 +140,12 @@ class TestTraceBoundary:
         dom = BoxDomain([0, 0], [1, 1], [2, 2])
         u = affine_field(dom, L)
         faces = trace_boundary(u)
-        for interior, centroid in zip(faces.interior, faces.centroid):
+        for interior, centroid in zip(faces.minus, faces.centroid):
             assert interior == pytest.approx(L @ centroid, abs=1e-14)
 
     def test_staircase_effective_trace_zero(self):
         u = staircase_1d_left_anchored(4)
-        for effective in trace_boundary(u).effective:
+        for effective in trace_boundary(u).plus:
             assert np.max(np.abs(effective)) <= 1e-12
 
     def test_elementary_jump_traces(self):
@@ -153,7 +153,7 @@ class TestTraceBoundary:
 
         u = elementary_jump(np.array([2.0, 0.0]), ndim=2, resolution=4)
         faces = trace_boundary(u)
-        for axis, normal, effective in zip(faces.axis, faces.normal, faces.effective):
+        for axis, normal, effective in zip(faces.axis, faces.normal, faces.plus):
             if axis == 1 and normal[axis] > 0:
                 assert effective == pytest.approx([2.0, 0.0])
             if axis == 1 and normal[axis] < 0:
