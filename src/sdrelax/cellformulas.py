@@ -117,31 +117,21 @@ def rotation_to_last_axis(nu: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bulk_energy_W(problem: CellProblem, field: PiecewiseAffineField) -> float:
-    """Bulk term of the W2 formula: W(x0, A, grad v) summed over cells."""
-    dom = field.domain
-    lin = field.lin.reshape((-1,) + field.value_shape + (dom.ndim,))
-    xs = np.broadcast_to(problem.x, (lin.shape[0], len(problem.x)))
-    As = np.broadcast_to(problem.A, (lin.shape[0],) + problem.A.shape)
-    vals = np.asarray(problem.densities.W(xs, As, lin), dtype=float)
-    return fsum(vals * dom.cell_volume)
-
-
-def _bulk_energy_recession(problem: CellProblem, field: PiecewiseAffineField,
-                           R: np.ndarray | None) -> float:
-    """Bulk term of the oriented-cube second formula: recession of W."""
+def _bulk_energy(problem: CellProblem, field: PiecewiseAffineField,
+                 R: np.ndarray | None) -> float:
+    """Bulk term summed over the cells: W(x0, A, grad v) for W2, and the
+    recession of W for the oriented-cube second formula (Gamma2)."""
     dom = field.domain
     lin = field.lin.reshape((-1,) + field.value_shape + (dom.ndim,))
     if R is not None:
         lin = np.einsum("...k,mk->...m", lin, R)
-    cache: dict[bytes, float] = {}
-    terms = []
-    for cell_lin in lin:
-        key = np.round(cell_lin, 14).tobytes()
-        if key not in cache:
-            cache[key] = recession(problem.densities.W, problem.x, problem.A, cell_lin).value
-        terms.append(cache[key] * dom.cell_volume)
-    return fsum(terms)
+    xs = np.broadcast_to(problem.x, (lin.shape[0], len(problem.x)))
+    As = np.broadcast_to(problem.A, (lin.shape[0],) + problem.A.shape)
+    if problem.variant == "W2":
+        vals = np.asarray(problem.densities.W(xs, As, lin), dtype=float)
+    else:
+        vals = recession(problem.densities.W, xs, As, lin)
+    return fsum(vals * dom.cell_volume)
 
 
 def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
@@ -150,9 +140,7 @@ def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
     if problem.variant in ("W1", "Gamma1"):
         return interfacial_energy(problem.densities.psi1, facets, widths, problem.x, R)
     jump, inexact = interfacial_energy(problem.densities.psi2, facets, widths, problem.x, R)
-    if problem.variant == "W2":
-        return _bulk_energy_W(problem, field) + jump, inexact
-    return _bulk_energy_recession(problem, field, R) + jump, inexact
+    return _bulk_energy(problem, field, R) + jump, inexact
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +407,8 @@ class GradientZigzagFamily:
 
 
 def _sweep(problem: CellProblem, families, budget: int) -> EstimateResult:
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 (the coarsest parameter grid), got {budget}")
     rows = []
     best = None
     evaluations = 0

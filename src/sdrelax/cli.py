@@ -268,20 +268,26 @@ def _build_sd2(config: dict) -> SD2Triple:
 # ---------------------------------------------------------------------------
 
 
+# the CheckConfig fields a check section may set, each with its coercion
+_CHECK_FIELDS = {"d": int, "N": int, "samples": int, "input_range": float,
+                 "schedule": tuple, "pair_scales": tuple}
+
+
 def _task_check(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
-    densities = _build_densities(config.get("densities", {}))
+    densities_cfg = config.get("densities", {})
+    densities = _build_densities(densities_cfg)
     section = config.get("check", {})
-    _check_keys(section, {"samples", "input_range", "d", "N", "schedule", "pair_scales"},
-                "check.")
+    _check_keys(section, set(_CHECK_FIELDS), "check.")
+    # the dimensions default to the densities section's, the rest to CheckConfig's
+    given = {**{k: densities_cfg[k] for k in ("d", "N") if k in densities_cfg}, **section}
+    kwargs = {}
+    for key, value in given.items():
+        try:
+            kwargs[key] = _CHECK_FIELDS[key](value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad check section: {key}: {err}") from err
     try:
-        cfg = CheckConfig(
-            d=int(section.get("d", config.get("densities", {}).get("d", 2))),
-            N=int(section.get("N", config.get("densities", {}).get("N", 2))),
-            samples=int(section.get("samples", 10_000)),
-            input_range=float(section.get("input_range", 10.0)),
-            seed=seed,
-            schedule=tuple(section.get("schedule", [float(2**k) for k in range(7, 18)])),
-        )
+        cfg = CheckConfig(seed=seed, **kwargs)
     except ValueError as err:
         raise ConfigError(f"bad check section: {err}") from err
     report = check_hypotheses(densities, cfg)

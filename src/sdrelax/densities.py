@@ -9,6 +9,10 @@ attain them, so the sampling checker can validate (not infer) the declared
 values.  Growth-type constants (the linear-growth bound and the recession
 rate of the norm density) are exact for the checker's default probe ranges;
 the factories take the relevant dimensions and ranges as arguments.
+
+``recession`` is the one routine for the recession function W^inf: it
+evaluates a whole batch of points in one call, for the bulk term of the
+second boundary cell formula and for the checker's recession hypotheses.
 """
 
 from __future__ import annotations
@@ -85,25 +89,16 @@ class DensityTriple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RecessionResult:
-    value: float
-    envelope_ok: bool
-    max_envelope_violation: float
-    used_closed_form: bool
-    quotients: tuple = ()
-    tail_sup: float | None = None
+def recession(W: BulkDensity, x, A, M, schedule=None) -> np.ndarray:
+    """The recession function W^inf(x, A, M) = lim W(x, A, tM)/t over a batch.
 
-
-def recession(W: BulkDensity, x, A, M, schedule=None, envelope_tol: float = 1e-9) -> RecessionResult:
-    """Large-argument limit of W(x, A, tM)/t in the third variable.
-
-    The input M is normalized internally and the result rescaled by the
-    degree-one homogeneity of the limit.  The returned value is the quotient
-    at the largest schedule point; ``tail_sup`` additionally reports the max
-    over the last three points as a limsup proxy.  The quantitative-rate
-    diagnostic checks |q(t) - q(s)| <= C (t^-alpha + s^-alpha) across the
-    schedule using the declared constants when available.
+    ``M`` has shape batch + (d, N, N) and ``x``, ``A`` broadcast against the
+    batch; the result holds one value per batch point.  The limit is
+    degree-one homogeneous in M, so M is normalized and the value rescaled:
+    |M| times W's closed form at M/|M| when W ships one, else |M| times the
+    quotient at the largest schedule point, and 0 where M = 0.  How fast the
+    quotients converge is hypothesis H4, which the sampling checker tests on
+    the same schedule.
     """
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
@@ -115,34 +110,16 @@ def recession(W: BulkDensity, x, A, M, schedule=None, envelope_tol: float = 1e-9
     L = W.constants.get("H4.L", 0.0)
     if schedule[-1] <= L:
         raise ValueError(f"schedule must exceed the declared threshold {L}")
-    x = np.asarray(x, dtype=float)
-    A = np.asarray(A, dtype=float)
     M = np.asarray(M, dtype=float)
-    m = float(norm(M, M.ndim))
-    if m == 0.0:
-        return RecessionResult(0.0, True, 0.0, W.recession_closed_form is not None)
-    Mhat = M / m
+    norms = norm(M, 3)
+    # M = 0 rows are evaluated at Mhat = 0 and masked to 0 below
+    Mhat = M / np.where(norms > 0, norms, 1.0)[..., None, None, None]
     if W.recession_closed_form is not None:
-        value = m * float(W.recession_closed_form(x=x, A=A, M=Mhat))
-        return RecessionResult(value, True, 0.0, True)
-    qs = [float(W(x, A, t * Mhat)) / t for t in schedule]
-    value = m * qs[-1]
-    tail_sup = m * max(qs[-3:])
-    alpha = W.constants.get("H4.alpha", 0.5)
-    C = W.constants.get("H4")
-    max_violation = 0.0
-    for i in range(len(schedule)):
-        for j in range(i + 1, len(schedule)):
-            envelope = schedule[i] ** (-alpha) + schedule[j] ** (-alpha)
-            gap = abs(qs[i] - qs[j])
-            if C is not None:
-                max_violation = max(max_violation, gap - C * envelope)
-            else:
-                # no declared rate: flag only plainly non-Cauchy tails
-                max_violation = max(max_violation, gap - envelope * max(abs(q) for q in qs))
-    ok = max_violation <= envelope_tol
-    return RecessionResult(value, ok, max(0.0, max_violation), False,
-                           quotients=tuple(qs), tail_sup=tail_sup)
+        vals = np.asarray(W.recession_closed_form(x=x, A=A, M=Mhat), dtype=float)
+    else:
+        t = schedule[-1]
+        vals = np.asarray(W(x, A, t * Mhat), dtype=float) / t
+    return np.where(norms > 0, norms * vals, 0.0)
 
 
 def extend_homogeneous(psi: Callable, x, payload, theta) -> float:

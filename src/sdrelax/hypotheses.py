@@ -8,7 +8,10 @@ never inferred.  Failures are report entries carrying a concrete witness,
 not exceptions.
 
 Continuity-in-position hypotheses are probed on a finite ladder of pair
-separations; their verdicts mean "consistent with", not proof.
+separations; their verdicts mean "consistent with", not proof.  The
+recession-function bounds read W^inf from ``densities.recession`` on the
+configured schedule, the same routine the cell formulas use; the H4 rate
+test compares the schedule's quotients with their limit.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .densities import BulkDensity, DensityTriple, InterfacialDensity, DEFAULT_SCHEDULE
+from .densities import BulkDensity, DensityTriple, InterfacialDensity, DEFAULT_SCHEDULE, recession
 from .integrate import norm
 
 _TINY = 1e-300
@@ -43,6 +46,18 @@ class CheckConfig:
         if self.samples < MIN_SAMPLES:
             raise ValueError(f"samples must be at least {MIN_SAMPLES} (the structured probes), "
                              f"got {self.samples}")
+        schedule = np.asarray(self.schedule, dtype=float)
+        if (schedule.ndim != 1 or len(schedule) < 3 or not np.all(np.isfinite(schedule))
+                or schedule[0] <= 0.0 or np.any(np.diff(schedule) <= 0.0)):
+            raise ValueError("schedule must be at least 3 finite, positive, strictly increasing "
+                             f"points, got {list(self.schedule)}")
+        scales = np.asarray(self.pair_scales, dtype=float)
+        if scales.ndim != 1 or len(scales) == 0 or not np.all(np.isfinite(scales) & (scales > 0.0)):
+            raise ValueError(f"pair_scales must be a non-empty list of finite values > 0, "
+                             f"got {list(self.pair_scales)}")
+        # the h2infty probe draws its scales from [0.5, input_range]
+        if not (np.isfinite(self.input_range) and self.input_range >= 0.5):
+            raise ValueError(f"input_range must be finite and at least 0.5, got {self.input_range}")
 
     def lower(self) -> np.ndarray:
         return np.zeros(self.N) if self.domain_lower is None else np.asarray(self.domain_lower, dtype=float)
@@ -275,8 +290,8 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     M2s = np.concatenate([scale2 * Md2, 2.0 * scale1[: half4 // 2] * Md1[: half4 // 2]])
     x2s = np.concatenate([x4[:half4], x4[: half4 // 2]])
     A2s = np.concatenate([A4[:half4], A4[: half4 // 2]])
-    winf_1 = _winf_batch(W, x2s, A2s, M1s, schedule)
-    winf_2 = _winf_batch(W, x2s, A2s, M2s, schedule)
+    winf_1 = recession(W, x2s, A2s, M1s, schedule)
+    winf_2 = recession(W, x2s, A2s, M2s, schedule)
     den = norm(M1s - M2s, 3)
     mask = den > 1e-12
     ratios = np.where(mask, np.abs(winf_1 - winf_2) / np.where(mask, den, 1.0), 0.0)
@@ -286,8 +301,8 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     x0 = _sample_x(cfg, rng, half4)
     dx = cfg.pair_scales[-1] * _sample_unit(rng, half4, N)
     x1 = np.clip(x0 + dx, cfg.lower(), cfg.upper())
-    winf_a = _winf_batch(W, x0, A4[:half4], Mdir[:half4], schedule)
-    winf_b = _winf_batch(W, x1, A4[:half4], Mdir[:half4], schedule)
+    winf_a = recession(W, x0, A4[:half4], Mdir[:half4], schedule)
+    winf_b = recession(W, x1, A4[:half4], Mdir[:half4], schedule)
     sep = np.linalg.norm(x1 - x0, axis=1)
     mask = sep > 1e-12
     ratio = np.where(mask, np.abs(winf_a - winf_b) / np.where(mask, sep, 1.0), 0.0)
@@ -295,19 +310,6 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
                                len(ratio), _argmax_witness(ratio, x0=x0, x1=x1),
                                note="finite separation ladder; consistent-with, not a proof")
     return out
-
-
-def _winf_batch(W: BulkDensity, x, A, M, schedule) -> np.ndarray:
-    norms = norm(M, 3)
-    safe = np.where(norms > 0, norms, 1.0)
-    Mhat = M / safe[..., None, None, None]
-    if W.recession_closed_form is not None:
-        vals = np.asarray(W.recession_closed_form(x=x, A=A, M=Mhat), dtype=float)
-        vals = np.broadcast_to(vals, norms.shape).astype(float)
-    else:
-        t = float(schedule[-1])
-        vals = np.asarray(W(x, A, t * Mhat), dtype=float) / t
-    return np.where(norms > 0, norms * vals, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Per-facet and per-cell loops that the array code in ``sdrelax`` replaced.
+"""Per-facet, per-cell and per-point loops that the array code in ``sdrelax`` replaced.
 
 They build one ``JumpFacet`` per facet and one dict per outer face, filter
-and sum facet by facet, integrate the tensor L1 norm cell by cell, and check
-admissibility face by face.  The property tests in ``test_facet_table.py``
+and sum facet by facet, integrate the tensor L1 norm cell by cell, check
+admissibility face by face, evaluate the recession function one point at a
+time and price the Gamma2 bulk term cell by cell.  The property tests in
+``test_facet_table.py``, ``test_densities.py`` and ``test_cellformulas.py``
 require the array code to reproduce their results bit for bit.
 """
 
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sdrelax.cellformulas import ADMISSIBILITY_TOL
+from sdrelax.densities import DEFAULT_SCHEDULE
 from sdrelax.fields import StepBoundary
 from sdrelax.integrate import box_abs_affine, fsum, gauss_legendre_points
 from sdrelax.integrate import norm as _vnorm
@@ -331,3 +334,37 @@ def check_admissibility(problem, field) -> tuple[bool, float]:
         want = prescription(rec["centroid"][None])[0]
         residual = max(residual, float(np.max(np.abs(rec["effective"] - want))))
     return residual <= ADMISSIBILITY_TOL, residual
+
+
+def recession(W, x, A, M, schedule=None) -> float:
+    """W^inf at one point: |M| times the closed form at M/|M|, else |M| times
+    the quotient W(x, A, t M/|M|)/t at the last schedule point; 0 at M = 0."""
+    if schedule is None:
+        schedule = DEFAULT_SCHEDULE
+    x = np.asarray(x, dtype=float)
+    A = np.asarray(A, dtype=float)
+    M = np.asarray(M, dtype=float)
+    m = float(_vnorm(M, M.ndim))
+    if m == 0.0:
+        return 0.0
+    Mhat = M / m
+    if W.recession_closed_form is not None:
+        return m * float(W.recession_closed_form(x=x, A=A, M=Mhat))
+    t = float(schedule[-1])
+    return m * (float(W(x, A, t * Mhat)) / t)
+
+
+def bulk_energy_recession(problem, field, R) -> float:
+    """The Gamma2 bulk term: one recession call per distinct cell gradient."""
+    dom = field.domain
+    lin = field.lin.reshape((-1,) + field.value_shape + (dom.ndim,))
+    if R is not None:
+        lin = np.einsum("...k,mk->...m", lin, R)
+    cache: dict[bytes, float] = {}
+    terms = []
+    for cell_lin in lin:
+        key = np.round(cell_lin, 14).tobytes()
+        if key not in cache:
+            cache[key] = recession(problem.densities.W, problem.x, problem.A, cell_lin)
+        terms.append(cache[key] * dom.cell_volume)
+    return fsum(terms)

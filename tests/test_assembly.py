@@ -8,7 +8,7 @@ from sdrelax import assembly
 from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
 from sdrelax.cellformulas import EstimationError
 from sdrelax.constructions import SD2Triple, approximating_sequence
-from sdrelax.densities import example_triple, norm_triple
+from sdrelax.densities import example_triple, norm_triple, triple_from_expressions
 from sdrelax.energy import total_energy
 from sdrelax.fields import BoxDomain, PiecewiseAffineField
 from sdrelax.trace_formula import bulk_relaxed_energy_example
@@ -211,6 +211,22 @@ class TestJumpSurfaces:
                                           AssembleConfig(gamma2_representative=rep_choice))
             values.add(rep.surf2.upper)
         assert len(values) == 1  # norm densities ignore the frozen slot
+
+    def test_representative_reaches_the_recession_term(self):
+        # W = |M| (|A| - 2) has a recession that changes sign with the frozen
+        # slot A, so the three representatives price the G jumps differently
+        rng = np.random.default_rng(8)
+        dom = BoxDomain([0.0, 0.0], [1.0, 1.0], [2, 2])
+        g = PiecewiseAffineField(dom, rng.standard_normal((2, 2, 2)),
+                                 rng.standard_normal((2, 2, 2, 2)))
+        G = PiecewiseAffineField(dom, rng.standard_normal((2, 2, 2, 2)))
+        sd2 = SD2Triple(g, G, np.zeros((2, 2, 2, 2, 2)))
+        densities = triple_from_expressions("norm(M)*(norm(A) - 2)", "norm(lam)", "norm(Lam)")
+        upper = {rep: assemble_relaxed_energy(sd2, densities, AssembleConfig(
+                     budget=2, gamma2_representative=rep)).surf2.upper
+                 for rep in ("average", "plus", "minus")}
+        assert upper == {"average": 7.301904176507416, "plus": 7.367350457438638,
+                         "minus": 6.116363856347059}
 
 
 def random_field(domain, value_shape, rng):

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from sdrelax.cellformulas import (
     CellProblem,
+    ElementaryJumpFamily,
     EstimationError,
+    GradientZigzagFamily,
     InclusionFamily,
+    SplittingFamily,
     check_admissibility,
+    competitor_energy,
     estimate_W1,
     estimate_W2,
     estimate_gamma1,
@@ -20,6 +25,7 @@ from sdrelax.densities import (
     psi1_norm,
     psi1_weighted,
     psi2_norm,
+    triple_from_expressions,
 )
 from sdrelax.trace_formula import closed_form_W2
 
@@ -179,7 +185,36 @@ class TestGamma2:
         assert r.upper == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
+class TestGamma2BulkReference:
+    """The batched recession bulk term against the per-cell reference loop."""
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("W", ["norm", "norm(M)*(norm(A) - 2)"])
+    def test_every_competitor_matches_bitwise(self, N, W):
+        densities = norm_triple(d=2, N=N) if W == "norm" else \
+            triple_from_expressions(W, "norm(lam)", "norm(Lam)")
+        rng = np.random.default_rng(10 * N + len(W))
+        nu = rng.standard_normal(N)
+        problem = CellProblem("Gamma2", rng.uniform(0.0, 1.0, N), densities,
+                              A=rng.standard_normal((2, N)), Lam=rng.standard_normal((2, N)),
+                              nu=nu / np.linalg.norm(nu))
+        bulk_terms = []
+        for family in (ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()):
+            for params in family.candidates(problem, 2):
+                field, R = family.build(problem, params)
+                bulk = ref.bulk_energy_recession(problem, field, R)
+                jump, _ = ref.facet_energy(densities.psi2, field, problem.x, R)
+                assert competitor_energy(problem, field, R)[0] == bulk + jump
+                bulk_terms.append(bulk)
+        assert any(b != 0.0 for b in bulk_terms)  # the zigzag pays bulk
+
+
 class TestSweepMechanics:
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            estimate_W1(X0, np.eye(2), NT, budget=budget)
+
     def test_budget_monotone(self):
         rng = np.random.default_rng(4)
         for _ in range(5):

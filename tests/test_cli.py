@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +155,15 @@ class TestDeterminism:
 
 
 class TestOutputs:
+    def test_check_section_reaches_the_checker(self, tmp_path):
+        payload = json.loads(json.dumps(CHECK_CONFIG))
+        payload["check"] = {"samples": 200, "pair_scales": [0.5]}
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        report = json.loads((tmp_path / "report.json").read_text())["report"]
+        assert report["config"]["pair_scales"] == [0.5]
+        assert report["results"]["H3"]["samples"] == 100  # one rung of 100 pairs
+
     def test_sweep_csv_schema(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CONFIG)
         assert run(cfg, out_dir=str(tmp_path)) == 0
@@ -275,7 +285,7 @@ class TestNonFinite:
         payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
         payload["fields"]["g"] = {"linear": [[float("nan")]]}
         cfg = write_config(tmp_path, payload)
-        assert "NaN" in open(cfg).read()
+        assert "NaN" in Path(cfg).read_text()
         assert run(cfg, out_dir=str(tmp_path)) == 2
         assert not (tmp_path / "relax.json").exists()
         assert "non-finite" in capsys.readouterr().err
@@ -381,6 +391,20 @@ class TestIngestionErrors:
         assert run(cfg, out_dir=str(tmp_path)) == 2
         assert "at least 64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("schedule", [0.0, 1.0, 2.0]), ("schedule", [-1.0, 2.0, 3.0]), ("schedule", [4.0, 2.0, 8.0]),
+        ("schedule", []), ("schedule", 5), ("pair_scales", []), ("pair_scales", [0.1, 0.0]),
+        ("input_range", 0.3),
+    ])
+    def test_bad_check_ladder_exit_2(self, tmp_path, capsys, key, value):
+        payload = json.loads(json.dumps(CHECK_CONFIG))
+        payload["check"][key] = value
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "bad check section" in err and key in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("which, name", [("W", "W_norm"), ("psi1", "Psi1_norm")])
     def test_unknown_catalog_param_exit_2(self, tmp_path, capsys, which, name):
         payload = json.loads(json.dumps(CHECK_CONFIG))
@@ -454,6 +478,18 @@ class TestLibraryValueErrors:
         assert run(cfg, out_dir=str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
+    @pytest.mark.parametrize("payload", [
+        {**SWEEP_CONFIG, "cell": {**SWEEP_CONFIG["cell"], "budget": 0}},
+        {**SWEEP_CONFIG, "cell": {**SWEEP_CONFIG["cell"], "budget": -1}},
+        {**ASSEMBLE_CONFIG, "assemble": {"budget": 0}},
+    ], ids=["sweep-budget-0", "sweep-budget-minus-1", "assemble-budget-0"])
+    def test_budget_below_one_exit_2(self, tmp_path, capsys, payload):
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "budget must be at least 1" in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
 
 

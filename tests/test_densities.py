@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
+
 from sdrelax.densities import (
     BulkDensity,
     DensityTriple,
@@ -19,6 +21,7 @@ from sdrelax.densities import (
     psi2_norm,
     psi2_proj,
     recession,
+    triple_from_expressions,
 )
 
 
@@ -30,12 +33,12 @@ class TestRecession:
         M = np.zeros((2, 2, 2))
         M[0, 0, 0] = 1.0
         res = recession(W, np.zeros(2), A, M)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
-        assert res.used_closed_form
+        assert res.shape == ()
+        assert float(res) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_density(self):
         res = recession(bulk_zero(), np.zeros(2), np.zeros((2, 2)), np.ones((2, 2, 2)))
-        assert res.value == 0.0
+        assert float(res) == 0.0
 
     def test_sublinear_term_at_1e4(self):
         # W = |M| + sqrt(1 + |M|): quotient at t = 1e4 within 2e-2 of 1
@@ -46,8 +49,7 @@ class TestRecession:
         W = BulkDensity("sqrt_growth", fn, constants={"H4.alpha": 0.5, "H4": 1.01, "H4.L": 1.0})
         M = np.ones((2, 2, 2)) / math.sqrt(8.0)
         res = recession(W, np.zeros(2), np.zeros((2, 2)), M, schedule=[1e2, 1e3, 1e4])
-        assert abs(res.value - 1.0) < 2e-2
-        assert res.envelope_ok
+        assert abs(float(res) - 1.0) < 2e-2
 
     def test_norm_density_large_schedules(self):
         # exact |M| for every schedule ending past 1e3, within 1e-2
@@ -58,7 +60,7 @@ class TestRecession:
         for schedule in ([10.0, 100.0, 1e3], [50.0, 1e3, 1e5], [2.0**7, 2.0**12, 2.0**17]):
             res = recession(W_numeric, np.zeros(2), np.zeros((1, 2)), M, schedule=schedule)
             expected = float(np.sqrt(np.sum(M * M)))
-            assert res.value == pytest.approx(expected, abs=1e-2)
+            assert float(res) == pytest.approx(expected, abs=1e-2)
 
     def test_short_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -67,7 +69,44 @@ class TestRecession:
 
     def test_zero_direction(self):
         res = recession(bulk_norm(), np.zeros(2), np.ones((2, 2)), np.zeros((2, 2, 2)))
-        assert res.value == 0.0
+        assert float(res) == 0.0
+
+
+def _without_closed_form(W: BulkDensity) -> BulkDensity:
+    return BulkDensity(W.name, W.fn, constants=W.constants, recession_closed_form=None)
+
+
+RECESSION_DENSITIES = {
+    "W_norm": lambda d, N: bulk_norm(d=d, N=N),
+    "W_norm numeric": lambda d, N: _without_closed_form(bulk_norm(d=d, N=N)),
+    "W_zero": lambda d, N: bulk_zero(d=d, N=N),
+    "dot": lambda d, N: triple_from_expressions(
+        "norm(dot(M, x)) + norm(A)*(x[0] - 1)", "norm(lam)", "norm(Lam)").W,
+}
+
+
+@st.composite
+def recession_batches(draw):
+    """A density, a schedule, (x, A, M) for batch shape () or (n,), some M rows zero."""
+    d, N = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    W = RECESSION_DENSITIES[draw(st.sampled_from(sorted(RECESSION_DENSITIES)))](d, N)
+    schedule = draw(st.sampled_from([None, (3.0, 30.0, 300.0)]))
+    batch = draw(st.sampled_from([(), (draw(st.integers(1, 6)),)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, batch + (1, 1, 1))
+    M = scale * rng.standard_normal(batch + (d, N, N))
+    M[rng.random(batch) < 0.3] = 0.0
+    return W, schedule, rng.uniform(0.0, 1.0, batch + (N,)), rng.standard_normal(batch + (d, N)), M
+
+
+@settings(max_examples=200, deadline=None)
+@given(recession_batches())
+def test_batched_recession_matches_per_point_reference(case):
+    W, schedule, x, A, M = case
+    got = recession(W, x, A, M, schedule)
+    assert isinstance(got, np.ndarray) and got.shape == M.shape[:-3]
+    for i in np.ndindex(got.shape):
+        assert got[i] == ref.recession(W, x[i], A[i], M[i], schedule)
 
 
 class TestExtendHomogeneous:

@@ -46,6 +46,37 @@ class TestSampleCount:
         assert "H3" in report.results and "H6.psi2" in report.results
 
 
+class TestLadderValidation:
+    @pytest.mark.parametrize("schedule", [
+        [0.0, 1.0, 2.0], [-1.0, 2.0, 3.0], [4.0, 2.0, 8.0], [1.0, 1.0, 2.0], [],
+        [1.0, 2.0], [1.0, 2.0, float("inf")], [1.0, float("nan"), 3.0],
+    ])
+    def test_bad_schedule_rejected(self, schedule):
+        with pytest.raises(ValueError, match="schedule"):
+            CheckConfig(schedule=tuple(schedule))
+
+    @pytest.mark.parametrize("scales", [[], [0.0], [0.1, -0.01], [float("inf")], [float("nan")]])
+    def test_bad_pair_scales_rejected(self, scales):
+        with pytest.raises(ValueError, match="pair_scales"):
+            CheckConfig(pair_scales=tuple(scales))
+
+    @pytest.mark.parametrize("input_range", [0.0, 0.49, -1.0, float("inf"), float("nan")])
+    def test_bad_input_range_rejected(self, input_range):
+        with pytest.raises(ValueError, match="input_range"):
+            CheckConfig(input_range=input_range)
+
+    def test_schedule_must_pass_the_declared_threshold(self):
+        # W_norm declares H4.L = 1: the recession is read past it
+        cfg = CheckConfig(samples=MIN_SAMPLES, seed=7, schedule=(0.25, 0.5, 1.0))
+        with pytest.raises(ValueError, match="threshold"):
+            check_hypotheses(norm_triple(), cfg)
+
+    def test_edge_values_run(self):
+        cfg = CheckConfig(samples=MIN_SAMPLES, seed=7, input_range=0.5, pair_scales=(0.5,),
+                          schedule=(2.0, 4.0, 8.0))
+        assert check_hypotheses(norm_triple(), cfg).results["H3"].samples == MIN_SAMPLES
+
+
 class TestPlantedViolator:
     def test_square_norm_caught_on_homogeneity(self):
         results = check_interfacial(psi1_square(), "psi1", CFG)
