@@ -10,10 +10,12 @@ split into a first-gradient part and a second-gradient part whose sum is the
 total by construction.
 
 Cells and facets are solved one after another, in grid and table order.
-Identical cell problems are solved once: estimates are memoized under their
-quantized arguments, which changes no reported digit at the default
-quantization because the estimators are deterministic.  ``jobs`` is only
-recorded in the report; nothing runs in parallel.
+Identical cell problems are solved once: each estimate is memoized under the
+exact float bits of its arguments (``-0.0`` folded into ``0.0``, and the
+position zeroed for densities that declare no dependence on it).  Only
+bit-equal problems share a solve, and the estimators are deterministic, so
+the memo changes no reported digit; every cell and facet is priced at its
+own data.
 """
 
 from __future__ import annotations
@@ -41,11 +43,8 @@ class AssembleConfig:
     budget: int = 1
     resolution: int = 4
     w2_resolution: int = 8
-    quantize: float = 1e-6
-    cache: bool = True
     w2_estimator: str = "families"          # families | trace-formula
     gamma2_representative: str = "average"  # average | plus | minus
-    jobs: int = 1
     collect_cells: bool = False
 
     def to_dict(self) -> dict:
@@ -53,11 +52,8 @@ class AssembleConfig:
             "budget": self.budget,
             "resolution": self.resolution,
             "w2_resolution": self.w2_resolution,
-            "quantize": self.quantize,
-            "cache": self.cache,
             "w2_estimator": self.w2_estimator,
             "gamma2_representative": self.gamma2_representative,
-            "jobs": self.jobs,
         }
 
 
@@ -104,43 +100,10 @@ class RelaxedEnergyReport:
         }
 
 
-class _EstimateCache:
-    """Compute-once memo keyed by quantized arguments.
-
-    Misses equal the number of distinct keys; with the memo disabled every
-    call is a miss.
-    """
-
-    def __init__(self, quantize: float, enabled: bool):
-        self.q = quantize
-        self.enabled = enabled
-        self.store: dict = {}
-        self.hits = 0
-        self.misses = 0
-
-    def key(self, variant: str, *arrays) -> tuple:
-        parts = [variant]
-        for a in arrays:
-            with np.errstate(over="ignore"):  # an overflow is caught as inf just below
-                steps = np.round(np.asarray(a, dtype=float) / self.q)
-            if not np.all(np.isfinite(steps)):
-                raise ValueError(f"quantize {self.q!r} is too small for the cell data: "
-                                 "a quantized value overflows")
-            # float bits, so no integer cast can wrap; + 0.0 folds -0.0 into 0.0
-            parts.append((steps + 0.0).tobytes())
-        return tuple(parts)
-
-    def get_or_compute(self, variant, arrays, compute):
-        if not self.enabled:
-            self.misses += 1
-            return compute()
-        k = self.key(variant, *arrays)
-        if k in self.store:
-            self.hits += 1
-            return self.store[k]
-        self.misses += 1
-        self.store[k] = compute()
-        return self.store[k]
+def _bracket(results, weights) -> TermBracket:
+    """Sum of weighted brackets; a missing or negative lower bound counts as 0."""
+    return TermBracket(fsum([r.upper * w for r, w in zip(results, weights)]),
+                       fsum([max(0.0, r.lower or 0.0) * w for r, w in zip(results, weights)]))
 
 
 def _trace_formula_estimate(x, L_bil, M_bil, a) -> EstimateResult:
@@ -167,8 +130,6 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
                              "and the directional-jump interfacial density")
     if config.gamma2_representative not in ("average", "plus", "minus"):
         raise ValueError(f"unknown trace representative {config.gamma2_representative!r}")
-    if not (np.isfinite(config.quantize) and config.quantize > 0):
-        raise ValueError(f"quantize must be finite and > 0, got {config.quantize!r}")
 
     g, G, Gamma = sd2.g, sd2.G, sd2.Gamma
     dom = G.domain
@@ -180,32 +141,41 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
     A2 = G.const.reshape((-1,) + G.value_shape)
     L_field = G.lin.reshape((-1,) + G.value_shape + (N,))
     M_field = Gamma.reshape((-1,) + G.value_shape + (N,))
-    cache = _EstimateCache(config.quantize, config.cache)
     # densities with declared zero position modulus let identical cell
     # problems at different points share one solve
     x_free_1 = densities.psi1.constants.get("H6") == 0.0
     x_free_2 = (densities.W.constants.get("H3") == 0.0
                 and densities.psi2.constants.get("H6") == 0.0)
     zero_x = np.zeros(N)
+    memo: dict[tuple, EstimateResult] = {}
+    lookups = 0
+
+    def lookup(variant: str, args: tuple, solve) -> EstimateResult:
+        nonlocal lookups
+        lookups += 1
+        # exact float bits (+ 0.0 folds -0.0 into 0.0); each variant has fixed shapes
+        key = (variant,) + tuple((np.asarray(a, dtype=float) + 0.0).tobytes() for a in args)
+        if key not in memo:
+            memo[key] = solve()
+        return memo[key]
 
     def solve_cell(i: int) -> tuple[EstimateResult, EstimateResult]:
         x = centers[i]
         L_bil = swap_layout(L_field[i])
         M_bil = swap_layout(M_field[i])
         try:
-            r1 = cache.get_or_compute(
-                "W1", (zero_x if x_free_1 else x, A1[i]),
-                lambda: estimate_W1(x, A1[i], densities, budget=config.budget,
-                                    resolution=config.resolution))
+            r1 = lookup("W1", (zero_x if x_free_1 else x, A1[i]),
+                        lambda: estimate_W1(x, A1[i], densities, budget=config.budget,
+                                            resolution=config.resolution))
             if config.w2_estimator == "trace-formula":
-                r2 = cache.get_or_compute(
-                    "W2t", (zero_x if x_free_2 else x, L_bil, M_bil),
-                    lambda: _trace_formula_estimate(x, L_bil, M_bil, densities.psi2.params["a"]))
+                r2 = lookup("W2t", (zero_x if x_free_2 else x, L_bil, M_bil),
+                            lambda: _trace_formula_estimate(x, L_bil, M_bil,
+                                                            densities.psi2.params["a"]))
             else:
-                r2 = cache.get_or_compute(
-                    "W2", (zero_x if x_free_2 else x, A2[i], L_bil, M_bil),
-                    lambda: estimate_W2(x, A2[i], L_bil, M_bil, densities, budget=config.budget,
-                                        resolution=config.w2_resolution))
+                r2 = lookup("W2", (zero_x if x_free_2 else x, A2[i], L_bil, M_bil),
+                            lambda: estimate_W2(x, A2[i], L_bil, M_bil, densities,
+                                                budget=config.budget,
+                                                resolution=config.w2_resolution))
             return r1, r2
         except EstimationError as err:
             raise EstimationError(
@@ -213,27 +183,16 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
                 f"A1={A1[i].tolist()}, L={L_bil.tolist()}, M={M_bil.tolist()}") from err
 
     cell_results = [solve_cell(i) for i in range(cells)]
-
-    bulk1 = TermBracket(
-        fsum([r1.upper * vol for r1, _ in cell_results]),
-        fsum([max(0.0, r1.lower or 0.0) * vol for r1, _ in cell_results]),
-    )
-    bulk2 = TermBracket(
-        fsum([r2.upper * vol for _, r2 in cell_results]),
-        fsum([max(0.0, r2.lower or 0.0) * vol for _, r2 in cell_results]),
-    )
+    bulk1 = _bracket([r1 for r1, _ in cell_results], [vol] * cells)
+    bulk2 = _bracket([r2 for _, r2 in cell_results], [vol] * cells)
 
     facets_g = g.jump_set()
-    surf1_up, surf1_lo = [], []
-    for centroid, jump, normal, area in zip(facets_g.centroid, facets_g.jump, facets_g.normal,
-                                            facets_g.area):
-        r = cache.get_or_compute(
-            "G1", (zero_x if x_free_1 else centroid, jump, normal),
-            lambda: estimate_gamma1(centroid, jump, normal, densities,
-                                    budget=config.budget, resolution=config.resolution))
-        surf1_up.append(r.upper * area)
-        surf1_lo.append(max(0.0, r.lower or 0.0) * area)
-    surf1 = TermBracket(fsum(surf1_up), fsum(surf1_lo))
+    surf1 = _bracket([
+        lookup("G1", (zero_x if x_free_1 else centroid, jump, normal),
+               lambda: estimate_gamma1(centroid, jump, normal, densities,
+                                       budget=config.budget, resolution=config.resolution))
+        for centroid, jump, normal in zip(facets_g.centroid, facets_g.jump, facets_g.normal)
+    ], facets_g.area)
 
     facets_G = G.jump_set()
     # the plus/minus representatives are mean +- half the jump; reading the
@@ -242,16 +201,13 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
     if config.gamma2_representative != "average":
         half = 0.5 * facets_G.jump
         reps = reps + half if config.gamma2_representative == "plus" else reps - half
-    surf2_up, surf2_lo = [], []
-    for centroid, rep, jump, normal, area in zip(facets_G.centroid, reps, facets_G.jump,
-                                                 facets_G.normal, facets_G.area):
-        r = cache.get_or_compute(
-            "G2", (zero_x if x_free_2 else centroid, rep, jump, normal),
-            lambda: estimate_gamma2(centroid, rep, jump, normal, densities,
-                                    budget=config.budget, resolution=config.resolution))
-        surf2_up.append(r.upper * area)
-        surf2_lo.append(max(0.0, r.lower or 0.0) * area)
-    surf2 = TermBracket(fsum(surf2_up), fsum(surf2_lo))
+    surf2 = _bracket([
+        lookup("G2", (zero_x if x_free_2 else centroid, rep, jump, normal),
+               lambda: estimate_gamma2(centroid, rep, jump, normal, densities,
+                                       budget=config.budget, resolution=config.resolution))
+        for centroid, rep, jump, normal in zip(facets_G.centroid, reps, facets_G.jump,
+                                               facets_G.normal)
+    ], facets_G.area)
 
     cell_rows = []
     if config.collect_cells:
@@ -270,6 +226,6 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
         bulk1=bulk1, bulk2=bulk2, surf1=surf1, surf2=surf2,
         I1=I1, I2=I2, total=total,
         cells=cells, facets_g=len(facets_g), facets_G=len(facets_G),
-        cache_hits=cache.hits, cache_misses=cache.misses,
+        cache_hits=lookups - len(memo), cache_misses=len(memo),
         config=config.to_dict(), cell_rows=cell_rows,
     )

@@ -2,12 +2,13 @@
 
 One task per invocation.  Anything nontrivial lives in a single JSON config
 file; flags cover only paths, seed, strictness, and a ``jobs`` value that is
-recorded in the report (nothing runs in parallel).
+recorded at the top of the report (nothing runs in parallel).
 Every report embeds the fully resolved config for reproducibility, and
 repeated runs with the same config and seed are byte-identical up to the
 timestamp field.
 
-Exit codes: 0 success, 2 config validation error (non-finite input and any
+Exit codes: 0 success, 2 config validation error (unknown keys, a section
+that is not an object, a value of the wrong type, non-finite input and any
 value the library rejects with ``ValueError`` included), 3 estimator failure
 or a non-finite result, 4 hypothesis-check hard failures under --strict.
 """
@@ -77,11 +78,41 @@ def _require_finite(name: str, *arrays):
             raise ConfigError(f"{name} has non-finite values")
 
 
-def _finite_array(value, name: str) -> np.ndarray:
+def _floats(value) -> np.ndarray:
     """``value`` as a float array with finite entries only."""
     arr = np.asarray(value, dtype=float)
-    _require_finite(name, arr)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite values")
     return arr
+
+
+def _typed(kind: type, what: str):
+    """A coercion that passes values of ``kind`` through and refuses the rest."""
+
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"must be {what}, got {type(value).__name__}")
+        return value
+
+    return check
+
+
+_object = _typed(dict, "an object")
+_text = _typed(str, "a string")
+_flag = _typed(bool, "true or false")  # not bool(): bool("false") is True
+
+
+def _ints(value) -> list:
+    return [int(n) for n in value]
+
+
+def _int_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=int)
+
+
+def _expressions(value):
+    """One component expression, or a nested list of them."""
+    return [_expressions(v) for v in value] if isinstance(value, list) else _text(value)
 
 
 def _require_finite_field(name: str, field: PiecewiseAffineField):
@@ -95,10 +126,25 @@ def _require_finite_field(name: str, field: PiecewiseAffineField):
     _require_finite(f"field {name!r}", *arrays)
 
 
-def _check_keys(section: dict, allowed: set, path: str):
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}{key!r}")
+def _options(section, fields: dict, name: str) -> dict:
+    """The keys an object section gives, each coerced by its entry in ``fields``.
+
+    A section that is not an object, an unknown key and a value that does not
+    coerce are config errors naming ``name.key``; ``name`` is empty at the top.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name or 'config'} must be an object, got {type(section).__name__}")
+    prefix = f"{name}." if name else ""
+    out = {}
+    for key, value in section.items():
+        if key not in fields:
+            raise ConfigError(f"unknown key {prefix}{key!r}")
+        try:
+            out[key] = fields[key](value)
+        except (TypeError, ValueError) as err:
+            where = f"{name} section" if name else "config"
+            raise ConfigError(f"bad {where}: {prefix}{key}: {err}") from err
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,44 +153,50 @@ def _check_keys(section: dict, allowed: set, path: str):
 
 
 def _build_domain(cfg: dict) -> BoxDomain:
-    _check_keys(cfg, {"lower", "upper", "resolution"}, "domain.")
+    opts = _options(cfg, {"lower": _floats, "upper": _floats, "resolution": _int_array},
+                    "domain")
     try:
-        domain = BoxDomain(cfg["lower"], cfg["upper"], cfg["resolution"])
+        return BoxDomain(opts["lower"], opts["upper"], opts["resolution"])
     except KeyError as err:
         raise ConfigError(f"domain section missing {err}") from err
-    _require_finite("domain", domain.lower, domain.upper)
-    return domain
 
 
 def _build_density_component(which: str, cfg: dict, d: int, N: int):
-    _check_keys(cfg, {"catalog", "params", "expression"}, f"densities.{which}.")
+    path = f"densities.{which}"
+    cfg = _options(cfg, {"catalog": _text, "params": _object, "expression": _text}, path)
     if "catalog" in cfg:
         params = dict(cfg.get("params", {}))
-        d = int(params.pop("d", d))
-        N = int(params.pop("N", N))
+        dims = _options({k: params.pop(k) for k in ("d", "N") if k in params},
+                        {"d": int, "N": int}, f"{path}.params")
         try:
-            return catalog(cfg["catalog"], d=d, N=N, **params)
+            return catalog(cfg["catalog"], d=dims.get("d", d), N=dims.get("N", N), **params)
+        except KeyError as err:  # an unknown catalog name
+            raise ConfigError(f"bad density {path}: {err.args[0]}") from err
         except ValueError as err:
-            raise ConfigError(f"bad density densities.{which}: {err}") from err
+            raise ConfigError(f"bad density {path}: {err}") from err
     if "expression" in cfg:
         raise ConfigError("per-component expressions are given together; "
                           "use densities.expressions")
     raise ConfigError(f"densities.{which} needs a catalog name")
 
 
+_DENSITY_FIELDS = {"W": _object, "psi1": _object, "psi2": _object, "expressions": _object,
+                   "d": int, "N": int}
+
+
 def _build_densities(cfg: dict) -> DensityTriple:
-    _check_keys(cfg, {"W", "psi1", "psi2", "expressions", "d", "N"}, "densities.")
-    d = int(cfg.get("d", 2))
-    N = int(cfg.get("N", 2))
+    cfg = _options(cfg, _DENSITY_FIELDS, "densities")
+    d = cfg.get("d", 2)
+    N = cfg.get("N", 2)
     if "expressions" in cfg:
-        ex = cfg["expressions"]
-        _check_keys(ex, {"W", "psi1", "psi2", "coercive_bulk", "coercive_interfacial"},
-                    "densities.expressions.")
+        ex = _options(cfg["expressions"], {"W": _text, "psi1": _text, "psi2": _text,
+                                           "coercive_bulk": _flag, "coercive_interfacial": _flag},
+                      "densities.expressions")
         try:
             return triple_from_expressions(
                 ex["W"], ex["psi1"], ex["psi2"],
-                coercive_bulk=bool(ex.get("coercive_bulk", True)),
-                coercive_interfacial=bool(ex.get("coercive_interfacial", True)),
+                coercive_bulk=ex.get("coercive_bulk", True),
+                coercive_interfacial=ex.get("coercive_interfacial", True),
             )
         except ExpressionError as err:
             raise ConfigError(f"bad density expression: {err}") from err
@@ -197,9 +249,12 @@ def _sample_expression_field(domain: BoxDomain, exprs, grad_exprs=None) -> Piece
     return PiecewiseAffineField(domain, const, lin)
 
 
+_FIELD_FIELDS = {"file": _text, "expression": _expressions, "grad_expression": _expressions,
+                 "constant": _floats, "linear": _floats}
+
+
 def _build_field(domain: BoxDomain, cfg: dict, name: str) -> PiecewiseAffineField:
-    _check_keys(cfg, {"file", "expression", "grad_expression", "constant", "linear"},
-                f"fields.{name}.")
+    cfg = _options(cfg, _FIELD_FIELDS, f"fields.{name}")
     if "file" in cfg:
         try:
             with open(cfg["file"]) as fh:
@@ -212,14 +267,14 @@ def _build_field(domain: BoxDomain, cfg: dict, name: str) -> PiecewiseAffineFiel
         except ExpressionError as err:
             raise ConfigError(f"bad field expression for {name!r}: {err}") from err
     elif "linear" in cfg:
-        lin = np.asarray(cfg["linear"], dtype=float)
+        lin = cfg["linear"]
         centers = domain.cell_centers()
         const = np.einsum("...k,ck->c...", lin, centers.reshape(-1, domain.ndim))
         const = const.reshape(domain.cells_shape + lin.shape[:-1])
         linb = np.broadcast_to(lin, domain.cells_shape + lin.shape).copy()
         field = PiecewiseAffineField(domain, const, linb)
     elif "constant" in cfg:
-        value = np.asarray(cfg["constant"], dtype=float)
+        value = cfg["constant"]
         const = np.broadcast_to(value, domain.cells_shape + value.shape).copy()
         field = PiecewiseAffineField(domain, const)
     else:
@@ -232,23 +287,29 @@ def _build_sd2(config: dict) -> SD2Triple:
     if "domain" not in config:
         raise ConfigError("missing domain section")
     domain = _build_domain(config["domain"])
-    fields_cfg = config.get("fields")
-    if fields_cfg is None:
+    if "fields" not in config:
         raise ConfigError("missing fields section")
-    _check_keys(fields_cfg, {"g", "G", "Gamma"}, "fields.")
-    g = _build_field(domain, fields_cfg["g"], "g")
-    G = _build_field(domain, fields_cfg["G"], "G")
+    fields_cfg = _options(config["fields"], {"g": _object, "G": _object, "Gamma": _object},
+                          "fields")
+    try:
+        g = _build_field(domain, fields_cfg["g"], "g")
+        G = _build_field(domain, fields_cfg["G"], "G")
+    except KeyError as err:
+        raise ConfigError(f"fields section missing {err}") from err
     gamma_cfg = fields_cfg.get("Gamma")
+    if gamma_cfg is not None:
+        gamma_cfg = _options(gamma_cfg, {"table": _floats, "constant": _floats,
+                                         "expression": _expressions}, "fields.Gamma")
     d = g.value_shape[0] if g.value_shape else 1
     N = domain.ndim
     if gamma_cfg is None:
         gamma = np.zeros(domain.cells_shape + (d, N, N))
-    elif isinstance(gamma_cfg, dict) and "table" in gamma_cfg:
-        gamma = np.asarray(gamma_cfg["table"], dtype=float)
-    elif isinstance(gamma_cfg, dict) and "constant" in gamma_cfg:
-        value = np.asarray(gamma_cfg["constant"], dtype=float)
+    elif "table" in gamma_cfg:
+        gamma = gamma_cfg["table"]
+    elif "constant" in gamma_cfg:
+        value = gamma_cfg["constant"]
         gamma = np.broadcast_to(value, domain.cells_shape + value.shape).copy()
-    elif isinstance(gamma_cfg, dict) and "expression" in gamma_cfg:
+    elif "expression" in gamma_cfg:
         try:
             sampled = _sample_expression_field(domain, gamma_cfg["expression"])
         except ExpressionError as err:
@@ -273,19 +334,12 @@ _CHECK_FIELDS = {"d": int, "N": int, "samples": int, "input_range": float,
                  "schedule": tuple, "pair_scales": tuple}
 
 
-def _task_check(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
+def _task_check(config: dict, seed: int) -> tuple[dict, int]:
     densities_cfg = config.get("densities", {})
     densities = _build_densities(densities_cfg)
-    section = config.get("check", {})
-    _check_keys(section, set(_CHECK_FIELDS), "check.")
     # the dimensions default to the densities section's, the rest to CheckConfig's
-    given = {**{k: densities_cfg[k] for k in ("d", "N") if k in densities_cfg}, **section}
-    kwargs = {}
-    for key, value in given.items():
-        try:
-            kwargs[key] = _CHECK_FIELDS[key](value)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"bad check section: {key}: {err}") from err
+    dims = {k: densities_cfg[k] for k in ("d", "N") if k in densities_cfg}
+    kwargs = _options({**dims, **config.get("check", {})}, _CHECK_FIELDS, "check")
     try:
         cfg = CheckConfig(seed=seed, **kwargs)
     except ValueError as err:
@@ -294,10 +348,10 @@ def _task_check(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
     return {"report": report.to_dict()}, (0 if report.all_pass else 4)
 
 
-def _task_energy(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
-    sd2_like = config.get("fields", {})
+def _task_energy(config: dict, seed: int) -> tuple[dict, int]:
     domain = _build_domain(config.get("domain", {}))
-    _check_keys(sd2_like, {"u", "grad", "g", "G", "Gamma"}, "fields.")
+    sd2_like = _options(config.get("fields", {}), dict.fromkeys(("u", "grad", "g", "G", "Gamma"),
+                                                                _object), "fields")
     densities = _build_densities(config.get("densities", {}))
     u_cfg = sd2_like.get("u", sd2_like.get("g"))
     if u_cfg is None:
@@ -312,14 +366,12 @@ def _task_energy(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
     return {"energy": breakdown.to_dict()}, 0
 
 
-def _task_sequence(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
+def _task_sequence(config: dict, seed: int) -> tuple[dict, int]:
     sd2 = _build_sd2(config)
     densities = _build_densities(config.get("densities", {}))
-    section = config.get("sequence", {})
-    _check_keys(section, {"n"}, "sequence.")
-    ns = [int(n) for n in section.get("n", [4, 8, 16, 32])]
+    section = _options(config.get("sequence", {}), {"n": _ints}, "sequence")
     out = []
-    for n in ns:
+    for n in section.get("n", [4, 8, 16, 32]):
         pair, diag = approximating_sequence(sd2, n)
         breakdown = total_energy(pair, densities)
         diag["energy"] = breakdown.to_dict()
@@ -327,33 +379,30 @@ def _task_sequence(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
     return {"sequence": out}, 0
 
 
-def _task_cell_sweep(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
+_CELL_FIELDS = {"variant": _text, "budget": int, "resolution": int,
+                **dict.fromkeys(("x", "A", "lam", "Lam", "nu", "L", "M"), _floats)}
+
+
+def _task_cell_sweep(config: dict, seed: int) -> tuple[dict, int]:
     densities = _build_densities(config.get("densities", {}))
-    section = config.get("cell")
-    if section is None:
+    if "cell" not in config:
         raise ConfigError("missing cell section")
-    _check_keys(section, {"variant", "x", "A", "lam", "Lam", "nu", "L", "M",
-                          "budget", "resolution"}, "cell.")
+    section = _options(config["cell"], _CELL_FIELDS, "cell")
     variant = section.get("variant")
-    x = _finite_array(section.get("x", [0.0, 0.0]), "cell.x")
-    budget = int(section.get("budget", 1))
-    kwargs = {"budget": budget}
+    x = section.get("x", np.zeros(2))
+    kwargs = {"budget": section.get("budget", 1)}
     if "resolution" in section:
-        kwargs["resolution"] = int(section["resolution"])
+        kwargs["resolution"] = section["resolution"]
     try:
         if variant == "W1":
-            result = estimate_W1(x, _finite_array(section["A"], "cell.A"), densities, **kwargs)
+            result = estimate_W1(x, section["A"], densities, **kwargs)
         elif variant == "Gamma1":
-            result = estimate_gamma1(x, _finite_array(section["lam"], "cell.lam"),
-                                     _finite_array(section["nu"], "cell.nu"), densities, **kwargs)
+            result = estimate_gamma1(x, section["lam"], section["nu"], densities, **kwargs)
         elif variant == "W2":
-            result = estimate_W2(x, _finite_array(section["A"], "cell.A"),
-                                 _finite_array(section["L"], "cell.L"),
-                                 _finite_array(section["M"], "cell.M"), densities, **kwargs)
+            result = estimate_W2(x, section["A"], section["L"], section["M"], densities, **kwargs)
         elif variant == "Gamma2":
-            result = estimate_gamma2(x, _finite_array(section["A"], "cell.A"),
-                                     _finite_array(section["Lam"], "cell.Lam"),
-                                     _finite_array(section["nu"], "cell.nu"), densities, **kwargs)
+            result = estimate_gamma2(x, section["A"], section["Lam"], section["nu"], densities,
+                                     **kwargs)
         else:
             raise ConfigError(f"unknown cell variant {variant!r}")
     except KeyError as err:
@@ -363,40 +412,30 @@ def _task_cell_sweep(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
     return {"estimate": payload, "_csv_rows": rows}, 0
 
 
-def _task_example(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
-    section = config.get("example")
-    if section is None:
+def _task_example(config: dict, seed: int) -> tuple[dict, int]:
+    if "example" not in config:
         raise ConfigError("missing example section")
-    _check_keys(section, {"a", "L", "M", "tolerance", "random_count"}, "example.")
-    a = _finite_array(section.get("a", [1.0, 0.0]), "example.a")
+    section = _options(config["example"], {"a": _floats, "L": _floats, "M": _floats,
+                                           "tolerance": float, "random_count": int}, "example")
+    a = section.get("a", np.array([1.0, 0.0]))
     N = len(a)
-    L = _finite_array(section.get("L", np.zeros((N, N, N))), "example.L")
-    M = _finite_array(section.get("M", np.zeros((N, N, N))), "example.M")
-    report = verify_example(L, M, a,
-                            tolerance=float(section.get("tolerance", 1e-9)),
-                            random_count=int(section.get("random_count", 0)),
+    report = verify_example(section.get("L", np.zeros((N, N, N))),
+                            section.get("M", np.zeros((N, N, N))), a,
+                            tolerance=section.get("tolerance", 1e-9),
+                            random_count=section.get("random_count", 0),
                             seed=seed)
     return {"example": report}, 0
 
 
-def _task_assemble(config: dict, seed: int, jobs: int) -> tuple[dict, int]:
+# the AssembleConfig fields an assemble section may set, each with its coercion
+_ASSEMBLE_FIELDS = {"budget": int, "resolution": int, "w2_resolution": int,
+                    "w2_estimator": _text, "gamma2_representative": _text, "collect_cells": _flag}
+
+
+def _task_assemble(config: dict, seed: int) -> tuple[dict, int]:
     sd2 = _build_sd2(config)
     densities = _build_densities(config.get("densities", {}))
-    section = config.get("assemble", {})
-    _check_keys(section, {"budget", "resolution", "w2_resolution", "quantize", "cache",
-                          "w2_estimator", "gamma2_representative", "collect_cells"},
-                "assemble.")
-    cfg = AssembleConfig(
-        budget=int(section.get("budget", 1)),
-        resolution=int(section.get("resolution", 4)),
-        w2_resolution=int(section.get("w2_resolution", 8)),
-        quantize=float(section.get("quantize", 1e-6)),
-        cache=bool(section.get("cache", True)),
-        w2_estimator=section.get("w2_estimator", "families"),
-        gamma2_representative=section.get("gamma2_representative", "average"),
-        jobs=jobs,
-        collect_cells=bool(section.get("collect_cells", False)),
-    )
+    cfg = AssembleConfig(**_options(config.get("assemble", {}), _ASSEMBLE_FIELDS, "assemble"))
     report = assemble_relaxed_energy(sd2, densities, cfg)
     payload = report.to_dict()
     payload.pop("cell_rows", None)
@@ -412,8 +451,9 @@ _RUNNERS = {
     "relax-assemble": _task_assemble,
 }
 
-_TOP_KEYS = {"task", "seed", "output", "densities", "domain", "fields", "check",
-             "sequence", "cell", "example", "assemble"}
+_TOP_FIELDS = {"task": _text, "seed": int,
+               **dict.fromkeys(("output", "densities", "domain", "fields", "check", "sequence",
+                                "cell", "example", "assemble"), _object)}
 
 
 def _write_csv(path: str, rows: list):
@@ -451,15 +491,13 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return 2
     try:
-        _check_keys(config, _TOP_KEYS, "")
-        task = config.get("task")
+        top = _options(config, _TOP_FIELDS, "")
+        task = top.get("task")
         if task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-        resolved_seed = int(config.get("seed", 0)) if seed is None else int(seed)
-        output_cfg = config.get("output", {})
-        _check_keys(output_cfg, {"json", "csv"}, "output.")
-        runner = _RUNNERS[task]
-        payload, code = runner(config, resolved_seed, jobs)
+        resolved_seed = top.get("seed", 0) if seed is None else int(seed)
+        output_cfg = _options(top.get("output", {}), {"json": _text, "csv": _text}, "output")
+        payload, code = _RUNNERS[task](config, resolved_seed)
     except ValueError as err:  # ConfigError, and bad values the library rejects
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -519,7 +557,8 @@ def main(argv=None) -> int:
     if args.command != "run":
         try:
             with open(args.config) as fh:
-                declared = _load_json(fh).get("task")
+                config = _load_json(fh)
+            declared = config.get("task") if isinstance(config, dict) else None
         except (OSError, ValueError) as err:
             print(f"error: cannot read config: {err}", file=sys.stderr)
             return 2

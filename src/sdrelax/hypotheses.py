@@ -8,10 +8,10 @@ never inferred.  Failures are report entries carrying a concrete witness,
 not exceptions.
 
 Continuity-in-position hypotheses are probed on a finite ladder of pair
-separations; their verdicts mean "consistent with", not proof.  The
-recession-function bounds read W^inf from ``densities.recession`` on the
-configured schedule, the same routine the cell formulas use; the H4 rate
-test compares the schedule's quotients with their limit.
+separations; their verdicts mean "consistent with", not proof.  The H4 rate
+test and the recession-function bounds read W^inf from
+``densities.recession`` on the configured schedule, the same routine the
+cell formulas use; H4 compares the schedule's quotients with that limit.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ from .integrate import norm
 _TINY = 1e-300
 # each position-modulus rung probes at least this many of the random samples
 MIN_SAMPLES = 64
+# positions are drawn from the unit cube [DOMAIN_LOWER, DOMAIN_UPPER]^N
+DOMAIN_LOWER = 0.0
+DOMAIN_UPPER = 1.0
+# a declared constant passes when the measurement is within this factor of it
+REL_FACTOR = 1.01
+# largest relative residual the homogeneity and subadditivity checks forgive
+EXACT_TOL = 1e-9
 
 
 @dataclass
@@ -35,12 +42,8 @@ class CheckConfig:
     samples: int = 10_000
     input_range: float = 10.0
     seed: int = 0
-    domain_lower: tuple | None = None
-    domain_upper: tuple | None = None
     schedule: tuple = DEFAULT_SCHEDULE
     pair_scales: tuple = (1e-1, 1e-2, 1e-3)
-    rel_factor: float = 1.01
-    exact_tol: float = 1e-9
 
     def __post_init__(self):
         if self.samples < MIN_SAMPLES:
@@ -59,12 +62,6 @@ class CheckConfig:
         if not (np.isfinite(self.input_range) and self.input_range >= 0.5):
             raise ValueError(f"input_range must be finite and at least 0.5, got {self.input_range}")
 
-    def lower(self) -> np.ndarray:
-        return np.zeros(self.N) if self.domain_lower is None else np.asarray(self.domain_lower, dtype=float)
-
-    def upper(self) -> np.ndarray:
-        return np.ones(self.N) if self.domain_upper is None else np.asarray(self.domain_upper, dtype=float)
-
     def to_dict(self) -> dict:
         return {
             "d": self.d,
@@ -72,12 +69,12 @@ class CheckConfig:
             "samples": self.samples,
             "input_range": self.input_range,
             "seed": self.seed,
-            "domain_lower": [float(v) for v in self.lower()],
-            "domain_upper": [float(v) for v in self.upper()],
+            "domain_lower": [DOMAIN_LOWER] * self.N,
+            "domain_upper": [DOMAIN_UPPER] * self.N,
             "schedule": [float(t) for t in self.schedule],
             "pair_scales": [float(s) for s in self.pair_scales],
-            "rel_factor": self.rel_factor,
-            "exact_tol": self.exact_tol,
+            "rel_factor": REL_FACTOR,
+            "exact_tol": EXACT_TOL,
         }
 
 
@@ -133,13 +130,13 @@ def _witness(idx: int, **arrays) -> dict:
     return out
 
 
-def _validate(measured: float, declared: float | None, factor: float,
-              samples: int, worst: dict | None = None, note: str = "") -> HypothesisResult:
+def _validate(measured: float, declared: float | None, samples: int,
+              worst: dict | None = None, note: str = "") -> HypothesisResult:
     """Compare a measured minimal constant against a declared one.
 
     Declared constants are exact (attained by probe inputs), so validation is
     two-sided: the measurement must neither exceed nor undershoot the
-    declaration beyond the stated factor.
+    declaration beyond ``REL_FACTOR``.
     """
     if declared is None:
         return HypothesisResult("pass", measured, None, worst, samples,
@@ -147,12 +144,12 @@ def _validate(measured: float, declared: float | None, factor: float,
     if declared == 0.0:
         ok = measured <= 1e-9
         return HypothesisResult("pass" if ok else "fail", measured, declared, worst, samples, note)
-    ok = measured <= declared * factor and measured >= declared / factor
+    ok = measured <= declared * REL_FACTOR and measured >= declared / REL_FACTOR
     return HypothesisResult("pass" if ok else "fail", measured, declared, worst, samples, note)
 
 
 def _sample_x(cfg: CheckConfig, rng, n: int) -> np.ndarray:
-    return rng.uniform(cfg.lower(), cfg.upper(), size=(n, cfg.N))
+    return rng.uniform(DOMAIN_LOWER, DOMAIN_UPPER, size=(n, cfg.N))
 
 
 def _sample_unit(rng, n: int, dim: int) -> np.ndarray:
@@ -194,11 +191,11 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     vals = np.asarray(W(xA, AA, MM), dtype=float)
     up_ratio = vals / (1.0 + S)
     out["H1.upper"] = _validate(float(np.max(up_ratio)), W.constants.get("H1.upper"),
-                                cfg.rel_factor, len(vals), _argmax_witness(up_ratio, x=xA, A=AA, M=MM))
+                                len(vals), _argmax_witness(up_ratio, x=xA, A=AA, M=MM))
     if W.coercive:
         c_need = 0.5 * (-vals + np.sqrt(vals * vals + 4.0 * S))
         out["H1.lower"] = _validate(float(np.max(c_need)), W.constants.get("H1.lower"),
-                                    cfg.rel_factor, len(vals), _argmax_witness(c_need, x=xA, A=AA, M=MM))
+                                    len(vals), _argmax_witness(c_need, x=xA, A=AA, M=MM))
     else:
         idx = int(np.argmax(S - vals))
         out["H1.lower"] = HypothesisResult(
@@ -219,8 +216,8 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     num = np.abs(np.asarray(W(xpp, A1p, M1p), dtype=float) - np.asarray(W(xpp, A2p, M2p), dtype=float))
     mask = den > 1e-12
     ratios = np.where(mask, num / np.where(mask, den, 1.0), 0.0)
-    out["H2"] = _validate(float(np.max(ratios)), W.constants.get("H2"), cfg.rel_factor,
-                          len(ratios), _argmax_witness(ratios, x=xpp, A1=A1p, A2=A2p, M1=M1p, M2=M2p))
+    out["H2"] = _validate(float(np.max(ratios)), W.constants.get("H2"), len(ratios),
+                          _argmax_witness(ratios, x=xpp, A1=A1p, A2=A2p, M1=M1p, M2=M2p))
 
     # H3: position modulus at a ladder of separations ("consistent with")
     mods = []
@@ -229,7 +226,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     for scale in cfg.pair_scales:
         x0 = _sample_x(cfg, rng, n3)
         dx = scale * _sample_unit(rng, n3, N)
-        x1 = np.clip(x0 + dx, cfg.lower(), cfg.upper())
+        x1 = np.clip(x0 + dx, DOMAIN_LOWER, DOMAIN_UPPER)
         sep = np.linalg.norm(x1 - x0, axis=1)
         Ah = A[:n3]
         Mh = M[:n3]
@@ -240,8 +237,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
         mods.append(float(np.max(ratio)))
         if worst is None or mods[-1] >= max(mods):
             worst = _argmax_witness(ratio, x0=x0, x1=x1, A=Ah, M=Mh)
-    out["H3"] = _validate(max(mods), W.constants.get("H3"), cfg.rel_factor,
-                          n3 * len(cfg.pair_scales), worst,
+    out["H3"] = _validate(max(mods), W.constants.get("H3"), n3 * len(cfg.pair_scales), worst,
                           note="finite separation ladder; consistent-with, not a proof")
 
     # H4: recession rate envelope, with the range corner probe
@@ -253,11 +249,7 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     alpha = W.constants.get("H4.alpha", 0.5)
     schedule = np.asarray(cfg.schedule, dtype=float)
     qs = np.stack([np.asarray(W(x4, A4, t * Mdir), dtype=float) / t for t in schedule], axis=-1)
-    if W.recession_closed_form is not None:
-        winf = np.asarray(W.recession_closed_form(x=x4, A=A4, M=Mdir), dtype=float)
-        winf = np.broadcast_to(winf, qs.shape[:-1]).astype(float)
-    else:
-        winf = np.max(qs[..., -3:], axis=-1)
+    winf = recession(W, x4, A4, Mdir, schedule)
     c_rec = np.max(np.abs(winf[..., None] - qs) * schedule**alpha, axis=-1)
     c_env = np.zeros(len(c_rec))
     for i in range(len(schedule)):
@@ -265,19 +257,19 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
             env = schedule[i] ** (-alpha) + schedule[j] ** (-alpha)
             c_env = np.maximum(c_env, np.abs(qs[..., i] - qs[..., j]) / env)
     c_all = np.maximum(c_rec, c_env)
-    out["H4"] = _validate(float(np.max(c_all)), W.constants.get("H4"), cfg.rel_factor,
-                          len(c_all), _argmax_witness(c_all, x=x4, A=A4, M=Mdir),
+    out["H4"] = _validate(float(np.max(c_all)), W.constants.get("H4"), len(c_all),
+                          _argmax_witness(c_all, x=x4, A=A4, M=Mdir),
                           note=f"alpha={alpha}; constants refer to the configured probe ranges")
 
     # recession-function consequences of the growth hypotheses
     ratio_up = winf
     out["h1infty.upper"] = _validate(float(np.max(ratio_up)), W.constants.get("h1infty.upper"),
-                                     cfg.rel_factor, len(winf), _argmax_witness(ratio_up, x=x4, A=A4, M=Mdir))
+                                     len(winf), _argmax_witness(ratio_up, x=x4, A=A4, M=Mdir))
     if W.coercive:
         with np.errstate(divide="ignore"):
             c_lo = np.where(winf > 0, 1.0 / np.where(winf > 0, winf, 1.0), np.inf)
         out["h1infty.lower"] = _validate(float(np.max(c_lo)), W.constants.get("h1infty.lower"),
-                                         cfg.rel_factor, len(winf), _argmax_witness(c_lo, x=x4, A=A4, M=Mdir))
+                                         len(winf), _argmax_witness(c_lo, x=x4, A=A4, M=Mdir))
     else:
         out["h1infty.lower"] = HypothesisResult("skipped", None, None, None, len(winf),
                                                 "non-coercive bulk density: recession lower bound not claimed")
@@ -295,19 +287,19 @@ def check_bulk(W: BulkDensity, cfg: CheckConfig, rng=None) -> dict:
     den = norm(M1s - M2s, 3)
     mask = den > 1e-12
     ratios = np.where(mask, np.abs(winf_1 - winf_2) / np.where(mask, den, 1.0), 0.0)
-    out["h2infty"] = _validate(float(np.max(ratios)), W.constants.get("h2infty"), cfg.rel_factor,
-                               len(ratios), _argmax_witness(ratios, x=x2s, A=A2s, M1=M1s, M2=M2s))
+    out["h2infty"] = _validate(float(np.max(ratios)), W.constants.get("h2infty"), len(ratios),
+                               _argmax_witness(ratios, x=x2s, A=A2s, M1=M1s, M2=M2s))
 
     x0 = _sample_x(cfg, rng, half4)
     dx = cfg.pair_scales[-1] * _sample_unit(rng, half4, N)
-    x1 = np.clip(x0 + dx, cfg.lower(), cfg.upper())
+    x1 = np.clip(x0 + dx, DOMAIN_LOWER, DOMAIN_UPPER)
     winf_a = recession(W, x0, A4[:half4], Mdir[:half4], schedule)
     winf_b = recession(W, x1, A4[:half4], Mdir[:half4], schedule)
     sep = np.linalg.norm(x1 - x0, axis=1)
     mask = sep > 1e-12
     ratio = np.where(mask, np.abs(winf_a - winf_b) / np.where(mask, sep, 1.0), 0.0)
-    out["h3infty"] = _validate(float(np.max(ratio)), W.constants.get("h3infty"), cfg.rel_factor,
-                               len(ratio), _argmax_witness(ratio, x0=x0, x1=x1),
+    out["h3infty"] = _validate(float(np.max(ratio)), W.constants.get("h3infty"), len(ratio),
+                               _argmax_witness(ratio, x0=x0, x1=x1),
                                note="finite separation ladder; consistent-with, not a proof")
     return out
 
@@ -347,9 +339,9 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
     ratios = np.where(mask, vals / np.where(mask, mags, 1.0), np.nan)
     finite = ratios[np.isfinite(ratios)]
     k_meas = float(np.max(finite))
-    out[f"H5.{tag}.upper"] = _validate(k_meas, psi.constants.get("H5.upper"), cfg.rel_factor,
-                                       len(vals), _argmax_witness(np.where(np.isfinite(ratios), ratios, -np.inf),
-                                                                  x=x, payload=payload, nu=nu))
+    out[f"H5.{tag}.upper"] = _validate(k_meas, psi.constants.get("H5.upper"), len(vals),
+                                       _argmax_witness(np.where(np.isfinite(ratios), ratios, -np.inf),
+                                                       x=x, payload=payload, nu=nu))
     low_ratio = np.where(np.isfinite(ratios), ratios, np.inf)
     idx_min = int(np.argmin(low_ratio))
     min_witness = _witness(idx_min, x=x, payload=payload, nu=nu)
@@ -357,7 +349,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
     if psi.coercive:
         c_meas = float(np.min(low_ratio))
         out[f"H5.{tag}.lower"] = _validate(c_meas, psi.constants.get("H5.lower"),
-                                           cfg.rel_factor, len(vals), min_witness)
+                                           len(vals), min_witness)
     else:
         out[f"H5.{tag}.lower"] = HypothesisResult(
             "skipped", float(np.min(low_ratio)), psi.constants.get("H5.lower"), min_witness, len(vals),
@@ -370,7 +362,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
     for scale in cfg.pair_scales:
         x0 = _sample_x(cfg, rng, n6)
         dx = scale * _sample_unit(rng, n6, N)
-        x1 = np.clip(x0 + dx, cfg.lower(), cfg.upper())
+        x1 = np.clip(x0 + dx, DOMAIN_LOWER, DOMAIN_UPPER)
         pl = payload[:n6]
         nn = nu[:n6]
         sep = np.linalg.norm(x1 - x0, axis=1)
@@ -392,7 +384,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
         ratio = float(dpsi[0] / max(sep[0] * float(norm(pl, prank)[0]), _TINY))
         mods.append(ratio)
         count += 1
-    out[f"H6.{tag}"] = _validate(max(mods), psi.constants.get("H6"), cfg.rel_factor, count, worst,
+    out[f"H6.{tag}"] = _validate(max(mods), psi.constants.get("H6"), count, worst,
                                  note="finite separation ladder; consistent-with, not a proof")
 
     # H7: positive one-homogeneity, tested at fixed scalings
@@ -411,7 +403,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
             idx = int(np.argmax(rel))
             worst_wit = _witness(idx, x=x7, payload=p7, nu=nu7)
             worst_wit.update({"t": t, "psi_scaled": float(scaled[idx]), "t_psi": float(t * base[idx])})
-    verdict = "pass" if worst_rel <= cfg.exact_tol else "fail"
+    verdict = "pass" if worst_rel <= EXACT_TOL else "fail"
     out[f"H7.{tag}"] = HypothesisResult(verdict, worst_rel, 0.0, worst_wit, n7 * 3,
                                         "relative residual of psi(t payload) against t psi(payload)")
 
@@ -427,7 +419,7 @@ def check_interfacial(psi: InterfacialDensity, tag: str, cfg: CheckConfig, rng=N
     idx = int(np.argmax(rel))
     worst = _witness(idx, x=x8, p1=p1, p2=p2, nu=nu8)
     worst.update({"lhs": float(lhs[idx]), "rhs": float(rhs[idx])})
-    verdict = "pass" if float(rel[idx]) <= cfg.exact_tol else "fail"
+    verdict = "pass" if float(rel[idx]) <= EXACT_TOL else "fail"
     out[f"H8.{tag}"] = HypothesisResult(verdict, float(np.max(rel)), 0.0, worst, n8,
                                         "relative subadditivity slack (nonpositive when satisfied)")
     return out

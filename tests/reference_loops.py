@@ -3,9 +3,11 @@
 They build one ``JumpFacet`` per facet and one dict per outer face, filter
 and sum facet by facet, integrate the tensor L1 norm cell by cell, check
 admissibility face by face, evaluate the recession function one point at a
-time and price the Gamma2 bulk term cell by cell.  The property tests in
-``test_facet_table.py``, ``test_densities.py`` and ``test_cellformulas.py``
-require the array code to reproduce their results bit for bit.
+time, price the Gamma2 bulk term cell by cell, and assemble the relaxed
+energy with one estimator call per cell and facet (no memo).  The property
+tests in ``test_facet_table.py``, ``test_densities.py``,
+``test_cellformulas.py`` and ``test_assembly.py`` require the library code to
+reproduce their results bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sdrelax.cellformulas import ADMISSIBILITY_TOL
+from sdrelax.assembly import _trace_formula_estimate
+from sdrelax.cellformulas import (
+    ADMISSIBILITY_TOL,
+    estimate_W1,
+    estimate_W2,
+    estimate_gamma1,
+    estimate_gamma2,
+)
 from sdrelax.densities import DEFAULT_SCHEDULE
 from sdrelax.fields import StepBoundary
 from sdrelax.integrate import box_abs_affine, fsum, gauss_legendre_points
@@ -368,3 +377,55 @@ def bulk_energy_recession(problem, field, R) -> float:
             cache[key] = recession(problem.densities.W, problem.x, problem.A, cell_lin)
         terms.append(cache[key] * dom.cell_volume)
     return fsum(terms)
+
+
+def assemble_relaxed_energy(sd2, densities, config) -> dict:
+    """The relaxed-energy report body without the memo: every cell and facet
+    calls its estimator, at its own point.  The cache counts are left out."""
+    g, G, Gamma = sd2.g, sd2.G, sd2.Gamma
+    dom = G.domain
+    N = dom.ndim
+    vol = dom.cell_volume
+    centers = dom.cell_centers().reshape(-1, N)
+    A1 = (G.const - g.lin).reshape((-1,) + G.value_shape)
+    A2 = G.const.reshape((-1,) + G.value_shape)
+    L_field = G.lin.reshape((-1,) + G.value_shape + (N,))
+    M_field = Gamma.reshape((-1,) + G.value_shape + (N,))
+
+    def bracket(results, weights):
+        return {"upper": fsum([r.upper * w for r, w in zip(results, weights)]),
+                "lower": fsum([max(0.0, r.lower or 0.0) * w for r, w in zip(results, weights)])}
+
+    w1, w2 = [], []
+    for i in range(dom.num_cells):
+        x = centers[i]
+        L_bil = swap_layout(L_field[i])
+        M_bil = swap_layout(M_field[i])
+        w1.append(estimate_W1(x, A1[i], densities, budget=config.budget,
+                              resolution=config.resolution))
+        if config.w2_estimator == "trace-formula":
+            w2.append(_trace_formula_estimate(x, L_bil, M_bil, densities.psi2.params["a"]))
+        else:
+            w2.append(estimate_W2(x, A2[i], L_bil, M_bil, densities, budget=config.budget,
+                                  resolution=config.w2_resolution))
+    facets_g = g.jump_set()
+    g1 = [estimate_gamma1(c, j, n, densities, budget=config.budget,
+                          resolution=config.resolution)
+          for c, j, n in zip(facets_g.centroid, facets_g.jump, facets_g.normal)]
+    facets_G = G.jump_set()
+    reps = facets_G.trace_mean
+    if config.gamma2_representative != "average":
+        half = 0.5 * facets_G.jump
+        reps = reps + half if config.gamma2_representative == "plus" else reps - half
+    g2 = [estimate_gamma2(c, rep, j, n, densities, budget=config.budget,
+                          resolution=config.resolution)
+          for c, rep, j, n in zip(facets_G.centroid, reps, facets_G.jump, facets_G.normal)]
+
+    body = {"bulk1": bracket(w1, [vol] * len(w1)), "bulk2": bracket(w2, [vol] * len(w2)),
+            "surf1": bracket(g1, facets_g.area), "surf2": bracket(g2, facets_G.area)}
+    for name, (a, b) in (("I1", ("bulk1", "surf1")), ("I2", ("bulk2", "surf2"))):
+        body[name] = {k: body[a][k] + body[b][k] for k in ("upper", "lower")}
+    body["total"] = {k: body["I1"][k] + body["I2"][k] for k in ("upper", "lower")}
+    body.update(cells=dom.num_cells, facets_g=len(facets_g), facets_G=len(facets_G),
+                config=config.to_dict())
+    return body

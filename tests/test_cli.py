@@ -413,13 +413,13 @@ class TestIngestionErrors:
         assert run(cfg, out_dir=str(tmp_path)) == 2
         assert "bogus" in capsys.readouterr().err
 
-    def test_overflowing_quantized_value_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [("quantize", 1e-6), ("cache", False)])
+    def test_removed_assemble_keys_exit_2(self, tmp_path, capsys, key, value):
         payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
-        payload["assemble"]["quantize"] = 1e-320
-        payload["fields"]["G"] = {"constant": [[1e10]]}
+        payload["assemble"][key] = value
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2
-        assert "overflows" in capsys.readouterr().err
+        assert f"unknown key assemble.{key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400])
     def test_overflowing_scalar_literal_exit_2(self, tmp_path, capsys, literal):
@@ -491,6 +491,55 @@ class TestLibraryValueErrors:
         err = capsys.readouterr().err
         assert "budget must be at least 1" in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
+
+def _edited(keys, value):
+    payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return payload
+
+
+class TestWrongTypes:
+    """A value of the wrong type exits 2 and names its key, with no traceback."""
+
+    @pytest.mark.parametrize("payload, message", [
+        (_sequence(2), "bad sequence section: sequence.n"),
+        (_edited(["assemble", "budget"], [1]), "bad assemble section: assemble.budget"),
+        (_edited(["fields", "G"], "oops"), "bad fields section: fields.G: must be an object, got str"),
+        (_edited(["densities", "W"], {"catalog": "W_nrm"}),
+         "bad density densities.W: unknown catalog density 'W_nrm'"),
+        (_edited(["assemble"], [1]), "bad config: assemble: must be an object, got list"),
+        (_edited(["seed"], [1]), "bad config: seed"),
+        (_edited(["domain", "resolution"], {"n": 4}), "bad domain section: domain.resolution"),
+        (_edited(["fields", "g"], {"constant": {"a": 1}}), "bad fields.g section: fields.g.constant"),
+        (_edited(["densities", "W", "params"], [1]),
+         "bad densities.W section: densities.W.params: must be an object, got list"),
+        (_edited(["assemble", "collect_cells"], "false"),
+         "bad assemble section: assemble.collect_cells: must be true or false, got str"),
+    ], ids=["sequence-n-int", "assemble-budget-list", "fields-G-string", "unknown-catalog",
+            "assemble-list", "seed-list", "domain-resolution-object", "constant-object",
+            "params-list", "collect-cells-string"])
+    def test_exit_2(self, tmp_path, capsys, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+
+
+class TestShippedConfigs:
+    def test_every_config_is_found(self):
+        assert len(CONFIGS) >= 5
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+    def test_runs_strict(self, tmp_path, path):
+        assert main(["run", str(path), "--out", str(tmp_path), "--strict"]) == 0
 
 
 class TestMixedGridFiles:
