@@ -19,7 +19,7 @@ lexicographically smallest parameter vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -538,28 +538,3 @@ def estimate_gamma2(x, A, Lam, nu, densities: DensityTriple, budget: int = 1,
     result = _sweep(problem, families, budget)
     result.lower = _certified_lower_interfacial(densities.psi2, float(norm(problem.Lam, problem.Lam.ndim)))
     return result
-
-
-def _homogeneous_extension(estimate, head: tuple, theta, densities: DensityTriple,
-                           kwargs: dict) -> EstimateResult:
-    """``estimate(*head, nu, densities, **kwargs)`` extended with degree one
-    in the direction: zero at theta = 0, else |theta| times the value at
-    nu = theta / |theta|."""
-    theta = np.asarray(theta, dtype=float)
-    length = float(np.linalg.norm(theta))
-    if length == 0.0:
-        return EstimateResult(0.0, 0.0, "zero-direction", (), 0)
-    result = estimate(*head, theta / length, densities, **kwargs)
-    return replace(result, upper=length * result.upper,
-                   lower=None if result.lower is None else length * result.lower)
-
-
-def estimate_gamma1_extended(x, lam, theta, densities: DensityTriple, **kwargs) -> EstimateResult:
-    """Degree-one homogeneous extension of the first boundary formula to
-    non-unit directions."""
-    return _homogeneous_extension(estimate_gamma1, (x, lam), theta, densities, kwargs)
-
-
-def estimate_gamma2_extended(x, A, Lam, theta, densities: DensityTriple, **kwargs) -> EstimateResult:
-    """Degree-one homogeneous extension of the second boundary formula."""
-    return _homogeneous_extension(estimate_gamma2, (x, A, Lam), theta, densities, kwargs)

@@ -102,12 +102,19 @@ _text = _typed(str, "a string")
 _flag = _typed(bool, "true or false")  # not bool(): bool("false") is True
 
 
+def _int(value) -> int:
+    """A JSON integer; ``int()`` would truncate 1.7 and accept "2" and true."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {type(value).__name__}")
+    return value
+
+
 def _ints(value) -> list:
-    return [int(n) for n in value]
+    return [_int(n) for n in value]
 
 
 def _int_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=int)
+    return np.asarray(_ints(value) if isinstance(value, list) else _int(value), dtype=int)
 
 
 def _expressions(value):
@@ -116,8 +123,9 @@ def _expressions(value):
 
 
 def _require_finite_field(name: str, field: PiecewiseAffineField):
-    """Cell data, jump tolerance, domain bounds and boundary data of a field."""
-    arrays = [field.const, field.lin, field.jump_tol, field.domain.lower, field.domain.upper]
+    """Cell data, jump tolerance and boundary data of a field (``BoxDomain``
+    checks its own bounds)."""
+    arrays = [field.const, field.lin, field.jump_tol]
     bd = field.boundary_data
     if isinstance(bd, AffineBoundary):
         arrays += [bd.const, bd.lin]
@@ -167,7 +175,7 @@ def _build_density_component(which: str, cfg: dict, d: int, N: int):
     if "catalog" in cfg:
         params = dict(cfg.get("params", {}))
         dims = _options({k: params.pop(k) for k in ("d", "N") if k in params},
-                        {"d": int, "N": int}, f"{path}.params")
+                        {"d": _int, "N": _int}, f"{path}.params")
         try:
             return catalog(cfg["catalog"], d=dims.get("d", d), N=dims.get("N", N), **params)
         except KeyError as err:  # an unknown catalog name
@@ -181,7 +189,7 @@ def _build_density_component(which: str, cfg: dict, d: int, N: int):
 
 
 _DENSITY_FIELDS = {"W": _object, "psi1": _object, "psi2": _object, "expressions": _object,
-                   "d": int, "N": int}
+                   "d": _int, "N": _int}
 
 
 def _build_densities(cfg: dict) -> DensityTriple:
@@ -330,7 +338,7 @@ def _build_sd2(config: dict) -> SD2Triple:
 
 
 # the CheckConfig fields a check section may set, each with its coercion
-_CHECK_FIELDS = {"d": int, "N": int, "samples": int, "input_range": float,
+_CHECK_FIELDS = {"d": _int, "N": _int, "samples": _int, "input_range": float,
                  "schedule": tuple, "pair_scales": tuple}
 
 
@@ -379,7 +387,7 @@ def _task_sequence(config: dict, seed: int) -> tuple[dict, int]:
     return {"sequence": out}, 0
 
 
-_CELL_FIELDS = {"variant": _text, "budget": int, "resolution": int,
+_CELL_FIELDS = {"variant": _text, "budget": _int, "resolution": _int,
                 **dict.fromkeys(("x", "A", "lam", "Lam", "nu", "L", "M"), _floats)}
 
 
@@ -416,7 +424,7 @@ def _task_example(config: dict, seed: int) -> tuple[dict, int]:
     if "example" not in config:
         raise ConfigError("missing example section")
     section = _options(config["example"], {"a": _floats, "L": _floats, "M": _floats,
-                                           "tolerance": float, "random_count": int}, "example")
+                                           "tolerance": float, "random_count": _int}, "example")
     a = section.get("a", np.array([1.0, 0.0]))
     N = len(a)
     report = verify_example(section.get("L", np.zeros((N, N, N))),
@@ -428,7 +436,7 @@ def _task_example(config: dict, seed: int) -> tuple[dict, int]:
 
 
 # the AssembleConfig fields an assemble section may set, each with its coercion
-_ASSEMBLE_FIELDS = {"budget": int, "resolution": int, "w2_resolution": int,
+_ASSEMBLE_FIELDS = {"budget": _int, "resolution": _int, "w2_resolution": _int,
                     "w2_estimator": _text, "gamma2_representative": _text, "collect_cells": _flag}
 
 
@@ -451,7 +459,7 @@ _RUNNERS = {
     "relax-assemble": _task_assemble,
 }
 
-_TOP_FIELDS = {"task": _text, "seed": int,
+_TOP_FIELDS = {"task": _text, "seed": _int,
                **dict.fromkeys(("output", "densities", "domain", "fields", "check", "sequence",
                                 "cell", "example", "assemble"), _object)}
 

@@ -85,7 +85,7 @@ class DensityTriple:
 
 
 # ---------------------------------------------------------------------------
-# recession and homogeneous extension
+# recession
 # ---------------------------------------------------------------------------
 
 
@@ -120,18 +120,6 @@ def recession(W: BulkDensity, x, A, M, schedule=None) -> np.ndarray:
         t = schedule[-1]
         vals = np.asarray(W(x, A, t * Mhat), dtype=float) / t
     return np.where(norms > 0, norms * vals, 0.0)
-
-
-def extend_homogeneous(psi: Callable, x, payload, theta) -> float:
-    """Degree-one homogeneous extension in the direction argument.
-
-    Returns 0 at theta = 0, else |theta| * psi(x, payload, theta/|theta|).
-    """
-    theta = np.asarray(theta, dtype=float)
-    length = float(np.linalg.norm(theta))
-    if length == 0.0:
-        return 0.0
-    return length * float(psi(x, payload, theta / length))
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +303,6 @@ def psi1_square(d: int = 2, N: int = 2) -> InterfacialDensity:
         return v * v
 
     return InterfacialDensity("Psi1_square", 1, fn, constants={}, coercive=True)
-
-
-CATALOG_NAMES = ("W_norm", "W_zero", "Psi1_norm", "Psi1_weighted", "Psi2_norm", "Psi2_proj")
 
 
 def catalog(name: str, d: int = 2, N: int = 2, **params):

@@ -1,8 +1,9 @@
 """Tiny arithmetic expression language for user-supplied energy densities.
 
 Supported: ``+ - * /``, unary minus, numeric literals, parentheses, variable
-names with component indexing (``A[0,1]``), and the functions ``abs`` (on
-scalars), ``norm`` (Frobenius), and ``dot`` (vector/matrix contraction).
+names with component indexing (``A[0,1]``; an index past the variable's
+shape is an ``ExpressionError``), and the functions ``abs`` (on scalars),
+``norm`` (Frobenius), and ``dot`` (vector/matrix contraction).
 No general code loading: this is the whole language.
 
 Expressions are compiled once into closures that evaluate on numpy arrays
@@ -193,7 +194,12 @@ def _evaluate(node, env):
         idx = node[2]
         if len(idx) > r:
             raise ExpressionError("too many indices")
-        return v[(Ellipsis,) + idx], r - len(idx)
+        try:
+            return v[(Ellipsis,) + idx], r - len(idx)
+        except IndexError as err:
+            what = node[1][1] if node[1][0] == "var" else "a subexpression"
+            raise ExpressionError(f"index {list(idx)} is out of range for {what} "
+                                  f"of shape {v.shape[v.ndim - r:]}") from err
     if kind == "call":
         name, args = node[1], node[2]
         vals = [_evaluate(a, env) for a in args]

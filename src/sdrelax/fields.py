@@ -41,6 +41,8 @@ class BoxDomain:
         resolution = np.atleast_1d(np.asarray(resolution, dtype=int))
         if lower.shape != upper.shape or lower.shape != resolution.shape:
             raise ValueError("lower, upper, resolution must share length")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("lower and upper must be finite")
         if not np.all(upper > lower):
             raise ValueError("upper must exceed lower componentwise")
         if not np.all(resolution >= 1):
@@ -321,9 +323,6 @@ class PiecewiseAffineField:
         lin = self.lin.reshape((-1,) + self.value_shape + (self.domain.ndim,))[flat]
         return const + np.einsum("m...k,mk->m...", lin, points - centers)
 
-    def cellwise_gradient(self) -> np.ndarray:
-        return self.lin
-
     def gradient_field(self) -> "PiecewiseConstantField":
         """The derived gradient as a cellwise-constant field."""
         return PiecewiseConstantField(self.domain, self.lin.copy(), jump_tol=self.jump_tol)
@@ -364,7 +363,7 @@ class PiecewiseAffineField:
             mag = norm(jump, vnd) + norm(jlin, vnd + 1)
             cent = centers[sl_lo].copy()
             cent[..., m] += 0.5 * h
-            keep = mag > self.jump_tol
+            keep = ~(mag <= self.jump_tol)  # a NaN magnitude counts as a jump here
             count = int(np.count_nonzero(keep))
             normal = np.zeros((count, N))
             normal[:, m] = 1.0
@@ -422,14 +421,6 @@ class PiecewiseAffineField:
         self._trace_cache = FacetTable.concat(parts, N, self.value_shape)
         return self._trace_cache
 
-    # -- norms and pairings ---------------------------------------------------
-
-    def l1_norm(self) -> float:
-        return l1_norm(self)
-
-    def total_jump_mass(self) -> float:
-        return total_jump_mass(self)
-
     # -- grid surgery ---------------------------------------------------------
 
     def refine(self, factor) -> "PiecewiseAffineField":
@@ -450,12 +441,6 @@ class PiecewiseAffineField:
         shift_b = shift.reshape(new_dom.cells_shape + (1,) * self.value_ndim + (N,))
         const = const + np.sum(lin * shift_b, axis=-1)
         return PiecewiseAffineField(new_dom, const, lin, boundary_data=self.boundary_data, jump_tol=self.jump_tol)
-
-    def __add__(self, other: "PiecewiseAffineField") -> "PiecewiseAffineField":
-        if self.value_shape != other.value_shape:
-            raise ValueError(f"value shape mismatch: {self.value_shape} vs {other.value_shape}")
-        a, b = common_refinement(self, other)
-        return PiecewiseAffineField(a.domain, a.const + b.const, a.lin + b.lin, jump_tol=min(a.jump_tol, b.jump_tol))
 
     # -- serialization --------------------------------------------------------
 
@@ -524,23 +509,27 @@ def common_refinement(f: PiecewiseAffineField, g: PiecewiseAffineField):
     return ff, gg
 
 
-def l1_distance(f: PiecewiseAffineField, g: PiecewiseAffineField, quad_order: int = 6) -> float:
+# Gauss-Legendre points per axis for tensor values with affine variation
+_L1_QUAD_ORDER = 6
+
+
+def l1_distance(f: PiecewiseAffineField, g: PiecewiseAffineField) -> float:
     """Cellwise integral of |f - g|.
 
     Exact for scalar values and for cellwise-constant differences; tensor
-    values with affine variation fall back to Gauss-Legendre of the given
-    order (the integrand is then a square root of a quadratic).
+    values with affine variation fall back to Gauss-Legendre of order
+    ``_L1_QUAD_ORDER`` (the integrand is then a square root of a quadratic).
     """
     if f.value_shape != g.value_shape:
         raise ValueError(f"value shape mismatch: {f.value_shape} vs {g.value_shape}")
     ff, gg = common_refinement(f, g)
     const = ff.const - gg.const
     lin = ff.lin - gg.lin
-    return _l1_of_cell_data(ff.domain, const, lin, ff.value_shape, quad_order)
+    return _l1_of_cell_data(ff.domain, const, lin, ff.value_shape, _L1_QUAD_ORDER)
 
 
-def l1_norm(f: PiecewiseAffineField, quad_order: int = 6) -> float:
-    return _l1_of_cell_data(f.domain, f.const, f.lin, f.value_shape, quad_order)
+def l1_norm(f: PiecewiseAffineField) -> float:
+    return _l1_of_cell_data(f.domain, f.const, f.lin, f.value_shape, _L1_QUAD_ORDER)
 
 
 # cells per batch of the Gauss-Legendre L1 path: bounds its temporaries

@@ -109,9 +109,6 @@ class HypothesisReport:
     def all_pass(self) -> bool:
         return all(r.verdict != "fail" for r in self.results.values())
 
-    def failures(self) -> list[str]:
-        return [k for k, r in self.results.items() if r.verdict == "fail"]
-
     def to_dict(self) -> dict:
         return {
             "density_names": self.density_names,

@@ -112,17 +112,6 @@ def box_abs_affine(const: float, grad, widths) -> float:
     return factor * pp(float(const))
 
 
-def box_monomial_moment(lower, upper, alpha) -> float:
-    """``integral over the box of prod_k y_k**alpha_k``, exact."""
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=int))
-    out = 1.0
-    for lo, hi, a in zip(lower, upper, alpha):
-        out *= (hi ** (a + 1) - lo ** (a + 1)) / (a + 1)
-    return out
-
-
 def gauss_legendre_points(lower, upper, order: int):
     """Tensor Gauss-Legendre rule on a box: (points (m, N), weights (m,))."""
     lower = np.atleast_1d(np.asarray(lower, dtype=float))

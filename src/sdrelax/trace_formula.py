@@ -71,7 +71,7 @@ class BoxInclusion:
         }
 
 
-def inclusion_energy(L, M, a, box: BoxInclusion, margin: float = 1e-9) -> float:
+def inclusion_energy(L, M, a, box: BoxInclusion) -> float:
     """Exact jump energy of the inclusion competitor on the box R.
 
     The competitor is affine outside and inside R; its jump on the boundary
@@ -82,7 +82,7 @@ def inclusion_energy(L, M, a, box: BoxInclusion, margin: float = 1e-9) -> float:
     a = np.asarray(a, dtype=float)
     if abs(np.linalg.norm(a) - 1.0) > 1e-12:
         raise ValueError("a must be a unit vector")
-    if not box.corners_inside_cube(margin=margin):
+    if not box.corners_inside_cube(margin=1e-9):
         raise ValueError("R must be compactly contained in the unit cell cube")
     B = _difference(L, M)
     B = np.einsum("ijk,k->ij", B, a)
@@ -143,7 +143,7 @@ def eigen_basis(B, tol: float = 1e-9) -> np.ndarray | None:
     return V / np.linalg.norm(V, axis=0, keepdims=True)
 
 
-def default_box_family(L, M, a, use_eigenbasis: bool = True) -> list[BoxInclusion]:
+def default_box_family(L, M, a) -> list[BoxInclusion]:
     """Centered and shifted boxes, axis-aligned plus eigenbasis when available."""
     B = _difference(L, M)
     B = np.einsum("ijk,k->ij", B, np.asarray(a, dtype=float))
@@ -163,14 +163,13 @@ def default_box_family(L, M, a, use_eigenbasis: bool = True) -> list[BoxInclusio
         center = np.zeros(N)
         center[shift_axis] = 0.15
         family.append(BoxInclusion(center, 0.1 * np.ones(N)))
-    if use_eigenbasis:
-        V = eigen_basis(B)
-        if V is not None:
-            for r in sizes:
-                half = r * np.ones(N)
-                box = BoxInclusion(np.zeros(N), half, basis=V)
-                if box.corners_inside_cube():
-                    family.append(box)
+    V = eigen_basis(B)
+    if V is not None:
+        for r in sizes:
+            half = r * np.ones(N)
+            box = BoxInclusion(np.zeros(N), half, basis=V)
+            if box.corners_inside_cube():
+                family.append(box)
     return family
 
 
@@ -196,8 +195,7 @@ def random_competitors(L, M, a, count: int = 1000, seed: int = 0) -> list[dict]:
     return out
 
 
-def verify_example(L, M, a, family: list[BoxInclusion] | None = None,
-                   tolerance: float = 1e-9, random_count: int = 0, seed: int = 0) -> dict:
+def verify_example(L, M, a, tolerance: float = 1e-9, random_count: int = 0, seed: int = 0) -> dict:
     """Bracket the closed form against inclusion/laminate competitors.
 
     Reports the closed-form value, the best family upper bound, the gap, and
@@ -208,10 +206,8 @@ def verify_example(L, M, a, family: list[BoxInclusion] | None = None,
     """
     a = np.asarray(a, dtype=float)
     closed = closed_form_W2(L, M, a)
-    if family is None:
-        family = default_box_family(L, M, a)
     boxes = []
-    for box in family:
+    for box in default_box_family(L, M, a):
         energy = inclusion_energy(L, M, a, box)
         boxes.append({"kind": "box", "params": box.describe(), "energy": energy})
     best = min(boxes, key=lambda e: e["energy"])

@@ -101,7 +101,7 @@ def interior_facets(field) -> list[JumpFacet]:
         normal[m] = 1.0
         cent = centers[sl_lo].copy()
         cent[..., m] += 0.5 * h
-        for cell in np.argwhere(mag > field.jump_tol):
+        for cell in np.argwhere(~(mag <= field.jump_tol)):  # a NaN magnitude counts as a jump
             cid = tuple(int(c) for c in cell)
             facets.append(JumpFacet(
                 axis=m, index=cid, boundary=False, normal=normal.copy(), area=area,

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from math import fsum
 
 import numpy as np
@@ -9,9 +10,18 @@ from sdrelax import assembly
 from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
 from sdrelax.cellformulas import EstimationError
 from sdrelax.constructions import SD2Triple, approximating_sequence
-from sdrelax.densities import example_triple, norm_triple, triple_from_expressions
+from sdrelax.densities import (
+    DensityTriple,
+    InterfacialDensity,
+    bulk_norm,
+    example_triple,
+    norm_triple,
+    psi2_norm,
+    triple_from_expressions,
+)
 from sdrelax.energy import total_energy
 from sdrelax.fields import BoxDomain, PiecewiseAffineField
+from sdrelax.integrate import norm
 from sdrelax.trace_formula import bulk_relaxed_energy_example
 
 
@@ -166,6 +176,32 @@ class TestCache:
         expected = fsum(0.5 * s for s in slopes)
         assert expected == pytest.approx(1.00000015, rel=1e-15)
         assert rep.bulk1.upper == rep.bulk1.lower == expected
+
+
+    def test_negative_lower_bound_counts_as_zero(self):
+        # a false declaration H5.lower = -1 makes every W1 lower bound -|A1| = -1
+        nt = norm_triple(d=1, N=1)
+        psi1 = replace(nt.psi1, constants={**nt.psi1.constants, "H5.lower": -1.0})
+        rep = assemble_relaxed_energy(slip_sd2(), DensityTriple(nt.W, psi1, nt.psi2))
+        assert rep.bulk1.upper == 1.0
+        assert rep.bulk1.lower == 0.0
+
+    def test_normal_is_part_of_the_gamma1_key(self):
+        # psi1 declares no position dependence but weighs x-facets 3 and y-facets 2;
+        # g = i + j on a 2x2 grid jumps by 1 across every interior facet
+        dom = BoxDomain([0.0, 0.0], [1.0, 1.0], [2, 2])
+        g = PiecewiseAffineField(dom, np.array([[[0.0], [1.0]], [[1.0], [2.0]]]))
+        G = PiecewiseAffineField(dom, np.zeros((2, 2, 1, 2)))
+        sd2 = SD2Triple(g, G, np.zeros((2, 2, 1, 2, 2)))
+        psi1 = InterfacialDensity("Psi1_nu", 1, lambda x, lam, nu: norm(lam, 1) * (2.0 + nu[..., 0]),
+                                  constants={"H6": 0.0})
+        densities = DensityTriple(bulk_norm(d=1, N=2), psi1, psi2_norm(d=1, N=2))
+        config = AssembleConfig()
+        rep = assemble_relaxed_energy(sd2, densities, config)
+        assert rep.facets_g == 4
+        assert rep.surf1.upper == pytest.approx(2 * 0.5 * 3.0 + 2 * 0.5 * 2.0)
+        assert exact_body(rep.to_dict()) == exact_body(
+            ref.assemble_relaxed_energy(sd2, densities, config))
 
 
 class TestDeterminism:

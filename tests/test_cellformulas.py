@@ -356,29 +356,3 @@ class TestDimensionGenerality:
         assert r.lower == pytest.approx(0.5 * np.linalg.norm(L), abs=1e-12)
         assert r.lower <= r.upper
 
-
-class TestHomogeneousExtension:
-    def test_zero_direction(self):
-        from sdrelax.cellformulas import estimate_gamma1_extended
-
-        r = estimate_gamma1_extended(X0, np.ones(2), np.zeros(2), NT)
-        assert r.upper == 0.0
-
-    def test_scaling(self):
-        from sdrelax.cellformulas import estimate_gamma1_extended
-
-        lam = np.array([3.0, 4.0])
-        nu = np.array([0.0, 1.0])
-        base = estimate_gamma1(X0, lam, nu, NT)
-        ext = estimate_gamma1_extended(X0, lam, 2.0 * nu, NT)
-        assert ext.upper == 2.0 * base.upper
-        assert ext.lower == 2.0 * base.lower
-
-    def test_gamma2_extension(self):
-        from sdrelax.cellformulas import estimate_gamma2_extended
-
-        trip = DensityTriple(bulk_zero(), psi1_norm(), psi2_norm())
-        base = estimate_gamma2(X0, np.zeros((2, 2)), np.eye(2), np.array([0.0, 1.0]), trip)
-        ext = estimate_gamma2_extended(X0, np.zeros((2, 2)), np.eye(2),
-                                       np.array([0.0, 4.0]), trip)
-        assert ext.upper == 4.0 * base.upper

@@ -455,6 +455,15 @@ def _energy_with_inconsistent_grad():
             "fields": {"u": {"linear": [[1.0]]}, "grad": {"constant": [[2.0]]}}}
 
 
+def _edited(keys, value, base=ASSEMBLE_CONFIG):
+    payload = json.loads(json.dumps(base))
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return payload
+
+
 ZERO_L = np.zeros((2, 2, 2)).tolist()
 
 
@@ -471,8 +480,14 @@ class TestLibraryValueErrors:
         (_example(a=[2.0, 0.0]), "unit vector"),
         (_example(L=[[1.0, 0.0], [0.0, 1.0]]), "N x N x N"),
         (_energy_with_inconsistent_grad(), "inconsistent"),
+        (_edited(["fields", "g"], {"expression": ["x[5]"]}),
+         "bad field expression for 'g': index [5] is out of range for x of shape (1,)"),
+        (_edited(["densities"], {"expressions": {"W": "norm(A) + norm(M)",
+                                                 "psi1": "norm(lam) + abs(lam[7])",
+                                                 "psi2": "norm(Lam)"}, "d": 1, "N": 1}),
+         "index [7] is out of range for lam of shape (1,)"),
     ], ids=["gamma1-nu", "gamma1-odd-resolution", "w2-resolution-0", "sequence-n-0",
-            "example-a", "example-2x2-L", "energy-grad"])
+            "example-a", "example-2x2-L", "energy-grad", "field-index", "density-index"])
     def test_exit_2(self, tmp_path, capsys, payload, message):
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2
@@ -493,15 +508,6 @@ class TestLibraryValueErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
 
 
-def _edited(keys, value):
-    payload = json.loads(json.dumps(ASSEMBLE_CONFIG))
-    node = payload
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = value
-    return payload
-
-
 class TestWrongTypes:
     """A value of the wrong type exits 2 and names its key, with no traceback."""
 
@@ -519,9 +525,51 @@ class TestWrongTypes:
          "bad densities.W section: densities.W.params: must be an object, got list"),
         (_edited(["assemble", "collect_cells"], "false"),
          "bad assemble section: assemble.collect_cells: must be true or false, got str"),
+        # integer settings take JSON integers: int() would coerce each of these
+        (_edited(["seed"], 2.9), "bad config: seed: must be an integer, got float"),
+        (_edited(["domain", "resolution"], ["4"]),
+         "bad domain section: domain.resolution: must be an integer, got str"),
+        (_edited(["domain", "resolution"], [4.0]),
+         "bad domain section: domain.resolution: must be an integer, got float"),
+        (_edited(["densities", "d"], 1.0),
+         "bad densities section: densities.d: must be an integer, got float"),
+        (_edited(["densities", "N"], True),
+         "bad densities section: densities.N: must be an integer, got bool"),
+        (_edited(["densities", "W", "params", "d"], "1"),
+         "bad densities.W.params section: densities.W.params.d: must be an integer, got str"),
+        (_edited(["densities", "W", "params", "N"], 1.0),
+         "bad densities.W.params section: densities.W.params.N: must be an integer, got float"),
+        (_edited(["check", "samples"], 500.5, CHECK_CONFIG),
+         "bad check section: check.samples: must be an integer, got float"),
+        (_edited(["check", "d"], 2.0, CHECK_CONFIG),
+         "bad check section: check.d: must be an integer, got float"),
+        (_edited(["check", "N"], "2", CHECK_CONFIG),
+         "bad check section: check.N: must be an integer, got str"),
+        (_sequence([4.0]), "bad sequence section: sequence.n: must be an integer, got float"),
+        (_edited(["cell", "budget"], 2.0, SWEEP_CONFIG),
+         "bad cell section: cell.budget: must be an integer, got float"),
+        (_edited(["cell", "resolution"], "4", SWEEP_CONFIG),
+         "bad cell section: cell.resolution: must be an integer, got str"),
+        (_edited(["example", "random_count"], 100.0, EXAMPLE_CONFIG),
+         "bad example section: example.random_count: must be an integer, got float"),
+        (_edited(["assemble", "budget"], 1.7),
+         "bad assemble section: assemble.budget: must be an integer, got float"),
+        (_edited(["assemble", "budget"], "2"),
+         "bad assemble section: assemble.budget: must be an integer, got str"),
+        (_edited(["assemble", "budget"], True),
+         "bad assemble section: assemble.budget: must be an integer, got bool"),
+        (_edited(["assemble", "resolution"], 4.0),
+         "bad assemble section: assemble.resolution: must be an integer, got float"),
+        (_edited(["assemble", "w2_resolution"], 8.0),
+         "bad assemble section: assemble.w2_resolution: must be an integer, got float"),
     ], ids=["sequence-n-int", "assemble-budget-list", "fields-G-string", "unknown-catalog",
             "assemble-list", "seed-list", "domain-resolution-object", "constant-object",
-            "params-list", "collect-cells-string"])
+            "params-list", "collect-cells-string", "seed-float", "resolution-str",
+            "resolution-float", "densities-d-float", "densities-N-bool", "params-d-str",
+            "params-N-float", "check-samples-float", "check-d-float", "check-N-str",
+            "sequence-n-float", "cell-budget-float", "cell-resolution-str",
+            "example-random-count-float", "assemble-budget-float", "assemble-budget-str",
+            "assemble-budget-bool", "assemble-resolution-float", "assemble-w2-resolution-float"])
     def test_exit_2(self, tmp_path, capsys, payload, message):
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2

@@ -14,11 +14,8 @@ from sdrelax.densities import (
     bulk_zero,
     catalog,
     example_triple,
-    extend_homogeneous,
     norm_triple,
-    psi1_norm,
     psi1_weighted,
-    psi2_norm,
     psi2_proj,
     recession,
     triple_from_expressions,
@@ -107,36 +104,6 @@ def test_batched_recession_matches_per_point_reference(case):
     assert isinstance(got, np.ndarray) and got.shape == M.shape[:-3]
     for i in np.ndindex(got.shape):
         assert got[i] == ref.recession(W, x[i], A[i], M[i], schedule)
-
-
-class TestExtendHomogeneous:
-    def test_zero_direction_gives_zero(self):
-        psi = psi1_norm()
-        assert extend_homogeneous(psi, np.zeros(2), np.ones(2), np.zeros(2)) == 0.0
-
-    def test_scaled_direction(self):
-        psi = psi1_norm()
-        val = extend_homogeneous(psi, np.zeros(2), np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-        assert val == pytest.approx(2.0, abs=1e-15)
-
-    def test_projected_density_scaling(self):
-        a = np.array([1.0, 0.0])
-        psi = psi2_proj(a)
-        nu0 = np.array([1.0, 0.0])
-        J = np.array([[2.0, 0.0], [0.0, 1.0]])
-        base = float(psi(np.zeros(2), J, nu0))
-        val = extend_homogeneous(psi, np.zeros(2), J, 3.0 * nu0)
-        assert val == pytest.approx(3.0 * base, abs=1e-14)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.floats(min_value=0.01, max_value=100.0))
-    def test_degree_one_scaling_property(self, t):
-        psi = psi2_norm()
-        theta = np.array([0.3, -0.4])
-        p = np.array([[1.0, 2.0], [0.0, 1.0]])
-        a = extend_homogeneous(psi, np.zeros(2), p, t * theta)
-        b = t * extend_homogeneous(psi, np.zeros(2), p, theta)
-        assert a == pytest.approx(b, rel=1e-12)
 
 
 class TestCatalog:

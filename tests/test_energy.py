@@ -43,6 +43,11 @@ class TestTotalEnergy:
         eb = total_energy(u, NT1)
         assert (eb.bulk, eb.jump1, eb.jump2, eb.total) == (0.0, 0.0, 0.0, 0.0)
 
+    def test_nan_cell_gives_nan(self):
+        # the NaN cell's facets stay in the jump set, so the NaN reaches the total
+        u = PiecewiseAffineField(BoxDomain([0.0], [1.0], [4]), np.array([0.0, np.nan, 1.0, 1.0]))
+        assert np.isnan(total_energy(u, NT1).total)
+
     def test_plateau_staircase(self):
         # plateaus k/n: bulk 0, jump1 = (n-1)/n interior, gradient continuous
         n = 8

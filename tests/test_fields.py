@@ -76,6 +76,21 @@ class TestJumpSet:
         assert np.array_equal(first.normal, second.normal)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("lower, upper", [([0.0], [np.inf]), ([-np.inf], [1.0]),
+                                              ([0.0, 0.0], [1.0, np.inf])])
+    def test_box_domain_rejects_infinite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            BoxDomain(lower, upper, [4] * len(lower))
+
+    def test_nan_cell_keeps_its_facets(self):
+        # both facets of the NaN cell have a NaN magnitude: they count as jumps
+        u = PiecewiseAffineField(BoxDomain([0.0], [1.0], [4]), np.array([0.0, np.nan, 1.0, 1.0]))
+        facets = jump_set(u)
+        assert facets.index.ravel().tolist() == [0, 1]
+        assert np.isnan(facets.jump).ravel().tolist() == [True, True]
+
+
 class TestTotalJumpMass:
     def test_affine_zero(self):
         dom = BoxDomain([0, 0], [1, 1], [2, 2])

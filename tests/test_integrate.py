@@ -4,7 +4,6 @@ import pytest
 from sdrelax.integrate import (
     PiecewisePoly,
     box_abs_affine,
-    box_monomial_moment,
     fsum,
     gauss_legendre_points,
 )
@@ -52,11 +51,6 @@ def test_piecewise_poly_antiderivative_continuity():
     F = pp.antiderivative()
     assert F(0.0) == pytest.approx(F(-1e-12), abs=1e-11)
     assert F(2.0) - F(1.0) == pytest.approx(1.5, abs=1e-14)  # integral of s on [1,2]
-
-
-def test_monomial_moment():
-    assert box_monomial_moment([0, 0], [1, 1], [2, 0]) == pytest.approx(1 / 3, abs=1e-15)
-    assert box_monomial_moment([-0.5], [0.5], [1]) == pytest.approx(0.0, abs=1e-16)
 
 
 def test_gauss_legendre_exact_for_cubics():
