@@ -202,7 +202,7 @@ class StaircaseFamily:
 
     def build(self, problem: CellProblem, params):
         (n,) = params
-        field = staircase(problem.A, int(n), unit_cube(len(problem.x), 1))
+        field = staircase(problem.A, int(n), unit_cube(len(problem.x), n))
         return field, None
 
 
@@ -503,7 +503,7 @@ def estimate_gamma1(x, lam, nu, densities: DensityTriple, budget: int = 1,
     if families is None:
         families = [ElementaryJumpFamily(), SplittingFamily()]
     result = _sweep(problem, families, budget)
-    result.lower = _certified_lower_interfacial(densities.psi1, float(np.linalg.norm(problem.lam)))
+    result.lower = _certified_lower_interfacial(densities.psi1, float(norm(problem.lam, 1)))
     return result
 
 

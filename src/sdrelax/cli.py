@@ -503,7 +503,10 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
         task = top.get("task")
         if task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-        resolved_seed = top.get("seed", 0) if seed is None else int(seed)
+        try:  # the seed argument takes the config key's rule: an integer, never truncated
+            resolved_seed = top.get("seed", 0) if seed is None else _int(seed)
+        except TypeError as err:
+            raise ConfigError(f"bad seed argument: {err}") from err
         output_cfg = _options(top.get("output", {}), {"json": _text, "csv": _text}, "output")
         payload, code = _RUNNERS[task](config, resolved_seed)
     except ValueError as err:  # ConfigError, and bad values the library rejects

@@ -71,7 +71,8 @@ class SD2Triple:
 
 
 def staircase(A, n: int, domain: BoxDomain) -> PiecewiseAffineField:
-    """Zero-trace field with cellwise gradient exactly A.
+    """Zero-trace field with cellwise gradient exactly A, on the box of
+    ``domain`` with ``n`` cells per axis (``domain`` itself when it has them).
 
     Superposes, per axis j, a slab-centered sawtooth carrying jump vector
     (A e_j) * width_j / n across n planes (slab interfaces plus the two face
@@ -87,7 +88,8 @@ def staircase(A, n: int, domain: BoxDomain) -> PiecewiseAffineField:
     d, N = A.shape
     if N != domain.ndim:
         raise ValueError("column count of A must match the domain dimension")
-    grid = BoxDomain(domain.lower, domain.upper, n * np.ones(N, dtype=int))
+    grid = domain if np.all(domain.resolution == n) else \
+        BoxDomain(domain.lower, domain.upper, n * np.ones(N, dtype=int))
     const = np.zeros(grid.cells_shape + (d,))
     lin = np.broadcast_to(A, grid.cells_shape + (d, N)).copy()
     return PiecewiseAffineField(grid, const, lin, boundary_data=AffineBoundary.zero((d,), N))

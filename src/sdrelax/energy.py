@@ -44,7 +44,7 @@ def _in_ranges(facets: FacetTable, cell_ranges) -> FacetTable:
     keep = np.ones(len(facets), dtype=bool)
     for column, (lo, hi) in zip(facets.index.T, cell_ranges):
         keep &= (lo <= column) & (column < hi)
-    return facets if keep.all() else facets.select(keep)
+    return facets.select(keep)
 
 
 def interfacial_energy(psi: InterfacialDensity, facets: FacetTable, widths,
@@ -65,21 +65,22 @@ def interfacial_energy(psi: InterfacialDensity, facets: FacetTable, widths,
     """
     varies = facets.varies()
     hooked = varies if psi.facet_integral is not None else np.zeros(len(facets), dtype=bool)
-    plain = facets.select(~hooked) if hooked.any() else facets
+    plain = facets.select(~hooked)
     plain_terms = np.zeros(0)
     if len(plain):
         x = plain.centroid if x0 is None else np.broadcast_to(x0, (len(plain), len(x0)))
         nu = plain.normal if R is None else plain.normal @ R.T
         plain_terms = np.asarray(psi(x, plain.jump, nu), dtype=float) * plain.area
     hooked_terms = []
-    rows = facets.select(hooked)
-    for axis, centroid, jump, jump_lin, normal in zip(rows.axis, rows.centroid, rows.jump,
-                                                      rows.jump_lin, rows.normal):
-        normal = normal if R is None else R @ normal
-        tangent_axes = [k for k in range(len(widths)) if k != axis]
-        twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
-        hooked_terms.append(psi.facet_integral(centroid if x0 is None else x0, jump,
-                                               jump_lin, normal, twidths, tangent_axes))
+    if hooked.any():
+        rows = facets.select(hooked)
+        for axis, centroid, jump, jump_lin, normal in zip(rows.axis, rows.centroid, rows.jump,
+                                                          rows.jump_lin, rows.normal):
+            normal = normal if R is None else R @ normal
+            tangent_axes = [k for k in range(len(widths)) if k != axis]
+            twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
+            hooked_terms.append(psi.facet_integral(centroid if x0 is None else x0, jump,
+                                                   jump_lin, normal, twidths, tangent_axes))
     return fsum(np.append(plain_terms, hooked_terms)), int(np.count_nonzero(varies & ~hooked))
 
 

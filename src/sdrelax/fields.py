@@ -13,11 +13,18 @@ the cached table of all outer faces, which the boundary jump facets (its rows
 that jump), the cell-formula admissibility check and the Gauss-Green closure
 all read.
 
+The data-free columns of those tables (facet axes, cell indices, normals,
+areas, centroids) are the grid's geometry.  A cell-problem cube from
+:func:`unit_cube` builds it once and keeps it read-only, so every competitor
+field on the cube computes only its traces; any other grid builds it per
+table, which keeps a large grid from holding it.
+
 All operations are pure; fields are treated as immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +57,7 @@ class BoxDomain:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "resolution", resolution)
+        object.__setattr__(self, "_geometry", None)  # a dict on a cell-problem cube
 
     @property
     def ndim(self) -> int:
@@ -85,9 +93,41 @@ class BoxDomain:
         return self.lower[axis] + (np.arange(n) + 0.5) * w
 
     def cell_centers(self) -> np.ndarray:
-        """Array of shape cells_shape + (N,)."""
-        grids = np.meshgrid(*[self.axis_centers(k) for k in range(self.ndim)], indexing="ij")
-        return np.stack(grids, axis=-1)
+        """Array of shape cells_shape + (N,); read-only on a cell-problem cube."""
+        return self._cached("centers", lambda: np.stack(np.meshgrid(
+            *[self.axis_centers(k) for k in range(self.ndim)], indexing="ij"), axis=-1))
+
+    def interior_axes(self) -> tuple:
+        """``(m, lower-cell slice, upper-cell slice, width)`` for each axis
+        ``m`` with two cells or more: the cells on either side of the
+        interior facets normal to ``m``."""
+        return self._cached("axes", lambda: tuple(_interior_axes(self)))
+
+    def interior_geometry(self) -> dict:
+        """The ``axis``, ``index``, ``boundary``, ``normal``, ``area`` and
+        ``centroid`` columns of every interior facet, rows by axis (in the
+        order of ``interior_axes``), then by lower cell; read-only."""
+        return self._cached("interior", lambda: _interior_geometry(self))
+
+    def outer_geometry(self):
+        """The data-free part of the outer faces: ``(cell, row, half, columns)``.
+
+        Rows by axis, lower side before upper, then by face: ``cell`` is the
+        flat index of each face's cell, ``row`` the row number, ``half`` the
+        signed half width from the cell centre to the face along its normal,
+        and ``columns`` the ``axis``, ``index``, ``boundary``, ``normal``,
+        ``area`` and ``centroid`` columns; all read-only.
+        """
+        return self._cached("outer", lambda: _outer_geometry(self))
+
+    def _cached(self, key: str, build):
+        """``build()``, kept and reused on a cell-problem cube (see ``unit_cube``)."""
+        store = self._geometry
+        if store is None:
+            return build()
+        if key not in store:
+            store[key] = _read_only(build())
+        return store[key]
 
     def refine(self, factor) -> "BoxDomain":
         factor = np.broadcast_to(np.asarray(factor, dtype=int), (self.ndim,))
@@ -113,9 +153,89 @@ class BoxDomain:
 
 
 def unit_cube(ndim: int, resolution: int = 4) -> BoxDomain:
-    """Unit cube centered at the origin (the cell-problem domain)."""
+    """Unit cube centered at the origin (the cell-problem domain).
+
+    One domain per argument pair.  It keeps its geometry (cell centres,
+    interior facets, outer faces) read-only once built, so the many
+    competitor fields of the cell formulas that share a cube do only data
+    arithmetic.  Other domains build their geometry per call.
+    """
+    return _unit_cube(int(ndim), int(resolution))
+
+
+@functools.cache
+def _unit_cube(ndim: int, resolution: int) -> BoxDomain:
     half = 0.5 * np.ones(ndim)
-    return BoxDomain(-half, half, resolution * np.ones(ndim, dtype=int))
+    dom = BoxDomain(-half, half, resolution * np.ones(ndim, dtype=int))
+    _read_only((dom.lower, dom.upper, dom.resolution))
+    object.__setattr__(dom, "_geometry", {})
+    return dom
+
+
+def _read_only(value):
+    """Mark every array in ``value`` (an array, or nested tuples and dicts) read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
+        _read_only(tuple(value.values()))
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    return value
+
+
+def _interior_axes(dom: BoxDomain):
+    N = dom.ndim
+    for m in range(N):
+        if dom.resolution[m] >= 2:
+            lo = tuple(slice(None, -1) if k == m else slice(None) for k in range(N))
+            hi = tuple(slice(1, None) if k == m else slice(None) for k in range(N))
+            yield m, lo, hi, dom.widths[m]
+
+
+def _interior_geometry(dom: BoxDomain) -> dict:
+    N = dom.ndim
+    centers = dom.cell_centers()
+    # a block without rows gives a grid without interior facets empty columns
+    parts = [_faces(0, np.zeros((0, N), dtype=int), 1.0, 0.0, np.zeros((0, N)), False)]
+    for m, lo, _, h in dom.interior_axes():
+        cent = centers[lo].copy()
+        cent[..., m] += 0.5 * h
+        index = np.argwhere(np.ones(cent.shape[:N], dtype=bool))
+        parts.append(_faces(m, index, 1.0, dom.cell_volume / h, cent.reshape(-1, N), False))
+    return _stack(parts)
+
+
+def _outer_geometry(dom: BoxDomain):
+    N = dom.ndim
+    centers = dom.cell_centers()
+    index = np.indices(dom.cells_shape).transpose(*range(1, N + 1), 0)
+    parts = []
+    for m in range(N):
+        area = dom.cell_volume / dom.widths[m]
+        for side, normal_sign in ((0, -1.0), (-1, 1.0)):
+            sl = tuple(side if k == m else slice(None) for k in range(N))
+            cent = centers[sl].reshape((-1, N)).copy()
+            cent[:, m] = dom.lower[m] if side == 0 else dom.upper[m]
+            parts.append(_faces(m, index[sl].reshape(-1, N), normal_sign, area, cent, True))
+    columns = _stack(parts)
+    axis = columns["axis"]
+    row = np.arange(len(axis))
+    half = columns["normal"][row, axis] * 0.5 * dom.widths[axis]
+    return np.ravel_multi_index(tuple(columns["index"].T), dom.cells_shape), row, half, columns
+
+
+def _faces(m: int, index, normal_sign: float, area: float, centroid, boundary: bool) -> dict:
+    """The geometry columns of facets normal to axis ``m``."""
+    count, N = index.shape
+    normal = np.zeros((count, N))
+    normal[:, m] = normal_sign
+    return {"axis": np.full(count, m), "index": index, "boundary": np.full(count, boundary),
+            "normal": normal, "area": np.full(count, area), "centroid": centroid}
+
+
+def _stack(parts: list) -> dict:
+    return {name: np.concatenate([p[name] for p in parts]) for name in parts[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +373,10 @@ class FacetTable:
                       for name in cls.__dataclass_fields__})
 
     def select(self, rows) -> "FacetTable":
-        """Sub-table of the rows picked by a boolean mask or an index array."""
+        """Sub-table of the rows picked by a boolean mask or an index array;
+        the table itself for a mask that keeps every row."""
+        if rows.dtype == bool and rows.all():
+            return self
         return FacetTable(**{name: getattr(self, name)[rows] for name in self.__dataclass_fields__})
 
     def __len__(self) -> int:
@@ -341,37 +464,29 @@ class PiecewiseAffineField:
 
     def _build_interior_facets(self) -> FacetTable:
         dom = self.domain
-        N = dom.ndim
-        vnd = self.value_ndim
-        parts = []
-        centers = dom.cell_centers()
-        for m in range(N):
-            if dom.resolution[m] < 2:
-                continue
-            h = dom.widths[m]
-            area = dom.cell_volume / h
-            sl_lo = [slice(None)] * N
-            sl_hi = [slice(None)] * N
-            sl_lo[m] = slice(None, -1)
-            sl_hi[m] = slice(1, None)
-            sl_lo, sl_hi = tuple(sl_lo), tuple(sl_hi)
-            trace_lo = self.const[sl_lo] + 0.5 * h * self.lin[sl_lo + (Ellipsis, m)]
-            trace_hi = self.const[sl_hi] - 0.5 * h * self.lin[sl_hi + (Ellipsis, m)]
-            jump = trace_hi - trace_lo
-            jlin = self.lin[sl_hi] - self.lin[sl_lo]
-            jlin[..., m] = 0.0
-            mag = norm(jump, vnd) + norm(jlin, vnd + 1)
-            cent = centers[sl_lo].copy()
-            cent[..., m] += 0.5 * h
-            keep = ~(mag <= self.jump_tol)  # a NaN magnitude counts as a jump here
-            count = int(np.count_nonzero(keep))
-            normal = np.zeros((count, N))
-            normal[:, m] = 1.0
-            parts.append(FacetTable(
-                axis=np.full(count, m), index=np.argwhere(keep), boundary=np.zeros(count, dtype=bool),
-                normal=normal, area=np.full(count, area), plus=trace_hi[keep], minus=trace_lo[keep],
-                jump_lin=jlin[keep], centroid=cent[keep]))
-        return FacetTable.concat(parts, N, self.value_shape)
+        parts = [self._interior_jumps(*axis) for axis in dom.interior_axes()]
+        if not parts:
+            return FacetTable.empty(dom.ndim, self.value_shape)
+        # the per-axis parts go before the geometry is read, so a large grid
+        # never holds both at once
+        keep, plus, minus, jump_lin = (np.concatenate(c) for c in zip(*parts))
+        del parts
+        rows = slice(None) if keep.all() else keep
+        return FacetTable(plus=plus, minus=minus, jump_lin=jump_lin,
+                          **{name: column[rows] for name, column in dom.interior_geometry().items()})
+
+    def _interior_jumps(self, m: int, sl_lo: tuple, sl_hi: tuple, h: float):
+        """Over the interior facets normal to axis ``m``: which of them jump
+        by more than ``jump_tol``, and the ``plus``, ``minus`` and
+        ``jump_lin`` rows of those that do."""
+        flat = (-1,) + self.value_shape
+        trace_lo = (self.const[sl_lo] + 0.5 * h * self.lin[sl_lo + (Ellipsis, m)]).reshape(flat)
+        trace_hi = (self.const[sl_hi] - 0.5 * h * self.lin[sl_hi + (Ellipsis, m)]).reshape(flat)
+        jlin = (self.lin[sl_hi] - self.lin[sl_lo]).reshape(flat + (self.domain.ndim,))
+        jlin[..., m] = 0.0
+        mag = norm(trace_hi - trace_lo, self.value_ndim) + norm(jlin, self.value_ndim + 1)
+        keep = ~(mag <= self.jump_tol)  # a NaN magnitude counts as a jump here
+        return keep, trace_hi[keep], trace_lo[keep], jlin[keep]
 
     def _build_boundary_facets(self) -> FacetTable:
         if self.boundary_data is None:
@@ -385,40 +500,18 @@ class PiecewiseAffineField:
         lower side before upper, then by face.  ``plus`` is the prescribed
         value when the field carries boundary data and the interior trace
         otherwise; ``minus`` is the interior trace.  Built once and cached."""
-        if self._trace_cache is not None:
-            return self._trace_cache
-        dom = self.domain
-        N = dom.ndim
-        parts = []
-        centers = dom.cell_centers()
-        for m in range(N):
-            h = dom.widths[m]
-            area = dom.cell_volume / h
-            for side, normal_sign in ((0, -1.0), (-1, 1.0)):
-                sl = [slice(None)] * N
-                sl[m] = side
-                sl = tuple(sl)
-                trace = self.const[sl] + normal_sign * 0.5 * h * self.lin[sl + (Ellipsis, m)]
-                cent = centers[sl].reshape((-1, N)).copy()
-                cent[:, m] = dom.lower[m] if side == 0 else dom.upper[m]
-                interior = trace.reshape((-1,) + self.value_shape)
-                lin_flat = self.lin[sl].reshape((-1,) + self.value_shape + (N,))
-                if self.boundary_data is None:
-                    effective, plin = interior, lin_flat
-                else:
-                    effective, plin = self.boundary_data.value_and_lin(cent)
-                jlin = plin - lin_flat
-                jlin[..., m] = 0.0
-                count = len(cent)
-                normal = np.zeros((count, N))
-                normal[:, m] = normal_sign
-                side_idx = 0 if side == 0 else int(dom.resolution[m]) - 1
-                face = np.argwhere(np.ones(trace.shape[: N - 1], dtype=bool))
-                parts.append(FacetTable(
-                    axis=np.full(count, m), index=np.insert(face, m, side_idx, axis=1),
-                    boundary=np.ones(count, dtype=bool), normal=normal, area=np.full(count, area),
-                    plus=effective, minus=interior, jump_lin=jlin, centroid=cent))
-        self._trace_cache = FacetTable.concat(parts, N, self.value_shape)
+        if self._trace_cache is None:
+            cell, row, half, columns = self.domain.outer_geometry()
+            lin = self.lin.reshape((-1,) + self.value_shape + (self.domain.ndim,))[cell]
+            offset = half.reshape((-1,) + (1,) * self.value_ndim) * lin[row, ..., columns["axis"]]
+            interior = self.const.reshape((-1,) + self.value_shape)[cell] + offset
+            if self.boundary_data is None:
+                effective, plin = interior, lin
+            else:
+                effective, plin = self.boundary_data.value_and_lin(columns["centroid"])
+            jump_lin = plin - lin
+            jump_lin[row, ..., columns["axis"]] = 0.0
+            self._trace_cache = FacetTable(plus=effective, minus=interior, jump_lin=jump_lin, **columns)
         return self._trace_cache
 
     # -- grid surgery ---------------------------------------------------------

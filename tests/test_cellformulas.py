@@ -27,6 +27,7 @@ from sdrelax.densities import (
     psi2_norm,
     triple_from_expressions,
 )
+from sdrelax.fields import BoxDomain, PiecewiseAffineField
 from sdrelax.trace_formula import closed_form_W2
 
 X0 = np.array([0.25, 0.75])
@@ -111,6 +112,21 @@ class TestGamma1:
             assert scaled.upper == t * base.upper
             assert scaled.best_params == base.best_params
             assert scaled.best_family == base.best_family
+
+    def test_certificate_never_exceeds_the_competitor_on_offset_facets(self):
+        # the facets of g = (a x^2/2 + b y, c x y) on a 16x16 grid of the unit
+        # square plus a seeded constant in [-0.1, 0.1] per cell: the certificate
+        # c1 |lam| must round as the elementary jump's own psi1 = |lam| does
+        a, b, c = np.random.default_rng(0).uniform(0.5, 1.5, 3)
+        x, y = np.meshgrid((np.arange(16) + 0.5) / 16, (np.arange(16) + 0.5) / 16, indexing="ij")
+        const = np.stack([a * x * x / 2 + b * y, c * x * y], axis=-1)
+        const += np.random.default_rng([0, 1]).uniform(-0.1, 0.1, const.shape)
+        lin = np.stack([np.stack([a * x, b + 0 * x], -1), np.stack([c * y, c * x], -1)], -2)
+        facets = PiecewiseAffineField(BoxDomain([0, 0], [1, 1], [16, 16]), const, lin).jump_set()
+        assert len(facets) == 480
+        results = [estimate_gamma1(cent, lam, nu, NT)
+                   for cent, lam, nu in zip(facets.centroid, facets.jump, facets.normal)]
+        assert [i for i, r in enumerate(results) if not r.lower <= r.upper] == []
 
 
 class TestW2:

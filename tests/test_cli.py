@@ -578,6 +578,22 @@ class TestWrongTypes:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
 
 
+    @pytest.mark.parametrize("seed, kind", [(2.9, "float"), ("2", "str"), (True, "bool")],
+                             ids=["float", "str", "bool"])
+    def test_seed_argument_exit_2(self, tmp_path, capsys, seed, kind):
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
+        assert run(cfg, out_dir=str(tmp_path), seed=seed) == 2
+        err = capsys.readouterr().err
+        assert f"bad seed argument: must be an integer, got {kind}" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
+    def test_seed_argument_overrides_the_config(self, tmp_path):
+        cfg = write_config(tmp_path, SWEEP_CONFIG)
+        assert run(cfg, out_dir=str(tmp_path), seed=7) == 0
+        with open(tmp_path / "sweep.json") as fh:
+            assert json.load(fh)["seed"] == 7
+
+
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
 
 

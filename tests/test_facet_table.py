@@ -32,6 +32,7 @@ from sdrelax.fields import (
     gauss_green_residual,
     total_jump_mass,
     trace_boundary,
+    unit_cube,
 )
 
 COLUMNS = ("normal", "jump", "jump_lin", "centroid", "trace_mean")
@@ -338,3 +339,117 @@ class TestFacetTable:
         u = PiecewiseAffineField(dom, const, boundary_data=AffineBoundary.zero((1,), 1))
         assert len(u.jump_set()) == 2  # the interior facet and the upper outer face
         assert_rows_equal(u.jump_set(), ref.jump_set(u))
+
+
+def _cube_field(dom, rng, value_shape, kind, boundary):
+    """A seeded field on ``dom``: random, 0/1 steps without slopes (so most
+    facets do not jump), or random with NaN entries."""
+    N = dom.ndim
+    cells = dom.cells_shape
+    if kind == "steps":
+        const = rng.integers(0, 2, cells + value_shape).astype(float)
+        lin = np.zeros(cells + value_shape + (N,))
+    else:
+        const = rng.standard_normal(cells + value_shape)
+        lin = rng.standard_normal(cells + value_shape + (N,))
+    if kind == "nan":
+        const.flat[rng.integers(0, const.size)] = np.nan
+        lin.flat[rng.integers(0, lin.size)] = np.nan
+    if boundary == "affine":
+        data = AffineBoundary(rng.standard_normal(value_shape), rng.standard_normal(value_shape + (N,)))
+    elif boundary == "step":
+        data = StepBoundary(rng.integers(0, 2, value_shape).astype(float), int(rng.integers(0, N)), 0.0)
+    else:
+        data = None
+    return PiecewiseAffineField(dom, const, lin, boundary_data=data)
+
+
+def _bits(value) -> tuple:
+    value = np.ascontiguousarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+class TestCubeGeometry:
+    """Fields on a cell-problem cube read the cube's cached geometry; every
+    column must still equal the per-facet and per-face loops bit for bit, in
+    the same row order, and no field may share data with another."""
+
+    def assert_rows_bitwise(self, table, rows):
+        assert len(table) == len(rows)
+        for new, old in zip(ref.rows(table), rows):
+            assert (new.axis, new.index, new.boundary) == (old.axis, old.index, old.boundary)
+            assert _bits(new.area) == _bits(old.area)
+            for name in COLUMNS:
+                assert _bits(getattr(new, name)) == _bits(getattr(old, name)), name
+
+    def assert_trace_bitwise(self, u, faces, records):
+        dom = u.domain
+        assert len(faces) == len(records)
+        for i, rec in enumerate(records):
+            assert faces.axis[i] == rec["axis"] and _bits(faces.area[i]) == _bits(rec["area"])
+            for name, key in (("normal", "normal"), ("centroid", "centroid"),
+                              ("minus", "interior"), ("plus", "effective")):
+                assert _bits(getattr(faces, name)[i]) == _bits(rec[key]), name
+            side = 0 if rec["side"] == "lower" else dom.resolution[rec["axis"]] - 1
+            off = np.arange(dom.ndim) != rec["axis"]
+            assert faces.index[i, rec["axis"]] == side
+            assert np.array_equal(dom.cell_centers()[tuple(faces.index[i])][off], rec["centroid"][off])
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("boundary", ["none", "affine", "step"])
+    @pytest.mark.parametrize("kind", ["random", "steps", "nan"])
+    def test_columns_match_the_reference_loops(self, N, boundary, kind):
+        for seed, res in enumerate((1, 2, 3, 4)):
+            rng = np.random.default_rng([N, seed])
+            value_shape = ((), (2,), (2, N), (3,))[seed]
+            cube = unit_cube(N, res)
+            plain = BoxDomain(cube.lower, cube.upper, cube.resolution)  # builds its own geometry
+            for dom in (cube, cube, plain):
+                u = _cube_field(dom, rng, value_shape, kind, boundary)
+                self.assert_rows_bitwise(u._build_interior_facets(), ref.interior_facets(u))
+                self.assert_rows_bitwise(u._build_boundary_facets(), ref.boundary_facets(u))
+                self.assert_rows_bitwise(u.jump_set(), ref.jump_set(u))
+                self.assert_trace_bitwise(u, u.boundary_trace(), ref.trace_boundary(u))
+
+    def test_cube_is_shared_and_its_geometry_read_only(self):
+        dom = unit_cube(2, 4)
+        assert unit_cube(2, 4) is dom and unit_cube(2) is dom and unit_cube(2, 3) is not dom
+        u = _cube_field(dom, np.random.default_rng(0), (2,), "random", "affine")
+        u.jump_set(), u.boundary_trace()
+        cell, row, half, outer = dom.outer_geometry()
+        cached = [dom.lower, dom.upper, dom.resolution, dom.cell_centers(), cell, row, half,
+                  *dom.interior_geometry().values(), *outer.values()]
+        for arr in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+        assert dom.cell_centers() is dom.cell_centers()
+        assert dom.interior_geometry() is dom.interior_geometry()
+
+    def test_other_domains_keep_no_geometry(self):
+        dom = BoxDomain([-0.5, -0.5], [0.5, 0.5], [4, 4])
+        assert dom.cell_centers() is not dom.cell_centers()
+        assert dom.cell_centers().flags.writeable
+        assert dom.interior_geometry()["centroid"] is not dom.interior_geometry()["centroid"]
+
+    @pytest.mark.parametrize("kind", ["random", "steps"])
+    def test_fields_on_one_cube_own_their_data(self, kind):
+        dom = unit_cube(2, 4)
+        rng = np.random.default_rng(1)
+        f, g = (_cube_field(dom, rng, (2, 2), kind, "affine") for _ in range(2))
+        cell, row, half, outer = dom.outer_geometry()
+        geometry = {"interior": dom.interior_geometry(), "outer": outer}
+        for kind_of_rows, table_f, table_g in (("interior", f._build_interior_facets(),
+                                                g._build_interior_facets()),
+                                               ("outer", f.boundary_trace(), g.boundary_trace())):
+            for name in ("plus", "minus", "jump_lin"):
+                a, b = getattr(table_f, name), getattr(table_g, name)
+                assert a.flags.writeable and not np.shares_memory(a, b)
+                assert not any(np.shares_memory(a, c) for c in [cell, row, half, dom.cell_centers(),
+                                                                *geometry[kind_of_rows].values()])
+                before = b.copy()
+                a[...] = 7.0
+                assert np.array_equal(b, before, equal_nan=True)
+            for name, column in geometry[kind_of_rows].items():
+                shared = getattr(table_f, name)
+                if np.shares_memory(shared, column):
+                    assert not shared.flags.writeable
