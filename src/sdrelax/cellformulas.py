@@ -9,6 +9,13 @@ declared constants, a certified lower bound from the discrete Gauss-Green
 closure (the total directed jump mass of any admissible competitor is pinned
 by its boundary data, and coercivity converts mass into energy).
 
+A :class:`CellProblem` fixes once, in field layout, what its variant
+decides: the interfacial density, the jump payload, the prescribed outer
+trace and the prescribed gradient (cell by cell for W1/Gamma1, on average
+for W2/Gamma2).  The admissibility check, the competitor energy and every
+family read those fields.  The W2 families are the laminate (the affine map
+``L y`` when ``M = L``) and the inclusion boxes.
+
 Competitors on oriented cubes are built in rotated coordinates (the jump
 normal mapped to the last axis); densities receive the true normals and
 derivative slots are un-rotated before bulk terms are evaluated.  The
@@ -19,6 +26,7 @@ lexicographically smallest parameter vector.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -42,9 +50,25 @@ DEFAULT_RESOLUTION = 4
 DEFAULT_W2_RESOLUTION = 8
 
 
+# the data each variant needs, and its shape: N = len(x), and d is the leading
+# axis of the variant's first entry
+_VARIANT_DATA = {"W1": ("A",), "Gamma1": ("lam", "nu"), "W2": ("A", "L", "M"),
+                 "Gamma2": ("A", "Lam", "nu")}
+_SHAPES = {"A": "(d, N)", "lam": "(d,)", "Lam": "(d, N)", "L": "(d, N, N)", "M": "(d, N, N)",
+           "nu": "(N,)"}
+
+
 @dataclass
 class CellProblem:
-    """One cell-formula instance with its frozen material point."""
+    """One cell-formula instance with its frozen material point.
+
+    ``__post_init__`` checks the shapes of the variant's data and fixes, once
+    and in field layout, what the variant decides: the interfacial density
+    ``psi``, the jump ``payload``, the prescribed outer trace
+    ``prescription``, the prescribed ``gradient`` (cell by cell, or on
+    average when ``averaged``) and the admissibility tolerance ``tol``,
+    relative to the size of the prescribed data.
+    """
 
     variant: str                        # W1 | Gamma1 | W2 | Gamma2
     x: np.ndarray
@@ -56,6 +80,12 @@ class CellProblem:
     L: np.ndarray | None = None         # W2 boundary tensor (bilinear layout)
     M: np.ndarray | None = None         # W2 average-gradient tensor (bilinear layout)
     resolution: int = DEFAULT_RESOLUTION
+    psi: InterfacialDensity = dataclass_field(init=False, repr=False)
+    payload: np.ndarray | None = dataclass_field(init=False, repr=False)
+    prescription: BoundaryData = dataclass_field(init=False, repr=False)
+    gradient: np.ndarray = dataclass_field(init=False, repr=False)
+    averaged: bool = dataclass_field(init=False, repr=False)
+    tol: float = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -63,8 +93,40 @@ class CellProblem:
             v = getattr(self, name)
             if v is not None:
                 setattr(self, name, np.asarray(v, dtype=float))
+        self._check_shapes()
         if self.nu is not None and abs(np.linalg.norm(self.nu) - 1.0) > 1e-12:
             raise ValueError("nu must be a unit vector")
+        N = len(self.x)
+        self.averaged = self.variant in ("W2", "Gamma2")
+        self.psi = self.densities.psi2 if self.averaged else self.densities.psi1
+        self.payload = self.lam if self.variant == "Gamma1" else self.Lam
+        if self.variant == "W1":
+            self.prescription = AffineBoundary.zero(self.A.shape[:1], N)
+            self.gradient, data = self.A, (self.A,)
+        elif self.variant == "W2":
+            self.prescription = AffineBoundary.linear(swap_layout(self.L))
+            self.gradient, data = swap_layout(self.M), (self.L, self.M)
+        else:
+            self.prescription = StepBoundary(self.payload, N - 1, 0.0)
+            self.gradient, data = np.zeros(self.payload.shape + (N,)), (self.payload,)
+        self.tol = ADMISSIBILITY_TOL * max(1.0, *(float(norm(t, t.ndim)) for t in data))
+
+    def _check_shapes(self):
+        if self.variant not in _VARIANT_DATA:
+            raise ValueError(f"unknown cell variant {self.variant!r}")
+        if self.x.ndim != 1:
+            raise ValueError(f"x must be a vector, got shape {self.x.shape}")
+        N = len(self.x)
+        names = _VARIANT_DATA[self.variant]
+        first = getattr(self, names[0])
+        sizes = {"N": N, "d": first.shape[0] if first is not None and first.ndim else None}
+        for name in names:
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.variant} cell problem needs {name}")
+            if value.shape != tuple(sizes[axis] for axis in _SHAPES[name] if axis in sizes):
+                raise ValueError(f"{name} must have shape {_SHAPES[name]} with N = len(x) = {N}, "
+                                 f"got {value.shape}")
 
 
 @dataclass
@@ -117,11 +179,15 @@ def rotation_to_last_axis(nu: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bulk_energy(problem: CellProblem, field: PiecewiseAffineField,
-                 R: np.ndarray | None) -> float:
-    """Bulk term summed over the cells: W(x0, A, grad v) for W2, and the
-    recession of W for the oriented-cube second formula (Gamma2)."""
+def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
+                      R: np.ndarray | None = None) -> tuple[float, int]:
+    """Interfacial energy of the field's jump set, plus, for the second-order
+    formulas, the bulk term summed over the cells: W(x0, A, grad v) for W2 and
+    the recession of W for the oriented-cube formula (Gamma2)."""
     dom = field.domain
+    jump, inexact = interfacial_energy(problem.psi, field.jump_set(), dom.widths, problem.x, R)
+    if not problem.averaged:
+        return jump, inexact
     lin = field.lin.reshape((-1,) + field.value_shape + (dom.ndim,))
     if R is not None:
         lin = np.einsum("...k,mk->...m", lin, R)
@@ -131,16 +197,7 @@ def _bulk_energy(problem: CellProblem, field: PiecewiseAffineField,
         vals = np.asarray(problem.densities.W(xs, As, lin), dtype=float)
     else:
         vals = recession(problem.densities.W, xs, As, lin)
-    return fsum(vals * dom.cell_volume)
-
-
-def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
-                      R: np.ndarray | None = None) -> tuple[float, int]:
-    facets, widths = field.jump_set(), field.domain.widths
-    if problem.variant in ("W1", "Gamma1"):
-        return interfacial_energy(problem.densities.psi1, facets, widths, problem.x, R)
-    jump, inexact = interfacial_energy(problem.densities.psi2, facets, widths, problem.x, R)
-    return _bulk_energy(problem, field, R) + jump, inexact
+    return fsum(vals * dom.cell_volume) + jump, inexact
 
 
 # ---------------------------------------------------------------------------
@@ -148,41 +205,29 @@ def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
 # ---------------------------------------------------------------------------
 
 
-def _prescription(problem: CellProblem) -> BoundaryData:
-    """The variant's prescribed boundary trace."""
-    N = len(problem.x)
-    if problem.variant == "W1":
-        return AffineBoundary.zero(problem.A.shape[:1], N)
-    if problem.variant == "W2":
-        return AffineBoundary.linear(swap_layout(problem.L))
-    payload = problem.lam if problem.variant == "Gamma1" else problem.Lam
-    return StepBoundary(payload, N - 1, 0.0)
-
-
 def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tuple[bool, float]:
     """Re-verify trace and gradient constraints before an energy may count.
 
+    The gradient residual compares the field's gradient with the prescribed
+    one cell by cell, or its average over the cube when ``problem.averaged``.
     The trace residual compares the field's outer trace (the ``plus`` side of
-    its outer faces) with the variant's prescription at every outer-face
+    its outer faces) with ``problem.prescription`` at every outer-face
     centroid.  The residuals are combined with ``np.max``, which propagates a
     NaN (Python's ``max`` may drop one), so a NaN in the gradient or the
-    trace rejects the field.
+    trace rejects the field.  The field is admissible when the residual is
+    at most ``problem.tol``.
     """
     dom = field.domain
     lin = field.lin
-    if problem.variant == "W1":
-        residual = float(np.max(np.abs(lin - problem.A)))
-    elif problem.variant == "Gamma1":
-        residual = float(np.max(np.abs(lin), initial=0.0))
-    else:
-        target = np.zeros(lin.shape[dom.ndim:]) if problem.variant == "Gamma2" \
-            else swap_layout(problem.M)
+    if problem.averaged:
         avg = np.sum(lin.reshape((-1,) + lin.shape[dom.ndim:]), axis=0) * dom.cell_volume
-        residual = float(norm(avg - target, avg.ndim))
+        residual = float(norm(avg - problem.gradient, avg.ndim))
+    else:
+        residual = float(np.max(np.abs(lin - problem.gradient), initial=0.0))
     faces = trace_boundary(field)
-    want, _ = _prescription(problem).value_and_lin(faces.centroid)
+    want, _ = problem.prescription.value_and_lin(faces.centroid)
     residual = float(np.max(np.abs(faces.plus - want), initial=residual))
-    return residual <= ADMISSIBILITY_TOL, residual
+    return residual <= problem.tol, residual
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +260,7 @@ class ElementaryJumpFamily:
         yield ()
 
     def build(self, problem: CellProblem, params):
-        payload = problem.lam if problem.variant == "Gamma1" else problem.Lam
-        field = elementary_jump(payload, ndim=len(problem.x), resolution=problem.resolution)
+        field = elementary_jump(problem.payload, ndim=len(problem.x), resolution=problem.resolution)
         return field, rotation_to_last_axis(problem.nu)
 
 
@@ -237,10 +281,9 @@ class SplittingFamily:
 
     def build(self, problem: CellProblem, params):
         alpha, j, beta = params
-        payload = problem.lam if problem.variant == "Gamma1" else problem.Lam
+        payload = problem.payload
         part = alpha * payload
         if j >= 0:
-            part = part.copy()
             part[int(j)] += beta
         N = len(problem.x)
         dom = unit_cube(N, max(4, problem.resolution))
@@ -250,31 +293,13 @@ class SplittingFamily:
         low = np.zeros_like(payload)
         const = np.where(z.reshape(shape) <= -0.25, low,
                          np.where(z.reshape(shape) > 0.25, payload, part))
-        field = PiecewiseAffineField(dom, const, boundary_data=StepBoundary(payload, N - 1, 0.0))
+        field = PiecewiseAffineField(dom, const, boundary_data=problem.prescription)
         return field, rotation_to_last_axis(problem.nu)
 
 
-class AffineFamily:
-    """The jump-free competitor v = L y (admissible only when M = L)."""
-
-    name = "affine"
-
-    def candidates(self, problem: CellProblem, budget: int):
-        yield ()
-
-    def build(self, problem: CellProblem, params):
-        N = len(problem.x)
-        L_field = swap_layout(problem.L)
-        dom = unit_cube(N, problem.resolution)
-        centers = dom.cell_centers()
-        const = np.einsum("vwk,...k->...vw", L_field, centers)
-        lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
-        field = PiecewiseAffineField(dom, const, lin, boundary_data=AffineBoundary.linear(L_field))
-        return field, None
-
-
 class LaminateFamily:
-    """Uniform-gradient staircase: grad v = M everywhere, slab jumps pay the move."""
+    """Uniform-gradient staircase: grad v = M everywhere, slab jumps pay the move
+    (the jump-free affine map v = L y when M = L)."""
 
     name = "laminate"
 
@@ -282,14 +307,11 @@ class LaminateFamily:
         yield ()
 
     def build(self, problem: CellProblem, params):
-        N = len(problem.x)
-        L_field = swap_layout(problem.L)
-        M_field = swap_layout(problem.M)
-        dom = unit_cube(N, problem.resolution)
-        centers = dom.cell_centers()
-        const = np.einsum("vwk,...k->...vw", L_field, centers)
-        lin = np.broadcast_to(M_field, dom.cells_shape + M_field.shape).copy()
-        field = PiecewiseAffineField(dom, const, lin, boundary_data=AffineBoundary.linear(L_field))
+        dom = unit_cube(len(problem.x), problem.resolution)
+        L_field = problem.prescription.lin
+        const = np.einsum("vwk,...k->...vw", L_field, dom.cell_centers())
+        lin = np.broadcast_to(problem.gradient, dom.cells_shape + L_field.shape).copy()
+        field = PiecewiseAffineField(dom, const, lin, boundary_data=problem.prescription)
         return field, None
 
 
@@ -299,51 +321,37 @@ class InclusionFamily:
     name = "inclusion"
 
     def candidates(self, problem: CellProblem, budget: int):
-        res = problem.resolution
         N = len(problem.x)
-        max_half = res // 2 - 1
-        if max_half < 1:
+        max_half = problem.resolution // 2 - 1
+        if max_half < 1 or N > 3:
             return
-        halves = range(1, max_half + 1)
-        if N > 3:
-            return
-        for half_cells in np.ndindex(*([len(list(halves))] * N)):
-            half = tuple(h + 1 for h in half_cells)
-            if max(half) > max_half:
-                continue
+        for half in itertools.product(range(1, max_half + 1), repeat=N):
             yield half + (0,) * N
         if budget >= 2:
-            for half in ((1,) * N, (2,) * N):
-                if max(half) > max_half:
+            for h in (1, 2):
+                if h + 1 > max_half:
                     continue
                 for axis in range(N):
                     for shift in (-1, 1):
                         center = [0] * N
                         center[axis] = shift
-                        if max(half[k] + abs(center[k]) for k in range(N)) <= max_half:
-                            yield half + tuple(center)
+                        yield (h,) * N + tuple(center)
 
     def build(self, problem: CellProblem, params):
         N = len(problem.x)
         half = np.asarray(params[:N], dtype=int)
-        center = np.asarray(params[N:], dtype=int)
-        res = problem.resolution
-        dom = unit_cube(N, res)
-        w = dom.widths
-        L_field = swap_layout(problem.L)
-        M_field = swap_layout(problem.M)
-        vol_R = float(np.prod(2 * half * w))
-        P_field = (M_field - (1.0 - vol_R) * L_field) / vol_R
+        mid = problem.resolution // 2 + np.asarray(params[N:], dtype=int)
+        dom = unit_cube(N, problem.resolution)
+        L_field = problem.prescription.lin
+        vol_R = float(np.prod(2 * half * dom.widths))
+        P_field = (problem.gradient - (1.0 - vol_R) * L_field) / vol_R
+        box = tuple(slice(m - h, m + h) for m, h in zip(mid, half))
         centers = dom.cell_centers()
-        mid = (res // 2 + center).astype(int)
-        idx = np.indices(dom.cells_shape).transpose(*range(1, N + 1), 0)
-        inside = np.all((idx >= mid - half) & (idx < mid + half), axis=-1)
-        const_out = np.einsum("vwk,...k->...vw", L_field, centers)
-        const_in = np.einsum("vwk,...k->...vw", P_field, centers)
-        sel = inside.reshape(inside.shape + (1, 1))
-        const = np.where(sel, const_in, const_out)
-        lin = np.where(sel[..., None], P_field, L_field)
-        field = PiecewiseAffineField(dom, const, lin, boundary_data=AffineBoundary.linear(L_field))
+        const = np.einsum("vwk,...k->...vw", L_field, centers)
+        const[box] = np.einsum("vwk,...k->...vw", P_field, centers[box])
+        lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
+        lin[box] = P_field
+        field = PiecewiseAffineField(dom, const, lin, boundary_data=problem.prescription)
         return field, None
 
     def refine(self, problem: CellProblem, params, evaluate, budget: int):
@@ -359,7 +367,7 @@ class InclusionFamily:
                     cand = list(best_params)
                     cand[slot] += delta
                     cand = tuple(cand)
-                    if cand[:N] and min(cand[:N]) < 1:
+                    if min(cand[:N]) < 1:
                         continue
                     if max(cand[k] + abs(cand[N + k]) for k in range(N)) > problem.resolution // 2 - 1:
                         continue
@@ -387,7 +395,7 @@ class GradientZigzagFamily:
         (alpha,) = params
         N = len(problem.x)
         dom = unit_cube(N, max(4, problem.resolution))
-        payload = problem.Lam
+        payload = problem.payload
         base = elementary_jump(payload, domain=dom)
         D = alpha * payload
         centers = dom.cell_centers()
@@ -406,38 +414,37 @@ class GradientZigzagFamily:
 # ---------------------------------------------------------------------------
 
 
-def _sweep(problem: CellProblem, families, budget: int) -> EstimateResult:
+def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -> EstimateResult:
+    """Sweep the families for the best admissible competitor (the upper bound),
+    and certify ``c |forced|`` from below when ``problem.psi`` is coercive with
+    a declared constant ``c``: ``forced`` is the total directed jump that the
+    boundary data pins on every admissible competitor (Gauss-Green)."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1 (the coarsest parameter grid), got {budget}")
     rows = []
-    best = None
+    best = None                 # (energy, family, params, residual) of the best so far
     evaluations = 0
     any_inexact = False
 
     def consider(family_name, params, field, R):
         nonlocal best, evaluations, any_inexact
+        params = tuple(params)
         ok, residual = check_admissibility(problem, field)
-        if not ok:
-            rows.append({"family": family_name, "params": tuple(params), "admissible": False,
-                         "energy": None})
-            return None
-        energy, inexact = competitor_energy(problem, field, R)
-        evaluations += 1
-        if inexact:
-            any_inexact = True
-        rows.append({"family": family_name, "params": tuple(params), "admissible": True,
-                     "energy": energy})
-        key = (energy, family_name, tuple(params))
-        if best is None or key < (best["energy"], best["family"], best["params"]):
-            best = {"energy": energy, "family": family_name, "params": tuple(params),
-                    "residual": residual}
+        energy = None
+        if ok:
+            energy, inexact = competitor_energy(problem, field, R)
+            evaluations += 1
+            any_inexact = any_inexact or inexact > 0
+            if best is None or (energy, family_name, params) < best[:3]:
+                best = (energy, family_name, params, residual)
+        rows.append({"family": family_name, "params": params, "admissible": ok, "energy": energy})
         return energy
 
     for family in families:
         for params in family.candidates(problem, budget):
             field, R = family.build(problem, params)
             consider(family.name, params, field, R)
-        if hasattr(family, "refine") and best is not None and best["family"] == family.name:
+        if hasattr(family, "refine") and best is not None and best[1] == family.name:
             cache: dict[tuple, float | None] = {}
 
             def evaluate(params):
@@ -446,7 +453,7 @@ def _sweep(problem: CellProblem, families, budget: int) -> EstimateResult:
                     cache[params] = consider(family.name, params, field, R)
                 return cache[params]
 
-            family.refine(problem, best["params"], evaluate, budget)
+            family.refine(problem, best[2], evaluate, budget)
 
     if best is None:
         payload = {name: getattr(problem, name).tolist()
@@ -454,27 +461,14 @@ def _sweep(problem: CellProblem, families, budget: int) -> EstimateResult:
                    if getattr(problem, name) is not None}
         raise EstimationError(
             f"no admissible competitor generated for {problem.variant}: {payload}")
-    return EstimateResult(
-        upper=best["energy"],
-        lower=None,
-        best_family=best["family"],
-        best_params=best["params"],
-        evaluations=evaluations,
-        seed=None,
-        inexact_quadrature=any_inexact,
-        admissibility_residual=best["residual"],
-        rows=rows,
-    )
-
-
-def _certified_lower_interfacial(psi: InterfacialDensity, magnitude: float) -> float | None:
-    """Coercivity times the forced total jump mass, when a constant is declared."""
-    if not psi.coercive:
-        return None
-    c = psi.constants.get("H5.lower")
-    if c is None:
-        return None
-    return c * magnitude
+    upper, best_family, best_params, residual = best
+    c = problem.psi.constants.get("H5.lower") if problem.psi.coercive else None
+    lower = None if c is None else c * float(norm(forced, forced.ndim))
+    notes = "certified lower exceeded best upper; check declared constants" \
+        if lower is not None and lower > upper else ""
+    return EstimateResult(upper, lower, best_family, best_params, evaluations,
+                          inexact_quadrature=any_inexact, admissibility_residual=residual,
+                          rows=rows, notes=notes)
 
 
 def estimate_W1(x, A, densities: DensityTriple, budget: int = 1,
@@ -484,27 +478,19 @@ def estimate_W1(x, A, densities: DensityTriple, budget: int = 1,
     The zero trace forces the total directed jump of any competitor to equal
     minus the prescribed gradient, so coercivity certifies c1 |A| from below.
     """
-    problem = CellProblem("W1", x, densities, A=np.atleast_2d(np.asarray(A, dtype=float)),
-                          resolution=resolution)
+    problem = CellProblem("W1", x, densities, A=np.atleast_2d(A), resolution=resolution)
     if families is None:
         families = [StaircaseFamily()]
-    result = _sweep(problem, families, budget)
-    result.lower = _certified_lower_interfacial(densities.psi1, float(norm(problem.A, problem.A.ndim)))
-    if result.lower is not None and result.lower > result.upper:
-        result.notes = "certified lower exceeded best upper; check declared constants"
-    return result
+    return _estimate(problem, families, budget, problem.A)
 
 
 def estimate_gamma1(x, lam, nu, densities: DensityTriple, budget: int = 1,
                     resolution: int = DEFAULT_RESOLUTION, families=None) -> EstimateResult:
     """Elementary-jump boundary formula for the first interfacial density."""
-    problem = CellProblem("Gamma1", x, densities, lam=np.asarray(lam, dtype=float),
-                          nu=np.asarray(nu, dtype=float), resolution=resolution)
+    problem = CellProblem("Gamma1", x, densities, lam=lam, nu=nu, resolution=resolution)
     if families is None:
         families = [ElementaryJumpFamily(), SplittingFamily()]
-    result = _sweep(problem, families, budget)
-    result.lower = _certified_lower_interfacial(densities.psi1, float(norm(problem.lam, 1)))
-    return result
+    return _estimate(problem, families, budget, problem.lam)
 
 
 def estimate_W2(x, A, L, M, densities: DensityTriple, budget: int = 1,
@@ -515,26 +501,17 @@ def estimate_W2(x, A, L, M, densities: DensityTriple, budget: int = 1,
     second interfacial density the Gauss-Green closure certifies
     c2 |L - M| from below (the bulk term is nonnegative).
     """
-    problem = CellProblem("W2", x, densities, A=np.asarray(A, dtype=float),
-                          L=np.asarray(L, dtype=float), M=np.asarray(M, dtype=float),
-                          resolution=resolution)
+    problem = CellProblem("W2", x, densities, A=A, L=L, M=M, resolution=resolution)
     if families is None:
-        families = [AffineFamily(), LaminateFamily(), InclusionFamily()]
-    result = _sweep(problem, families, budget)
-    delta = problem.L - problem.M
-    result.lower = _certified_lower_interfacial(densities.psi2, float(norm(delta, delta.ndim)))
-    return result
+        families = [LaminateFamily(), InclusionFamily()]
+    return _estimate(problem, families, budget, problem.L - problem.M)
 
 
 def estimate_gamma2(x, A, Lam, nu, densities: DensityTriple, budget: int = 1,
                     resolution: int = DEFAULT_RESOLUTION, families=None) -> EstimateResult:
     """Elementary-jump boundary formula for the second interfacial density,
     with the recession of W as the bulk integrand."""
-    problem = CellProblem("Gamma2", x, densities, A=np.asarray(A, dtype=float),
-                          Lam=np.asarray(Lam, dtype=float), nu=np.asarray(nu, dtype=float),
-                          resolution=resolution)
+    problem = CellProblem("Gamma2", x, densities, A=A, Lam=Lam, nu=nu, resolution=resolution)
     if families is None:
         families = [ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()]
-    result = _sweep(problem, families, budget)
-    result.lower = _certified_lower_interfacial(densities.psi2, float(norm(problem.Lam, problem.Lam.ndim)))
-    return result
+    return _estimate(problem, families, budget, problem.Lam)

@@ -34,9 +34,13 @@ from .integrate import box_abs_affine, fsum, gauss_legendre_points, norm
 DEFAULT_JUMP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxDomain:
-    """Axis-aligned box with a regular cell grid."""
+    """Axis-aligned box with a regular cell grid.
+
+    Domains compare and hash by identity; grids are compared with
+    :meth:`compatible`.
+    """
 
     lower: np.ndarray
     upper: np.ndarray

@@ -325,7 +325,9 @@ def _payload_shape(problem) -> tuple:
 
 
 def check_admissibility(problem, field) -> tuple[bool, float]:
-    """The cell-formula check: one prescription call per boundary record."""
+    """The cell-formula check: one prescription call per boundary record, and
+    a tolerance of ``ADMISSIBILITY_TOL`` times the size of the prescribed data
+    (at least 1)."""
     dom = field.domain
     residual = 0.0
     lin = field.lin
@@ -342,7 +344,10 @@ def check_admissibility(problem, field) -> tuple[bool, float]:
     for rec in trace_boundary(field):
         want = prescription(rec["centroid"][None])[0]
         residual = max(residual, float(np.max(np.abs(rec["effective"] - want))))
-    return residual <= ADMISSIBILITY_TOL, residual
+    data = {"W1": [problem.A], "Gamma1": [problem.lam], "W2": [problem.L, problem.M],
+            "Gamma2": [problem.Lam]}[problem.variant]
+    scale = max([1.0] + [float(_vnorm(t, t.ndim)) for t in data])
+    return residual <= ADMISSIBILITY_TOL * scale, residual
 
 
 def recession(W, x, A, M, schedule=None) -> float:

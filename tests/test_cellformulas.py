@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sdrelax.cellformulas import (
     EstimationError,
     GradientZigzagFamily,
     InclusionFamily,
+    LaminateFamily,
     SplittingFamily,
     check_admissibility,
     competitor_energy,
@@ -27,11 +30,51 @@ from sdrelax.densities import (
     psi2_norm,
     triple_from_expressions,
 )
-from sdrelax.fields import BoxDomain, PiecewiseAffineField
+from sdrelax.fields import AffineBoundary, BoxDomain, PiecewiseAffineField, unit_cube
 from sdrelax.trace_formula import closed_form_W2
 
 X0 = np.array([0.25, 0.75])
 NT = norm_triple()
+
+
+class AffineCompetitor:
+    """The jump-free competitor v = L y, built as the package's W2 affine family
+    did: admissible only when M = L, where the laminate builds the same field."""
+
+    name = "affine"
+
+    def candidates(self, problem, budget):
+        yield ()
+
+    def build(self, problem, params):
+        dom = unit_cube(len(problem.x), problem.resolution)
+        L_field = problem.L.transpose(0, 2, 1)
+        const = np.einsum("vwk,...k->...vw", L_field, dom.cell_centers())
+        lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
+        return PiecewiseAffineField(dom, const, lin, boundary_data=AffineBoundary.linear(L_field)), None
+
+
+class TestCellProblemShapes:
+    E2 = np.eye(2)
+    NU = np.array([0.0, 1.0])
+
+    @pytest.mark.parametrize("variant, data, message", [
+        ("W1", {"A": np.ones((2, 3))}, "A must have shape (d, N) with N = len(x) = 2, got (2, 3)"),
+        ("Gamma1", {"lam": np.ones((2, 2)), "nu": NU}, "lam must have shape (d,)"),
+        ("Gamma1", {"lam": np.ones(2), "nu": np.array([0.0, 0.0, 1.0])}, "nu must have shape (N,)"),
+        ("Gamma2", {"A": E2, "Lam": np.ones((3, 2)), "nu": NU}, "Lam must have shape (d, N)"),
+        ("W2", {"A": E2, "L": np.ones((2, 2, 3)), "M": np.ones((2, 2, 2))}, "L must have shape (d, N, N)"),
+        ("W2", {"A": E2, "L": np.ones((2, 2, 2)), "M": np.ones((3, 2, 2))}, "M must have shape (d, N, N)"),
+        ("W2", {"A": E2, "L": np.ones((2, 2, 2))}, "W2 cell problem needs M"),
+        ("W3", {"A": E2}, "unknown cell variant 'W3'"),
+    ])
+    def test_mismatch_names_the_field(self, variant, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CellProblem(variant, X0, NT, **data)
+
+    def test_x_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="x must be a vector"):
+            CellProblem("W1", np.zeros((1, 2)), NT, A=self.E2)
 
 
 class TestRotation:
@@ -135,7 +178,6 @@ class TestW2:
         A = np.eye(2)
         r = estimate_W2(X0, A, Z, Z, NT)
         assert r.upper <= float(NT.W(X0, A, np.zeros((2, 2, 2)))) + 1e-14
-        assert r.best_family == "affine"
 
     def test_affine_competitor_when_constraint_matches(self):
         rng = np.random.default_rng(1)
@@ -144,6 +186,38 @@ class TestW2:
         r = estimate_W2(X0, A, L, L, NT)
         expected = float(NT.W(X0, A, L.transpose(0, 2, 1)))
         assert r.upper <= expected + 1e-12
+
+    @pytest.mark.parametrize("triple", ["norm", "example"])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_laminate_covers_the_affine_competitor(self, triple, N):
+        # at M = L the laminate is the affine map v = L y, bit for bit; an
+        # inclusion box may undercut it by rounding only
+        densities = norm_triple(d=N, N=N) if triple == "norm" else example_triple(np.eye(N)[0])
+        for seed in range(4):
+            rng = np.random.default_rng([N, seed])
+            x, A, L = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N)), rng.standard_normal((N, N, N))
+            affine = estimate_W2(x, A, L, L, densities, families=[AffineCompetitor()]).upper
+            r = estimate_W2(x, A, L, L.copy(), densities, budget=2)
+            assert [row["energy"] for row in r.rows if row["family"] == "laminate"] == [affine]
+            assert 0.0 <= affine - r.upper <= 4 * np.spacing(affine)
+
+    def test_near_equal_boundary_and_average_keep_the_bracket(self):
+        # a competitor that ignores M passed the tolerance here: upper 0 < lower 5e-11
+        M = np.zeros((2, 2, 2))
+        M[0, 0, 0] = 5e-11
+        densities = DensityTriple(bulk_zero(), psi1_norm(), psi2_norm())
+        r = estimate_W2(np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2, 2)), M, densities)
+        assert r.lower == 5e-11
+        assert r.lower <= r.upper
+
+    def test_large_data_passes_admissibility(self):
+        # rounding in the average gradient grows with the data (~1e-11 at 1e4)
+        rng = np.random.default_rng(0)
+        L, M = 1e5 * rng.standard_normal((2, 2, 2)), 1e5 * rng.standard_normal((2, 2, 2))
+        r = estimate_W2(np.zeros(2), np.zeros((2, 2)), L, M, NT, budget=2)
+        assert all(row["admissible"] for row in r.rows)
+        assert 1e-10 < r.admissibility_residual <= 1e-10 * np.linalg.norm(L)
+        assert r.lower <= r.upper
 
     def test_worked_example_reaches_closed_form(self):
         trip = example_triple(np.array([1.0, 0.0]))
@@ -242,8 +316,9 @@ class TestSweepMechanics:
     def test_rows_record_admissibility(self):
         M = np.zeros((2, 2, 2))
         M[0, 0, 0] = 1.0
-        r = estimate_W2(X0, np.zeros((2, 2)), np.zeros((2, 2, 2)), M, NT)
-        assert any(not row["admissible"] for row in r.rows)  # affine family fails M != L
+        r = estimate_W2(X0, np.zeros((2, 2)), np.zeros((2, 2, 2)), M, NT,
+                        families=[AffineCompetitor(), LaminateFamily()])
+        assert any(not row["admissible"] for row in r.rows)  # the affine map fails M != L
         assert all(row["energy"] is None for row in r.rows if not row["admissible"])
 
     def test_admissibility_re_verified(self):
@@ -313,13 +388,11 @@ class TestSweepMechanics:
 
 class TestEstimationFailure:
     def test_no_admissible_competitor_is_reported(self):
-        from sdrelax.cellformulas import AffineFamily
-
         M = np.zeros((2, 2, 2))
         M[0, 0, 0] = 1.0
         with pytest.raises(EstimationError):
             estimate_W2(X0, np.zeros((2, 2)), np.zeros((2, 2, 2)), M, NT,
-                        families=[AffineFamily()])
+                        families=[AffineCompetitor()])
 
 
 class TestUpperBoundProperties:

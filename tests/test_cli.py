@@ -476,6 +476,14 @@ class TestLibraryValueErrors:
          "must be even"),
         (_sweep({"variant": "W2", "A": [[1.0, 0.0], [0.0, 1.0]], "L": ZERO_L, "M": ZERO_L,
                  "resolution": 0}), "resolution"),
+        (_sweep({"variant": "W2", "A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "L": ZERO_L,
+                 "M": ZERO_L}), "A must have shape (d, N) with N = len(x) = 2, got (2, 3)"),
+        (_sweep({"variant": "Gamma2", "A": [1.0, 0.0, 0.0, 1.0, 0.0], "Lam": [[1.0, 0.0], [0.0, 1.0]],
+                 "nu": [0.0, 1.0]}), "A must have shape (d, N) with N = len(x) = 2, got (5,)"),
+        (_sweep({"variant": "Gamma1", "lam": [1.0, 0.0], "nu": [0.0, 0.0, 1.0]}),
+         "nu must have shape (N,) with N = len(x) = 2, got (3,)"),
+        (_sweep({"variant": "W1", "x": [0.5, 0.5, 0.5], "A": [[1.0, 0.0], [0.0, 1.0]]}),
+         "A must have shape (d, N) with N = len(x) = 3, got (2, 2)"),
         (_sequence([0]), "n must be >= 1"),
         (_example(a=[2.0, 0.0]), "unit vector"),
         (_example(L=[[1.0, 0.0], [0.0, 1.0]]), "N x N x N"),
@@ -486,7 +494,8 @@ class TestLibraryValueErrors:
                                                  "psi1": "norm(lam) + abs(lam[7])",
                                                  "psi2": "norm(Lam)"}, "d": 1, "N": 1}),
          "index [7] is out of range for lam of shape (1,)"),
-    ], ids=["gamma1-nu", "gamma1-odd-resolution", "w2-resolution-0", "sequence-n-0",
+    ], ids=["gamma1-nu", "gamma1-odd-resolution", "w2-resolution-0", "w2-A-2x3",
+            "gamma2-A-vector", "gamma1-nu-3d", "w1-x-3d", "sequence-n-0",
             "example-a", "example-2x2-L", "energy-grad", "field-index", "density-index"])
     def test_exit_2(self, tmp_path, capsys, payload, message):
         cfg = write_config(tmp_path, payload)

@@ -76,6 +76,14 @@ class TestJumpSet:
         assert np.array_equal(first.normal, second.normal)
 
 
+class TestBoxDomainIdentity:
+    def test_domains_compare_by_identity_and_hash(self):
+        a, b = BoxDomain([0, 0], [1, 1], [2, 2]), BoxDomain([0, 0], [1, 1], [2, 2])
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
+        assert a.compatible(b)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("lower, upper", [([0.0], [np.inf]), ([-np.inf], [1.0]),
                                               ([0.0, 0.0], [1.0, np.inf])])
