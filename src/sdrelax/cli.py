@@ -113,6 +113,13 @@ def _ints(value) -> list:
     return [_int(n) for n in value]
 
 
+def _sequence_ns(value) -> list:
+    ns = _ints(value)
+    if not ns:
+        raise ValueError("must list at least one n")
+    return ns
+
+
 def _int_array(value) -> np.ndarray:
     return np.asarray(_ints(value) if isinstance(value, list) else _int(value), dtype=int)
 
@@ -377,7 +384,7 @@ def _task_energy(config: dict, seed: int) -> tuple[dict, int]:
 def _task_sequence(config: dict, seed: int) -> tuple[dict, int]:
     sd2 = _build_sd2(config)
     densities = _build_densities(config.get("densities", {}))
-    section = _options(config.get("sequence", {}), {"n": _ints}, "sequence")
+    section = _options(config.get("sequence", {}), {"n": _sequence_ns}, "sequence")
     out = []
     for n in section.get("n", [4, 8, 16, 32]):
         pair, diag = approximating_sequence(sd2, n)

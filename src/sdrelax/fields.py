@@ -629,7 +629,7 @@ def l1_norm(f: PiecewiseAffineField) -> float:
     return _l1_of_cell_data(f.domain, f.const, f.lin, f.value_shape, _L1_QUAD_ORDER)
 
 
-# cells per batch of the Gauss-Legendre L1 path: bounds its temporaries
+# cells per batch of the L1 paths: bounds their temporaries
 _L1_BLOCK_CELLS = 4096
 
 
@@ -645,13 +645,16 @@ def _l1_of_cell_data(dom: BoxDomain, const, lin, value_shape, quad_order) -> flo
     flat_l = lin.reshape((-1,) + value_shape + (dom.ndim,))
     terms = []
     if scalar:
-        for c, b in zip(flat_c.reshape(flat_c.shape[0], -1), flat_l.reshape(flat_l.shape[0], -1, dom.ndim)):
-            terms.append(box_abs_affine(float(c[0]) if c.size else float(c), b[0] if b.size else b, widths))
+        flat_c = flat_c.reshape(flat_c.shape[0], -1)[:, 0]
+        flat_l = flat_l.reshape(flat_l.shape[0], -1, dom.ndim)[:, 0]
     else:
         pts, wts = gauss_legendre_points(-widths / 2.0, widths / 2.0, quad_order)
-        for start in range(0, flat_c.shape[0], _L1_BLOCK_CELLS):
-            vals = _affine_at_points(flat_c[start:start + _L1_BLOCK_CELLS],
-                                     flat_l[start:start + _L1_BLOCK_CELLS], pts)
+    for start in range(0, flat_c.shape[0], _L1_BLOCK_CELLS):
+        block = slice(start, start + _L1_BLOCK_CELLS)
+        if scalar:
+            terms.extend(box_abs_affine(flat_c[block], flat_l[block], widths).tolist())
+        else:
+            vals = _affine_at_points(flat_c[block], flat_l[block], pts)
             # one dot per cell: a single matrix-vector product rounds differently
             terms.extend(map(wts.dot, norm(vals, vnd)))
     return fsum(terms)

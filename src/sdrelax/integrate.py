@@ -4,7 +4,9 @@ The key primitive is the exact integral of the absolute value of an affine
 function over a box in any dimension.  Integrating one axis at a time turns
 |s| into a piecewise polynomial of the remaining affine combination, so the
 whole integral reduces to bookkeeping on breakpoints and polynomial
-coefficients; no quadrature error enters.
+coefficients; no quadrature error enters.  The bookkeeping runs on arrays
+with a leading row axis, so a whole block of cells (a scalar field's L1
+norm, the faces of an inclusion box) is integrated in one pass.
 """
 
 from __future__ import annotations
@@ -12,104 +14,126 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 
-class PiecewisePoly:
-    """Piecewise polynomial on the real line.
+def box_abs_affine(const, grad, widths):
+    """Exact ``integral of |const + grad . t|`` for t in the centered box.
 
-    ``breaks`` is a sorted 1d array; piece ``i`` covers
-    ``(breaks[i-1], breaks[i])`` with the outer pieces unbounded.  ``coeffs``
-    holds one lowest-degree-first coefficient array per piece
-    (``len(coeffs) == len(breaks) + 1``).
+    The box is ``prod_k [-w_k/2, w_k/2]``.  A scalar ``const`` with ``grad``
+    and ``widths`` of shape ``(k,)`` gives a float; ``const`` of shape
+    ``(n,)`` with ``grad`` of shape ``(n, k)`` gives one value per row, and
+    ``widths`` is then ``(k,)`` or ``(n, k)``.
+
+    The integral is positively 1-homogeneous in ``(const, grad)``, so each row
+    is first scaled by the power of two that brings ``max(|const|,
+    |g_k| w_k)`` into ``[1/2, 1)``; the scale is exact, and extreme
+    magnitudes neither overflow nor underflow.  Axes with zero slope only
+    scale the measure; each sloped axis is integrated analytically, keeping
+    the result piecewise polynomial in the remaining affine combination.
     """
-
-    def __init__(self, breaks, coeffs):
-        self.breaks = np.asarray(breaks, dtype=float)
-        self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
-        if len(self.coeffs) != len(self.breaks) + 1:
-            raise ValueError("need one more piece than breakpoints")
-
-    @classmethod
-    def abs(cls) -> "PiecewisePoly":
-        return cls([0.0], [np.array([0.0, -1.0]), np.array([0.0, 1.0])])
-
-    def __call__(self, x: float) -> float:
-        idx = int(np.searchsorted(self.breaks, x, side="left"))
-        return float(npoly.polyval(x, self.coeffs[idx]))
-
-    def antiderivative(self) -> "PiecewisePoly":
-        """Global continuous antiderivative (constant fixed piece to piece)."""
-        raw = [npoly.polyint(c) for c in self.coeffs]
-        out = [raw[0]]
-        for i, b in enumerate(self.breaks):
-            left = float(npoly.polyval(b, out[i]))
-            right = float(npoly.polyval(b, raw[i + 1]))
-            shifted = raw[i + 1].copy()
-            shifted[0] += left - right
-            out.append(shifted)
-        return PiecewisePoly(self.breaks, out)
-
-    def shift(self, delta: float) -> "PiecewisePoly":
-        """Return ``s -> self(s + delta)``."""
-        coeffs = [_poly_compose_shift(c, delta) for c in self.coeffs]
-        return PiecewisePoly(self.breaks - delta, coeffs)
-
-    @staticmethod
-    def combine(a1: float, f1: "PiecewisePoly", a2: float, f2: "PiecewisePoly") -> "PiecewisePoly":
-        breaks = np.union1d(f1.breaks, f2.breaks)
-        coeffs = []
-        # sample a point inside each merged piece to locate source pieces
-        probes = _piece_probes(breaks)
-        for p in probes:
-            i1 = int(np.searchsorted(f1.breaks, p, side="left"))
-            i2 = int(np.searchsorted(f2.breaks, p, side="left"))
-            c = npoly.polyadd(a1 * f1.coeffs[i1], a2 * f2.coeffs[i2])
-            coeffs.append(c)
-        return PiecewisePoly(breaks, coeffs)
+    scalar = np.ndim(const) == 0
+    const = np.atleast_1d(np.asarray(const, dtype=float))
+    grad = np.asarray(grad, dtype=float)
+    if scalar:
+        grad = np.atleast_1d(grad)[None]
+    widths = np.atleast_1d(np.asarray(widths, dtype=float))
+    if grad.ndim != 2 or grad.shape[0] != const.shape[0] or widths.shape[-1] != grad.shape[1]:
+        raise ValueError("need grad of shape (n, k) for n consts, and widths of shape (k,) or (n, k)")
+    widths = np.broadcast_to(widths, grad.shape)
+    scale = np.max(np.abs(np.column_stack([const, grad * widths])), axis=1)
+    # a row with an infinite or NaN coefficient is that scale; it is not integrated
+    finite = np.isfinite(scale)
+    exp = np.frexp(scale)[1]
+    const = np.where(finite, np.ldexp(const, -exp), 0.0)
+    grad = np.where(finite[:, None], np.ldexp(grad, -exp[:, None]), 0.0)
+    flat = widths * np.abs(grad) < 1e-300
+    factor = np.ones_like(const)
+    for k in range(grad.shape[1]):
+        factor = np.where(flat[:, k], factor * widths[:, k], factor)
+    # sloped axes first, each row keeping its axis order
+    order = np.argsort(flat, axis=1, kind="stable")
+    grad = np.take_along_axis(grad, order, axis=1)
+    widths = np.take_along_axis(widths, order, axis=1)
+    sloped = grad.shape[1] - flat.sum(axis=1)
+    out = np.empty_like(const)
+    for m in np.unique(sloped):
+        rows = np.flatnonzero(sloped == m)
+        out[rows] = _abs_affine_rows(const[rows], grad[rows, :m], widths[rows, :m])
+    out = np.where(finite, np.ldexp(factor * out, exp), scale)
+    return float(out[0]) if scalar else out
 
 
-def _piece_probes(breaks: np.ndarray) -> list[float]:
-    if len(breaks) == 0:
-        return [0.0]
-    pts = [float(breaks[0]) - 1.0]
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        pts.append(0.5 * (float(a) + float(b)))
-    pts.append(float(breaks[-1]) + 1.0)
-    return pts
+def _abs_affine_rows(const, grad, widths) -> np.ndarray:
+    """``integral of |const + grad . t|`` for rows whose slopes are all nonzero.
+
+    After ``j`` axes each row holds its partial integral as a piecewise
+    polynomial in ``s``: ``2^j`` sorted breaks and ``2^j + 1`` pieces, one
+    coefficient array each (lowest degree first, zero-padded).  Breaks that
+    coincide leave empty pieces; they carry the polynomial on their left, so
+    no rounding passes through them.
+    """
+    n = const.shape[0]
+    breaks = np.zeros((n, 1))
+    coeffs = np.zeros((n, 2, 2))
+    coeffs[:, 0, 1] = -1.0
+    coeffs[:, 1, 1] = 1.0
+    ends = np.full((n, 1), np.inf)
+    for g, w in zip(grad.T, widths.T):
+        # integral over t of p(s + g t) is (F(s + delta) - F(s - delta)) / g
+        f = _antiderivative(breaks, coeffs)
+        delta = g * w / 2.0
+        hi_breaks = breaks - delta[:, None]
+        lo_breaks = breaks + delta[:, None]
+        breaks = np.sort(np.concatenate([hi_breaks, lo_breaks], axis=1), axis=1)
+        probes = np.concatenate([-ends, 0.5 * (breaks[:, :-1] + breaks[:, 1:]), ends], axis=1)
+        hi = np.take_along_axis(_shift(f, delta), _piece_of(hi_breaks, probes)[..., None], axis=1)
+        lo = np.take_along_axis(_shift(f, -delta), _piece_of(lo_breaks, probes)[..., None], axis=1)
+        coeffs = (1.0 / g)[:, None, None] * hi + (-1.0 / g)[:, None, None] * lo
+    piece = _piece_of(breaks, const[:, None])[:, 0]
+    return _horner(const, coeffs[np.arange(n), piece])
 
 
-def _poly_compose_shift(c: np.ndarray, delta: float):
-    # p(s + delta) by Horner on the shifted variable
-    out = np.zeros(1)
-    for coef in c[::-1]:
-        out = npoly.polymul(out, np.array([delta, 1.0]))
-        out = npoly.polyadd(out, np.array([coef]))
+def _piece_of(breaks, points) -> np.ndarray:
+    """Index of the piece holding each point: the number of breaks below it."""
+    return np.sum(breaks[:, None, :] < points[:, :, None], axis=2)
+
+
+def _horner(x, c) -> np.ndarray:
+    """Rows of ``c`` (lowest degree first) evaluated at ``x``, one point per row.
+
+    The steps are those of ``numpy.polynomial.polynomial.polyval``, so each
+    row rounds as a per-row call would.
+    """
+    acc = c[..., -1] + x * 0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc = c[..., k] + acc * x
+    return acc
+
+
+def _antiderivative(breaks, coeffs) -> np.ndarray:
+    """Continuous antiderivative of each row's pieces; piece 0 has no constant term."""
+    raw = np.zeros(coeffs.shape[:2] + (coeffs.shape[2] + 1,))
+    raw[..., 1:] = coeffs / np.arange(1, coeffs.shape[2] + 1)
+    out = raw.copy()
+    for i in range(breaks.shape[1]):
+        b = breaks[:, i]
+        out[:, i + 1, 0] = raw[:, i + 1, 0] + (_horner(b, out[:, i]) - _horner(b, raw[:, i + 1]))
+        if i + 1 < breaks.shape[1]:
+            empty = b == breaks[:, i + 1]
+            out[empty, i + 1] = out[empty, i]
     return out
 
 
-def box_abs_affine(const: float, grad, widths) -> float:
-    """Exact ``integral of |const + grad . t|`` for t in the centered box.
-
-    The box is ``prod_k [-w_k/2, w_k/2]``.  Axes with zero slope only scale
-    the measure; each sloped axis is integrated analytically, keeping the
-    result piecewise polynomial in the remaining affine combination.
-    """
-    grad = np.atleast_1d(np.asarray(grad, dtype=float))
-    widths = np.atleast_1d(np.asarray(widths, dtype=float))
-    if grad.shape != widths.shape:
-        raise ValueError("grad and widths must have matching length")
-    factor = 1.0
-    pp = PiecewisePoly.abs()
-    for g, w in zip(grad, widths):
-        if g == 0.0 or w * abs(g) < 1e-300:
-            factor *= w
-            continue
-        f = pp.antiderivative()
-        hi = f.shift(g * w / 2.0)
-        lo = f.shift(-g * w / 2.0)
-        pp = PiecewisePoly.combine(1.0 / g, hi, -1.0 / g, lo)
-    return factor * pp(float(const))
+def _shift(coeffs, delta) -> np.ndarray:
+    """Coefficients of ``s -> p(s + delta)`` by Horner on the shifted variable."""
+    d = delta[:, None, None]
+    out = np.zeros_like(coeffs)
+    for k in range(coeffs.shape[2] - 1, -1, -1):
+        nxt = out * d
+        nxt[..., 1:] += out[..., :-1]
+        nxt[..., 0] += coeffs[..., k]
+        out = nxt
+    return out
 
 
 def gauss_legendre_points(lower, upper, order: int):

@@ -1,13 +1,14 @@
 """Per-facet, per-cell and per-point loops that the array code in ``sdrelax`` replaced.
 
 They build one ``JumpFacet`` per facet and one dict per outer face, filter
-and sum facet by facet, integrate the tensor L1 norm cell by cell, check
+and sum facet by facet, integrate the L1 norm cell by cell (a scalar field's
+with one ``PiecewisePoly`` integral of ``|affine|`` per cell), check
 admissibility face by face, evaluate the recession function one point at a
 time, price the Gamma2 bulk term cell by cell, and assemble the relaxed
 energy with one estimator call per cell and facet (no memo).  The property
 tests in ``test_facet_table.py``, ``test_densities.py``,
-``test_cellformulas.py`` and ``test_assembly.py`` require the library code to
-reproduce their results bit for bit.
+``test_cellformulas.py``, ``test_assembly.py`` and ``test_integrate.py``
+require the library code to reproduce their results bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from sdrelax.assembly import _trace_formula_estimate
 from sdrelax.cellformulas import (
@@ -26,7 +28,7 @@ from sdrelax.cellformulas import (
 )
 from sdrelax.densities import DEFAULT_SCHEDULE
 from sdrelax.fields import StepBoundary
-from sdrelax.integrate import box_abs_affine, fsum, gauss_legendre_points
+from sdrelax.integrate import fsum, gauss_legendre_points
 from sdrelax.integrate import norm as _vnorm
 from sdrelax.trace_formula import swap_layout
 
@@ -241,6 +243,103 @@ def l1_of_cell_data(dom, const, lin, value_shape, quad_order) -> float:
             vals = c + np.einsum("...k,mk->m...", b, pts)
             terms.append(float(np.dot(_vnorm(vals, vnd), wts)))
     return fsum(terms)
+
+
+class PiecewisePoly:
+    """Piecewise polynomial on the real line.
+
+    ``breaks`` is a sorted 1d array; piece ``i`` covers
+    ``(breaks[i-1], breaks[i])`` with the outer pieces unbounded.  ``coeffs``
+    holds one lowest-degree-first coefficient array per piece
+    (``len(coeffs) == len(breaks) + 1``).
+    """
+
+    def __init__(self, breaks, coeffs):
+        self.breaks = np.asarray(breaks, dtype=float)
+        self.coeffs = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coeffs]
+        if len(self.coeffs) != len(self.breaks) + 1:
+            raise ValueError("need one more piece than breakpoints")
+
+    @classmethod
+    def abs(cls) -> "PiecewisePoly":
+        return cls([0.0], [np.array([0.0, -1.0]), np.array([0.0, 1.0])])
+
+    def __call__(self, x: float) -> float:
+        idx = int(np.searchsorted(self.breaks, x, side="left"))
+        return float(npoly.polyval(x, self.coeffs[idx]))
+
+    def antiderivative(self) -> "PiecewisePoly":
+        """Global continuous antiderivative (constant fixed piece to piece)."""
+        raw = [npoly.polyint(c) for c in self.coeffs]
+        out = [raw[0]]
+        for i, b in enumerate(self.breaks):
+            left = float(npoly.polyval(b, out[i]))
+            right = float(npoly.polyval(b, raw[i + 1]))
+            shifted = raw[i + 1].copy()
+            shifted[0] += left - right
+            out.append(shifted)
+        return PiecewisePoly(self.breaks, out)
+
+    def shift(self, delta: float) -> "PiecewisePoly":
+        """Return ``s -> self(s + delta)``."""
+        coeffs = [_poly_compose_shift(c, delta) for c in self.coeffs]
+        return PiecewisePoly(self.breaks - delta, coeffs)
+
+    @staticmethod
+    def combine(a1: float, f1: "PiecewisePoly", a2: float, f2: "PiecewisePoly") -> "PiecewisePoly":
+        breaks = np.union1d(f1.breaks, f2.breaks)
+        coeffs = []
+        # sample a point inside each merged piece to locate source pieces
+        probes = _piece_probes(breaks)
+        for p in probes:
+            i1 = int(np.searchsorted(f1.breaks, p, side="left"))
+            i2 = int(np.searchsorted(f2.breaks, p, side="left"))
+            c = npoly.polyadd(a1 * f1.coeffs[i1], a2 * f2.coeffs[i2])
+            coeffs.append(c)
+        return PiecewisePoly(breaks, coeffs)
+
+
+def _piece_probes(breaks: np.ndarray) -> list[float]:
+    if len(breaks) == 0:
+        return [0.0]
+    pts = [float(breaks[0]) - 1.0]
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        pts.append(0.5 * (float(a) + float(b)))
+    pts.append(float(breaks[-1]) + 1.0)
+    return pts
+
+
+def _poly_compose_shift(c: np.ndarray, delta: float):
+    # p(s + delta) by Horner on the shifted variable
+    out = np.zeros(1)
+    for coef in c[::-1]:
+        out = npoly.polymul(out, np.array([delta, 1.0]))
+        out = npoly.polyadd(out, np.array([coef]))
+    return out
+
+
+def box_abs_affine(const: float, grad, widths) -> float:
+    """Exact ``integral of |const + grad . t|`` for t in the centered box, one call per cell.
+
+    The box is ``prod_k [-w_k/2, w_k/2]``.  Axes with zero slope only scale
+    the measure; each sloped axis is integrated analytically, keeping the
+    result piecewise polynomial in the remaining affine combination.
+    """
+    grad = np.atleast_1d(np.asarray(grad, dtype=float))
+    widths = np.atleast_1d(np.asarray(widths, dtype=float))
+    if grad.shape != widths.shape:
+        raise ValueError("grad and widths must have matching length")
+    factor = 1.0
+    pp = PiecewisePoly.abs()
+    for g, w in zip(grad, widths):
+        if g == 0.0 or w * abs(g) < 1e-300:
+            factor *= w
+            continue
+        f = pp.antiderivative()
+        hi = f.shift(g * w / 2.0)
+        lo = f.shift(-g * w / 2.0)
+        pp = PiecewisePoly.combine(1.0 / g, hi, -1.0 / g, lo)
+    return factor * pp(float(const))
 
 
 def gauss_green_residual(field) -> np.ndarray:

@@ -555,6 +555,8 @@ class TestWrongTypes:
         (_edited(["check", "N"], "2", CHECK_CONFIG),
          "bad check section: check.N: must be an integer, got str"),
         (_sequence([4.0]), "bad sequence section: sequence.n: must be an integer, got float"),
+        # an empty list would write a report with no sequence in it
+        (_sequence([]), "bad sequence section: sequence.n: must list at least one n"),
         (_edited(["cell", "budget"], 2.0, SWEEP_CONFIG),
          "bad cell section: cell.budget: must be an integer, got float"),
         (_edited(["cell", "resolution"], "4", SWEEP_CONFIG),
@@ -576,7 +578,7 @@ class TestWrongTypes:
             "params-list", "collect-cells-string", "seed-float", "resolution-str",
             "resolution-float", "densities-d-float", "densities-N-bool", "params-d-str",
             "params-N-float", "check-samples-float", "check-d-float", "check-N-str",
-            "sequence-n-float", "cell-budget-float", "cell-resolution-str",
+            "sequence-n-float", "sequence-n-empty", "cell-budget-float", "cell-resolution-str",
             "example-random-count-float", "assemble-budget-float", "assemble-budget-str",
             "assemble-budget-bool", "assemble-resolution-float", "assemble-w2-resolution-float"])
     def test_exit_2(self, tmp_path, capsys, payload, message):

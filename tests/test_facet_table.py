@@ -19,6 +19,7 @@ from sdrelax.cellformulas import (
     estimate_gamma2,
     rotation_to_last_axis,
 )
+from sdrelax.constructions import SD2Triple, approximating_sequence
 from sdrelax.densities import BulkDensity, DensityTriple, InterfacialDensity, norm_triple, psi2_proj
 from sdrelax.energy import interfacial_energy, total_energy
 from sdrelax.integrate import norm
@@ -298,6 +299,21 @@ def test_l1_blocks_match_per_cell_loop():
     const = rng.standard_normal(dom.cells_shape + (2, 2))
     lin = rng.standard_normal(dom.cells_shape + (2, 2, 2))
     assert _l1_of_cell_data(dom, const, lin, (2, 2), 6) == ref.l1_of_cell_data(dom, const, lin, (2, 2), 6)
+
+
+def test_scalar_sequence_l1_matches_per_cell_loop():
+    # d = 1 in 2D: l1_u runs the batched exact |affine| integral on a 64x64 grid
+    rng = np.random.default_rng(11)
+    base = BoxDomain([0.0, 0.0], [1.0, 1.0], [4, 4])
+    g = PiecewiseAffineField(base, rng.standard_normal((4, 4, 1)), rng.standard_normal((4, 4, 1, 2)))
+    G = PiecewiseAffineField(base, rng.standard_normal((4, 4, 1, 2)), rng.standard_normal((4, 4, 1, 2, 2)))
+    sd2 = SD2Triple(g, G, rng.standard_normal((4, 4, 1, 2, 2)))
+    pair, diag = approximating_sequence(sd2, 8)
+    assert list(pair.u.domain.resolution) == [64, 64]
+    for key, f, target in (("l1_u", pair.u, sd2.g), ("l1_grad", pair.grad, sd2.G)):
+        target = target.refine((16, 16))
+        args = (f.domain, f.const - target.const, f.lin - target.lin, f.value_shape, 6)
+        assert diag[key] == ref.l1_of_cell_data(*args)
 
 
 class TestFacetTable:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
+from reference_loops import PiecewisePoly
 from sdrelax.integrate import (
-    PiecewisePoly,
     box_abs_affine,
     fsum,
     gauss_legendre_points,
@@ -44,6 +45,106 @@ def test_abs_affine_matches_monte_carlo(dim):
 def test_abs_affine_zero_slope_axes():
     v = box_abs_affine(1.5, [0.0, 0.0], [2.0, 3.0])
     assert v == pytest.approx(1.5 * 6.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("args, exact", [
+    ((1e200, [1e200], [1.0]), 1e200),
+    ((0.0, [1e200], [1.0]), 2.5e199),
+    ((0.0, [1e160, 1e160], [1.0, 1.0]), 1e160 / 3),
+    ((0.0, [1e-200], [1.0]), 2.5e-201),
+], ids=["huge-const", "huge-slope", "huge-2d", "tiny-slope"])
+def test_abs_affine_extreme_magnitudes(args, exact):
+    # the integral is 1-homogeneous in (const, grad): no overflow, no underflow
+    assert box_abs_affine(*args) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_abs_affine_nan_stays_nan():
+    assert np.isnan(box_abs_affine(np.nan, [1.0], [1.0]))
+    assert np.isnan(box_abs_affine(1.0, [np.nan, 1.0], [1.0, 1.0]))
+    assert np.all(np.isnan(box_abs_affine(np.array([np.nan, 1.0]), np.array([[1.0], [np.nan]]), [1.0])))
+
+
+def _reference_rows(k, n, seed):
+    """Seeded rows: zero, negative, tiny and coincident slopes; consts on breaks."""
+    rng = np.random.default_rng(seed)
+    const = rng.standard_normal(n) * np.exp(rng.uniform(-3.0, 3.0, n))
+    grad = rng.standard_normal((n, k)) * np.exp(rng.uniform(-3.0, 3.0, (n, k)))
+    kind = rng.integers(0, 6, (n, k))
+    grad[kind == 0] = 0.0
+    grad[kind == 1] *= 1e-12
+    # small integer slopes on dyadic widths make breaks coincide
+    grad[kind == 2] = rng.integers(-3, 4, np.count_nonzero(kind == 2))
+    widths = 2.0 ** -rng.integers(0, 4, (n, k)) * np.where(kind == 2, 1.0, rng.uniform(0.5, 1.5, (n, k)))
+    # each break is (0 -+ d_1) -+ d_2 ... over the sloped axes, d_k = g_k w_k / 2
+    on_break = rng.random(n) < 0.25
+    signs = rng.choice([-1.0, 1.0], (n, k))
+    breaks = np.zeros(n)
+    for j in range(k):
+        breaks = breaks + signs[:, j] * (grad[:, j] * widths[:, j] / 2.0)
+    const[on_break] = breaks[on_break]
+    const[rng.random(n) < 0.05] = 0.0
+    return const, grad, widths
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_batch_matches_per_cell_reference_bitwise(k):
+    const, grad, widths = _reference_rows(k, 240, seed=k)
+    straddles = np.abs(const) < np.sum(np.abs(grad) * widths, axis=1) / 2.0
+    assert straddles.any() and not straddles.all()
+    want = np.array([ref.box_abs_affine(c, g, w) for c, g, w in zip(const, grad, widths)])
+    assert box_abs_affine(const, grad, widths).tobytes() == want.tobytes()
+    shared = widths[0]
+    want = np.array([ref.box_abs_affine(c, g, shared) for c, g in zip(const, grad)])
+    assert box_abs_affine(const, grad, shared).tobytes() == want.tobytes()
+    assert box_abs_affine(float(const[0]), grad[0], shared) == want[0]
+
+
+def _oracle_rows(k, n=400, seed=0):
+    """Rows with moderate slopes, some zero, whose box may straddle the zero set."""
+    rng = np.random.default_rng(seed + k)
+    grad = rng.choice([-1.0, 1.0], (n, k)) * rng.uniform(0.5, 2.0, (n, k))
+    grad[rng.random((n, k)) < 0.2] = 0.0
+    widths = rng.uniform(0.5, 2.0, (n, k))
+    reach = np.sum(np.abs(grad) * widths, axis=1) / 2.0
+    const = rng.uniform(-1.2, 1.2, n) * reach + rng.uniform(-0.1, 0.1, n)
+    return const, grad, widths
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+class TestIdentityOracles:
+    def test_split_box_sums_the_halves(self, k):
+        const, grad, widths = _oracle_rows(k)
+        whole = box_abs_affine(const, grad, widths)
+        for a in range(k):
+            half = widths.copy()
+            half[:, a] /= 2.0
+            shift = grad[:, a] * widths[:, a] / 4.0
+            parts = box_abs_affine(const - shift, grad, half) + box_abs_affine(const + shift, grad, half)
+            np.testing.assert_allclose(parts, whole, rtol=1e-13, atol=0.0)
+
+    def test_flipping_an_axis_keeps_the_value(self, k):
+        const, grad, widths = _oracle_rows(k)
+        whole = box_abs_affine(const, grad, widths)
+        for a in range(k):
+            flipped = grad.copy()
+            flipped[:, a] *= -1.0
+            np.testing.assert_allclose(box_abs_affine(const, flipped, widths), whole, rtol=1e-13, atol=0.0)
+
+    def test_permuting_the_axes_keeps_the_value(self, k):
+        const, grad, widths = _oracle_rows(k)
+        whole = box_abs_affine(const, grad, widths)
+        rng = np.random.default_rng(k)
+        for _ in range(4):
+            perm = rng.permutation(k)
+            np.testing.assert_allclose(box_abs_affine(const, grad[:, perm], widths[:, perm]), whole,
+                                       rtol=1e-13, atol=0.0)
+
+    def test_box_off_the_zero_set_is_volume_times_const(self, k):
+        const, grad, widths = _oracle_rows(k)
+        reach = np.sum(np.abs(grad) * widths, axis=1) / 2.0
+        const = np.where(const < 0.0, -1.0, 1.0) * (reach + np.abs(const))
+        np.testing.assert_allclose(box_abs_affine(const, grad, widths),
+                                   np.prod(widths, axis=1) * np.abs(const), rtol=1e-13, atol=0.0)
 
 
 def test_piecewise_poly_antiderivative_continuity():
