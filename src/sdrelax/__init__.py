@@ -6,7 +6,6 @@ from .fields import (  # noqa: F401
     BoxDomain,
     FacetTable,
     PiecewiseAffineField,
-    PiecewiseConstantField,
     SecondOrderField,
     unit_cube,
 )

@@ -276,6 +276,11 @@ def _build_field(domain: BoxDomain, cfg: dict, name: str) -> PiecewiseAffineFiel
                 field = PiecewiseAffineField.from_dict(_load_json(fh))
         except (OSError, ValueError) as err:
             raise ConfigError(f"cannot read field file for {name!r}: {err}") from err
+        if not field.domain.compatible(domain):
+            raise ConfigError(
+                f"field file for {name!r} covers the box {field.domain.lower.tolist()} to "
+                f"{field.domain.upper.tolist()}, not the domain section's "
+                f"{domain.lower.tolist()} to {domain.upper.tolist()}")
     elif "expression" in cfg:
         try:
             field = _sample_expression_field(domain, cfg["expression"], cfg.get("grad_expression"))

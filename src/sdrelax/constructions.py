@@ -17,7 +17,6 @@ from .fields import (
     AffineBoundary,
     BoxDomain,
     PiecewiseAffineField,
-    PiecewiseConstantField,
     SecondOrderField,
     StepBoundary,
     common_refinement,
@@ -95,20 +94,15 @@ def staircase(A, n: int, domain: BoxDomain) -> PiecewiseAffineField:
     return PiecewiseAffineField(grid, const, lin, boundary_data=AffineBoundary.zero((d,), N))
 
 
-def staircase_mass_bound(A, domain: BoxDomain) -> float:
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    return float(np.sqrt(A.shape[1]) * np.linalg.norm(A) * domain.volume)
-
-
-def piecewise_constant_approx(u: PiecewiseAffineField, n) -> PiecewiseConstantField:
-    """Cell-midpoint sampling of u on the resolution-n grid."""
+def piecewise_constant_approx(u: PiecewiseAffineField, n) -> PiecewiseAffineField:
+    """Cell-midpoint sampling of u on the resolution-n grid (zero linear part)."""
     n = np.broadcast_to(np.asarray(n, dtype=int), (u.domain.ndim,))
     if np.any(n < 1):
         raise ValueError("resolution must be >= 1")
     grid = BoxDomain(u.domain.lower, u.domain.upper, n)
     centers = grid.cell_centers().reshape(-1, grid.ndim)
     values = u.evaluate(centers).reshape(grid.cells_shape + u.value_shape)
-    return PiecewiseConstantField(grid, values, jump_tol=u.jump_tol)
+    return PiecewiseAffineField(grid, values, jump_tol=u.jump_tol)
 
 
 def gradient_primitive(f: PiecewiseAffineField) -> PiecewiseAffineField:
@@ -126,12 +120,6 @@ def gradient_primitive(f: PiecewiseAffineField) -> PiecewiseAffineField:
     const = np.zeros(f.domain.cells_shape + value_shape)
     lin = f.const.copy()
     return PiecewiseAffineField(f.domain, const, lin, jump_tol=f.jump_tol)
-
-
-def gradient_primitive_mass_bound(f: PiecewiseAffineField) -> float:
-    from .fields import l1_norm
-
-    return 4.0 * f.domain.ndim * l1_norm(f)
 
 
 def elementary_jump(payload, ndim: int | None = None, resolution: int = 4,
@@ -173,7 +161,7 @@ def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, di
     res1 = np.lcm(base.resolution, n * np.ones(base.ndim, dtype=int))
     res2 = np.lcm(base.resolution, n * n * np.ones(base.ndim, dtype=int))
 
-    gamma_field = PiecewiseConstantField(base, sd2.Gamma).refine(res1 // base.resolution)
+    gamma_field = PiecewiseAffineField(base, sd2.Gamma).refine(res1 // base.resolution)
     h = gradient_primitive(gamma_field)                      # matrix field, grad h = Gamma
     G1 = sd2.G.refine(res1 // base.resolution)
     diff = PiecewiseAffineField(G1.domain, G1.const - h.const, G1.lin - h.lin)
@@ -187,7 +175,7 @@ def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, di
     h_bar = piecewise_constant_approx(resid, res2)
     u_n = PiecewiseAffineField(g2.domain, h_tilde.const + h_bar.const, h_tilde.lin, jump_tol=g2.jump_tol)
 
-    pair = SecondOrderField(u_n, w_n2, check=True, tol=1e-9)
+    pair = SecondOrderField(u_n, w_n2)
     diagnostics = {
         "n": int(n),
         "grid_stage1": [int(r) for r in res1],

@@ -1,4 +1,4 @@
-"""Evaluation of the initial energy and the disarrangement density fields.
+"""Evaluation of the initial energy of a field.
 
 The bulk term uses midpoint quadrature per cell, which is exact because the
 density arguments are cellwise constant there; interfacial terms sum the
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .constructions import SD2Triple
 from .densities import DensityTriple, InterfacialDensity
 from .fields import FacetTable, PiecewiseAffineField, SecondOrderField
 from .integrate import fsum
@@ -122,13 +121,3 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
         "inexact_facets": inexact1 + inexact2,
     }
     return EnergyBreakdown(bulk, jump1, jump2, total, meta)
-
-
-def disarrangement_density(sd2: SD2Triple) -> np.ndarray:
-    """Cellwise difference between the macroscopic gradient and G."""
-    return sd2.g.lin - sd2.G.const
-
-
-def gradient_disarrangement_density(sd2: SD2Triple) -> np.ndarray:
-    """Cellwise difference between the gradient of G and Gamma."""
-    return sd2.G.lin - sd2.Gamma

@@ -1,11 +1,13 @@
-"""Piecewise-affine and piecewise-constant fields on box grids.
+"""Piecewise-affine fields on box grids.
 
 Fields store one affine piece per grid cell (constant part anchored at the
-cell center plus a linear part).  Jump sets live on grid facets only; a field
-may carry prescribed boundary data, in which case trace mismatches on the
-outer faces are accounted as boundary jump facets with the outward normal.
-That accounting is what lets zero-trace constructions keep an exact cellwise
-gradient while their jump mass stays fully visible to the energy.
+cell center plus a linear part); a cellwise-constant field is a
+:class:`PiecewiseAffineField` with zero linear part.  Jump sets live on grid
+facets only; a field may carry prescribed boundary data, in which case trace
+mismatches on the outer faces are accounted as boundary jump facets with the
+outward normal.  That accounting is what lets zero-trace constructions keep an
+exact cellwise gradient while their jump mass stays fully visible to the
+energy.
 
 Facets have one record, the column table :class:`FacetTable`, which keeps
 both one-sided traces of every facet.  The jump set is such a table; so is
@@ -32,6 +34,7 @@ import numpy as np
 from .integrate import box_abs_affine, fsum, gauss_legendre_points, norm
 
 DEFAULT_JUMP_TOL = 1e-12
+GRADIENT_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +75,6 @@ class BoxDomain:
         return (self.upper - self.lower) / self.resolution
 
     @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
-
-    @property
     def cell_volume(self) -> float:
         return float(np.prod(self.widths))
 
@@ -86,10 +85,6 @@ class BoxDomain:
     @property
     def num_cells(self) -> int:
         return int(np.prod(self.resolution))
-
-    @property
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper - self.lower))
 
     def axis_centers(self, axis: int) -> np.ndarray:
         n = int(self.resolution[axis])
@@ -138,11 +133,8 @@ class BoxDomain:
         return BoxDomain(self.lower, self.upper, self.resolution * factor)
 
     def compatible(self, other: "BoxDomain") -> bool:
-        return (
-            self.ndim == other.ndim
-            and np.allclose(self.lower, other.lower)
-            and np.allclose(self.upper, other.upper)
-        )
+        """Whether both grids cover the same box, bit for bit; resolutions may differ."""
+        return np.array_equal(self.lower, other.lower) and np.array_equal(self.upper, other.upper)
 
     def to_dict(self) -> dict:
         return {
@@ -450,10 +442,6 @@ class PiecewiseAffineField:
         lin = self.lin.reshape((-1,) + self.value_shape + (self.domain.ndim,))[flat]
         return const + np.einsum("m...k,mk->m...", lin, points - centers)
 
-    def gradient_field(self) -> "PiecewiseConstantField":
-        """The derived gradient as a cellwise-constant field."""
-        return PiecewiseConstantField(self.domain, self.lin.copy(), jump_tol=self.jump_tol)
-
     # -- jump set -----------------------------------------------------------
 
     def jump_set(self) -> FacetTable:
@@ -564,23 +552,9 @@ class PiecewiseAffineField:
         )
 
 
-class PiecewiseConstantField(PiecewiseAffineField):
-    """Cellwise-constant field; its total variation is the facet jump mass."""
-
-    def __init__(self, domain: BoxDomain, values, boundary_data=None, jump_tol: float = DEFAULT_JUMP_TOL):
-        super().__init__(domain, values, lin=None, boundary_data=boundary_data, jump_tol=jump_tol)
-
-    def total_variation(self) -> float:
-        return total_jump_mass(self)
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
-
-
-def jump_set(field: PiecewiseAffineField) -> FacetTable:
-    return field.jump_set()
 
 
 def total_jump_mass(field: PiecewiseAffineField) -> float:
@@ -682,59 +656,6 @@ def trace_boundary(field: PiecewiseAffineField) -> FacetTable:
     return field.boundary_trace()
 
 
-def weak_star_pairing(field_or_values, alpha, domain: BoxDomain | None = None) -> np.ndarray:
-    """Pair a field (or cellwise data) against the monomial y**alpha.
-
-    Returns the tensor ``integral of y^alpha * field`` computed cellwise with
-    exact monomial moments (the integrand is polynomial, so there is no
-    quadrature error).
-    """
-    if isinstance(field_or_values, PiecewiseAffineField):
-        dom = field_or_values.domain
-        const = field_or_values.const
-        lin = field_or_values.lin
-        value_shape = field_or_values.value_shape
-    else:
-        if domain is None:
-            raise ValueError("domain required when pairing raw cell data")
-        dom = domain
-        const = np.asarray(field_or_values, dtype=float)
-        value_shape = const.shape[dom.ndim:]
-        lin = np.zeros(const.shape + (dom.ndim,))
-    alpha = tuple(int(a) for a in np.atleast_1d(alpha))
-    if len(alpha) != dom.ndim:
-        raise ValueError("monomial multi-index length must equal dimension")
-    N = dom.ndim
-    edges = [dom.lower[k] + dom.widths[k] * np.arange(dom.resolution[k] + 1) for k in range(N)]
-
-    def axis_moment(k: int, power: int) -> np.ndarray:
-        lo, hi = edges[k][:-1], edges[k][1:]
-        return (hi ** (power + 1) - lo ** (power + 1)) / (power + 1)
-
-    def outer(per_axis: list[np.ndarray]) -> np.ndarray:
-        out = per_axis[0]
-        for arr in per_axis[1:]:
-            out = np.multiply.outer(out, arr)
-        return out
-
-    m0 = outer([axis_moment(k, alpha[k]) for k in range(N)])
-    extra = (1,) * len(value_shape)
-    total = const * m0.reshape(m0.shape + extra)
-    centers = [dom.axis_centers(k) for k in range(N)]
-    for k in range(N):
-        per = [axis_moment(j, alpha[j]) for j in range(N)]
-        per[k] = axis_moment(k, alpha[k] + 1) - centers[k] * axis_moment(k, alpha[k])
-        mk = outer(per)
-        total = total + lin[..., k] * mk.reshape(mk.shape + extra)
-    flat = total.reshape((-1,) + value_shape)
-    out = np.empty(value_shape)
-    if value_shape == ():
-        return np.asarray(fsum(flat))
-    for idx in np.ndindex(*value_shape):
-        out[idx] = fsum(flat[(slice(None),) + idx])
-    return out
-
-
 def gauss_green_residual(field: PiecewiseAffineField) -> np.ndarray:
     """Discrete closure  int(grad u) + sum jump x normal * area - boundary flux.
 
@@ -768,14 +689,15 @@ class SecondOrderField:
     Pairs a vector field ``u`` with its gradient field ``grad`` (itself
     piecewise affine, so it may jump).  The cellwise second gradient is the
     linear part of ``grad``; consistency requires the linear part of ``u`` to
-    match the gradient field at cell centers.
+    match the gradient field at cell centers to ``GRADIENT_MATCH_TOL``, which
+    the constructor checks unless ``check`` is false.
     """
 
-    def __init__(self, u: PiecewiseAffineField, grad: PiecewiseAffineField, check: bool = True, tol: float = 1e-9):
+    def __init__(self, u: PiecewiseAffineField, grad: PiecewiseAffineField, check: bool = True):
         if check:
             uu, gg = common_refinement(u, grad)
             mismatch = np.max(np.abs(uu.lin - gg.const)) if uu.lin.size else 0.0
-            if mismatch > tol:
+            if mismatch > GRADIENT_MATCH_TOL:
                 raise ValueError(f"gradient field inconsistent with u (max mismatch {mismatch:.3e})")
             u, grad = uu, gg
         self.u = u
@@ -785,12 +707,8 @@ class SecondOrderField:
     def domain(self) -> BoxDomain:
         return self.u.domain
 
-    def second_gradient(self) -> np.ndarray:
-        """Cellwise linear part of the gradient field."""
-        return self.grad.lin
-
     @classmethod
     def from_affine(cls, u: PiecewiseAffineField) -> "SecondOrderField":
-        grad = PiecewiseConstantField(u.domain, u.lin.copy(), jump_tol=u.jump_tol)
+        grad = PiecewiseAffineField(u.domain, u.lin.copy(), jump_tol=u.jump_tol)
         return cls(u, grad, check=False)
 

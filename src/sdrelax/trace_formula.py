@@ -36,6 +36,11 @@ def _difference(L, M) -> np.ndarray:
     return L - M
 
 
+def _slice(L, M, a) -> np.ndarray:
+    """The example slice ``(L - M)(., a)``: the N x N matrix ``sum_k (L - M)_ijk a_k``."""
+    return np.einsum("ijk,k->ij", _difference(L, M), np.asarray(a, dtype=float))
+
+
 def closed_form_W2(L, M, a) -> float:
     """|tr((L - M)(., a))| = |sum_ij (L_iij - M_iij) a_j|."""
     a = np.asarray(a, dtype=float)
@@ -84,8 +89,7 @@ def inclusion_energy(L, M, a, box: BoxInclusion) -> float:
         raise ValueError("a must be a unit vector")
     if not box.corners_inside_cube(margin=1e-9):
         raise ValueError("R must be compactly contained in the unit cell cube")
-    B = _difference(L, M)
-    B = np.einsum("ijk,k->ij", B, a)
+    B = _slice(L, M, a)
     N = B.shape[0]
     V = np.eye(N) if box.basis is None else np.asarray(box.basis, dtype=float)
     Vinv = np.linalg.inv(V)
@@ -108,8 +112,7 @@ def laminate_energy(L, M, a, basis=None) -> float:
     full average-gradient constraint at cost sum_m |C_mm| with
     C = V^-1 (L - M)(., a) V; this always dominates |tr C| = the closed form.
     """
-    B = _difference(L, M)
-    B = np.einsum("ijk,k->ij", B, np.asarray(a, dtype=float))
+    B = _slice(L, M, a)
     N = B.shape[0]
     V = np.eye(N) if basis is None else np.asarray(basis, dtype=float)
     C = np.linalg.inv(V) @ B @ V
@@ -142,8 +145,7 @@ def eigen_basis(B, tol: float = 1e-9) -> np.ndarray | None:
 
 def default_box_family(L, M, a) -> list[BoxInclusion]:
     """Centered and shifted boxes, axis-aligned plus eigenbasis when available."""
-    B = _difference(L, M)
-    B = np.einsum("ijk,k->ij", B, np.asarray(a, dtype=float))
+    B = _slice(L, M, a)
     N = B.shape[0]
     family: list[BoxInclusion] = []
     sizes = (0.05, 0.1, 0.2)
@@ -214,7 +216,7 @@ def verify_example(L, M, a, tolerance: float = 1e-9, random_count: int = 0, seed
         extras.extend(random_competitors(L, M, a, count=random_count, seed=seed))
     everything = boxes + extras
     lower_ok = all(e["energy"] >= closed - tolerance for e in everything)
-    B = np.einsum("ijk,k->ij", _difference(L, M), a)
+    B = _slice(L, M, a)
     laminates = [e["energy"] for e in everything if e["kind"] == "laminate"]
     return {
         "closed_form": closed,
@@ -231,16 +233,3 @@ def verify_example(L, M, a, tolerance: float = 1e-9, random_count: int = 0, seed
             "best_overall": min(e["energy"] for e in everything),
         },
     }
-
-
-def bulk_relaxed_energy_example(sd2, a) -> float:
-    """Integral of the closed-form density over the body.
-
-    Sums |tr((grad G - Gamma)(., a))| per cell times cell volume; exact
-    because the integrand is cellwise constant.
-    """
-    a = np.asarray(a, dtype=float)
-    delta_field = sd2.G.lin - sd2.Gamma            # cells + (d, N, N), derivative last
-    traces = np.einsum("...ici,c->...", delta_field, a)
-    vol = sd2.G.domain.cell_volume
-    return fsum(np.abs(traces) * vol)

@@ -22,7 +22,6 @@ from sdrelax.densities import (
 from sdrelax.energy import total_energy
 from sdrelax.fields import BoxDomain, PiecewiseAffineField
 from sdrelax.integrate import norm
-from sdrelax.trace_formula import bulk_relaxed_energy_example
 
 
 def linear_field(domain, A):
@@ -91,22 +90,24 @@ class TestAffineCase:
 
 
 class TestWorkedExampleSetting:
+    # the closed-form bulk energy of example_sd2 with a = e1: |P_000 + P_101| = 2
+    # per unit area, on the unit square
+    ORACLE = 2.0
+
     def test_trace_estimator_matches_oracle(self):
         a = np.array([1.0, 0.0])
         sd2 = example_sd2()
         rep = assemble_relaxed_energy(sd2, example_triple(a),
                                       AssembleConfig(w2_estimator="trace-formula"))
-        oracle = bulk_relaxed_energy_example(sd2, a)
-        assert rep.bulk2.upper == pytest.approx(oracle, abs=1e-8)
-        assert rep.bulk2.lower == pytest.approx(oracle, abs=1e-8)
+        assert rep.bulk2.upper == pytest.approx(self.ORACLE, abs=1e-8)
+        assert rep.bulk2.lower == pytest.approx(self.ORACLE, abs=1e-8)
         assert rep.total.upper == rep.I1.upper + rep.I2.upper
 
     def test_family_estimator_dominates_oracle(self):
         a = np.array([1.0, 0.0])
         sd2 = example_sd2()
         rep = assemble_relaxed_energy(sd2, example_triple(a), AssembleConfig(budget=2))
-        oracle = bulk_relaxed_energy_example(sd2, a)
-        assert rep.bulk2.upper >= oracle - 1e-9
+        assert rep.bulk2.upper >= self.ORACLE - 1e-9
 
     def test_trace_estimator_guarded(self):
         with pytest.raises(ValueError):

@@ -639,3 +639,38 @@ class TestMixedGridFiles:
             with open(tmp_path / f"{name}.json") as fh:
                 reports.append(json.load(fh)["relaxed"])
         assert reports[0] == reports[1]
+
+    @staticmethod
+    def _square_config(tmp_path, upper, g_res):
+        """A 2x2 ``relax-assemble`` on the unit square whose g and G come from
+        files on ``[0, upper]^2``: g on a ``g_res`` grid, G on the 2x2 grid."""
+        from sdrelax.fields import BoxDomain, PiecewiseAffineField
+
+        rng = np.random.default_rng(5)
+        files = {}
+        for name, res, shape in (("g", g_res, (2,)), ("G", 2, (2, 2))):
+            dom = BoxDomain([0.0, 0.0], [upper, upper], [res, res])
+            field = PiecewiseAffineField(dom, rng.standard_normal((res, res) + shape))
+            (tmp_path / f"{name}.json").write_text(json.dumps(field.to_dict()))
+            files[name] = {"file": str(tmp_path / f"{name}.json")}
+        payload = {
+            "task": "relax-assemble",
+            "densities": {"W": {"catalog": "W_norm"}, "psi1": {"catalog": "Psi1_norm"},
+                          "psi2": {"catalog": "Psi2_norm"}},
+            "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "resolution": [2, 2]},
+            "fields": {**files, "Gamma": {"constant": np.zeros((2, 2, 2)).tolist()}},
+            "output": {"json": "relax.json"},
+        }
+        return write_config(tmp_path, payload)
+
+    def test_file_on_another_box_exit_2(self, tmp_path, capsys):
+        cfg = self._square_config(tmp_path, 2.0, 2)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert "field file for 'g'" in capsys.readouterr().err
+        assert not (tmp_path / "relax.json").exists()
+
+    def test_finer_file_on_the_same_box_assembles(self, tmp_path):
+        cfg = self._square_config(tmp_path, 1.0, 4)
+        assert run(cfg, out_dir=str(tmp_path)) == 0
+        with open(tmp_path / "relax.json") as fh:
+            assert json.load(fh)["relaxed"]["cells"] == 16

@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 
+from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
 from sdrelax.constructions import SD2Triple, approximating_sequence, piecewise_constant_approx
 from sdrelax.densities import (
     DensityTriple,
     bulk_norm,
     bulk_zero,
+    example_triple,
     norm_triple,
     psi1_norm,
     psi1_zero,
     psi2_norm,
 )
-from sdrelax.energy import (
-    disarrangement_density,
-    gradient_disarrangement_density,
-    total_energy,
-)
+from sdrelax.energy import total_energy
 from sdrelax.fields import (
     BoxDomain,
     PiecewiseAffineField,
-    PiecewiseConstantField,
     SecondOrderField,
     l1_norm,
     total_jump_mass,
@@ -92,7 +89,7 @@ class TestAdditivity:
     def test_2d_bisection(self):
         dom = BoxDomain([0, 0], [1, 1], [4, 4])
         rng = np.random.default_rng(0)
-        u = PiecewiseConstantField(dom, np.round(rng.uniform(-2, 2, (4, 4, 2)), 2))
+        u = PiecewiseAffineField(dom, np.round(rng.uniform(-2, 2, (4, 4, 2)), 2))
         nt = norm_triple(d=2, N=2)
         whole = total_energy(u, nt)
         parts = [total_energy(u, nt, cell_ranges=((0, 2), (0, 4))),
@@ -124,9 +121,9 @@ class TestSequenceEnergyBound:
         G = PiecewiseAffineField(dom, centers.reshape(4, 1, 1), np.ones((4, 1, 1, 1)))
         sd2 = SD2Triple(g, G, np.ones((4, 1, 1, 1)))
         budget = (1.0
-                  + l1_norm(sd2.g.gradient_field()) + total_jump_mass(sd2.g)
+                  + l1_norm(SecondOrderField.from_affine(sd2.g).grad) + total_jump_mass(sd2.g)
                   + l1_norm(sd2.G)
-                  + l1_norm(sd2.G.gradient_field()) + total_jump_mass(sd2.G)
+                  + l1_norm(SecondOrderField.from_affine(sd2.G).grad) + total_jump_mass(sd2.G)
                   + float(np.sum(np.abs(sd2.Gamma)) * dom.cell_volume))
         ratios = []
         for n in (4, 8, 16):
@@ -138,37 +135,44 @@ class TestSequenceEnergyBound:
 
 
 class TestDisarrangementDensities:
+    """The disarrangement densities G - grad g and grad G - Gamma, as the
+    relaxed-energy assembly prices them in its bulk1 and bulk2 terms."""
+
     def test_compatible_pair_vanishes(self):
         dom = BoxDomain([0.0], [1.0], [4])
         A = np.array([[1.0]])
         g = linear_field(dom, A)
         G = PiecewiseAffineField(dom, np.broadcast_to(A, (4, 1, 1)).copy())
         sd2 = SD2Triple(g, G, np.zeros((4, 1, 1, 1)))
-        assert np.all(disarrangement_density(sd2) == 0.0)
+        bulk1 = assemble_relaxed_energy(sd2, NT1).bulk1
+        assert (bulk1.upper, bulk1.lower) == (0.0, 0.0)
 
     def test_pure_slip(self):
         dom = BoxDomain([0.0], [1.0], [4])
         g = linear_field(dom, [[1.0]])
         G = PiecewiseAffineField(dom, np.zeros((4, 1, 1)))
         sd2 = SD2Triple(g, G, np.zeros((4, 1, 1, 1)))
-        M = disarrangement_density(sd2)
-        assert np.all(M == 1.0)
+        bulk1 = assemble_relaxed_energy(sd2, NT1).bulk1
+        assert (bulk1.upper, bulk1.lower) == (1.0, 1.0)
 
     def test_half_gradient(self):
         dom = BoxDomain([0, 0], [1, 1], [2, 2])
         g = linear_field(dom, np.eye(2))
         G = PiecewiseAffineField(dom, np.broadcast_to(0.5 * np.eye(2), (2, 2, 2, 2)).copy())
         sd2 = SD2Triple(g, G, np.zeros((2, 2, 2, 2, 2)))
-        M = disarrangement_density(sd2)
-        assert np.allclose(M, 0.5 * np.eye(2))
+        # G - grad g = -I/2: the column norms sum to 1, the Frobenius norm is 1/sqrt(2)
+        bulk1 = assemble_relaxed_energy(sd2, norm_triple()).bulk1
+        assert bulk1.upper == 1.0
+        assert bulk1.lower == pytest.approx(0.5 * np.sqrt(2.0), abs=1e-15)
 
     def test_gradient_disarrangement_exact_cases(self):
         dom = BoxDomain([0.0], [1.0], [4])
         centers = dom.cell_centers().reshape(4, 1, 1)
         G = PiecewiseAffineField(dom, centers, np.ones((4, 1, 1, 1)))
-        sd2 = SD2Triple(linear_field(dom, [[1.0]]), G, np.ones((4, 1, 1, 1)))
-        assert np.all(gradient_disarrangement_density(sd2) == 0.0)
-        sd2b = SD2Triple(linear_field(dom, [[1.0]]), G, np.zeros((4, 1, 1, 1)))
-        assert np.all(gradient_disarrangement_density(sd2b) == 1.0)
-        sd2c = SD2Triple(linear_field(dom, [[1.0]]), G, 0.5 * np.ones((4, 1, 1, 1)))
-        assert np.all(gradient_disarrangement_density(sd2c) == 0.5)
+        # in 1D the closed-form bulk density |tr((grad G - Gamma)(., a))| is |grad G - Gamma|
+        example = example_triple([1.0], N=1)
+        config = AssembleConfig(w2_estimator="trace-formula")
+        for gamma, expected in ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)):
+            sd2 = SD2Triple(linear_field(dom, [[1.0]]), G, np.full((4, 1, 1, 1), gamma))
+            bulk2 = assemble_relaxed_energy(sd2, example, config).bulk2
+            assert (bulk2.upper, bulk2.lower) == (expected, expected)

@@ -260,7 +260,7 @@ def test_psi2_proj_facet_integral_hook(u, seed):
 
 def _reference_jumps(u, psi1, psi2, cell_ranges):
     facets1 = [f for f in ref.jump_set(u) if ref.in_ranges(f.index, cell_ranges)]
-    grad = u.gradient_field()
+    grad = PiecewiseAffineField(u.domain, u.lin, jump_tol=u.jump_tol)
     facets2 = [f for f in ref.jump_set(grad) if ref.in_ranges(f.index, cell_ranges)]
     jump1, inexact1 = ref.interfacial_energy(psi1, facets1, u.domain.widths)
     jump2, inexact2 = ref.interfacial_energy(psi2, facets2, u.domain.widths)

@@ -9,17 +9,13 @@ from sdrelax.fields import (
     AffineBoundary,
     BoxDomain,
     PiecewiseAffineField,
-    PiecewiseConstantField,
     SecondOrderField,
     StepBoundary,
     gauss_green_residual,
-    jump_set,
     l1_distance,
     l1_norm,
     total_jump_mass,
     trace_boundary,
-    unit_cube,
-    weak_star_pairing,
 )
 
 
@@ -47,12 +43,12 @@ class TestJumpSet:
     def test_globally_affine_has_no_jumps(self):
         dom = BoxDomain([0, 0], [1, 1], [3, 3])
         u = affine_field(dom, [[1.0, 2.0], [0.5, -1.0]], c=[0.3, 0.0])
-        assert len(jump_set(u)) == 0
+        assert len(u.jump_set()) == 0
 
     def test_single_step(self):
         dom = BoxDomain([0.0], [1.0], [2])
-        u = PiecewiseConstantField(dom, np.array([[0.0], [1.0]]))
-        facets = jump_set(u)
+        u = PiecewiseAffineField(dom, np.array([[0.0], [1.0]]))
+        facets = u.jump_set()
         assert len(facets) == 1
         assert facets.jump[0] == pytest.approx([1.0])
         assert facets.normal[0] == pytest.approx([1.0])
@@ -60,7 +56,7 @@ class TestJumpSet:
 
     def test_staircase_interior_jumps(self):
         u = staircase_1d_left_anchored(4)
-        facets = jump_set(u)
+        facets = u.jump_set()
         interior = facets.select(~facets.boundary)
         assert len(interior) == 3
         for jump in interior.jump:
@@ -68,8 +64,8 @@ class TestJumpSet:
 
     def test_canonicalization_idempotent(self):
         u = staircase_1d_left_anchored(4)
-        first = jump_set(u)
-        second = jump_set(u)
+        first = u.jump_set()
+        second = u.jump_set()
         assert len(first) == len(second)
         assert np.array_equal(first.index, second.index) and np.array_equal(first.axis, second.axis)
         assert np.array_equal(first.jump, second.jump)
@@ -94,7 +90,7 @@ class TestNonFinite:
     def test_nan_cell_keeps_its_facets(self):
         # both facets of the NaN cell have a NaN magnitude: they count as jumps
         u = PiecewiseAffineField(BoxDomain([0.0], [1.0], [4]), np.array([0.0, np.nan, 1.0, 1.0]))
-        facets = jump_set(u)
+        facets = u.jump_set()
         assert facets.index.ravel().tolist() == [0, 1]
         assert np.isnan(facets.jump).ravel().tolist() == [True, True]
 
@@ -106,14 +102,14 @@ class TestTotalJumpMass:
 
     def test_single_step_height_one(self):
         dom = BoxDomain([0.0], [1.0], [2])
-        u = PiecewiseConstantField(dom, np.array([[0.0], [1.0]]))
+        u = PiecewiseAffineField(dom, np.array([[0.0], [1.0]]))
         assert total_jump_mass(u) == pytest.approx(1.0, abs=1e-15)
 
     def test_staircase_with_boundary_jump(self):
         # 3 interior jumps of 1/4 plus the right-boundary mismatch 1/4
         u = staircase_1d_left_anchored(4)
         assert total_jump_mass(u) == pytest.approx(1.0, abs=1e-15)
-        facets = jump_set(u)
+        facets = u.jump_set()
         boundary = facets.select(facets.boundary)
         assert len(boundary) == 1
         assert boundary.jump[0, 0] == pytest.approx(-0.25, abs=1e-15)
@@ -124,7 +120,7 @@ class TestTotalJumpMass:
         m0 = total_jump_mass(u)
         assert total_jump_mass(u.refine(3)) == pytest.approx(m0, abs=1e-12)
         dom = BoxDomain([0, 0], [1, 1], [2, 2])
-        v = PiecewiseConstantField(dom, np.arange(4.0).reshape(2, 2))
+        v = PiecewiseAffineField(dom, np.arange(4.0).reshape(2, 2))
         assert total_jump_mass(v.refine(2)) == pytest.approx(total_jump_mass(v), abs=1e-12)
 
 
@@ -136,8 +132,8 @@ class TestL1:
 
     def test_constant_difference(self):
         dom = BoxDomain([0.0], [1.0], [4])
-        one = PiecewiseConstantField(dom, np.ones((4, 1)))
-        zero = PiecewiseConstantField(dom, np.zeros((4, 1)))
+        one = PiecewiseAffineField(dom, np.ones((4, 1)))
+        zero = PiecewiseAffineField(dom, np.zeros((4, 1)))
         assert l1_distance(one, zero) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [4, 10, 16])
@@ -145,7 +141,7 @@ class TestL1:
         # per-cell triangles: total = 1/(4n), exactly
         dom = BoxDomain([0.0], [1.0], [n])
         f = affine_field(dom, [[1.0]])
-        g = PiecewiseConstantField(dom, dom.cell_centers().reshape(n, 1))
+        g = PiecewiseAffineField(dom, dom.cell_centers().reshape(n, 1))
         assert l1_distance(f, g) == pytest.approx(1.0 / (4 * n), abs=1e-15)
 
     def test_l1_norm_matrix_values_quadrature(self):
@@ -181,37 +177,6 @@ class TestTraceBoundary:
                 assert effective == pytest.approx([2.0, 0.0])
             if axis == 1 and normal[axis] < 0:
                 assert effective == pytest.approx([0.0, 0.0])
-
-
-class TestWeakStarPairing:
-    def test_zero_field(self):
-        dom = unit_cube(2, 2)
-        z = PiecewiseConstantField(dom, np.zeros((2, 2)))
-        assert float(weak_star_pairing(z, (0, 0))) == 0.0
-
-    def test_unit_field_unit_test_function(self):
-        dom = BoxDomain([0, 0], [1, 1], [2, 2])
-        one = PiecewiseConstantField(dom, np.ones((2, 2)))
-        assert float(weak_star_pairing(one, (0, 0))) == pytest.approx(1.0, abs=1e-15)
-
-    def test_odd_symmetry(self):
-        dom = unit_cube(2, 4)
-        one = PiecewiseConstantField(dom, np.ones((4, 4)))
-        assert float(weak_star_pairing(one, (1, 0))) == pytest.approx(0.0, abs=1e-16)
-
-    def test_affine_field_exactness(self):
-        # field y1, test y1 on the centered unit square: integral = 1/12
-        dom = unit_cube(2, 4)
-        centers = dom.cell_centers()
-        u = PiecewiseAffineField(dom, centers[..., 0],
-                                 np.stack([np.ones((4, 4)), np.zeros((4, 4))], axis=-1))
-        assert float(weak_star_pairing(u, (1, 0))) == pytest.approx(1 / 12, abs=1e-15)
-
-    def test_raw_cell_data(self):
-        dom = BoxDomain([0, 0], [1, 1], [2, 2])
-        data = np.ones((2, 2, 3))
-        out = weak_star_pairing(data, (0, 0), domain=dom)
-        assert out == pytest.approx(np.ones(3), abs=1e-15)
 
 
 class TestGaussGreen:
@@ -255,14 +220,14 @@ class TestSecondOrderField:
     def test_consistency_enforced(self):
         dom = BoxDomain([0.0], [1.0], [4])
         u = affine_field(dom, [[1.0]])
-        bad_grad = PiecewiseConstantField(dom, np.full((4, 1, 1), 2.0))
+        bad_grad = PiecewiseAffineField(dom, np.full((4, 1, 1), 2.0))
         with pytest.raises(ValueError):
             SecondOrderField(u, bad_grad)
 
     def test_from_affine_has_zero_second_gradient(self):
         dom = BoxDomain([0.0], [1.0], [4])
         pair = SecondOrderField.from_affine(affine_field(dom, [[1.0]]))
-        assert np.all(pair.second_gradient() == 0.0)
+        assert np.all(pair.grad.lin == 0.0)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
 from sdrelax.constructions import SD2Triple
+from sdrelax.densities import example_triple
 from sdrelax.fields import BoxDomain, PiecewiseAffineField
 from sdrelax.trace_formula import (
     BoxInclusion,
-    bulk_relaxed_energy_example,
     closed_form_W2,
     default_box_family,
     eigen_basis,
@@ -212,6 +213,13 @@ class TestMembership:
         assert eigen_basis(rot) is None
 
 
+def closed_form_bulk(sd2) -> tuple[float, float]:
+    """The ``bulk2`` bracket of the trace-formula assembly, a = e1."""
+    rep = assemble_relaxed_energy(sd2, example_triple(A_E1),
+                                  AssembleConfig(w2_estimator="trace-formula"))
+    return rep.bulk2.upper, rep.bulk2.lower
+
+
 class TestBulkIntegral:
     def make_sd2(self, delta_field_tensor, res=2):
         dom = BoxDomain([0, 0], [1, 1], [res, res])
@@ -228,7 +236,7 @@ class TestBulkIntegral:
         T[0, 0, 0] = 1.0
         sd2 = self.make_sd2(T)
         sd2 = SD2Triple(sd2.g, sd2.G, sd2.G.lin.copy())
-        assert bulk_relaxed_energy_example(sd2, A_E1) == 0.0
+        assert closed_form_bulk(sd2) == (0.0, 0.0)
 
     def test_constant_trace_two(self):
         # field-layout tensor with trace contraction sum = 2 for a = e1
@@ -236,7 +244,7 @@ class TestBulkIntegral:
         P[0, 0, 0] = 1.0   # i=0, col=0, deriv=0
         P[1, 0, 1] = 1.0   # i=1, col=0, deriv=1
         sd2 = self.make_sd2(P)
-        assert bulk_relaxed_energy_example(sd2, A_E1) == pytest.approx(2.0, abs=1e-14)
+        assert closed_form_bulk(sd2) == pytest.approx((2.0, 2.0), abs=1e-14)
 
     def test_two_half_domains_average(self):
         P = np.zeros((2, 2, 2))
@@ -250,7 +258,7 @@ class TestBulkIntegral:
         G = PiecewiseAffineField(dom, G_const, G_lin)
         g = PiecewiseAffineField(dom, np.zeros(dom.cells_shape + (2,)))
         sd2 = SD2Triple(g, G, np.zeros(dom.cells_shape + (2, 2, 2)))
-        assert bulk_relaxed_energy_example(sd2, A_E1) == pytest.approx(1.0, abs=1e-14)
+        assert closed_form_bulk(sd2) == pytest.approx((1.0, 1.0), abs=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
