@@ -56,7 +56,8 @@ def box_abs_affine(const, grad, widths):
     widths = np.take_along_axis(widths, order, axis=1)
     sloped = grad.shape[1] - flat.sum(axis=1)
     out = np.empty_like(const)
-    for m in np.unique(sloped):
+    # the occupied counts, ascending (``np.unique`` would import ``numpy.ma``)
+    for m in np.flatnonzero(np.bincount(sloped)):
         rows = np.flatnonzero(sloped == m)
         out[rows] = _abs_affine_rows(const[rows], grad[rows, :m], widths[rows, :m])
     out = np.where(finite, np.ldexp(factor * out, exp), scale)
@@ -136,23 +137,36 @@ def _shift(coeffs, delta) -> np.ndarray:
     return out
 
 
-def gauss_legendre_points(lower, upper, order: int):
-    """Tensor Gauss-Legendre rule on a box: (points (m, N), weights (m,))."""
+def gauss_legendre_rule(lower, upper, order: int):
+    """Tensor Gauss-Legendre rule on a box in product form: (nodes, weights).
+
+    ``nodes`` holds the ``order`` nodes of each axis; ``weights`` (m,) holds
+    the tensor weight of each of the ``m = order**N`` points, the last axis
+    running fastest.
+    """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     x, w = np.polynomial.legendre.leggauss(order)
-    pts_1d, wts_1d = [], []
+    nodes, wts_1d = [], []
     for lo, hi in zip(lower, upper):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        pts_1d.append(mid + half * x)
+        nodes.append(mid + half * x)
         wts_1d.append(half * w)
-    grids = np.meshgrid(*pts_1d, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.ones(pts.shape[0])
-    wgrids = np.meshgrid(*wts_1d, indexing="ij")
-    for g in wgrids:
+    wts = np.ones(order ** len(nodes))
+    for g in np.meshgrid(*wts_1d, indexing="ij"):
         wts = wts * g.ravel()
-    return pts, wts
+    return nodes, wts
+
+
+def gauss_legendre_points(lower, upper, order: int):
+    """Tensor Gauss-Legendre rule on a box: (points (m, N), weights (m,))."""
+    nodes, wts = gauss_legendre_rule(lower, upper, order)
+    return tensor_points(nodes), wts
+
+
+def tensor_points(nodes) -> np.ndarray:
+    """The points (m, N) of the tensor grid of per-axis ``nodes``, the last axis fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)
 
 
 def norm(arr, rank: int) -> np.ndarray:

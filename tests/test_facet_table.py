@@ -29,6 +29,7 @@ from sdrelax.fields import (
     FacetTable,
     PiecewiseAffineField,
     StepBoundary,
+    _L1_BLOCK_CELLS,
     _l1_of_cell_data,
     gauss_green_residual,
     total_jump_mass,
@@ -314,6 +315,61 @@ def test_scalar_sequence_l1_matches_per_cell_loop():
         target = target.refine((16, 16))
         args = (f.domain, f.const - target.const, f.lin - target.lin, f.value_shape, 6)
         assert diag[key] == ref.l1_of_cell_data(*args)
+
+
+# grids of more cells than one L1 block, the last block partial
+L1_GRIDS = {1: [1100], 2: [33, 35], 3: [11, 11, 10]}
+
+
+@pytest.mark.parametrize("quad_order", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("value_shape", [(2,), (2, 2), (3, 3), (2, 2, 2)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_l1_kernel_matches_per_cell_loop(N, value_shape, quad_order, monkeypatch):
+    # (3, 3) and (2, 2, 2) have 8 entries or more, which numpy sums pairwise
+    dom = BoxDomain(np.zeros(N), np.linspace(1.3, 0.7, N), L1_GRIDS[N])
+    assert dom.num_cells > _L1_BLOCK_CELLS and dom.num_cells % _L1_BLOCK_CELLS
+    rng = np.random.default_rng(N * 100 + len(value_shape) * 10 + quad_order)
+    const = rng.standard_normal(dom.cells_shape + value_shape)
+    lin = rng.standard_normal(dom.cells_shape + value_shape + (N,)) * 10.0 ** rng.integers(
+        -3, 4, dom.cells_shape + value_shape + (N,))
+    args = (dom, const, lin, value_shape, quad_order)
+    assert _l1_of_cell_data(*args) == ref.l1_of_cell_data(*args)
+    # the exactly rounded total hides a last-bit change of one cell: compare each cell's term
+    terms = lambda values: np.asarray(values, dtype=float).ravel()  # noqa: E731
+    monkeypatch.setattr("sdrelax.fields.fsum", terms)
+    monkeypatch.setattr(ref, "fsum", terms)
+    assert np.array_equal(_l1_of_cell_data(*args), ref.l1_of_cell_data(*args))
+
+
+@pytest.mark.parametrize("points", [36, 216])
+def test_vecdot_rounds_as_per_row_dot(points):
+    # the L1 kernel weighs a block of cells by one vecdot in place of one dot per cell
+    rng = np.random.default_rng(points)
+    rows = np.abs(rng.standard_normal((4096, points))) * 10.0 ** rng.integers(-8, 9, (4096, points))
+    w = rng.uniform(0.0, 1.0, points)
+    out = np.vecdot(rows, w)
+    assert np.array_equal(out, [np.dot(row, w) for row in rows])
+
+
+@pytest.mark.parametrize("value_shape", [(), (2,), (2, 2), (3, 3)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_refine_matches_summed_products(N, value_shape):
+    # refine adds the products lin_k * shift_k one axis after the other
+    rng = np.random.default_rng(N + 7 * len(value_shape))
+    lower = rng.uniform(-1.0, 0.0, N)
+    dom = BoxDomain(lower, lower + rng.uniform(0.5, 2.0, N), [3] * N)
+    u = PiecewiseAffineField(dom, rng.standard_normal(dom.cells_shape + value_shape),
+                             rng.standard_normal(dom.cells_shape + value_shape + (N,)))
+    factor = [2, 3, 2][:N]
+    v = u.refine(factor)
+    old_idx = np.indices(v.domain.cells_shape).transpose(*range(1, N + 1), 0) // factor
+    shift = v.domain.cell_centers() - (dom.lower + (old_idx + 0.5) * dom.widths)
+    const, lin = u.const, u.lin
+    for ax in range(N):
+        const = np.repeat(const, factor[ax], axis=ax)
+        lin = np.repeat(lin, factor[ax], axis=ax)
+    shift_b = shift.reshape(v.domain.cells_shape + (1,) * len(value_shape) + (N,))
+    assert np.array_equal(v.const, const + np.sum(lin * shift_b, axis=-1))
 
 
 class TestFacetTable:

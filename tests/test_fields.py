@@ -224,6 +224,15 @@ class TestSecondOrderField:
         with pytest.raises(ValueError):
             SecondOrderField(u, bad_grad)
 
+    @pytest.mark.parametrize("entry", [1.0, np.nan])
+    def test_mismatched_or_nan_gradient_rejected(self, entry):
+        dom = BoxDomain([0.0, 0.0], [1.0, 1.0], [2, 2])
+        u = PiecewiseAffineField(dom, np.zeros((2, 2, 1)))
+        const = np.zeros((2, 2, 1, 2))
+        const[0, 0, 0, 0] = entry
+        with pytest.raises(ValueError, match="inconsistent"):
+            SecondOrderField(u, PiecewiseAffineField(dom, const))
+
     def test_from_affine_has_zero_second_gradient(self):
         dom = BoxDomain([0.0], [1.0], [4])
         pair = SecondOrderField.from_affine(affine_field(dom, [[1.0]]))

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import reference_loops as ref
+import sdrelax.integrate
 from reference_loops import PiecewisePoly
 from sdrelax.integrate import (
     box_abs_affine,
@@ -145,6 +150,22 @@ class TestIdentityOracles:
         const = np.where(const < 0.0, -1.0, 1.0) * (reach + np.abs(const))
         np.testing.assert_allclose(box_abs_affine(const, grad, widths),
                                    np.prod(widths, axis=1) * np.abs(const), rtol=1e-13, atol=0.0)
+
+
+def test_batch_does_not_import_numpy_ma():
+    # rows with 0, 1 and 2 sloped axes; np.unique would import numpy.ma (~16 ms)
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from sdrelax.integrate import box_abs_affine\n"
+        "box_abs_affine(np.array([0.1, 0.2, 0.3, 0.4]),\n"
+        "               np.array([[1.0, 0.0], [1.0, 2.0], [0.0, 0.0], [0.0, -1.0]]), np.ones(2))\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sdrelax.integrate.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr or "numpy.ma was imported"
 
 
 def test_piecewise_poly_antiderivative_continuity():
