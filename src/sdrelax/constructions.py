@@ -154,6 +154,9 @@ def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, di
     correction toward g (sampled on the n^2-refined grid, which meets the 1/n
     error budget).  The returned pair has cellwise second gradient exactly
     Gamma; the diagnostics dict reports the L1 errors and masses.
+
+    Each fine-grid intermediate is dropped after its last use, so the peak
+    memory is a few fields on the n^2-refined grid, not all of them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -162,29 +165,32 @@ def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, di
     res2 = np.lcm(base.resolution, n * n * np.ones(base.ndim, dtype=int))
 
     gamma_field = PiecewiseAffineField(base, sd2.Gamma).refine(res1 // base.resolution)
-    h = gradient_primitive(gamma_field)                      # matrix field, grad h = Gamma
-    G1 = sd2.G.refine(res1 // base.resolution)
-    diff = PiecewiseAffineField(G1.domain, G1.const - h.const, G1.lin - h.lin)
-    v_n = piecewise_constant_approx(diff, res1)
-    w_n = PiecewiseAffineField(G1.domain, v_n.const + h.const, h.lin, jump_tol=G1.jump_tol)
-
+    w_n = _corrected_primitive(gamma_field, sd2.G.refine(res1 // base.resolution))
     w_n2 = w_n.refine(res2 // res1)
-    h_tilde = gradient_primitive(w_n2)                       # vector field, grad = w_n2
     g2 = sd2.g.refine(res2 // base.resolution)
-    resid = PiecewiseAffineField(g2.domain, g2.const - h_tilde.const, g2.lin - h_tilde.lin)
-    h_bar = piecewise_constant_approx(resid, res2)
-    u_n = PiecewiseAffineField(g2.domain, h_tilde.const + h_bar.const, h_tilde.lin, jump_tol=g2.jump_tol)
-
-    pair = SecondOrderField(u_n, w_n2)
+    u_n = _corrected_primitive(w_n2, g2)
+    l1_u = l1_distance(u_n, g2)
+    del g2
     diagnostics = {
         "n": int(n),
         "grid_stage1": [int(r) for r in res1],
         "grid_stage2": [int(r) for r in res2],
-        "l1_u": l1_distance(u_n, g2),
+        "l1_u": l1_u,
         "l1_grad": l1_distance(w_n2, sd2.G.refine(res2 // base.resolution)),
         "second_gradient_exact": _blocks_equal(w_n2.lin, sd2.Gamma, res2 // base.resolution),
     }
-    return pair, diagnostics
+    return SecondOrderField(u_n, w_n2), diagnostics
+
+
+def _corrected_primitive(f: PiecewiseAffineField, target: PiecewiseAffineField) -> PiecewiseAffineField:
+    """The gradient primitive of ``f`` plus the cell-midpoint samples of
+    ``target`` minus that primitive, on the common grid of both: cellwise
+    gradient exactly ``f``, values at cell centres those of ``target``."""
+    h = gradient_primitive(f)
+    diff = PiecewiseAffineField(target.domain, target.const - h.const, target.lin - h.lin)
+    correction = piecewise_constant_approx(diff, target.domain.resolution)
+    return PiecewiseAffineField(target.domain, correction.const + h.const, h.lin,
+                                jump_tol=target.jump_tol)
 
 
 def _blocks_equal(fine: np.ndarray, coarse: np.ndarray, factor) -> bool:

@@ -62,17 +62,26 @@ def interfacial_energy(psi: InterfacialDensity, facets: FacetTable, widths,
     of the facet centroids, and its competitors live in rotated coordinates:
     ``R`` maps their facet normals to the true ones.
     """
+    terms, inexact = _interfacial_terms(psi, facets, widths, x0, R)
+    return fsum(terms), inexact
+
+
+def _interfacial_terms(psi: InterfacialDensity, facets: FacetTable, widths,
+                       x0: np.ndarray | None = None, R: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """The terms of ``interfacial_energy``, one per facet in row order, and
+    its count of centroid-only facets.  Each term depends on its own row
+    only, so the terms of a table's row blocks, joined, are the table's."""
     varies = facets.varies()
     hooked = varies if psi.facet_integral is not None else np.zeros(len(facets), dtype=bool)
+    terms = np.zeros(len(facets))
     plain = facets.select(~hooked)
-    plain_terms = np.zeros(0)
     if len(plain):
         x = plain.centroid if x0 is None else np.broadcast_to(x0, (len(plain), len(x0)))
         nu = plain.normal if R is None else plain.normal @ R.T
-        plain_terms = np.asarray(psi(x, plain.jump, nu), dtype=float) * plain.area
-    hooked_terms = []
+        terms[~hooked] = np.asarray(psi(x, plain.jump, nu), dtype=float) * plain.area
     if hooked.any():
         rows = facets.select(hooked)
+        hooked_terms = []
         for axis, centroid, jump, jump_lin, normal in zip(rows.axis, rows.centroid, rows.jump,
                                                           rows.jump_lin, rows.normal):
             normal = normal if R is None else R @ normal
@@ -80,7 +89,8 @@ def interfacial_energy(psi: InterfacialDensity, facets: FacetTable, widths,
             twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
             hooked_terms.append(psi.facet_integral(centroid if x0 is None else x0, jump,
                                                    jump_lin, normal, twidths, tangent_axes))
-    return fsum(np.append(plain_terms, hooked_terms)), int(np.count_nonzero(varies & ~hooked))
+        terms[hooked] = hooked_terms
+    return terms, int(np.count_nonzero(varies & ~hooked))
 
 
 def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdown:
@@ -91,6 +101,13 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
     evaluation to a sub-box of cell indices; facets belong to the range of
     their lower adjacent cell, so ranges partitioning the grid partition the
     energy.
+
+    The jump facets are priced block by block as the fields'
+    ``facet_blocks`` build them, and no jump set is built or cached: the
+    fields hold one block of facets at a time, at most
+    ``fields._FACET_BLOCK`` interior facets or the boundary facets.  The
+    energy is that of their ``jump_set`` bit for bit, as every facet's term
+    keeps its bits and each ``fsum`` rounds its terms' exact sum.
     """
     if isinstance(u, PiecewiseAffineField):
         u = SecondOrderField.from_affine(u)
@@ -109,10 +126,8 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
     vals = np.asarray(densities.W(centers[mask], A[mask], M[mask]), dtype=float)
     bulk = fsum(vals * dom.cell_volume)
 
-    facets1 = _in_ranges(u.u.jump_set(), cell_ranges)
-    facets2 = _in_ranges(u.grad.jump_set(), cell_ranges)
-    jump1, inexact1 = interfacial_energy(densities.psi1, facets1, dom.widths)
-    jump2, inexact2 = interfacial_energy(densities.psi2, facets2, dom.widths)
+    jump1, inexact1 = _jump_energy(densities.psi1, u.u, cell_ranges)
+    jump2, inexact2 = _jump_energy(densities.psi2, u.grad, cell_ranges)
 
     total = bulk + jump1 + jump2
     meta = {
@@ -121,3 +136,16 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
         "inexact_facets": inexact1 + inexact2,
     }
     return EnergyBreakdown(bulk, jump1, jump2, total, meta)
+
+
+def _jump_energy(psi: InterfacialDensity, field: PiecewiseAffineField, cell_ranges) -> tuple[float, int]:
+    """``interfacial_energy`` over the field's jump facets in ``cell_ranges``,
+    priced block by block as ``facet_blocks`` builds them: no more than one
+    block of facets is held at a time."""
+    terms, inexact = [], 0
+    for block in field.facet_blocks():
+        block_terms, block_inexact = _interfacial_terms(psi, _in_ranges(block, cell_ranges),
+                                                        field.domain.widths)
+        terms.append(block_terms)
+        inexact += block_inexact
+    return fsum(np.concatenate(terms)), inexact

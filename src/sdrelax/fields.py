@@ -19,7 +19,9 @@ The data-free columns of those tables (facet axes, cell indices, normals,
 areas, centroids) are the grid's geometry.  A cell-problem cube from
 :func:`unit_cube` builds it once and keeps it read-only, so every competitor
 field on the cube computes only its traces; any other grid builds it per
-table, which keeps a large grid from holding it.
+table, which keeps a large grid from holding it.  A field also yields its
+jump set as blocks of bounded size (``facet_blocks``), which the energy
+prices one at a time without holding the whole table.
 
 All operations are pure; fields are treated as immutable after construction.
 """
@@ -37,6 +39,8 @@ DEFAULT_JUMP_TOL = 1e-12
 GRADIENT_MATCH_TOL = 1e-9
 # numpy sums up to this many terms one after the other, and more pairwise
 _SEQUENTIAL_SUM_MAX = 7
+# interior facets per block of a jump set built block by block: bounds its temporaries
+_FACET_BLOCK = 16384
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,17 +102,24 @@ class BoxDomain:
         return self._cached("centers", lambda: np.stack(np.meshgrid(
             *[self.axis_centers(k) for k in range(self.ndim)], indexing="ij"), axis=-1))
 
-    def interior_axes(self) -> tuple:
-        """``(m, lower-cell slice, upper-cell slice, width)`` for each axis
-        ``m`` with two cells or more: the cells on either side of the
-        interior facets normal to ``m``."""
-        return self._cached("axes", lambda: tuple(_interior_axes(self)))
+    def interior_blocks(self) -> tuple:
+        """The interior facets in blocks of at most ``_FACET_BLOCK`` rows.
 
-    def interior_geometry(self) -> dict:
+        One ``(m, rows, lower-cell slice, upper-cell slice)`` per block: for
+        each axis ``m`` with two cells or more, boxes of lower cells that are
+        runs of rows in C order, split along the first cell axis, or along a
+        later one where a layer of the axes after it exceeds the bound.
+        ``rows`` are the block's rows among all interior facets, which run
+        by axis, then by lower cell in C order: the blocks, joined in order,
+        give every interior facet in that order.
+        """
+        return self._cached("blocks", lambda: tuple(_interior_blocks(self)))
+
+    def block_geometry(self, m: int, rows: slice, lo: tuple) -> dict:
         """The ``axis``, ``index``, ``boundary``, ``normal``, ``area`` and
-        ``centroid`` columns of every interior facet, rows by axis (in the
-        order of ``interior_axes``), then by lower cell; read-only."""
-        return self._cached("interior", lambda: _interior_geometry(self))
+        ``centroid`` columns of the facets of one block of
+        ``interior_blocks``; read-only on a cell-problem cube."""
+        return self._cached(f"block {rows.start}", lambda: _interior_faces(self, m, lo))
 
     def outer_geometry(self):
         """The data-free part of the outer faces: ``(cell, row, half, columns)``.
@@ -182,26 +193,42 @@ def _read_only(value):
     return value
 
 
-def _interior_axes(dom: BoxDomain):
+def _interior_blocks(dom: BoxDomain):
     N = dom.ndim
+    start = 0
     for m in range(N):
-        if dom.resolution[m] >= 2:
-            lo = tuple(slice(None, -1) if k == m else slice(None) for k in range(N))
-            hi = tuple(slice(1, None) if k == m else slice(None) for k in range(N))
-            yield m, lo, hi, dom.widths[m]
+        lower = list(dom.cells_shape)
+        lower[m] -= 1
+        if lower[m] < 1:
+            continue
+        # split along the first axis j whose trailing layers fit a block,
+        # one block per run of such layers and per index of the axes before j
+        j = next(j for j in range(N) if np.prod(lower[j + 1:], dtype=int) <= _FACET_BLOCK)
+        layer = int(np.prod(lower[j + 1:], dtype=int))
+        step = _FACET_BLOCK // layer
+        shift = [int(k == m) for k in range(N)]  # the upper cells' offset
+        for lead in np.ndindex(*lower[:j]):
+            for a in range(0, lower[j], step):
+                ranges = ([(i, i + 1) for i in lead] + [(a, min(a + step, lower[j]))]
+                          + [(0, n) for n in lower[j + 1:]])
+                first = start + int(np.ravel_multi_index(lead + (a,), lower[:j + 1])) * layer
+                yield (m, slice(first, first + (ranges[j][1] - a) * layer),
+                       tuple(slice(s, e) for s, e in ranges),
+                       tuple(slice(s + d, e + d) for (s, e), d in zip(ranges, shift)))
+        start += int(np.prod(lower, dtype=int))
 
 
-def _interior_geometry(dom: BoxDomain) -> dict:
+def _interior_faces(dom: BoxDomain, m: int, lo: tuple) -> dict:
+    """The geometry columns of the facets normal to axis ``m`` whose lower
+    cells are ``cells[lo]``."""
     N = dom.ndim
-    centers = dom.cell_centers()
-    # a block without rows gives a grid without interior facets empty columns
-    parts = [_faces(0, np.zeros((0, N), dtype=int), 1.0, 0.0, np.zeros((0, N)), False)]
-    for m, lo, _, h in dom.interior_axes():
-        cent = centers[lo].copy()
-        cent[..., m] += 0.5 * h
-        index = np.argwhere(np.ones(cent.shape[:N], dtype=bool))
-        parts.append(_faces(m, index, 1.0, dom.cell_volume / h, cent.reshape(-1, N), False))
-    return _stack(parts)
+    h = dom.widths[m]
+    index = np.stack(np.meshgrid(*[np.arange(dom.cells_shape[k])[lo[k]] for k in range(N)],
+                                 indexing="ij"), axis=-1).reshape(-1, N)
+    cent = np.stack(np.meshgrid(*[dom.axis_centers(k)[lo[k]] for k in range(N)],
+                                indexing="ij"), axis=-1).reshape(-1, N)
+    cent[:, m] += 0.5 * h
+    return _faces(m, index, 1.0, dom.cell_volume / h, cent, False)
 
 
 def _outer_geometry(dom: BoxDomain):
@@ -449,30 +476,39 @@ class PiecewiseAffineField:
     def jump_set(self) -> FacetTable:
         """The facets whose jump exceeds ``jump_tol``: interior ones first
         (by axis, then cell), then boundary ones (by axis, lower side before
-        upper).  Built once and cached."""
+        upper).  The join of ``facet_blocks``, built once and cached."""
         if self._jump_cache is None:
             self._jump_cache = FacetTable.concat(
                 [self._build_interior_facets(), self._build_boundary_facets()],
                 self.domain.ndim, self.value_shape)
         return self._jump_cache
 
+    def facet_blocks(self):
+        """The rows of ``jump_set`` in blocks, built one at a time and not
+        kept: the interior ones per block of ``domain.interior_blocks``,
+        then the boundary ones."""
+        yield from self._interior_blocks()
+        yield self._build_boundary_facets()
+
     def _build_interior_facets(self) -> FacetTable:
+        """The interior blocks of ``facet_blocks``, joined."""
+        return FacetTable.concat(list(self._interior_blocks()), self.domain.ndim, self.value_shape)
+
+    def _interior_blocks(self):
         dom = self.domain
-        parts = [self._interior_jumps(*axis) for axis in dom.interior_axes()]
-        if not parts:
-            return FacetTable.empty(dom.ndim, self.value_shape)
-        # the per-axis parts go before the geometry is read, so a large grid
-        # never holds both at once
-        keep, plus, minus, jump_lin = (np.concatenate(c) for c in zip(*parts))
-        del parts
-        rows = slice(None) if keep.all() else keep
-        return FacetTable(plus=plus, minus=minus, jump_lin=jump_lin,
-                          **{name: column[rows] for name, column in dom.interior_geometry().items()})
+        widths = dom.widths
+        for m, rows, lo, hi in dom.interior_blocks():
+            keep, plus, minus, jump_lin = self._interior_jumps(m, lo, hi, widths[m])
+            geometry = dom.block_geometry(m, rows, lo)
+            if not keep.all():
+                geometry = {name: column[keep] for name, column in geometry.items()}
+            yield FacetTable(plus=plus, minus=minus, jump_lin=jump_lin, **geometry)
 
     def _interior_jumps(self, m: int, sl_lo: tuple, sl_hi: tuple, h: float):
-        """Over the interior facets normal to axis ``m``: which of them jump
-        by more than ``jump_tol``, and the ``plus``, ``minus`` and
-        ``jump_lin`` rows of those that do."""
+        """Over the interior facets normal to axis ``m`` between the cells
+        ``sl_lo`` and ``sl_hi``: which of them jump by more than
+        ``jump_tol``, and the ``plus``, ``minus`` and ``jump_lin`` rows of
+        those that do."""
         flat = (-1,) + self.value_shape
         trace_lo = (self.const[sl_lo] + 0.5 * h * self.lin[sl_lo + (Ellipsis, m)]).reshape(flat)
         trace_hi = (self.const[sl_hi] - 0.5 * h * self.lin[sl_hi + (Ellipsis, m)]).reshape(flat)
@@ -601,14 +637,14 @@ def l1_distance(f: PiecewiseAffineField, g: PiecewiseAffineField) -> float:
     of order ``_L1_QUAD_ORDER`` per axis (the integrand is then a square root
     of a quadratic): each block of cells is evaluated per axis, normed, and
     weighted by one vectorised dot, each cell's points rounding as a per-cell
-    dot would.
+    dot would.  The difference ``f - g`` is formed one block of cells at a
+    time, never on the whole grid.
     """
     if f.value_shape != g.value_shape:
         raise ValueError(f"value shape mismatch: {f.value_shape} vs {g.value_shape}")
     ff, gg = common_refinement(f, g)
-    const = ff.const - gg.const
-    lin = ff.lin - gg.lin
-    return _l1_of_cell_data(ff.domain, const, lin, ff.value_shape, _L1_QUAD_ORDER)
+    return _l1_of_cell_data(ff.domain, (ff.const, gg.const), (ff.lin, gg.lin), ff.value_shape,
+                            _L1_QUAD_ORDER)
 
 
 def l1_norm(f: PiecewiseAffineField) -> float:
@@ -620,26 +656,44 @@ _L1_BLOCK_CELLS = 1024
 
 
 def _l1_of_cell_data(dom: BoxDomain, const, lin, value_shape, quad_order) -> float:
+    """The L1 norm of the cell data ``const`` and ``lin``, block by block.
+
+    Either may also be a pair ``(a, b)`` of cell arrays standing for
+    ``a - b``, which is then formed one block of cells at a time.
+    """
     widths = dom.widths
     vol = dom.cell_volume
     entries = int(np.prod(value_shape, dtype=int))
-    if np.all(lin == 0.0):
-        mags = norm(const, len(value_shape))
-        return fsum(mags * vol)
-    # one column per value entry
-    flat_c = const.reshape(-1, entries)
-    flat_l = lin.reshape(-1, entries, dom.ndim)
+    blocks = [slice(start, start + _L1_BLOCK_CELLS)
+              for start in range(0, dom.num_cells, _L1_BLOCK_CELLS)]
+    const_rows = _cell_rows(const, tuple(value_shape))
+    lin_rows = _cell_rows(lin, tuple(value_shape) + (dom.ndim,))
+    if all(np.all(lin_rows(block) == 0.0) for block in blocks):
+        return fsum(np.concatenate([norm(const_rows(block), len(value_shape)) * vol
+                                    for block in blocks]))
     if entries > 1:
         nodes, wts = gauss_legendre_rule(-widths / 2.0, widths / 2.0, quad_order)
     terms = []
-    for start in range(0, flat_c.shape[0], _L1_BLOCK_CELLS):
-        block = slice(start, start + _L1_BLOCK_CELLS)
+    for block in blocks:
+        # one column per value entry
+        flat_c = const_rows(block).reshape(-1, entries)
+        flat_l = lin_rows(block).reshape(-1, entries, dom.ndim)
         if entries <= 1:
-            terms.append(box_abs_affine(flat_c[block, 0], flat_l[block, 0], widths))
+            terms.append(box_abs_affine(flat_c[:, 0], flat_l[:, 0], widths))
         else:
             # one BLAS dot per cell, as a per-cell ``wts.dot`` rounds
-            terms.append(np.vecdot(_norms_at_points(flat_c[block], flat_l[block], nodes), wts))
+            terms.append(np.vecdot(_norms_at_points(flat_c, flat_l, nodes), wts))
     return fsum(np.concatenate(terms))
+
+
+def _cell_rows(data, shape: tuple):
+    """The rows ``block`` of cell data viewed as ``(cells,) + shape``; for a
+    pair ``(a, b)``, of ``a - b``."""
+    if isinstance(data, tuple):
+        a, b = (np.reshape(x, (-1,) + shape) for x in data)
+        return lambda block: a[block] - b[block]
+    data = np.reshape(data, (-1,) + shape)
+    return lambda block: data[block]
 
 
 def _norms_at_points(const, lin, nodes) -> np.ndarray:
@@ -664,18 +718,23 @@ def _affine_at_points(const, lin, nodes) -> np.ndarray:
     """``const + lin . p`` per cell and tensor point: (cells, points).
 
     ``const`` is (cells,) and ``lin`` (cells, N); ``p`` runs over the tensor
-    grid of the per-axis ``nodes``, the last axis fastest.  In 1D and 2D the
-    products are formed per axis, ``lin_0 x_i`` and ``lin_1 y_j`` (``order``
-    products per axis instead of one per point), and ``const + (lin_0 x_i +
-    lin_1 y_j)`` is summed by broadcasting: the operations and the order of
-    the pointwise sum, so its bits.  In 3D the einsum stays: it adds its
-    three products in the order of numpy's SIMD path, not left to right.
+    grid of the per-axis ``nodes``, the last axis fastest.  Up to 3D the
+    products are formed per axis, ``lin_k x_i`` (``order`` products per axis
+    instead of one per point), summed by broadcasting and added to
+    ``const``.  In 3D the sum is ``(p_0 + p_2) + p_1``: the order numpy's
+    einsum takes on an AVX-512 host, written out so that no host's SIMD
+    width decides the last bits.  Above 3D the einsum stays.
     """
     N = len(nodes)
-    if N > 2:
+    if N > 3:
         return const[:, None] + np.einsum("ck,mk->cm", lin, tensor_points(nodes))
     prods = [lin[:, k, None] * x for k, x in enumerate(nodes)]
-    total = prods[0] if N == 1 else prods[0][:, :, None] + prods[1][:, None, :]
+    if N == 1:
+        total = prods[0]
+    elif N == 2:
+        total = prods[0][:, :, None] + prods[1][:, None, :]
+    else:
+        total = (prods[0][:, :, None, None] + prods[2][:, None, None, :]) + prods[1][:, None, :, None]
     total += const.reshape((-1,) + (1,) * N)
     return total.reshape(len(const), -1)
 

@@ -30,6 +30,7 @@ def box_abs_affine(const, grad, widths):
     magnitudes neither overflow nor underflow.  Axes with zero slope only
     scale the measure; each sloped axis is integrated analytically, keeping
     the result piecewise polynomial in the remaining affine combination.
+    The sloped axes go in increasing order of ``|g_k| w_k``.
     """
     scalar = np.ndim(const) == 0
     const = np.atleast_1d(np.asarray(const, dtype=float))
@@ -50,8 +51,9 @@ def box_abs_affine(const, grad, widths):
     factor = np.ones_like(const)
     for k in range(grad.shape[1]):
         factor = np.where(flat[:, k], factor * widths[:, k], factor)
-    # sloped axes first, each row keeping its axis order
-    order = np.argsort(flat, axis=1, kind="stable")
+    # sloped axes first, by increasing |g_k| w_k (ties in axis order): a small
+    # slope integrated after a large one would cancel in (F(s + d) - F(s - d)) / g
+    order = np.lexsort((np.abs(grad) * widths, flat), axis=1)
     grad = np.take_along_axis(grad, order, axis=1)
     widths = np.take_along_axis(widths, order, axis=1)
     sloped = grad.shape[1] - flat.sum(axis=1)

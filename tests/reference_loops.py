@@ -240,9 +240,20 @@ def l1_of_cell_data(dom, const, lin, value_shape, quad_order) -> float:
     else:
         pts, wts = gauss_legendre_points(-widths / 2.0, widths / 2.0, quad_order)
         for c, b in zip(flat_c, flat_l):
-            vals = c + np.einsum("...k,mk->m...", b, pts)
+            vals = c + _lin_at_points(b, pts)
             terms.append(float(np.dot(_vnorm(vals, vnd), wts)))
     return fsum(terms)
+
+
+def _lin_at_points(b, pts) -> np.ndarray:
+    """``b . p`` at each point: (points,) + value shape.  In 3D the products
+    are added as ``(p_0 + p_2) + p_1``, the order numpy's einsum takes on an
+    AVX-512 host, written out (as the library writes it) so that no host's
+    SIMD width decides the last bits; other dimensions keep the einsum."""
+    if pts.shape[1] != 3:
+        return np.einsum("...k,mk->m...", b, pts)
+    p0, p1, p2 = (b[..., k] * pts[:, k].reshape((-1,) + (1,) * (b.ndim - 1)) for k in range(3))
+    return (p0 + p2) + p1
 
 
 class PiecewisePoly:
@@ -322,19 +333,24 @@ def box_abs_affine(const: float, grad, widths) -> float:
     """Exact ``integral of |const + grad . t|`` for t in the centered box, one call per cell.
 
     The box is ``prod_k [-w_k/2, w_k/2]``.  Axes with zero slope only scale
-    the measure; each sloped axis is integrated analytically, keeping the
-    result piecewise polynomial in the remaining affine combination.
+    the measure; each sloped axis is integrated analytically, in increasing
+    order of ``|g_k| w_k``, keeping the result piecewise polynomial in the
+    remaining affine combination.
     """
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
     widths = np.atleast_1d(np.asarray(widths, dtype=float))
     if grad.shape != widths.shape:
         raise ValueError("grad and widths must have matching length")
     factor = 1.0
-    pp = PiecewisePoly.abs()
+    sloped = []
     for g, w in zip(grad, widths):
         if g == 0.0 or w * abs(g) < 1e-300:
             factor *= w
-            continue
+        else:
+            sloped.append((g, w))
+    pp = PiecewisePoly.abs()
+    # by increasing |g| w, ties in axis order, as the batched integral takes them
+    for g, w in sorted(sloped, key=lambda gw: abs(gw[0]) * gw[1]):
         f = pp.antiderivative()
         hi = f.shift(g * w / 2.0)
         lo = f.shift(-g * w / 2.0)

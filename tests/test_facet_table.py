@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from sdrelax import cellformulas
+from sdrelax import cellformulas, energy
 from sdrelax.cellformulas import (
     estimate_W1,
     estimate_W2,
@@ -28,6 +28,7 @@ from sdrelax.fields import (
     BoxDomain,
     FacetTable,
     PiecewiseAffineField,
+    SecondOrderField,
     StepBoundary,
     _L1_BLOCK_CELLS,
     _l1_of_cell_data,
@@ -286,20 +287,137 @@ def test_total_energy_on_sub_boxes(u, seed, proj):
         assert (out.jump1, out.jump2, out.quadrature["inexact_facets"]) == (jump1, jump2, inexact)
 
 
+# grids of more than one block of interior facets per axis at _FACET_BLOCK = 10,
+# the last block of each axis partial
+BLOCK_GRIDS = {1: [26], 2: [8, 4], 3: [6, 2, 2]}
+
+
+def _second_order_field(dom, rng):
+    """A seeded pair (u, grad) with jumping, affinely varying gradient data
+    and boundary data for u."""
+    N = dom.ndim
+    C = rng.standard_normal(dom.cells_shape + (N, N))
+    u = PiecewiseAffineField(dom, rng.standard_normal(dom.cells_shape + (N,)), C,
+                             boundary_data=AffineBoundary(rng.standard_normal(N),
+                                                          rng.standard_normal((N, N))))
+    grad = PiecewiseAffineField(dom, C, rng.standard_normal(dom.cells_shape + (N, N, N)))
+    return SecondOrderField(u, grad)
+
+
+@pytest.mark.parametrize("proj", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_total_energy_prices_the_jump_set_term_by_term(N, proj, monkeypatch):
+    monkeypatch.setattr("sdrelax.fields._FACET_BLOCK", 10)
+    rng = np.random.default_rng([N, proj])
+    dom = BoxDomain(np.zeros(N), np.linspace(1.3, 0.7, N), BLOCK_GRIDS[N])
+    blocks = dom.interior_blocks()
+    for m in range(N):
+        sizes = [rows.stop - rows.start for axis, rows, _, _ in blocks if axis == m]
+        assert len(sizes) > 1 and sizes[-1] < sizes[0] <= 10
+    pair = _second_order_field(dom, rng)
+    triple = generic_triple(psi2_proj(unit_vector(rng, N)) if proj else None)
+    recorded = []
+    exact = energy.fsum
+
+    def recording_fsum(values):
+        recorded.append(np.asarray(values, dtype=float).ravel())
+        return exact(values)
+
+    monkeypatch.setattr(energy, "fsum", recording_fsum)
+    sub = tuple((1, r - 1) if r > 2 else (0, r) for r in dom.cells_shape)
+    runs = []
+    for cell_ranges in (None, sub):
+        recorded.clear()
+        runs.append((cell_ranges, total_energy(pair, triple, cell_ranges), recorded[1:]))
+    assert pair.u._jump_cache is None and pair.grad._jump_cache is None
+    for cell_ranges, out, streamed in runs:  # streamed: the fsum inputs after the bulk term's
+        recorded.clear()
+        ranges = cell_ranges or tuple((0, r) for r in dom.cells_shape)
+        whole = [interfacial_energy(psi, energy._in_ranges(f.jump_set(), ranges), dom.widths)
+                 for psi, f in ((triple.psi1, pair.u), (triple.psi2, pair.grad))]
+        assert len(streamed) == len(recorded) == 2
+        for new, old in zip(streamed, recorded):
+            assert _bits(new) == _bits(old)
+        assert (out.jump1, out.jump2) == (whole[0][0], whole[1][0])
+        assert out.quadrature["inexact_facets"] == whole[0][1] + whole[1][1]
+        if proj and N > 1:  # the facet-integral hook priced some facets of grad
+            assert any(pair.grad.jump_set().varies())
+
+
+def test_total_energy_holds_one_block_of_facets(monkeypatch):
+    # 10 x 9 + 11 x 8 interior facets and 42 outer faces, in blocks of at most 50
+    monkeypatch.setattr("sdrelax.fields._FACET_BLOCK", 50)
+    pair = _second_order_field(BoxDomain([0.0, 0.0], [1.0, 1.0], [11, 9]), np.random.default_rng(3))
+    sizes = []
+
+    class Recording(FacetTable):
+        def __init__(self, **columns):
+            super().__init__(**columns)
+            sizes.append(len(self))
+
+    monkeypatch.setattr("sdrelax.fields.FacetTable", Recording)
+    total_energy(pair, generic_triple())
+    assert sizes and max(sizes) <= 50
+    assert pair.u._jump_cache is None and pair.grad._jump_cache is None
+    assert len(pair.u.jump_set()) > 50
+
+
+# grids with a layer of lower cells wider than a block of 7: split along a later axis
+WIDE_GRIDS = {2: [3, 25], 3: [2, 2, 25]}
+
+
+@pytest.mark.parametrize("block", [1, 7, 16384])
+def test_facet_blocks_join_to_the_jump_set(block, monkeypatch):
+    monkeypatch.setattr("sdrelax.fields._FACET_BLOCK", block)
+    grids = [BLOCK_GRIDS[1], BLOCK_GRIDS[2], BLOCK_GRIDS[3], WIDE_GRIDS[2], WIDE_GRIDS[3]]
+    for i, res in enumerate(grids):
+        N = len(res)
+        rng = np.random.default_rng([i, block])
+        dom = BoxDomain(np.zeros(N), np.ones(N), res)
+        u = _second_order_field(dom, rng).u
+        stop = 0  # each block's rows follow the last block's and count its lower cells
+        for m, rows, lo, hi in dom.interior_blocks():
+            assert rows.start == stop and rows.stop - rows.start == np.zeros(res)[lo].size
+            stop = rows.stop
+        parts = list(u.facet_blocks())
+        assert all(len(p) <= block for p in parts[:-1])
+        joined = FacetTable.concat(parts, N, u.value_shape)
+        TestCubeGeometry().assert_rows_bitwise(joined, ref.jump_set(u))
+        for name in FacetTable.__dataclass_fields__:
+            assert _bits(getattr(joined, name)) == _bits(getattr(u.jump_set(), name)), name
+
+
+def assert_l1_terms_equal(args, ref_args=None):
+    """``_l1_of_cell_data`` equals the per-cell loop in its total and in every
+    cell's term: the exactly rounded total hides a last-bit change of one cell."""
+    ref_args = ref_args or args
+    assert _l1_of_cell_data(*args) == ref.l1_of_cell_data(*ref_args)
+    terms = lambda values: np.asarray(values, dtype=float).ravel()  # noqa: E731
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sdrelax.fields.fsum", terms)
+        mp.setattr(ref, "fsum", terms)
+        assert _bits(_l1_of_cell_data(*args)) == _bits(ref.l1_of_cell_data(*ref_args))
+
+
 @settings(max_examples=200, deadline=None)
 @given(fields(), st.integers(2, 6))
 def test_l1_matches_per_cell_loop(u, quad_order):
-    args = (u.domain, u.const, u.lin, u.value_shape, quad_order)
-    assert _l1_of_cell_data(*args) == ref.l1_of_cell_data(*args)
+    assert_l1_terms_equal((u.domain, u.const, u.lin, u.value_shape, quad_order))
 
 
 def test_l1_blocks_match_per_cell_loop():
     # more cells than one block, on the grid and value shape of the benchmark
     rng = np.random.default_rng(7)
     dom = BoxDomain([0.0, 0.0], [1.0, 1.0], [80, 80])
-    const = rng.standard_normal(dom.cells_shape + (2, 2))
-    lin = rng.standard_normal(dom.cells_shape + (2, 2, 2))
-    assert _l1_of_cell_data(dom, const, lin, (2, 2), 6) == ref.l1_of_cell_data(dom, const, lin, (2, 2), 6)
+    const, const_b = rng.standard_normal((2,) + dom.cells_shape + (2, 2))
+    lin, lin_b = rng.standard_normal((2,) + dom.cells_shape + (2, 2, 2))
+    assert_l1_terms_equal((dom, const, lin, (2, 2), 6))
+    # the pairs of l1_distance: each block of the difference is formed on its own
+    assert_l1_terms_equal((dom, (const, const_b), (lin, lin_b), (2, 2), 6),
+                          (dom, const - const_b, lin - lin_b, (2, 2), 6))
+    # equal linear parts: the cellwise-constant path, also decided block by block
+    assert_l1_terms_equal((dom, (const, const_b), (lin, lin.copy()), (2, 2), 6),
+                          (dom, const - const_b, np.zeros_like(lin), (2, 2), 6))
 
 
 def test_scalar_sequence_l1_matches_per_cell_loop():
@@ -311,10 +429,17 @@ def test_scalar_sequence_l1_matches_per_cell_loop():
     sd2 = SD2Triple(g, G, rng.standard_normal((4, 4, 1, 2, 2)))
     pair, diag = approximating_sequence(sd2, 8)
     assert list(pair.u.domain.resolution) == [64, 64]
+    terms = lambda values: np.asarray(values, dtype=float).ravel()  # noqa: E731
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sdrelax.fields.fsum", terms)
+        _, cell_terms = approximating_sequence(sd2, 8)
     for key, f, target in (("l1_u", pair.u, sd2.g), ("l1_grad", pair.grad, sd2.G)):
         target = target.refine((16, 16))
         args = (f.domain, f.const - target.const, f.lin - target.lin, f.value_shape, 6)
         assert diag[key] == ref.l1_of_cell_data(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ref, "fsum", terms)
+            assert _bits(cell_terms[key]) == _bits(ref.l1_of_cell_data(*args))
 
 
 # grids of more cells than one L1 block, the last block partial
@@ -324,7 +449,7 @@ L1_GRIDS = {1: [1100], 2: [33, 35], 3: [11, 11, 10]}
 @pytest.mark.parametrize("quad_order", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("value_shape", [(2,), (2, 2), (3, 3), (2, 2, 2)])
 @pytest.mark.parametrize("N", [1, 2, 3])
-def test_l1_kernel_matches_per_cell_loop(N, value_shape, quad_order, monkeypatch):
+def test_l1_kernel_matches_per_cell_loop(N, value_shape, quad_order):
     # (3, 3) and (2, 2, 2) have 8 entries or more, which numpy sums pairwise
     dom = BoxDomain(np.zeros(N), np.linspace(1.3, 0.7, N), L1_GRIDS[N])
     assert dom.num_cells > _L1_BLOCK_CELLS and dom.num_cells % _L1_BLOCK_CELLS
@@ -332,13 +457,7 @@ def test_l1_kernel_matches_per_cell_loop(N, value_shape, quad_order, monkeypatch
     const = rng.standard_normal(dom.cells_shape + value_shape)
     lin = rng.standard_normal(dom.cells_shape + value_shape + (N,)) * 10.0 ** rng.integers(
         -3, 4, dom.cells_shape + value_shape + (N,))
-    args = (dom, const, lin, value_shape, quad_order)
-    assert _l1_of_cell_data(*args) == ref.l1_of_cell_data(*args)
-    # the exactly rounded total hides a last-bit change of one cell: compare each cell's term
-    terms = lambda values: np.asarray(values, dtype=float).ravel()  # noqa: E731
-    monkeypatch.setattr("sdrelax.fields.fsum", terms)
-    monkeypatch.setattr(ref, "fsum", terms)
-    assert np.array_equal(_l1_of_cell_data(*args), ref.l1_of_cell_data(*args))
+    assert_l1_terms_equal((dom, const, lin, value_shape, quad_order))
 
 
 @pytest.mark.parametrize("points", [36, 216])
@@ -489,19 +608,22 @@ class TestCubeGeometry:
         u = _cube_field(dom, np.random.default_rng(0), (2,), "random", "affine")
         u.jump_set(), u.boundary_trace()
         cell, row, half, outer = dom.outer_geometry()
+        blocks = [dom.block_geometry(*block[:3]) for block in dom.interior_blocks()]
         cached = [dom.lower, dom.upper, dom.resolution, dom.cell_centers(), cell, row, half,
-                  *dom.interior_geometry().values(), *outer.values()]
+                  *(column for block in blocks for column in block.values()), *outer.values()]
         for arr in cached:
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 1
         assert dom.cell_centers() is dom.cell_centers()
-        assert dom.interior_geometry() is dom.interior_geometry()
+        block = dom.interior_blocks()[0][:3]
+        assert dom.block_geometry(*block) is dom.block_geometry(*block)
 
     def test_other_domains_keep_no_geometry(self):
         dom = BoxDomain([-0.5, -0.5], [0.5, 0.5], [4, 4])
         assert dom.cell_centers() is not dom.cell_centers()
         assert dom.cell_centers().flags.writeable
-        assert dom.interior_geometry()["centroid"] is not dom.interior_geometry()["centroid"]
+        block = dom.interior_blocks()[0][:3]
+        assert dom.block_geometry(*block)["centroid"] is not dom.block_geometry(*block)["centroid"]
 
     @pytest.mark.parametrize("kind", ["random", "steps"])
     def test_fields_on_one_cube_own_their_data(self, kind):
@@ -509,7 +631,8 @@ class TestCubeGeometry:
         rng = np.random.default_rng(1)
         f, g = (_cube_field(dom, rng, (2, 2), kind, "affine") for _ in range(2))
         cell, row, half, outer = dom.outer_geometry()
-        geometry = {"interior": dom.interior_geometry(), "outer": outer}
+        geometry = {"interior": [dom.block_geometry(*block[:3]) for block in dom.interior_blocks()],
+                    "outer": [outer]}
         for kind_of_rows, table_f, table_g in (("interior", f._build_interior_facets(),
                                                 g._build_interior_facets()),
                                                ("outer", f.boundary_trace(), g.boundary_trace())):
@@ -517,11 +640,13 @@ class TestCubeGeometry:
                 a, b = getattr(table_f, name), getattr(table_g, name)
                 assert a.flags.writeable and not np.shares_memory(a, b)
                 assert not any(np.shares_memory(a, c) for c in [cell, row, half, dom.cell_centers(),
-                                                                *geometry[kind_of_rows].values()])
+                                                                *(column for columns in geometry[kind_of_rows]
+                                                                  for column in columns.values())])
                 before = b.copy()
                 a[...] = 7.0
                 assert np.array_equal(b, before, equal_nan=True)
-            for name, column in geometry[kind_of_rows].items():
-                shared = getattr(table_f, name)
-                if np.shares_memory(shared, column):
-                    assert not shared.flags.writeable
+            for columns in geometry[kind_of_rows]:
+                for name, column in columns.items():
+                    shared = getattr(table_f, name)
+                    if np.shares_memory(shared, column):
+                        assert not shared.flags.writeable

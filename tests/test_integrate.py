@@ -1,6 +1,9 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +70,55 @@ def test_abs_affine_nan_stays_nan():
     assert np.isnan(box_abs_affine(np.nan, [1.0], [1.0]))
     assert np.isnan(box_abs_affine(1.0, [np.nan, 1.0], [1.0, 1.0]))
     assert np.all(np.isnan(box_abs_affine(np.array([np.nan, 1.0]), np.array([[1.0], [np.nan]]), [1.0])))
+
+
+def exact_abs_affine(const, grad, widths) -> Fraction:
+    """The recursion of ``box_abs_affine`` in exact rational arithmetic.
+
+    Integrating ``p(s + g t)`` over ``t`` in ``[-w/2, w/2]`` gives ``(P(s + g w/2)
+    - P(s - g w/2)) / g``, with ``P`` an antiderivative of ``p``; starting from
+    ``|s|``, whose m-th antiderivative is ``s^m |s| / (m + 1)!``, the m sloped
+    axes give a signed sum over the 2^m corners.
+    """
+    factor, sloped = Fraction(1), []
+    for g, w in zip(grad, widths):
+        if g == 0.0:
+            factor *= Fraction(w)
+        else:
+            sloped.append((Fraction(g), Fraction(w)))
+    m = len(sloped)
+    total = Fraction(0)
+    for signs in itertools.product((1, -1), repeat=m):
+        s = Fraction(const) + sum(e * g * w / 2 for e, (g, w) in zip(signs, sloped))
+        total += math.prod(signs) * s ** m * abs(s) / math.factorial(m + 1)
+    return factor * total / math.prod(g for g, _ in sloped)
+
+
+def _small_after_large_rows(k, n, seed):
+    """Seeded rows whose first axis has a large slope and the others slopes
+    10^-3 to 10^-17 times smaller, with boxes straddling the zero set."""
+    rng = np.random.default_rng(seed)
+    grad = rng.choice([-1.0, 1.0], (n, k)) * rng.uniform(0.5, 2.0, (n, k))
+    grad[:, 1:] *= 10.0 ** -rng.integers(3, 18, (n, k - 1))
+    widths = rng.uniform(0.5, 2.0, (n, k))
+    const = rng.uniform(-0.4, 0.4, n) * np.abs(grad[:, 0]) * widths[:, 0]
+    return const, grad, widths
+
+
+@pytest.mark.parametrize("const, grad, widths", [
+    (0.1, [1.0, 1e-17], [1.0, 1.0]),
+    (0.1, [1.0, 1e-14], [1.0, 1.0]),
+    *zip(*_small_after_large_rows(2, 20, seed=2)),
+    *zip(*_small_after_large_rows(3, 20, seed=3)),
+])
+def test_small_slope_after_a_large_one_keeps_its_digits(const, grad, widths):
+    # integrated after the large slope, the small one cancelled in
+    # (F(s + d) - F(s - d)) / g: 0.01 and 0.25951171875 for the first two rows,
+    # relative errors up to 0.8 on the seeded ones; taken smallest first, the
+    # worst seeded row (slopes 1, 1e-3, 1e-14) is off by 4e-13
+    exact = exact_abs_affine(const, grad, widths)
+    assert box_abs_affine(const, grad, widths) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
+    assert ref.box_abs_affine(const, grad, widths) == box_abs_affine(const, grad, widths)
 
 
 def _reference_rows(k, n, seed):
