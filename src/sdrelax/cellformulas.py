@@ -3,18 +3,28 @@
 The cell formulas are infima over all special-bounded-variation competitors;
 exact values are out of reach, so each estimator returns an explicit bracket:
 an upper bound from the best member of structured competitor families
-(staircases, elementary jumps, plane splittings, uniform-gradient laminates,
-inclusion boxes) and, where the interfacial densities are coercive with
-declared constants, a certified lower bound from the discrete Gauss-Green
-closure (the total directed jump mass of any admissible competitor is pinned
-by its boundary data, and coercivity converts mass into energy).
+(staircases, elementary jumps, plane splittings, gradient zigzags,
+uniform-gradient laminates, inclusion boxes) and, where the interfacial
+densities are coercive with declared constants, a certified lower bound from
+the discrete Gauss-Green closure (the total directed jump mass of any
+admissible competitor is pinned by its boundary data, and coercivity converts
+mass into energy).
 
 A :class:`CellProblem` fixes once, in field layout, what its variant
 decides: the interfacial density, the jump payload, the prescribed outer
-trace and the prescribed gradient (cell by cell for W1/Gamma1, on average
-for W2/Gamma2).  The admissibility check, the competitor energy and every
-family read those fields.  The W2 families are the laminate (the affine map
-``L y`` when ``M = L``) and the inclusion boxes.
+trace, the prescribed gradient (cell by cell for W1/Gamma1, on average for
+W2/Gamma2), the total directed jump that Gauss-Green pins, and the rotation
+of its cube.  The W2 families are the laminate (the affine map ``L y`` when
+``M = L``) and the inclusion boxes.
+
+Every family but the inclusion box is a stack of parallel planes with one
+gradient per layer of cells, priced without its grid field (see
+:class:`Planes`): one density call prices all planes of all candidates of a
+problem, and the energies are the grid fields' bit for bit, the laminate's
+to a few ulp.  A plane competitor is admitted by the discrete Gauss-Green
+identity and the variant's gradient condition.  The inclusion box is the
+one competitor built as a field on the cube, re-verified on the field's
+gradient and outer traces.
 
 Competitors on oriented cubes are built in rotated coordinates (the jump
 normal mapped to the last axis); densities receive the true normals and
@@ -26,17 +36,20 @@ lexicographically smallest parameter vector.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .constructions import elementary_jump, staircase
 from .densities import DensityTriple, InterfacialDensity, recession
-from .energy import interfacial_energy
+from .energy import _interfacial_terms, _jump_energy
 from .fields import (
+    DEFAULT_JUMP_TOL,
     AffineBoundary,
     BoundaryData,
+    BoxDomain,
+    FacetTable,
     PiecewiseAffineField,
     StepBoundary,
     trace_boundary,
@@ -66,8 +79,14 @@ class CellProblem:
     and in field layout, what the variant decides: the interfacial density
     ``psi``, the jump ``payload``, the prescribed outer trace
     ``prescription``, the prescribed ``gradient`` (cell by cell, or on
-    average when ``averaged``) and the admissibility tolerance ``tol``,
-    relative to the size of the prescribed data.
+    average when ``averaged``), the admissibility tolerance ``tol``,
+    relative to the size of the prescribed data, the ``rotation`` of the
+    cube (the jump normal to the last axis; ``None`` for W1 and W2) and
+    ``directed``: the total directed jump, the sum of ``[v] (x) q`` times
+    area over the facets, that the discrete Gauss-Green identity pins on
+    every admissible competitor (the prescription's outer flux minus the
+    integral of the prescribed gradient over the unit cube), in the cube's
+    coordinates.
     """
 
     variant: str                        # W1 | Gamma1 | W2 | Gamma2
@@ -86,6 +105,8 @@ class CellProblem:
     gradient: np.ndarray = dataclass_field(init=False, repr=False)
     averaged: bool = dataclass_field(init=False, repr=False)
     tol: float = dataclass_field(init=False, repr=False)
+    rotation: np.ndarray | None = dataclass_field(init=False, repr=False)
+    directed: np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -103,13 +124,18 @@ class CellProblem:
         if self.variant == "W1":
             self.prescription = AffineBoundary.zero(self.A.shape[:1], N)
             self.gradient, data = self.A, (self.A,)
+            flux = np.zeros_like(self.A)
         elif self.variant == "W2":
             self.prescription = AffineBoundary.linear(swap_layout(self.L))
             self.gradient, data = swap_layout(self.M), (self.L, self.M)
+            flux = self.prescription.lin
         else:
             self.prescription = StepBoundary(self.payload, N - 1, 0.0)
             self.gradient, data = np.zeros(self.payload.shape + (N,)), (self.payload,)
+            flux = np.multiply.outer(self.payload, np.eye(N)[N - 1])
         self.tol = ADMISSIBILITY_TOL * max(1.0, *(float(norm(t, t.ndim)) for t in data))
+        self.rotation = None if self.nu is None else rotation_to_last_axis(self.nu)
+        self.directed = flux - self.gradient
 
     def _check_shapes(self):
         if self.variant not in _VARIANT_DATA:
@@ -175,7 +201,7 @@ def rotation_to_last_axis(nu: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# energy of a competitor
+# competitors built as fields: energy and admissibility
 # ---------------------------------------------------------------------------
 
 
@@ -183,26 +209,27 @@ def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
                       R: np.ndarray | None = None) -> tuple[float, int]:
     """Interfacial energy of the field's jump set, plus, for the second-order
     formulas, the bulk term summed over the cells: W(x0, A, grad v) for W2 and
-    the recession of W for the oriented-cube formula (Gamma2)."""
+    the recession of W for the oriented-cube formula (Gamma2).  The jump set
+    is priced block by block as the field builds it, never joined."""
     dom = field.domain
-    jump, inexact = interfacial_energy(problem.psi, field.jump_set(), dom.widths, problem.x, R)
+    jump, inexact = _jump_energy(problem.psi, field, x0=problem.x, R=R)
     if not problem.averaged:
         return jump, inexact
     lin = field.lin.reshape((-1,) + field.value_shape + (dom.ndim,))
+    return fsum(_bulk_values(problem, lin, R) * dom.cell_volume) + jump, inexact
+
+
+def _bulk_values(problem: CellProblem, lin: np.ndarray, R: np.ndarray | None) -> np.ndarray:
+    """The bulk integrand at each gradient row of ``lin`` (field layout, in
+    the cube's coordinates, un-rotated by ``R``): W(x0, A, .) for W2, its
+    recession for Gamma2."""
     if R is not None:
         lin = np.einsum("...k,mk->...m", lin, R)
     xs = np.broadcast_to(problem.x, (lin.shape[0], len(problem.x)))
     As = np.broadcast_to(problem.A, (lin.shape[0],) + problem.A.shape)
     if problem.variant == "W2":
-        vals = np.asarray(problem.densities.W(xs, As, lin), dtype=float)
-    else:
-        vals = recession(problem.densities.W, xs, As, lin)
-    return fsum(vals * dom.cell_volume) + jump, inexact
-
-
-# ---------------------------------------------------------------------------
-# admissibility
-# ---------------------------------------------------------------------------
+        return np.asarray(problem.densities.W(xs, As, lin), dtype=float)
+    return recession(problem.densities.W, xs, As, lin)
 
 
 def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tuple[bool, float]:
@@ -231,8 +258,170 @@ def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tu
 
 
 # ---------------------------------------------------------------------------
+# plane competitors: priced by formula
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Planes:
+    """A competitor made of planes of grid facets on ``domain``, in the
+    cube's coordinates, without its field.
+
+    Row ``i`` of ``facets`` is a representative facet of one plane, whose
+    traces the grid's own arithmetic computes: it stands for ``counts[i]``
+    facets of the field's jump set with the same traces.  ``gradients[j]``
+    is the gradient of ``cells[j]`` cells.  The laminate's planes are those
+    of the zero-trace staircase of ``M - L`` (the laminate minus the affine
+    map ``L y``), with the exact jumps ``h (L - M) e_m``; its grid field's
+    carry the rounding of ``L y`` at each cell centre.
+    """
+
+    domain: BoxDomain
+    facets: FacetTable
+    counts: np.ndarray
+    gradients: np.ndarray
+    cells: np.ndarray
+
+
+@functools.cache
+def _layer_layout(N: int, r: int) -> dict:
+    """The planes of a field on ``unit_cube(N, r)`` whose cells share their
+    data within each layer (the cells with one index along the last axis).
+
+    One row per plane: for the last axis, the interior facets between
+    layers ``i`` and ``i + 1`` and the outer faces of the first and the last
+    layer; for another axis, per layer, the interior facets and the outer
+    faces on each side.  ``behind`` is the layer of the cell on the facet's
+    minus side and ``side`` the face of that cell it is (0 lower, 1 upper);
+    ``ahead`` is the layer on the plus side of an interior facet.  Each
+    row's geometry is that of the facet whose other cell indices are 0;
+    ``z`` holds the layers' centres along the last axis.
+    """
+    dom = unit_cube(N, r)
+    m = N - 1
+    # axis, normal sign, outer face, side, behind, ahead, facets, cell index along the axis
+    rows = []
+    for k in range(m):
+        if r > 1:
+            rows += [(k, 1.0, False, 1, i, i, (r - 1) * r ** (N - 2), 0) for i in range(r)]
+        rows += [(k, -1.0, True, 0, i, i, r ** (N - 2), 0) for i in range(r)]
+        rows += [(k, 1.0, True, 1, i, i, r ** (N - 2), r - 1) for i in range(r)]
+    rows += [(m, 1.0, False, 1, i, i + 1, r ** m, i) for i in range(r - 1)]
+    rows += [(m, -1.0, True, 0, 0, 0, r ** m, 0), (m, 1.0, True, 1, r - 1, r - 1, r ** m, r - 1)]
+    axis, sign, outer, side, behind, ahead, count, at = (np.array(c) for c in zip(*rows))
+    every = np.arange(len(rows))
+    index = np.zeros((len(rows), N), dtype=int)
+    index[every, axis] = at
+    index[:, m] = behind
+    centroid = dom.lower + (index + 0.5) * dom.widths
+    face = centroid[every, axis] + 0.5 * dom.widths[axis]
+    wall = np.where(sign < 0, dom.lower[axis], dom.upper[axis])
+    centroid[every, axis] = np.where(outer, wall, face)
+    normal = np.zeros((len(rows), N))
+    normal[every, axis] = sign
+    lay = dict(axis=axis, boundary=outer, side=side, behind=behind, ahead=ahead, count=count,
+               index=index, centroid=centroid, normal=normal, every=every,
+               area=dom.cell_volume / dom.widths[axis], half=0.5 * dom.widths,
+               cells=np.full(r, r ** m), z=dom.axis_centers(m))
+    for value in lay.values():
+        value.flags.writeable = False
+    return lay
+
+
+def _layered(r: int, const: np.ndarray, lin: np.ndarray, prescription: BoundaryData) -> Planes:
+    """The planes of the field on ``unit_cube(N, r)`` equal to ``const[i]``
+    and ``lin[i]`` in every cell of layer ``i`` and carrying
+    ``prescription``, which may depend on the last coordinate only.
+
+    The traces and the jump variation of each representative facet are the
+    field's, by its own arithmetic (``PiecewiseAffineField``'s interior
+    jumps and outer traces), and facets jumping by at most
+    ``DEFAULT_JUMP_TOL`` are dropped, as the field drops them.
+    """
+    N = lin.shape[-1]
+    lay = _layer_layout(N, r)
+    axis, outer = lay["axis"], lay["boundary"]
+    step = lay["half"] * lin  # half a cell width times the slope, per axis
+    # each cell's trace at its lower and upper face along each axis: (face, layer, ..., axis)
+    traces = np.stack([const[..., None] - step, const[..., None] + step])
+    minus = traces[lay["side"], lay["behind"], ..., axis]
+    plus = traces[0, lay["ahead"], ..., axis]
+    plus[outer], ahead = prescription.value_and_lin(lay["centroid"][outer])
+    jump_lin = lin[lay["ahead"]]
+    jump_lin[outer] = ahead
+    jump_lin -= lin[lay["behind"]]
+    jump_lin[lay["every"], ..., axis] = 0.0
+    vnd = const.ndim - 1
+    keep = ~(norm(plus - minus, vnd) + norm(jump_lin, vnd + 1) <= DEFAULT_JUMP_TOL)
+    facets = FacetTable(axis=axis, index=lay["index"], boundary=outer, normal=lay["normal"],
+                        area=lay["area"], plus=plus, minus=minus, jump_lin=jump_lin,
+                        centroid=lay["centroid"])
+    return Planes(unit_cube(N, r), facets.select(keep), lay["count"][keep], lin, lay["cells"])
+
+
+def _admit(problem: CellProblem, planes: Planes) -> tuple[bool, float]:
+    """The gradient condition (cell by cell, or on average when
+    ``problem.averaged``) and the discrete Gauss-Green identity: the planes'
+    total directed jump is ``problem.directed``.  Residuals combine with
+    ``np.max`` (a NaN rejects), admitted when at most ``problem.tol``."""
+    if problem.averaged:
+        avg = np.einsum("j,j...->...", planes.cells, planes.gradients) * planes.domain.cell_volume
+        residual = float(norm(avg - problem.gradient, avg.ndim))
+    else:
+        residual = float(np.max(np.abs(planes.gradients - problem.gradient), initial=0.0))
+    f = planes.facets
+    directed = np.einsum("f...,f,fk->...k", f.jump, f.area * planes.counts, f.normal)
+    residual = float(np.max(np.abs(directed - problem.directed), initial=residual))
+    return residual <= problem.tol, residual
+
+
+def _price(problem: CellProblem, competitors: list) -> list[tuple[float, int]]:
+    """Energy of each plane competitor, and its count of centroid-only facets.
+
+    One interfacial pass over the representative facets of all of them (one
+    ``psi`` call, plus the density's facet integral per row whose jump
+    varies) and, for W2 and Gamma2, one bulk call over all their gradients;
+    each term is counted once per facet or cell it stands for.  The terms
+    are the grid field's bit for bit and ``fsum`` rounds their exact sum,
+    so each energy is ``competitor_energy`` of the field.
+    """
+    if not competitors:
+        return []
+    tables = [p.facets for p in competitors]
+    sizes = [len(t) for t in tables]
+    table = FacetTable.concat(tables, len(problem.x), tables[0].plus.shape[1:])
+    widths = np.repeat([p.domain.widths for p in competitors], sizes, axis=0)
+    terms, inexact = _interfacial_terms(problem.psi, table, widths, problem.x, problem.rotation)
+    starts = np.cumsum(sizes) - sizes
+    priced = [(fsum(np.repeat(terms[a:a + n], p.counts)), int(np.sum(p.counts[inexact[a:a + n]])))
+              for p, a, n in zip(competitors, starts, sizes)]
+    if not problem.averaged:
+        return priced
+    # in C order, as a field's cells: the bulk integrand's sums then round as the field's
+    gradients = np.ascontiguousarray(np.concatenate([p.gradients for p in competitors]))
+    values = _bulk_values(problem, gradients, problem.rotation)
+    pieces = np.split(values, np.cumsum([len(p.gradients) for p in competitors])[:-1])
+    return [(fsum(np.repeat(v * p.domain.cell_volume, p.cells)) + jump, inexact)
+            for p, v, (jump, inexact) in zip(competitors, pieces, priced)]
+
+
+# ---------------------------------------------------------------------------
 # competitor families
 # ---------------------------------------------------------------------------
+
+
+def _layer_column(values: np.ndarray, payload: np.ndarray) -> np.ndarray:
+    """Per-layer values shaped to broadcast against the payload."""
+    return values.reshape(values.shape + (1,) * payload.ndim)
+
+
+def _jump_layers(problem: CellProblem, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layer centres ``z`` along the jump axis of ``unit_cube(N, r)``, and
+    the elementary jump's layers: the payload above the mid-plane, 0 below."""
+    z = _layer_column(_layer_layout(len(problem.x), r)["z"], problem.payload)
+    if r % 2 != 0:
+        raise ValueError("resolution along the jump axis must be even")
+    return z, np.where(z > 0.0, problem.payload, np.zeros_like(problem.payload))
 
 
 class StaircaseFamily:
@@ -245,10 +434,11 @@ class StaircaseFamily:
         for level in range(budget):
             yield (base * 2**level,)
 
-    def build(self, problem: CellProblem, params):
+    def planes(self, problem: CellProblem, params) -> Planes:
         (n,) = params
-        field = staircase(problem.A, int(n), unit_cube(len(problem.x), n))
-        return field, None
+        A = problem.A
+        return _layered(int(n), np.zeros((n,) + A.shape[:1]), np.broadcast_to(A, (n,) + A.shape),
+                        problem.prescription)
 
 
 class ElementaryJumpFamily:
@@ -259,9 +449,10 @@ class ElementaryJumpFamily:
     def candidates(self, problem: CellProblem, budget: int):
         yield ()
 
-    def build(self, problem: CellProblem, params):
-        field = elementary_jump(problem.payload, ndim=len(problem.x), resolution=problem.resolution)
-        return field, rotation_to_last_axis(problem.nu)
+    def planes(self, problem: CellProblem, params) -> Planes:
+        _, const = _jump_layers(problem, problem.resolution)
+        return _layered(problem.resolution, const, np.zeros(const.shape + (len(problem.x),)),
+                        problem.prescription)
 
 
 class SplittingFamily:
@@ -279,40 +470,36 @@ class SplittingFamily:
                     for beta in (-0.5, 0.5):
                         yield (alpha, j, beta)
 
-    def build(self, problem: CellProblem, params):
+    def planes(self, problem: CellProblem, params) -> Planes:
         alpha, j, beta = params
         payload = problem.payload
         part = alpha * payload
         if j >= 0:
             part[int(j)] += beta
         N = len(problem.x)
-        dom = unit_cube(N, max(4, problem.resolution))
-        centers = dom.cell_centers()
-        z = centers[..., N - 1]
-        shape = z.shape + (1,) * payload.ndim
-        low = np.zeros_like(payload)
-        const = np.where(z.reshape(shape) <= -0.25, low,
-                         np.where(z.reshape(shape) > 0.25, payload, part))
-        field = PiecewiseAffineField(dom, const, boundary_data=problem.prescription)
-        return field, rotation_to_last_axis(problem.nu)
+        r = max(4, problem.resolution)
+        z = _layer_column(_layer_layout(N, r)["z"], payload)
+        const = np.where(z <= -0.25, np.zeros_like(payload), np.where(z > 0.25, payload, part))
+        return _layered(r, const, np.zeros(const.shape + (N,)), problem.prescription)
 
 
 class LaminateFamily:
     """Uniform-gradient staircase: grad v = M everywhere, slab jumps pay the move
-    (the jump-free affine map v = L y when M = L)."""
+    (the jump-free affine map v = L y when M = L); its planes are those of
+    the zero-trace staircase of ``M - L``."""
 
     name = "laminate"
 
     def candidates(self, problem: CellProblem, budget: int):
         yield ()
 
-    def build(self, problem: CellProblem, params):
-        dom = unit_cube(len(problem.x), problem.resolution)
-        L_field = problem.prescription.lin
-        const = np.einsum("vwk,...k->...vw", L_field, dom.cell_centers())
-        lin = np.broadcast_to(problem.gradient, dom.cells_shape + L_field.shape).copy()
-        field = PiecewiseAffineField(dom, const, lin, boundary_data=problem.prescription)
-        return field, None
+    def planes(self, problem: CellProblem, params) -> Planes:
+        r = problem.resolution
+        L, M = problem.prescription.lin, problem.gradient
+        lin = np.broadcast_to(M - L, (r,) + M.shape)
+        planes = _layered(r, np.zeros((r,) + M.shape[:-1]), lin,
+                          AffineBoundary.zero(M.shape[:-1], len(problem.x)))
+        return replace(planes, gradients=np.broadcast_to(M, lin.shape))
 
 
 class InclusionFamily:
@@ -391,22 +578,16 @@ class GradientZigzagFamily:
         for alpha in (0.25, 0.5):
             yield (alpha,)
 
-    def build(self, problem: CellProblem, params):
+    def planes(self, problem: CellProblem, params) -> Planes:
         (alpha,) = params
         N = len(problem.x)
-        dom = unit_cube(N, max(4, problem.resolution))
-        payload = problem.payload
-        base = elementary_jump(payload, domain=dom)
-        D = alpha * payload
-        centers = dom.cell_centers()
-        z = centers[..., N - 1]
-        sign = np.where(z > 0.0, 1.0, -1.0)
-        tri = np.abs(z) - 0.25
-        const = base.const + tri.reshape(tri.shape + (1,) * payload.ndim) * D
-        lin = base.lin.copy()
-        lin[..., N - 1] += sign.reshape(sign.shape + (1,) * payload.ndim) * D
-        field = PiecewiseAffineField(dom, const, lin, boundary_data=base.boundary_data)
-        return field, rotation_to_last_axis(problem.nu)
+        r = max(4, problem.resolution)
+        z, base = _jump_layers(problem, r)
+        D = alpha * problem.payload
+        const = base + (np.abs(z) - 0.25) * D
+        lin = np.zeros(const.shape + (N,))
+        lin[..., N - 1] += np.where(z > 0.0, 1.0, -1.0) * D
+        return _layered(r, const, lin, problem.prescription)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +599,14 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
     """Sweep the families for the best admissible competitor (the upper bound),
     and certify ``c |forced|`` from below when ``problem.psi`` is coercive with
     a declared constant ``c``: ``forced`` is the total directed jump that the
-    boundary data pins on every admissible competitor (Gauss-Green)."""
+    boundary data pins on every admissible competitor (Gauss-Green).
+
+    A family yields its competitors as :class:`Planes` (``planes``), which
+    are admitted one by one and priced together, or as fields (``build``),
+    each checked on its traces and priced on its own.  Families are taken
+    in order, and one with ``refine`` descends from the best so far when it
+    holds it.
+    """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 (the coarsest parameter grid), got {budget}")
     rows = []
@@ -426,13 +614,13 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
     evaluations = 0
     any_inexact = False
 
-    def consider(family_name, params, field, R):
+    def consider(family_name, params, admitted, price):
         nonlocal best, evaluations, any_inexact
         params = tuple(params)
-        ok, residual = check_admissibility(problem, field)
+        ok, residual = admitted
         energy = None
         if ok:
-            energy, inexact = competitor_energy(problem, field, R)
+            energy, inexact = price()
             evaluations += 1
             any_inexact = any_inexact or inexact > 0
             if best is None or (energy, family_name, params) < best[:3]:
@@ -440,17 +628,31 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
         rows.append({"family": family_name, "params": params, "admissible": ok, "energy": energy})
         return energy
 
-    for family in families:
-        for params in family.candidates(problem, budget):
-            field, R = family.build(problem, params)
-            consider(family.name, params, field, R)
+    def built(family, params):
+        field, R = family.build(problem, params)
+        return consider(family.name, params, check_admissibility(problem, field),
+                        lambda: competitor_energy(problem, field, R))
+
+    # the plane competitors of every family, admitted one by one and priced together
+    planes = [[(params, family.planes(problem, params))
+               for params in family.candidates(problem, budget)]
+              if hasattr(family, "planes") else [] for family in families]
+    admitted = [[_admit(problem, p) for _, p in swept] for swept in planes]
+    prices = iter(_price(problem, [p for swept, checks in zip(planes, admitted)
+                                   for (_, p), (ok, _) in zip(swept, checks) if ok]))
+
+    for family, swept, checks in zip(families, planes, admitted):
+        for (params, _), check in zip(swept, checks):
+            consider(family.name, params, check, lambda: next(prices))
+        if hasattr(family, "build"):
+            for params in family.candidates(problem, budget):
+                built(family, params)
         if hasattr(family, "refine") and best is not None and best[1] == family.name:
             cache: dict[tuple, float | None] = {}
 
             def evaluate(params):
                 if params not in cache:
-                    field, R = family.build(problem, params)
-                    cache[params] = consider(family.name, params, field, R)
+                    cache[params] = built(family, params)
                 return cache[params]
 
             family.refine(problem, best[2], evaluate, budget)

@@ -185,11 +185,13 @@ def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, di
 def _corrected_primitive(f: PiecewiseAffineField, target: PiecewiseAffineField) -> PiecewiseAffineField:
     """The gradient primitive of ``f`` plus the cell-midpoint samples of
     ``target`` minus that primitive, on the common grid of both: cellwise
-    gradient exactly ``f``, values at cell centres those of ``target``."""
-    h = gradient_primitive(f)
-    diff = PiecewiseAffineField(target.domain, target.const - h.const, target.lin - h.lin)
-    correction = piecewise_constant_approx(diff, target.domain.resolution)
-    return PiecewiseAffineField(target.domain, correction.const + h.const, h.lin,
+    gradient exactly ``f``, values at cell centres those of ``target``.
+
+    The primitive is anchored at the cell centres, where it is 0, so the
+    samples are ``target.const`` itself; ``+ 0.0`` turns a ``-0.0`` into
+    ``0.0``, as adding the primitive's zero constant did.
+    """
+    return PiecewiseAffineField(target.domain, target.const + 0.0, gradient_primitive(f).lin,
                                 jump_tol=target.jump_tol)
 
 

@@ -46,9 +46,12 @@ def _in_ranges(facets: FacetTable, cell_ranges) -> FacetTable:
     return facets.select(keep)
 
 
-def interfacial_energy(psi: InterfacialDensity, facets: FacetTable, widths,
-                       x0: np.ndarray | None = None, R: np.ndarray | None = None) -> tuple[float, int]:
-    """Sum psi over facets; returns (energy, number of centroid-only facets).
+def _interfacial_terms(psi: InterfacialDensity, facets: FacetTable, widths,
+                       x0: np.ndarray | None = None,
+                       R: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """psi over each facet times its area, in row order, and which facets
+    went by their centroid only: the one interfacial routine of the energy
+    and the cell formulas.
 
     The discrete interfacial measure samples each facet at its centroid
     (exact for facet-constant jumps).  Affine jump variation is integrated
@@ -60,37 +63,36 @@ def interfacial_energy(psi: InterfacialDensity, facets: FacetTable, widths,
 
     A cell problem evaluates the density at its frozen point ``x0`` instead
     of the facet centroids, and its competitors live in rotated coordinates:
-    ``R`` maps their facet normals to the true ones.
+    ``R`` maps their facet normals to the true ones.  ``widths`` are the
+    grid's cell widths, or one row of them per facet.  Each term depends on
+    its own row only, so the terms of a table's row blocks, joined, are the
+    table's, and ``fsum`` of them is the energy.
     """
-    terms, inexact = _interfacial_terms(psi, facets, widths, x0, R)
-    return fsum(terms), inexact
-
-
-def _interfacial_terms(psi: InterfacialDensity, facets: FacetTable, widths,
-                       x0: np.ndarray | None = None, R: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """The terms of ``interfacial_energy``, one per facet in row order, and
-    its count of centroid-only facets.  Each term depends on its own row
-    only, so the terms of a table's row blocks, joined, are the table's."""
     varies = facets.varies()
-    hooked = varies if psi.facet_integral is not None else np.zeros(len(facets), dtype=bool)
+    if psi.facet_integral is None or not varies.any():
+        return _centroid_terms(psi, facets, x0, R), varies
     terms = np.zeros(len(facets))
-    plain = facets.select(~hooked)
-    if len(plain):
-        x = plain.centroid if x0 is None else np.broadcast_to(x0, (len(plain), len(x0)))
-        nu = plain.normal if R is None else plain.normal @ R.T
-        terms[~hooked] = np.asarray(psi(x, plain.jump, nu), dtype=float) * plain.area
-    if hooked.any():
-        rows = facets.select(hooked)
-        hooked_terms = []
-        for axis, centroid, jump, jump_lin, normal in zip(rows.axis, rows.centroid, rows.jump,
-                                                          rows.jump_lin, rows.normal):
-            normal = normal if R is None else R @ normal
-            tangent_axes = [k for k in range(len(widths)) if k != axis]
-            twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
-            hooked_terms.append(psi.facet_integral(centroid if x0 is None else x0, jump,
-                                                   jump_lin, normal, twidths, tangent_axes))
-        terms[hooked] = hooked_terms
-    return terms, int(np.count_nonzero(varies & ~hooked))
+    terms[~varies] = _centroid_terms(psi, facets.select(~varies), x0, R)
+    rows = facets.select(varies)
+    row_widths = np.broadcast_to(np.asarray(widths, dtype=float), facets.normal.shape)[varies]
+    hooked_terms = []
+    for axis, centroid, jump, jump_lin, normal, w in zip(rows.axis, rows.centroid, rows.jump,
+                                                         rows.jump_lin, rows.normal, row_widths):
+        normal = normal if R is None else R @ normal
+        tangent_axes = [k for k in range(len(w)) if k != axis]
+        hooked_terms.append(psi.facet_integral(centroid if x0 is None else x0, jump,
+                                               jump_lin, normal, w[tangent_axes], tangent_axes))
+    terms[varies] = hooked_terms
+    return terms, np.zeros(len(facets), dtype=bool)
+
+
+def _centroid_terms(psi: InterfacialDensity, facets: FacetTable, x0, R) -> np.ndarray:
+    """psi at each facet's centroid (or at ``x0``) times its area."""
+    if not len(facets):
+        return np.zeros(0)
+    x = facets.centroid if x0 is None else np.broadcast_to(x0, (len(facets), len(x0)))
+    nu = facets.normal if R is None else facets.normal @ R.T
+    return np.asarray(psi(x, facets.jump, nu), dtype=float) * facets.area
 
 
 def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdown:
@@ -98,7 +100,8 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
 
     Accepts a SecondOrderField or a plain piecewise-affine field (wrapped
     with its derived, jump-free second data).  ``cell_ranges`` restricts the
-    evaluation to a sub-box of cell indices; facets belong to the range of
+    evaluation to a sub-box of cell indices, one ``(lo, hi)`` per axis with
+    ``0 <= lo <= hi <=`` the axis resolution; facets belong to the range of
     their lower adjacent cell, so ranges partitioning the grid partition the
     energy.
 
@@ -115,15 +118,17 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
     N = dom.ndim
     if cell_ranges is None:
         cell_ranges = tuple((0, int(r)) for r in dom.resolution)
+    if len(cell_ranges) != N or not all(0 <= lo <= hi <= r for (lo, hi), r in
+                                        zip(cell_ranges, dom.cells_shape)):
+        raise ValueError(f"cell_ranges {cell_ranges} must hold one (lo, hi) per axis with "
+                         f"0 <= lo <= hi <= resolution {dom.cells_shape}")
 
-    centers = dom.cell_centers().reshape(-1, N)
-    A = u.grad.const.reshape((-1,) + u.grad.value_shape)
-    M = u.grad.lin.reshape((-1,) + u.grad.value_shape + (N,))
-    mask = np.ones(len(centers), dtype=bool)
-    idx = np.indices(dom.cells_shape).reshape(N, -1)
-    for k, (lo, hi) in enumerate(cell_ranges):
-        mask &= (idx[k] >= lo) & (idx[k] < hi)
-    vals = np.asarray(densities.W(centers[mask], A[mask], M[mask]), dtype=float)
+    # the sub-box as slices: views of the cell arrays, copied only where partial
+    box = tuple(slice(lo, hi) for lo, hi in cell_ranges)
+    centers = dom.cell_centers()[box].reshape(-1, N)
+    A = u.grad.const[box].reshape((-1,) + u.grad.value_shape)
+    M = u.grad.lin[box].reshape((-1,) + u.grad.value_shape + (N,))
+    vals = np.asarray(densities.W(centers, A, M), dtype=float)
     bulk = fsum(vals * dom.cell_volume)
 
     jump1, inexact1 = _jump_energy(densities.psi1, u.u, cell_ranges)
@@ -138,14 +143,18 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
     return EnergyBreakdown(bulk, jump1, jump2, total, meta)
 
 
-def _jump_energy(psi: InterfacialDensity, field: PiecewiseAffineField, cell_ranges) -> tuple[float, int]:
-    """``interfacial_energy`` over the field's jump facets in ``cell_ranges``,
-    priced block by block as ``facet_blocks`` builds them: no more than one
-    block of facets is held at a time."""
+def _jump_energy(psi: InterfacialDensity, field: PiecewiseAffineField, cell_ranges=None,
+                 x0: np.ndarray | None = None, R: np.ndarray | None = None) -> tuple[float, int]:
+    """The interfacial energy of the field's jump facets (those in
+    ``cell_ranges`` when given), priced block by block as ``facet_blocks``
+    builds them: no more than one block of facets is held at a time, and no
+    jump set is joined or cached.  Returns (energy, number of centroid-only
+    facets)."""
     terms, inexact = [], 0
     for block in field.facet_blocks():
-        block_terms, block_inexact = _interfacial_terms(psi, _in_ranges(block, cell_ranges),
-                                                        field.domain.widths)
+        if cell_ranges is not None:
+            block = _in_ranges(block, cell_ranges)
+        block_terms, block_inexact = _interfacial_terms(psi, block, field.domain.widths, x0, R)
         terms.append(block_terms)
-        inexact += block_inexact
+        inexact += int(np.count_nonzero(block_inexact))
     return fsum(np.concatenate(terms)), inexact

@@ -29,6 +29,7 @@ All operations are pure; fields are treated as immutable after construction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,11 @@ class BoxDomain:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "resolution", resolution)
         object.__setattr__(self, "_geometry", None)  # a dict on a cell-problem cube
+        # read on every facet table and competitor: computed once
+        widths = (upper - lower) / resolution
+        widths.flags.writeable = False
+        object.__setattr__(self, "_widths", widths)
+        object.__setattr__(self, "_cell_volume", float(np.prod(widths)))
 
     @property
     def ndim(self) -> int:
@@ -78,11 +84,12 @@ class BoxDomain:
 
     @property
     def widths(self) -> np.ndarray:
-        return (self.upper - self.lower) / self.resolution
+        """Cell widths per axis; read-only."""
+        return self._widths
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.widths))
+        return self._cell_volume
 
     @property
     def cells_shape(self) -> tuple:
@@ -424,12 +431,12 @@ class FacetTable:
 
     def varies(self) -> np.ndarray:
         """Per facet: does the jump carry affine variation (any nonzero jump_lin)?"""
-        return np.any(_rows(self.jump_lin) != 0.0, axis=1)
+        return (_rows(self.jump_lin) != 0.0).any(axis=1)
 
 
 def _rows(arr: np.ndarray) -> np.ndarray:
     """View a column as (rows, entries), also when it has no rows."""
-    return arr.reshape(arr.shape[0], int(np.prod(arr.shape[1:], dtype=int)))
+    return arr.reshape(arr.shape[0], math.prod(arr.shape[1:]))
 
 
 class PiecewiseAffineField:

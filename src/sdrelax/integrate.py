@@ -30,7 +30,9 @@ def box_abs_affine(const, grad, widths):
     magnitudes neither overflow nor underflow.  Axes with zero slope only
     scale the measure; each sloped axis is integrated analytically, keeping
     the result piecewise polynomial in the remaining affine combination.
-    The sloped axes go in increasing order of ``|g_k| w_k``.
+    The sloped axes go in increasing order of ``|g_k| w_k``.  A row whose
+    box does not straddle the zero set, ``|const| >= sum_k |g_k| w_k / 2``,
+    is ``vol |const|``.
     """
     scalar = np.ndim(const) == 0
     const = np.atleast_1d(np.asarray(const, dtype=float))
@@ -47,7 +49,12 @@ def box_abs_affine(const, grad, widths):
     exp = np.frexp(scale)[1]
     const = np.where(finite, np.ldexp(const, -exp), 0.0)
     grad = np.where(finite[:, None], np.ldexp(grad, -exp[:, None]), 0.0)
-    flat = widths * np.abs(grad) < 1e-300
+    # a box off the zero set of its row (or touching it) integrates to
+    # vol |const|: the affine part averages out.  Such a row is integrated as
+    # if flat, so its piecewise polynomial, whose coefficients grow as
+    # 1 / prod g_k, is never formed
+    off = np.abs(const) >= np.sum(np.abs(grad) * widths, axis=1) / 2.0
+    flat = (widths * np.abs(grad) < 1e-300) | off[:, None]
     factor = np.ones_like(const)
     for k in range(grad.shape[1]):
         factor = np.where(flat[:, k], factor * widths[:, k], factor)
@@ -177,7 +184,7 @@ def norm(arr, rank: int) -> np.ndarray:
     if rank == 0:
         return np.abs(arr)
     axes = tuple(range(arr.ndim - rank, arr.ndim))
-    return np.sqrt(np.sum(arr * arr, axis=axes))
+    return np.sqrt((arr * arr).sum(axis=axes))
 
 
 def fsum(values) -> float:

@@ -5,10 +5,15 @@ and sum facet by facet, integrate the L1 norm cell by cell (a scalar field's
 with one ``PiecewisePoly`` integral of ``|affine|`` per cell), check
 admissibility face by face, evaluate the recession function one point at a
 time, price the Gamma2 bulk term cell by cell, and assemble the relaxed
-energy with one estimator call per cell and facet (no memo).  The property
-tests in ``test_facet_table.py``, ``test_densities.py``,
-``test_cellformulas.py``, ``test_assembly.py`` and ``test_integrate.py``
-require the library code to reproduce their results bit for bit.
+energy with one estimator call per cell and facet (no memo).  The plane
+families' competitors are built here as fields on the cube
+(``GridFamily``), the sequence's corrected primitive samples its target at
+the cell centres through ``evaluate``, and the bulk term of
+``total_energy`` picks its sub-box with a mask over the whole grid.  The
+property tests in ``test_facet_table.py``, ``test_densities.py``,
+``test_cellformulas.py``, ``test_assembly.py``, ``test_integrate.py``,
+``test_constructions.py`` and ``test_energy.py`` require the library code
+to reproduce their results bit for bit (the laminate to a stated bound).
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ from sdrelax.cellformulas import (
     estimate_W2,
     estimate_gamma1,
     estimate_gamma2,
+    rotation_to_last_axis,
 )
+from sdrelax.constructions import elementary_jump, gradient_primitive, staircase
 from sdrelax.densities import DEFAULT_SCHEDULE
-from sdrelax.fields import StepBoundary
+from sdrelax.fields import BoxDomain, PiecewiseAffineField, StepBoundary, unit_cube
 from sdrelax.integrate import fsum, gauss_legendre_points
 from sdrelax.integrate import norm as _vnorm
 from sdrelax.trace_formula import swap_layout
@@ -335,16 +342,18 @@ def box_abs_affine(const: float, grad, widths) -> float:
     The box is ``prod_k [-w_k/2, w_k/2]``.  Axes with zero slope only scale
     the measure; each sloped axis is integrated analytically, in increasing
     order of ``|g_k| w_k``, keeping the result piecewise polynomial in the
-    remaining affine combination.
+    remaining affine combination.  A box off the zero set,
+    ``|const| >= sum_k |g_k| w_k / 2``, integrates to ``vol |const|``.
     """
     grad = np.atleast_1d(np.asarray(grad, dtype=float))
     widths = np.atleast_1d(np.asarray(widths, dtype=float))
     if grad.shape != widths.shape:
         raise ValueError("grad and widths must have matching length")
+    off = abs(const) >= np.sum(np.abs(grad) * widths) / 2.0
     factor = 1.0
     sloped = []
     for g, w in zip(grad, widths):
-        if g == 0.0 or w * abs(g) < 1e-300:
+        if off or g == 0.0 or w * abs(g) < 1e-300:
             factor *= w
         else:
             sloped.append((g, w))
@@ -549,3 +558,125 @@ def assemble_relaxed_energy(sd2, densities, config) -> dict:
     body.update(cells=dom.num_cells, facets_g=len(facets_g), facets_G=len(facets_G),
                 config=config.to_dict())
     return body
+
+
+# ---------------------------------------------------------------------------
+# the plane families built as grid fields
+# ---------------------------------------------------------------------------
+
+
+def staircase_field(problem, params):
+    (n,) = params
+    field = staircase(problem.A, int(n), unit_cube(len(problem.x), n))
+    return field, None
+
+
+def elementary_jump_field(problem, params):
+    field = elementary_jump(problem.payload, ndim=len(problem.x), resolution=problem.resolution)
+    return field, rotation_to_last_axis(problem.nu)
+
+
+def splitting_field(problem, params):
+    alpha, j, beta = params
+    payload = problem.payload
+    part = alpha * payload
+    if j >= 0:
+        part[int(j)] += beta
+    N = len(problem.x)
+    dom = unit_cube(N, max(4, problem.resolution))
+    centers = dom.cell_centers()
+    z = centers[..., N - 1]
+    shape = z.shape + (1,) * payload.ndim
+    low = np.zeros_like(payload)
+    const = np.where(z.reshape(shape) <= -0.25, low,
+                     np.where(z.reshape(shape) > 0.25, payload, part))
+    field = PiecewiseAffineField(dom, const, boundary_data=problem.prescription)
+    return field, rotation_to_last_axis(problem.nu)
+
+
+def laminate_field(problem, params):
+    dom = unit_cube(len(problem.x), problem.resolution)
+    L_field = problem.prescription.lin
+    const = np.einsum("vwk,...k->...vw", L_field, dom.cell_centers())
+    lin = np.broadcast_to(problem.gradient, dom.cells_shape + L_field.shape).copy()
+    field = PiecewiseAffineField(dom, const, lin, boundary_data=problem.prescription)
+    return field, None
+
+
+def gradient_zigzag_field(problem, params):
+    (alpha,) = params
+    N = len(problem.x)
+    dom = unit_cube(N, max(4, problem.resolution))
+    payload = problem.payload
+    base = elementary_jump(payload, domain=dom)
+    D = alpha * payload
+    centers = dom.cell_centers()
+    z = centers[..., N - 1]
+    sign = np.where(z > 0.0, 1.0, -1.0)
+    tri = np.abs(z) - 0.25
+    const = base.const + tri.reshape(tri.shape + (1,) * payload.ndim) * D
+    lin = base.lin.copy()
+    lin[..., N - 1] += sign.reshape(sign.shape + (1,) * payload.ndim) * D
+    field = PiecewiseAffineField(dom, const, lin, boundary_data=base.boundary_data)
+    return field, rotation_to_last_axis(problem.nu)
+
+
+GRID_BUILDERS = {"staircase": staircase_field, "elementary_jump": elementary_jump_field,
+                 "splitting": splitting_field, "laminate": laminate_field,
+                 "gradient_zigzag": gradient_zigzag_field}
+
+
+class GridFamily:
+    """A plane family whose competitors are built as fields on the cube, as
+    the package built them before it priced them by formula; the sweep then
+    checks each field with ``check_admissibility`` and prices it with
+    ``competitor_energy``."""
+
+    def __init__(self, family):
+        self.family = family
+        self.name = family.name
+
+    def candidates(self, problem, budget):
+        return self.family.candidates(problem, budget)
+
+    def build(self, problem, params):
+        return GRID_BUILDERS[self.name](problem, params)
+
+
+# ---------------------------------------------------------------------------
+# the sequence's corrected primitive through cell-midpoint sampling
+# ---------------------------------------------------------------------------
+
+
+def piecewise_constant_approx(u, n):
+    n = np.broadcast_to(np.asarray(n, dtype=int), (u.domain.ndim,))
+    grid = BoxDomain(u.domain.lower, u.domain.upper, n)
+    centers = grid.cell_centers().reshape(-1, grid.ndim)
+    values = u.evaluate(centers).reshape(grid.cells_shape + u.value_shape)
+    return PiecewiseAffineField(grid, values, jump_tol=u.jump_tol)
+
+
+def corrected_primitive(f, target):
+    """The gradient primitive of ``f`` plus the cell-midpoint samples of
+    ``target`` minus that primitive, sampled through ``evaluate``."""
+    h = gradient_primitive(f)
+    diff = PiecewiseAffineField(target.domain, target.const - h.const, target.lin - h.lin)
+    correction = piecewise_constant_approx(diff, target.domain.resolution)
+    return PiecewiseAffineField(target.domain, correction.const + h.const, h.lin,
+                                jump_tol=target.jump_tol)
+
+
+def bulk_energy_masked(u, densities, cell_ranges) -> float:
+    """``total_energy``'s bulk term with the sub-box picked by a mask over
+    ``np.indices`` of the whole grid."""
+    dom = u.domain
+    N = dom.ndim
+    centers = dom.cell_centers().reshape(-1, N)
+    A = u.grad.const.reshape((-1,) + u.grad.value_shape)
+    M = u.grad.lin.reshape((-1,) + u.grad.value_shape + (N,))
+    mask = np.ones(len(centers), dtype=bool)
+    idx = np.indices(dom.cells_shape).reshape(N, -1)
+    for k, (lo, hi) in enumerate(cell_ranges):
+        mask &= (idx[k] >= lo) & (idx[k] < hi)
+    vals = np.asarray(densities.W(centers[mask], A[mask], M[mask]), dtype=float)
+    return fsum(vals * dom.cell_volume)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from sdrelax.cellformulas import (
     InclusionFamily,
     LaminateFamily,
     SplittingFamily,
+    StaircaseFamily,
     check_admissibility,
     competitor_energy,
     estimate_W1,
     estimate_W2,
     estimate_gamma1,
     estimate_gamma2,
+    _admit,
     rotation_to_last_axis,
 )
 from sdrelax.densities import (
@@ -30,7 +33,8 @@ from sdrelax.densities import (
     psi2_norm,
     triple_from_expressions,
 )
-from sdrelax.fields import AffineBoundary, BoxDomain, PiecewiseAffineField, unit_cube
+from sdrelax.fields import DEFAULT_JUMP_TOL, AffineBoundary, BoxDomain, PiecewiseAffineField, unit_cube
+from sdrelax.integrate import fsum, norm
 from sdrelax.trace_formula import closed_form_W2
 
 X0 = np.array([0.25, 0.75])
@@ -211,13 +215,18 @@ class TestW2:
         assert r.lower <= r.upper
 
     def test_large_data_passes_admissibility(self):
-        # rounding in the average gradient grows with the data (~1e-11 at 1e4)
+        # rounding in a field's average gradient grows with the data (~1e-11 at
+        # 1e4): the inclusion boxes, checked as fields, need the scaled tolerance
         rng = np.random.default_rng(0)
         L, M = 1e5 * rng.standard_normal((2, 2, 2)), 1e5 * rng.standard_normal((2, 2, 2))
         r = estimate_W2(np.zeros(2), np.zeros((2, 2)), L, M, NT, budget=2)
         assert all(row["admissible"] for row in r.rows)
-        assert 1e-10 < r.admissibility_residual <= 1e-10 * np.linalg.norm(L)
+        assert r.admissibility_residual <= 1e-10 * np.linalg.norm(L)
         assert r.lower <= r.upper
+        boxes = estimate_W2(np.zeros(2), np.zeros((2, 2)), L, M, NT, budget=2,
+                            families=[InclusionFamily()])
+        assert all(row["admissible"] for row in boxes.rows)
+        assert 1e-10 < boxes.admissibility_residual <= 1e-10 * np.linalg.norm(L)
 
     def test_worked_example_reaches_closed_form(self):
         trip = example_triple(np.array([1.0, 0.0]))
@@ -291,7 +300,7 @@ class TestGamma2BulkReference:
         bulk_terms = []
         for family in (ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()):
             for params in family.candidates(problem, 2):
-                field, R = family.build(problem, params)
+                field, R = ref.GRID_BUILDERS[family.name](problem, params)
                 bulk = ref.bulk_energy_recession(problem, field, R)
                 jump, _ = ref.facet_energy(densities.psi2, field, problem.x, R)
                 assert competitor_energy(problem, field, R)[0] == bulk + jump
@@ -323,9 +332,7 @@ class TestSweepMechanics:
 
     def test_admissibility_re_verified(self):
         problem = CellProblem("W1", X0, NT, A=np.eye(2))
-        from sdrelax.cellformulas import StaircaseFamily
-
-        field, _ = StaircaseFamily().build(problem, (4,))
+        field, _ = ref.staircase_field(problem, (4,))
         ok, residual = check_admissibility(problem, field)
         assert ok and residual <= 1e-10
         # breaking the gradient breaks admissibility
@@ -358,7 +365,7 @@ class TestSweepMechanics:
             "Gamma2": (CellProblem("Gamma2", X0, NT, A=np.eye(2), Lam=np.eye(2), nu=nu),
                        GradientZigzagFamily(), (0.25,)),
         }[variant]
-        field, _ = family.build(problem, params)
+        field, _ = ref.GRID_BUILDERS[family.name](problem, params)
         assert check_admissibility(problem, field) == (True, 0.0)
         # a NaN gradient with the boundary data kept: only the gradient check sees it
         lin = field.lin.copy()
@@ -366,6 +373,13 @@ class TestSweepMechanics:
         broken = PiecewiseAffineField(field.domain, field.const, lin,
                                       boundary_data=field.boundary_data)
         ok, residual = check_admissibility(problem, broken)
+        assert ok is False and np.isnan(residual)
+        # the same for the competitor's planes, admitted without a field
+        planes = family.planes(problem, params)
+        assert _admit(problem, planes) == (True, 0.0)
+        gradients = planes.gradients.copy()
+        gradients.flat[0] = np.nan
+        ok, residual = _admit(problem, replace(planes, gradients=gradients))
         assert ok is False and np.isnan(residual)
 
     def test_lower_never_exceeds_upper(self):
@@ -384,6 +398,140 @@ class TestSweepMechanics:
         assert r1.upper == r2.upper
         assert r1.best_params == r2.best_params
         assert r1.seed is None
+
+
+def _plane_densities(kind, N):
+    if kind == "norm":
+        return norm_triple(d=N, N=N)
+    if kind == "example":  # the facet-integral hook prices the facets whose jump varies
+        return example_triple(np.eye(N)[0], N=N)
+    # a negative recession, and an interfacial density that reads the frozen point
+    return triple_from_expressions("norm(M)*(norm(A) - 2)", "norm(lam)*(1 + x[0])", "norm(Lam)")
+
+
+class TestPlanesMatchTheGrid:
+    """Each plane family priced by formula against its competitors built as
+    fields on the cube (``reference_loops.GridFamily``): the same rows,
+    evaluations, quadrature flag, best competitor and lower bound; energies
+    bit for bit, except the laminate's, whose grid jumps carry the rounding
+    of ``L y`` at each cell centre: within ``4 eps (|L| + |M|)`` of the grid."""
+
+    @staticmethod
+    def _cases(N, resolution, budget, seed, densities):
+        rng = np.random.default_rng([N, resolution, budget, seed])
+        x, A = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N))
+        nu = rng.standard_normal(N)
+        nu /= np.linalg.norm(nu)
+        lam, Lam = rng.standard_normal(N), rng.standard_normal((N, N))
+        L, M = rng.standard_normal((N, N, N)), rng.standard_normal((N, N, N))
+        if seed == 0:  # payloads at and below the jump tolerance, and a laminate with M = L
+            lam, Lam, M = DEFAULT_JUMP_TOL * np.eye(N)[0], 0.5 * DEFAULT_JUMP_TOL * Lam, L.copy()
+        kw = dict(densities=densities, budget=budget, resolution=resolution)
+        yield (lambda f: estimate_W1(x, A, families=f, **kw), [StaircaseFamily()], None)
+        yield (lambda f: estimate_gamma1(x, lam, nu, families=f, **kw),
+               [ElementaryJumpFamily(), SplittingFamily()], None)
+        yield (lambda f: estimate_gamma2(x, A, Lam, nu, families=f, **kw),
+               [ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()], None)
+        yield (lambda f: estimate_W2(x, A, L, M, families=f, **kw), [LaminateFamily()],
+               4 * np.finfo(float).eps * (np.linalg.norm(L) + np.linalg.norm(M)))
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("resolution", [4, 8])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_formula_is_the_grid_value(self, N, resolution, budget):
+        for kind in ("norm", "example", "expression"):
+            densities = _plane_densities(kind, N)
+            for seed in range(3):
+                for estimate, families, bound in self._cases(N, resolution, budget, seed, densities):
+                    new = estimate(families)
+                    old = estimate([ref.GridFamily(f) for f in families])
+                    assert [(r["family"], r["params"], r["admissible"]) for r in new.rows] == \
+                        [(r["family"], r["params"], r["admissible"]) for r in old.rows]
+                    assert (new.evaluations, new.inexact_quadrature, new.best_family,
+                            new.best_params, new.lower) == \
+                        (old.evaluations, old.inexact_quadrature, old.best_family,
+                         old.best_params, old.lower)
+                    energies = [(r["energy"], s["energy"]) for r, s in zip(new.rows, old.rows)]
+                    if bound is None:
+                        assert [a for a, _ in energies] == [b for _, b in energies]
+                    else:
+                        assert all(abs(a - b) <= bound for a, b in energies)
+
+    @pytest.mark.parametrize("resolution", [4, 8])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_planes_are_the_grid_jump_set(self, N, resolution):
+        # every facet of the field's jump set, with its traces bit for bit, is
+        # one that a plane row stands for; the laminate's are the staircase's
+        # of M - L, not the field's
+        def tally(rows, counts):
+            out = {}
+            for i, count in enumerate(counts):
+                key = tuple(getattr(rows, name)[i].tobytes() for name in
+                            ("axis", "boundary", "normal", "area", "plus", "minus", "jump_lin"))
+                out[key] = out.get(key, 0) + int(count)
+            return out
+
+        rng = np.random.default_rng([N, resolution])
+        nu = rng.standard_normal(N)
+        data = {"W1": dict(A=rng.standard_normal((N, N))),
+                "Gamma1": dict(lam=rng.standard_normal(N), nu=nu / np.linalg.norm(nu)),
+                "Gamma2": dict(A=rng.standard_normal((N, N)), Lam=rng.standard_normal((N, N)),
+                               nu=nu / np.linalg.norm(nu))}
+        families = {"W1": [StaircaseFamily()], "Gamma1": [ElementaryJumpFamily(), SplittingFamily()],
+                    "Gamma2": [ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()]}
+        for variant, fams in families.items():
+            problem = CellProblem(variant, rng.uniform(0.0, 1.0, N), norm_triple(d=N, N=N),
+                                  resolution=resolution, **data[variant])
+            for family in fams:
+                for params in family.candidates(problem, 2):
+                    planes = family.planes(problem, params)
+                    field, _ = ref.GRID_BUILDERS[family.name](problem, params)
+                    facets = field.jump_set()
+                    assert tally(planes.facets, planes.counts) == tally(facets, np.ones(len(facets)))
+                    cells = field.lin.reshape((-1,) + field.lin.shape[N:])
+                    assert sorted(g.tobytes() for g, c in zip(planes.gradients, planes.cells)
+                                  for _ in range(c)) == sorted(g.tobytes() for g in cells)
+
+    def test_default_w2_sweep_keeps_its_best(self):
+        # the laminate's last bits must not flip a tie with the inclusion boxes
+        for N in (1, 2, 3):
+            densities = norm_triple(d=N, N=N)
+            for seed in range(4):
+                rng = np.random.default_rng([N, seed])
+                x, A = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N))
+                L, M = rng.standard_normal((N, N, N)), rng.standard_normal((N, N, N))
+                for budget in (1, 2):
+                    new = estimate_W2(x, A, L, M, densities, budget=budget, resolution=4)
+                    old = estimate_W2(x, A, L, M, densities, budget=budget, resolution=4,
+                                      families=[ref.GridFamily(LaminateFamily()), InclusionFamily()])
+                    assert (new.best_family, new.best_params, new.evaluations) == \
+                        (old.best_family, old.best_params, old.evaluations)
+                    assert [r["params"] for r in new.rows] == [r["params"] for r in old.rows]
+
+
+class TestPlaneOracles:
+    @pytest.mark.parametrize("budget", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_w1_with_the_norm_density_is_the_column_norm_sum(self, N, budget):
+        # each axis's planes carry |A e_k| in total: exact on the dyadic cubes
+        densities = norm_triple(d=N, N=N)
+        for seed in range(40):
+            rng = np.random.default_rng([N, budget, seed])
+            A = rng.standard_normal((N, N)) * 10.0 ** rng.integers(-3, 4)
+            r = estimate_W1(rng.uniform(0.0, 1.0, N), A, densities, budget=budget)
+            assert r.upper == fsum([norm(A[:, k], 1) for k in range(N)])
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0])
+    def test_gamma1_payload_at_the_jump_tolerance_prices_to_zero(self, scale):
+        # the plane drops out of the jump set, as on the grid; the certificate
+        # still counts it (the open lower > upper defect of a rounding-size jump)
+        lam = np.array([scale * DEFAULT_JUMP_TOL, 0.0])
+        r = estimate_gamma1(X0, lam, np.array([0.6, 0.8]), NT)
+        grid = estimate_gamma1(X0, lam, np.array([0.6, 0.8]), NT,
+                               families=[ref.GridFamily(ElementaryJumpFamily()),
+                                         ref.GridFamily(SplittingFamily())])
+        assert r.upper == grid.upper == 0.0
+        assert r.lower == scale * DEFAULT_JUMP_TOL
 
 
 class TestEstimationFailure:

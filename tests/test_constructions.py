@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
+from sdrelax import constructions
 from sdrelax.constructions import (
     SD2Triple,
     approximating_sequence,
@@ -244,3 +246,58 @@ class TestApproximatingSequence:
             G = PiecewiseAffineField(BoxDomain([0.0], [upper], [4]), np.zeros((4, 1, 1)))
             with pytest.raises(ValueError):
                 SD2Triple(g, G, np.zeros((4, 1, 1, 1)))
+
+
+def _signed_zeros(rng, shape):
+    """Seeded values of which about a third are +0.0 or -0.0."""
+    values = rng.standard_normal(shape)
+    zero = rng.random(shape) < 0.35
+    values[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return values
+
+
+def fixture_triple(res: int, seed: int = 0) -> SD2Triple:
+    """g = (a x^2/2 + b y, c x y) with its tangent plane per cell, G = grad g / 2
+    and Gamma = 0 on a res x res grid of the unit square."""
+    a, b, c = np.random.default_rng(seed).uniform(0.5, 1.5, 3)
+    dom = BoxDomain([0.0, 0.0], [1.0, 1.0], [res, res])
+    x, y = np.moveaxis(dom.cell_centers(), -1, 0)
+    zero = np.zeros_like(x)
+    g_lin = np.stack([np.stack([a * x, b + zero], -1), np.stack([c * y, c * x], -1)], -2)
+    g = PiecewiseAffineField(dom, np.stack([a * x * x / 2 + b * y, c * x * y], axis=-1), g_lin)
+    dG = 0.5 * np.array([[[a, 0.0], [0.0, 0.0]], [[0.0, c], [c, 0.0]]])
+    G = PiecewiseAffineField(dom, 0.5 * g_lin, np.broadcast_to(dG, (res, res, 2, 2, 2)).copy())
+    return SD2Triple(g, G, np.zeros((res, res, 2, 2, 2)))
+
+
+class TestCorrectedPrimitive:
+    """The sequence's corrected primitive reads the target's constants; the
+    cell-midpoint sampling it replaced gave the same bits, signed zeros too."""
+
+    def test_matches_midpoint_sampling_bitwise(self):
+        rng = np.random.default_rng(19)
+        for case in range(200):
+            N = 1 + case % 3
+            dom = BoxDomain(-rng.uniform(0.0, 1.0, N), rng.uniform(0.5, 2.0, N),
+                            rng.integers(1, 5, N))
+            d = int(rng.integers(1, 3))
+            f = PiecewiseAffineField(dom, _signed_zeros(rng, dom.cells_shape + (d, N)),
+                                     _signed_zeros(rng, dom.cells_shape + (d, N, N)))
+            target = PiecewiseAffineField(dom, _signed_zeros(rng, dom.cells_shape + (d,)),
+                                          _signed_zeros(rng, dom.cells_shape + (d, N)),
+                                          jump_tol=float(rng.uniform(1e-13, 1e-11)))
+            new = constructions._corrected_primitive(f, target)
+            old = ref.corrected_primitive(f, target)
+            assert new.const.tobytes() == old.const.tobytes()
+            assert new.lin.tobytes() == old.lin.tobytes()
+            assert (new.domain, new.jump_tol) == (old.domain, old.jump_tol)
+
+    @pytest.mark.parametrize("case", ["fixture", *CORPUS])
+    def test_sequence_matches_midpoint_sampling_bitwise(self, case, monkeypatch):
+        sd2 = fixture_triple(4) if case == "fixture" else CORPUS[case]()
+        new = approximating_sequence(sd2, 4)
+        monkeypatch.setattr(constructions, "_corrected_primitive", ref.corrected_primitive)
+        old = approximating_sequence(sd2, 4)
+        for a, b in ((new[0].u, old[0].u), (new[0].grad, old[0].grad)):
+            assert a.const.tobytes() == b.const.tobytes() and a.lin.tobytes() == b.lin.tobytes()
+        assert new[1] == old[1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
 from sdrelax.constructions import SD2Triple, approximating_sequence, piecewise_constant_approx
 from sdrelax.densities import (
@@ -12,6 +13,7 @@ from sdrelax.densities import (
     psi1_norm,
     psi1_zero,
     psi2_norm,
+    triple_from_expressions,
 )
 from sdrelax.energy import total_energy
 from sdrelax.fields import (
@@ -95,6 +97,41 @@ class TestAdditivity:
         parts = [total_energy(u, nt, cell_ranges=((0, 2), (0, 4))),
                  total_energy(u, nt, cell_ranges=((2, 4), (0, 4)))]
         assert whole.total == pytest.approx(sum(p.total for p in parts), abs=1e-12)
+
+
+class TestBulkSubBox:
+    """The bulk term reads the sub-box as slices of the cell arrays; the mask
+    over ``np.indices`` of the whole grid that it replaced gave the same bits."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_matches_the_mask_form_bitwise(self, N):
+        rng = np.random.default_rng(N)
+        densities = [norm_triple(d=N, N=N),
+                     triple_from_expressions("norm(M)*(norm(A) - 2) + x[0]", "norm(lam)", "norm(Lam)")]
+        for case in range(12):
+            res = rng.integers(1, 6, N)
+            dom = BoxDomain(-rng.uniform(0.0, 1.0, N), rng.uniform(0.5, 2.0, N), res)
+            C = rng.standard_normal(dom.cells_shape + (N, N))
+            u = PiecewiseAffineField(dom, rng.standard_normal(dom.cells_shape + (N,)), C)
+            pair = SecondOrderField(u, PiecewiseAffineField(
+                dom, C, rng.standard_normal(dom.cells_shape + (N, N, N))))
+            partial = []
+            for r in res:
+                lo = int(rng.integers(0, r))
+                partial.append((lo, int(rng.integers(lo + 1, r + 1))))
+            for cell_ranges in (tuple((0, int(r)) for r in res), tuple(partial)):
+                triple = densities[case % 2]
+                got = total_energy(pair, triple, cell_ranges).bulk
+                assert got == ref.bulk_energy_masked(pair, triple, cell_ranges)
+
+
+    @pytest.mark.parametrize("cell_ranges", [((-1, 2), (0, 4)), ((0, 5), (0, 4)), ((3, 2), (0, 4)),
+                                             ((0, 4),)])
+    def test_ranges_outside_the_grid_are_refused(self, cell_ranges):
+        # a negative slice start counts from the end, where the facet filter reads 0
+        u = PiecewiseAffineField(BoxDomain([0, 0], [1, 1], [4, 4]), np.ones((4, 4, 2)))
+        with pytest.raises(ValueError, match="cell_ranges"):
+            total_energy(u, norm_triple(d=2, N=2), cell_ranges)
 
 
 class TestMonotonicity:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,35 @@ def exact_abs_affine(const, grad, widths) -> Fraction:
         s = Fraction(const) + sum(e * g * w / 2 for e, (g, w) in zip(signs, sloped))
         total += math.prod(signs) * s ** m * abs(s) / math.factorial(m + 1)
     return factor * total / math.prod(g for g, _ in sloped)
+
+
+@pytest.mark.parametrize("const, grad, widths", [
+    (1.0, [1e-200, 1e-200], [1.0, 1.0]),
+    (-3.0, [1e-150, 2e-150, 1e-160], [1.0, 0.5, 2.0]),
+    (1e-300, [1e-310, 0.0], [1.0, 1.0]),
+])
+def test_tiny_slopes_off_the_zero_set_do_not_overflow(const, grad, widths):
+    # the piecewise polynomial's coefficients grow as 1 / prod g_k; a box off
+    # the zero set is vol |const| without it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = box_abs_affine(const, grad, widths)
+    assert value == float(exact_abs_affine(const, grad, widths)) == math.prod(widths) * abs(const)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_box_off_the_zero_set_matches_the_exact_value(k):
+    # the rows that take the vol |const| path, against the rational recursion
+    rng = np.random.default_rng(40 + k)
+    grad = rng.standard_normal((60, k)) * 10.0 ** rng.integers(-5, 5, (60, k))
+    grad[rng.random((60, k)) < 0.2] = 0.0
+    widths = rng.uniform(0.5, 2.0, (60, k))
+    reach = np.sum(np.abs(grad) * widths, axis=1) / 2.0
+    const = rng.choice([-1.0, 1.0], 60) * reach * rng.choice([1.0, 1.5, 10.0], 60)
+    got = box_abs_affine(const, grad, widths)
+    for value, c, g, w in zip(got, const, grad, widths):
+        exact = float(exact_abs_affine(c, g, w))
+        assert value == pytest.approx(exact, rel=4 * np.finfo(float).eps, abs=0.0)
 
 
 def _small_after_large_rows(k, n, seed):
