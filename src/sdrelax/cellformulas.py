@@ -17,14 +17,15 @@ W2/Gamma2), the total directed jump that Gauss-Green pins, and the rotation
 of its cube.  The W2 families are the laminate (the affine map ``L y`` when
 ``M = L``) and the inclusion boxes.
 
-Every family but the inclusion box is a stack of parallel planes with one
-gradient per layer of cells, priced without its grid field (see
-:class:`Planes`): one density call prices all planes of all candidates of a
-problem, and the energies are the grid fields' bit for bit, the laminate's
-to a few ulp.  A plane competitor is admitted by the discrete Gauss-Green
-identity and the variant's gradient condition.  The inclusion box is the
-one competitor built as a field on the cube, re-verified on the field's
-gradient and outer traces.
+Every competitor reaches the sweep as :class:`Planes`: rows of grid facets
+and the gradients of its cells.  The inclusion box is built as a field on
+the cube and hands over one row per facet of its jump set and one gradient
+per cell.  Every other family is a stack of parallel planes with one
+gradient per layer of cells, priced without its grid field: one row per
+plane, and energies the grid fields' bit for bit (the laminate's to a few
+ulp).  Each competitor is admitted by the discrete Gauss-Green identity and
+the variant's gradient condition, and one density call prices all the
+admitted competitors of a problem.
 
 Competitors on oriented cubes are built in rotated coordinates (the jump
 normal mapped to the last axis); densities receive the true normals and
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .densities import DensityTriple, InterfacialDensity, recession
-from .energy import _interfacial_terms, _jump_energy
+from .energy import _interfacial_terms
 from .fields import (
     DEFAULT_JUMP_TOL,
     AffineBoundary,
@@ -52,7 +53,7 @@ from .fields import (
     FacetTable,
     PiecewiseAffineField,
     StepBoundary,
-    trace_boundary,
+    trace_boundary,  # noqa: F401 - no caller here; perfbench/traced.py wraps it by this name
     unit_cube,
 )
 from .integrate import fsum, norm
@@ -201,75 +202,19 @@ def rotation_to_last_axis(nu: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# competitors built as fields: energy and admissibility
-# ---------------------------------------------------------------------------
-
-
-def competitor_energy(problem: CellProblem, field: PiecewiseAffineField,
-                      R: np.ndarray | None = None) -> tuple[float, int]:
-    """Interfacial energy of the field's jump set, plus, for the second-order
-    formulas, the bulk term summed over the cells: W(x0, A, grad v) for W2 and
-    the recession of W for the oriented-cube formula (Gamma2).  The jump set
-    is priced block by block as the field builds it, never joined."""
-    dom = field.domain
-    jump, inexact = _jump_energy(problem.psi, field, x0=problem.x, R=R)
-    if not problem.averaged:
-        return jump, inexact
-    lin = field.lin.reshape((-1,) + field.value_shape + (dom.ndim,))
-    return fsum(_bulk_values(problem, lin, R) * dom.cell_volume) + jump, inexact
-
-
-def _bulk_values(problem: CellProblem, lin: np.ndarray, R: np.ndarray | None) -> np.ndarray:
-    """The bulk integrand at each gradient row of ``lin`` (field layout, in
-    the cube's coordinates, un-rotated by ``R``): W(x0, A, .) for W2, its
-    recession for Gamma2."""
-    if R is not None:
-        lin = np.einsum("...k,mk->...m", lin, R)
-    xs = np.broadcast_to(problem.x, (lin.shape[0], len(problem.x)))
-    As = np.broadcast_to(problem.A, (lin.shape[0],) + problem.A.shape)
-    if problem.variant == "W2":
-        return np.asarray(problem.densities.W(xs, As, lin), dtype=float)
-    return recession(problem.densities.W, xs, As, lin)
-
-
-def check_admissibility(problem: CellProblem, field: PiecewiseAffineField) -> tuple[bool, float]:
-    """Re-verify trace and gradient constraints before an energy may count.
-
-    The gradient residual compares the field's gradient with the prescribed
-    one cell by cell, or its average over the cube when ``problem.averaged``.
-    The trace residual compares the field's outer trace (the ``plus`` side of
-    its outer faces) with ``problem.prescription`` at every outer-face
-    centroid.  The residuals are combined with ``np.max``, which propagates a
-    NaN (Python's ``max`` may drop one), so a NaN in the gradient or the
-    trace rejects the field.  The field is admissible when the residual is
-    at most ``problem.tol``.
-    """
-    dom = field.domain
-    lin = field.lin
-    if problem.averaged:
-        avg = np.sum(lin.reshape((-1,) + lin.shape[dom.ndim:]), axis=0) * dom.cell_volume
-        residual = float(norm(avg - problem.gradient, avg.ndim))
-    else:
-        residual = float(np.max(np.abs(lin - problem.gradient), initial=0.0))
-    faces = trace_boundary(field)
-    want, _ = problem.prescription.value_and_lin(faces.centroid)
-    residual = float(np.max(np.abs(faces.plus - want), initial=residual))
-    return residual <= problem.tol, residual
-
-
-# ---------------------------------------------------------------------------
-# plane competitors: priced by formula
+# competitors: admitted and priced as facet rows
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Planes:
-    """A competitor made of planes of grid facets on ``domain``, in the
-    cube's coordinates, without its field.
+    """A competitor as rows of grid facets on ``domain``, in the cube's
+    coordinates, and its gradients.
 
-    Row ``i`` of ``facets`` is a representative facet of one plane, whose
-    traces the grid's own arithmetic computes: it stands for ``counts[i]``
-    facets of the field's jump set with the same traces.  ``gradients[j]``
+    Row ``i`` of ``facets`` stands for ``counts[i]`` facets of the
+    competitor's jump set with the same traces: a representative facet of
+    one plane, whose traces the grid's own arithmetic computes, or one facet
+    of a competitor built as a field (:func:`_of_field`).  ``gradients[j]``
     is the gradient of ``cells[j]`` cells.  The laminate's planes are those
     of the zero-trace staircase of ``M - L`` (the laminate minus the affine
     map ``L y``), with the exact jumps ``h (L - M) e_m``; its grid field's
@@ -281,6 +226,16 @@ class Planes:
     counts: np.ndarray
     gradients: np.ndarray
     cells: np.ndarray
+
+
+def _of_field(field: PiecewiseAffineField) -> Planes:
+    """The rows of a competitor built as a field: one per facet of its jump
+    set, and one gradient per cell, in C order."""
+    dom = field.domain
+    facets = field.jump_set()
+    return Planes(dom, facets, np.ones(len(facets), dtype=int),
+                  field.lin.reshape((-1,) + field.value_shape + (dom.ndim,)),
+                  np.ones(dom.num_cells, dtype=int))
 
 
 @functools.cache
@@ -359,11 +314,12 @@ def _layered(r: int, const: np.ndarray, lin: np.ndarray, prescription: BoundaryD
     return Planes(unit_cube(N, r), facets.select(keep), lay["count"][keep], lin, lay["cells"])
 
 
-def _admit(problem: CellProblem, planes: Planes) -> tuple[bool, float]:
-    """The gradient condition (cell by cell, or on average when
-    ``problem.averaged``) and the discrete Gauss-Green identity: the planes'
-    total directed jump is ``problem.directed``.  Residuals combine with
-    ``np.max`` (a NaN rejects), admitted when at most ``problem.tol``."""
+def check_admissibility(problem: CellProblem, planes: Planes) -> tuple[bool, float]:
+    """Re-verify a competitor before its energy may count: the gradient
+    condition (cell by cell, or on average when ``problem.averaged``) and
+    the discrete Gauss-Green identity, the competitor's total directed jump
+    being ``problem.directed``.  Residuals combine with ``np.max`` (a NaN
+    rejects), admitted when at most ``problem.tol``."""
     if problem.averaged:
         avg = np.einsum("j,j...->...", planes.cells, planes.gradients) * planes.domain.cell_volume
         residual = float(norm(avg - problem.gradient, avg.ndim))
@@ -375,15 +331,16 @@ def _admit(problem: CellProblem, planes: Planes) -> tuple[bool, float]:
     return residual <= problem.tol, residual
 
 
-def _price(problem: CellProblem, competitors: list) -> list[tuple[float, int]]:
-    """Energy of each plane competitor, and its count of centroid-only facets.
+def competitor_energy(problem: CellProblem, competitors: list) -> list[tuple[float, int]]:
+    """Energy of each competitor, and its count of centroid-only facets.
 
-    One interfacial pass over the representative facets of all of them (one
-    ``psi`` call, plus the density's facet integral per row whose jump
-    varies) and, for W2 and Gamma2, one bulk call over all their gradients;
-    each term is counted once per facet or cell it stands for.  The terms
-    are the grid field's bit for bit and ``fsum`` rounds their exact sum,
-    so each energy is ``competitor_energy`` of the field.
+    One interfacial pass over the rows of all of them (one ``psi`` call,
+    plus the density's facet integral per row whose jump varies) and, for
+    W2 and Gamma2, one bulk call over all their gradients: W(x0, A, .) for
+    W2, its recession for Gamma2.  Each term is counted once per facet or
+    cell it stands for; the terms are the grid field's bit for bit and
+    ``fsum`` rounds their exact sum, so each energy is that of the
+    competitor's field.
     """
     if not competitors:
         return []
@@ -399,7 +356,14 @@ def _price(problem: CellProblem, competitors: list) -> list[tuple[float, int]]:
         return priced
     # in C order, as a field's cells: the bulk integrand's sums then round as the field's
     gradients = np.ascontiguousarray(np.concatenate([p.gradients for p in competitors]))
-    values = _bulk_values(problem, gradients, problem.rotation)
+    if problem.rotation is not None:
+        gradients = np.einsum("...k,mk->...m", gradients, problem.rotation)
+    xs = np.broadcast_to(problem.x, (len(gradients), len(problem.x)))
+    As = np.broadcast_to(problem.A, (len(gradients),) + problem.A.shape)
+    if problem.variant == "W2":
+        values = np.asarray(problem.densities.W(xs, As, gradients), dtype=float)
+    else:
+        values = recession(problem.densities.W, xs, As, gradients)
     pieces = np.split(values, np.cumsum([len(p.gradients) for p in competitors])[:-1])
     return [(fsum(np.repeat(v * p.domain.cell_volume, p.cells)) + jump, inexact)
             for p, v, (jump, inexact) in zip(competitors, pieces, priced)]
@@ -524,7 +488,8 @@ class InclusionFamily:
                         center[axis] = shift
                         yield (h,) * N + tuple(center)
 
-    def build(self, problem: CellProblem, params):
+    def planes(self, problem: CellProblem, params) -> Planes:
+        """The rows of the competitor's grid field (:func:`_of_field`)."""
         N = len(problem.x)
         half = np.asarray(params[:N], dtype=int)
         mid = problem.resolution // 2 + np.asarray(params[N:], dtype=int)
@@ -538,8 +503,7 @@ class InclusionFamily:
         const[box] = np.einsum("vwk,...k->...vw", P_field, centers[box])
         lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
         lin[box] = P_field
-        field = PiecewiseAffineField(dom, const, lin, boundary_data=problem.prescription)
-        return field, None
+        return _of_field(PiecewiseAffineField(dom, const, lin, boundary_data=problem.prescription))
 
     def refine(self, problem: CellProblem, params, evaluate, budget: int):
         """Deterministic coordinate descent over half-sides and centers."""
@@ -601,11 +565,11 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
     a declared constant ``c``: ``forced`` is the total directed jump that the
     boundary data pins on every admissible competitor (Gauss-Green).
 
-    A family yields its competitors as :class:`Planes` (``planes``), which
-    are admitted one by one and priced together, or as fields (``build``),
-    each checked on its traces and priced on its own.  Families are taken
-    in order, and one with ``refine`` descends from the best so far when it
-    holds it.
+    Every family yields its competitors as :class:`Planes`; each is
+    admitted by ``check_admissibility`` and those admitted are priced
+    together by ``competitor_energy``.  Families are taken in order, and one
+    with ``refine`` descends from the best so far when it holds it, pricing
+    each step on its own.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 (the coarsest parameter grid), got {budget}")
@@ -628,32 +592,23 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
         rows.append({"family": family_name, "params": params, "admissible": ok, "energy": energy})
         return energy
 
-    def built(family, params):
-        field, R = family.build(problem, params)
-        return consider(family.name, params, check_admissibility(problem, field),
-                        lambda: competitor_energy(problem, field, R))
-
-    # the plane competitors of every family, admitted one by one and priced together
+    # the competitors of every family, admitted one by one and priced together
     planes = [[(params, family.planes(problem, params))
-               for params in family.candidates(problem, budget)]
-              if hasattr(family, "planes") else [] for family in families]
-    admitted = [[_admit(problem, p) for _, p in swept] for swept in planes]
-    prices = iter(_price(problem, [p for swept, checks in zip(planes, admitted)
-                                   for (_, p), (ok, _) in zip(swept, checks) if ok]))
+               for params in family.candidates(problem, budget)] for family in families]
+    admitted = [[check_admissibility(problem, p) for _, p in swept] for swept in planes]
+    prices = iter(competitor_energy(problem, [p for swept, checks in zip(planes, admitted)
+                                              for (_, p), (ok, _) in zip(swept, checks) if ok]))
 
     for family, swept, checks in zip(families, planes, admitted):
         for (params, _), check in zip(swept, checks):
             consider(family.name, params, check, lambda: next(prices))
-        if hasattr(family, "build"):
-            for params in family.candidates(problem, budget):
-                built(family, params)
         if hasattr(family, "refine") and best is not None and best[1] == family.name:
-            cache: dict[tuple, float | None] = {}
 
+            @functools.cache
             def evaluate(params):
-                if params not in cache:
-                    cache[params] = built(family, params)
-                return cache[params]
+                step = family.planes(problem, params)
+                return consider(family.name, params, check_admissibility(problem, step),
+                                lambda: competitor_energy(problem, [step])[0])
 
             family.refine(problem, best[2], evaluate, budget)
 

@@ -79,8 +79,9 @@ def _require_finite(name: str, *arrays):
 
 
 def _floats(value) -> np.ndarray:
-    """``value`` as a float array with finite entries only."""
-    arr = np.asarray(value, dtype=float)
+    """A JSON number, or nested lists of them, as a float array with finite
+    entries only; ``np.asarray`` would accept "0.5" and true."""
+    arr = np.asarray(_nested(value, _number), dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite values")
     return arr
@@ -109,6 +110,23 @@ def _int(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A JSON number; ``float()`` would accept "0.5" and true."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _numbers(value) -> tuple:
+    """A list of JSON numbers."""
+    return tuple(_number(v) for v in _typed(list, "a list of numbers")(value))
+
+
+def _nested(value, leaf):
+    """``leaf`` of a value, or of each entry of nested lists of them."""
+    return [_nested(v, leaf) for v in value] if isinstance(value, list) else leaf(value)
+
+
 def _ints(value) -> list:
     return [_int(n) for n in value]
 
@@ -126,7 +144,7 @@ def _int_array(value) -> np.ndarray:
 
 def _expressions(value):
     """One component expression, or a nested list of them."""
-    return [_expressions(v) for v in value] if isinstance(value, list) else _text(value)
+    return _nested(value, _text)
 
 
 def _require_finite_field(name: str, field: PiecewiseAffineField):
@@ -350,8 +368,8 @@ def _build_sd2(config: dict) -> SD2Triple:
 
 
 # the CheckConfig fields a check section may set, each with its coercion
-_CHECK_FIELDS = {"d": _int, "N": _int, "samples": _int, "input_range": float,
-                 "schedule": tuple, "pair_scales": tuple}
+_CHECK_FIELDS = {"d": _int, "N": _int, "samples": _int, "input_range": _number,
+                 "schedule": _numbers, "pair_scales": _numbers}
 
 
 def _task_check(config: dict, seed: int) -> tuple[dict, int]:
@@ -436,7 +454,7 @@ def _task_example(config: dict, seed: int) -> tuple[dict, int]:
     if "example" not in config:
         raise ConfigError("missing example section")
     section = _options(config["example"], {"a": _floats, "L": _floats, "M": _floats,
-                                           "tolerance": float, "random_count": _int}, "example")
+                                           "tolerance": _number, "random_count": _int}, "example")
     a = section.get("a", np.array([1.0, 0.0]))
     N = len(a)
     report = verify_example(section.get("L", np.zeros((N, N, N))),

@@ -143,18 +143,17 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
     return EnergyBreakdown(bulk, jump1, jump2, total, meta)
 
 
-def _jump_energy(psi: InterfacialDensity, field: PiecewiseAffineField, cell_ranges=None,
-                 x0: np.ndarray | None = None, R: np.ndarray | None = None) -> tuple[float, int]:
+def _jump_energy(psi: InterfacialDensity, field: PiecewiseAffineField,
+                 cell_ranges) -> tuple[float, int]:
     """The interfacial energy of the field's jump facets (those in
-    ``cell_ranges`` when given), priced block by block as ``facet_blocks``
+    ``cell_ranges``), priced block by block as ``facet_blocks``
     builds them: no more than one block of facets is held at a time, and no
     jump set is joined or cached.  Returns (energy, number of centroid-only
     facets)."""
     terms, inexact = [], 0
     for block in field.facet_blocks():
-        if cell_ranges is not None:
-            block = _in_ranges(block, cell_ranges)
-        block_terms, block_inexact = _interfacial_terms(psi, block, field.domain.widths, x0, R)
+        block = _in_ranges(block, cell_ranges)
+        block_terms, block_inexact = _interfacial_terms(psi, block, field.domain.widths)
         terms.append(block_terms)
         inexact += int(np.count_nonzero(block_inexact))
     return fsum(np.concatenate(terms)), inexact

@@ -12,8 +12,7 @@ energy.
 Facets have one record, the column table :class:`FacetTable`, which keeps
 both one-sided traces of every facet.  The jump set is such a table; so is
 the cached table of all outer faces, which the boundary jump facets (its rows
-that jump), the cell-formula admissibility check and the Gauss-Green closure
-all read.
+that jump) and the Gauss-Green closure read.
 
 The data-free columns of those tables (facet axes, cell indices, normals,
 areas, centroids) are the grid's geometry.  A cell-problem cube from

@@ -2,15 +2,14 @@
 
 They build one ``JumpFacet`` per facet and one dict per outer face, filter
 and sum facet by facet, integrate the L1 norm cell by cell (a scalar field's
-with one ``PiecewisePoly`` integral of ``|affine|`` per cell), check
-admissibility face by face, evaluate the recession function one point at a
-time, price the Gamma2 bulk term cell by cell, and assemble the relaxed
-energy with one estimator call per cell and facet (no memo).  The plane
-families' competitors are built here as fields on the cube
-(``GridFamily``), the sequence's corrected primitive samples its target at
-the cell centres through ``evaluate``, and the bulk term of
-``total_energy`` picks its sub-box with a mask over the whole grid.  The
-property tests in ``test_facet_table.py``, ``test_densities.py``,
+with one ``PiecewisePoly`` integral of ``|affine|`` per cell), evaluate the
+recession function one point at a time, price the Gamma2 bulk term cell by
+cell, and assemble the relaxed energy with one estimator call per cell and
+facet (no memo).  The plane families' competitors are built here as
+fields on the cube (``GridFamily``), the sequence's corrected primitive
+samples its target at the cell centres through ``evaluate``, and the bulk
+term of ``total_energy`` picks its sub-box with a mask over the whole
+grid.  The property tests in ``test_facet_table.py``, ``test_densities.py``,
 ``test_cellformulas.py``, ``test_assembly.py``, ``test_integrate.py``,
 ``test_constructions.py`` and ``test_energy.py`` require the library code
 to reproduce their results bit for bit (the laminate to a stated bound).
@@ -25,7 +24,7 @@ from numpy.polynomial import polynomial as npoly
 
 from sdrelax.assembly import _trace_formula_estimate
 from sdrelax.cellformulas import (
-    ADMISSIBILITY_TOL,
+    _of_field,
     estimate_W1,
     estimate_W2,
     estimate_gamma1,
@@ -34,7 +33,7 @@ from sdrelax.cellformulas import (
 )
 from sdrelax.constructions import elementary_jump, gradient_primitive, staircase
 from sdrelax.densities import DEFAULT_SCHEDULE
-from sdrelax.fields import BoxDomain, PiecewiseAffineField, StepBoundary, unit_cube
+from sdrelax.fields import BoxDomain, PiecewiseAffineField, unit_cube
 from sdrelax.integrate import fsum, gauss_legendre_points
 from sdrelax.integrate import norm as _vnorm
 from sdrelax.trace_formula import swap_layout
@@ -421,59 +420,6 @@ def trace_boundary(field) -> list[dict]:
     return records
 
 
-def _prescription(problem):
-    """The variant's boundary prescription as a function of boundary points."""
-    N = len(problem.x)
-    if problem.variant == "W1":
-        return lambda pts: np.zeros((pts.shape[0],) + _payload_shape(problem))
-    if problem.variant == "Gamma1":
-        payload = problem.lam
-    elif problem.variant == "Gamma2":
-        payload = problem.Lam
-    else:
-        L_field = swap_layout(problem.L)
-        return lambda pts: np.einsum("...k,mk->m...", L_field, pts)
-    step = StepBoundary(payload, N - 1, 0.0)
-    return lambda pts: step.value_and_lin(pts)[0]
-
-
-def _payload_shape(problem) -> tuple:
-    if problem.variant == "W1":
-        return problem.A.shape[:1]
-    if problem.variant == "Gamma1":
-        return problem.lam.shape
-    if problem.variant == "Gamma2":
-        return problem.Lam.shape
-    # W2 fields are matrix-valued: (value row, value column) of the boundary tensor
-    return problem.L.shape[:1] + problem.L.shape[2:3]
-
-
-def check_admissibility(problem, field) -> tuple[bool, float]:
-    """The cell-formula check: one prescription call per boundary record, and
-    a tolerance of ``ADMISSIBILITY_TOL`` times the size of the prescribed data
-    (at least 1)."""
-    dom = field.domain
-    residual = 0.0
-    lin = field.lin
-    if problem.variant == "W1":
-        residual = max(residual, float(np.max(np.abs(lin - problem.A))))
-    elif problem.variant == "Gamma1":
-        residual = max(residual, float(np.max(np.abs(lin))) if lin.size else 0.0)
-    else:
-        target = np.zeros(lin.shape[dom.ndim:]) if problem.variant == "Gamma2" \
-            else swap_layout(problem.M)
-        avg = np.sum(lin.reshape((-1,) + lin.shape[dom.ndim:]), axis=0) * dom.cell_volume
-        residual = max(residual, float(_vnorm(avg - target, avg.ndim)))
-    prescription = _prescription(problem)
-    for rec in trace_boundary(field):
-        want = prescription(rec["centroid"][None])[0]
-        residual = max(residual, float(np.max(np.abs(rec["effective"] - want))))
-    data = {"W1": [problem.A], "Gamma1": [problem.lam], "W2": [problem.L, problem.M],
-            "Gamma2": [problem.Lam]}[problem.variant]
-    scale = max([1.0] + [float(_vnorm(t, t.ndim)) for t in data])
-    return residual <= ADMISSIBILITY_TOL * scale, residual
-
-
 def recession(W, x, A, M, schedule=None) -> float:
     """W^inf at one point: |M| times the closed form at M/|M|, else |M| times
     the quotient W(x, A, t M/|M|)/t at the last schedule point; 0 at M = 0."""
@@ -628,9 +574,9 @@ GRID_BUILDERS = {"staircase": staircase_field, "elementary_jump": elementary_jum
 
 class GridFamily:
     """A plane family whose competitors are built as fields on the cube, as
-    the package built them before it priced them by formula; the sweep then
-    checks each field with ``check_admissibility`` and prices it with
-    ``competitor_energy``."""
+    the package built them before it priced them by formula, and handed to
+    the sweep as one row per facet of the field's jump set and one gradient
+    per cell (``cellformulas._of_field``)."""
 
     def __init__(self, family):
         self.family = family
@@ -639,8 +585,9 @@ class GridFamily:
     def candidates(self, problem, budget):
         return self.family.candidates(problem, budget)
 
-    def build(self, problem, params):
-        return GRID_BUILDERS[self.name](problem, params)
+    def planes(self, problem, params):
+        field, _ = GRID_BUILDERS[self.name](problem, params)
+        return _of_field(field)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from sdrelax.cellformulas import (
     estimate_W2,
     estimate_gamma1,
     estimate_gamma2,
-    _admit,
+    _of_field,
     rotation_to_last_axis,
 )
 from sdrelax.densities import (
@@ -50,12 +50,13 @@ class AffineCompetitor:
     def candidates(self, problem, budget):
         yield ()
 
-    def build(self, problem, params):
+    def planes(self, problem, params):
         dom = unit_cube(len(problem.x), problem.resolution)
         L_field = problem.L.transpose(0, 2, 1)
         const = np.einsum("vwk,...k->...vw", L_field, dom.cell_centers())
         lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
-        return PiecewiseAffineField(dom, const, lin, boundary_data=AffineBoundary.linear(L_field)), None
+        return _of_field(PiecewiseAffineField(dom, const, lin,
+                                              boundary_data=AffineBoundary.linear(L_field)))
 
 
 class TestCellProblemShapes:
@@ -303,7 +304,7 @@ class TestGamma2BulkReference:
                 field, R = ref.GRID_BUILDERS[family.name](problem, params)
                 bulk = ref.bulk_energy_recession(problem, field, R)
                 jump, _ = ref.facet_energy(densities.psi2, field, problem.x, R)
-                assert competitor_energy(problem, field, R)[0] == bulk + jump
+                assert competitor_energy(problem, [_of_field(field)])[0][0] == bulk + jump
                 bulk_terms.append(bulk)
         assert any(b != 0.0 for b in bulk_terms)  # the zigzag pays bulk
 
@@ -332,29 +333,20 @@ class TestSweepMechanics:
 
     def test_admissibility_re_verified(self):
         problem = CellProblem("W1", X0, NT, A=np.eye(2))
-        field, _ = ref.staircase_field(problem, (4,))
-        ok, residual = check_admissibility(problem, field)
+        planes = StaircaseFamily().planes(problem, (4,))
+        ok, residual = check_admissibility(problem, planes)
         assert ok and residual <= 1e-10
         # breaking the gradient breaks admissibility
-        bad = field.lin.copy()
-        bad[0] += 0.5
-        from sdrelax.fields import PiecewiseAffineField
-
-        broken = PiecewiseAffineField(field.domain, field.const, bad,
-                                      boundary_data=field.boundary_data)
-        ok2, residual2 = check_admissibility(problem, broken)
+        gradients = planes.gradients.copy()
+        gradients[0] += 0.5
+        ok2, residual2 = check_admissibility(problem, replace(planes, gradients=gradients))
         assert not ok2 and residual2 > 1e-10
+        # and so does dropping a facet row: the Gauss-Green identity no longer holds
+        ok3, residual3 = check_admissibility(problem, replace(planes, counts=planes.counts - 1))
+        assert not ok3 and residual3 > 1e-10
 
     @pytest.mark.parametrize("variant", ["W1", "Gamma1", "W2", "Gamma2"])
     def test_nan_gradient_rejected(self, variant):
-        from sdrelax.cellformulas import (
-            ElementaryJumpFamily,
-            GradientZigzagFamily,
-            LaminateFamily,
-            StaircaseFamily,
-        )
-        from sdrelax.fields import PiecewiseAffineField
-
         nu = np.array([0.0, 1.0])
         L = np.arange(8.0).reshape(2, 2, 2)
         problem, family, params = {
@@ -365,21 +357,12 @@ class TestSweepMechanics:
             "Gamma2": (CellProblem("Gamma2", X0, NT, A=np.eye(2), Lam=np.eye(2), nu=nu),
                        GradientZigzagFamily(), (0.25,)),
         }[variant]
-        field, _ = ref.GRID_BUILDERS[family.name](problem, params)
-        assert check_admissibility(problem, field) == (True, 0.0)
-        # a NaN gradient with the boundary data kept: only the gradient check sees it
-        lin = field.lin.copy()
-        lin.flat[0] = np.nan
-        broken = PiecewiseAffineField(field.domain, field.const, lin,
-                                      boundary_data=field.boundary_data)
-        ok, residual = check_admissibility(problem, broken)
-        assert ok is False and np.isnan(residual)
-        # the same for the competitor's planes, admitted without a field
         planes = family.planes(problem, params)
-        assert _admit(problem, planes) == (True, 0.0)
+        assert check_admissibility(problem, planes) == (True, 0.0)
+        # a NaN gradient with the facet rows kept: only the gradient condition sees it
         gradients = planes.gradients.copy()
         gradients.flat[0] = np.nan
-        ok, residual = _admit(problem, replace(planes, gradients=gradients))
+        ok, residual = check_admissibility(problem, replace(planes, gradients=gradients))
         assert ok is False and np.isnan(residual)
 
     def test_lower_never_exceeds_upper(self):
@@ -390,6 +373,14 @@ class TestSweepMechanics:
             nu /= np.linalg.norm(nu)
             r = estimate_gamma1(X0, lam, nu, NT)
             assert (r.lower or 0.0) <= r.upper + 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="program defect: the Gamma2 competitor drops a jump "
+                       "of rounding size that its certificate counts (ROADMAP item 5)")
+    def test_gamma2_lower_never_exceeds_upper_on_a_rounding_size_jump(self):
+        # the twin of estimate_gamma1's defect: upper 0.0, lower 1e-16
+        r = estimate_gamma2(np.zeros(2), np.eye(2), [[1e-16, 0.0], [0.0, 0.0]],
+                            np.array([1.0, 0.0]), NT)
+        assert r.lower <= r.upper
 
     def test_deterministic_and_seed_free(self):
         A = np.array([[1.0, 0.2], [0.0, -0.5]])

@@ -573,6 +573,19 @@ class TestWrongTypes:
          "bad assemble section: assemble.resolution: must be an integer, got float"),
         (_edited(["assemble", "w2_resolution"], 8.0),
          "bad assemble section: assemble.w2_resolution: must be an integer, got float"),
+        # number settings take JSON numbers: float() and np.asarray would coerce each of these
+        (_edited(["cell", "x"], [True, "0.5"], SWEEP_CONFIG),
+         "bad cell section: cell.x: must be a number, got bool"),
+        (_edited(["cell", "A"], [["1", 0.0], [0.0, 1.0]], SWEEP_CONFIG),
+         "bad cell section: cell.A: must be a number, got str"),
+        (_edited(["check", "input_range"], True, CHECK_CONFIG),
+         "bad check section: check.input_range: must be a number, got bool"),
+        (_edited(["check", "schedule"], ["1", 2.0, 4.0], CHECK_CONFIG),
+         "bad check section: check.schedule: must be a number, got str"),
+        (_edited(["check", "pair_scales"], "0.1", CHECK_CONFIG),
+         "bad check section: check.pair_scales: must be a list of numbers, got str"),
+        (_edited(["example", "tolerance"], "0.5", EXAMPLE_CONFIG),
+         "bad example section: example.tolerance: must be a number, got str"),
     ], ids=["sequence-n-int", "assemble-budget-list", "fields-G-string", "unknown-catalog",
             "assemble-list", "seed-list", "domain-resolution-object", "constant-object",
             "params-list", "collect-cells-string", "seed-float", "resolution-str",
@@ -580,7 +593,9 @@ class TestWrongTypes:
             "params-N-float", "check-samples-float", "check-d-float", "check-N-str",
             "sequence-n-float", "sequence-n-empty", "cell-budget-float", "cell-resolution-str",
             "example-random-count-float", "assemble-budget-float", "assemble-budget-str",
-            "assemble-budget-bool", "assemble-resolution-float", "assemble-w2-resolution-float"])
+            "assemble-budget-bool", "assemble-resolution-float", "assemble-w2-resolution-float",
+            "cell-x-bool", "cell-A-str", "check-input-range-bool", "check-schedule-str",
+            "check-pair-scales-str", "example-tolerance-str"])
     def test_exit_2(self, tmp_path, capsys, payload, message):
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2

@@ -1,5 +1,5 @@
-"""The facet table (jump sets and outer faces), the batched L1 and the
-admissibility check against the loops they replaced.
+"""The facet table (jump sets and outer faces) and the batched L1 against
+the loops they replaced.
 
 Every comparison is bitwise: the array code must reproduce the per-facet,
 per-face and per-cell reference loops in ``reference_loops.py`` exactly.
@@ -11,22 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from sdrelax import cellformulas, energy
-from sdrelax.cellformulas import (
-    ElementaryJumpFamily,
-    GradientZigzagFamily,
-    InclusionFamily,
-    LaminateFamily,
-    SplittingFamily,
-    StaircaseFamily,
-    estimate_W1,
-    estimate_W2,
-    estimate_gamma1,
-    estimate_gamma2,
-    rotation_to_last_axis,
-)
+from sdrelax import energy
+from sdrelax.cellformulas import rotation_to_last_axis
 from sdrelax.constructions import SD2Triple, approximating_sequence
-from sdrelax.densities import BulkDensity, DensityTriple, InterfacialDensity, norm_triple, psi2_proj
+from sdrelax.densities import BulkDensity, DensityTriple, InterfacialDensity, psi2_proj
 from sdrelax.energy import total_energy
 from sdrelax.integrate import norm
 from sdrelax.fields import (
@@ -183,61 +171,6 @@ def test_boundary_jumps_are_the_outer_faces_that_jump(u):
     for name in FacetTable.__dataclass_fields__:
         a, b = getattr(got, name), getattr(expected, name)
         assert a.shape == b.shape and np.array_equal(a, b), name
-
-
-@st.composite
-def cell_problems(draw):
-    """Seeded inputs for one estimator of each variant, in 2-D or 3-D."""
-    N = draw(st.sampled_from([2, 3]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from([0.0, 1.0, 3.0]))
-    x = rng.uniform(0.0, 1.0, N)
-    nu = unit_vector(rng, N)
-    densities = norm_triple(d=N, N=N)
-    A = scale * rng.standard_normal((N, N))
-    L = scale * rng.standard_normal((N, N, N))
-    M = draw(st.sampled_from(["equal", "random"]))
-    M = L.copy() if M == "equal" else scale * rng.standard_normal((N, N, N))
-
-    def grid(*families):
-        """The families, the plane ones built as fields on the cube."""
-        return [f if hasattr(f, "build") else ref.GridFamily(f) for f in families]
-
-    return [
-        lambda: estimate_W1(x, A, densities, budget=2, families=grid(StaircaseFamily())),
-        lambda: estimate_gamma1(x, scale * rng.standard_normal(N), nu, densities, budget=2,
-                                families=grid(ElementaryJumpFamily(), SplittingFamily())),
-        lambda: estimate_W2(x, A, L, M, densities, budget=2,
-                            families=grid(LaminateFamily(), InclusionFamily())),
-        lambda: estimate_gamma2(x, A, scale * rng.standard_normal((N, N)), nu, densities, budget=2,
-                                families=grid(ElementaryJumpFamily(), SplittingFamily(),
-                                              GradientZigzagFamily())),
-    ]
-
-
-@settings(max_examples=12, deadline=None)
-@given(cell_problems())
-def test_check_admissibility_matches_per_face_loop(estimators):
-    # the default families of the four estimators, the plane ones built as
-    # fields (the package prices those by formula and checks only the inclusion box)
-    check = cellformulas.check_admissibility
-    seen = set()
-
-    def checked(problem, field):
-        result = check(problem, field)
-        assert result == ref.check_admissibility(problem, field)
-        assert_rows_equal(field.jump_set(), ref.jump_set(field))
-        # the same field read with its own interior trace, which no longer matches
-        free = PiecewiseAffineField(field.domain, field.const + 0.5, field.lin)
-        assert check(problem, free) == ref.check_admissibility(problem, free)
-        seen.add(problem.variant)
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cellformulas, "check_admissibility", checked)
-        for estimate in estimators:
-            estimate()
-    assert seen == {"W1", "Gamma1", "W2", "Gamma2"}
 
 
 @settings(max_examples=200, deadline=None)
