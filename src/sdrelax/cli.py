@@ -2,7 +2,9 @@
 
 One task per invocation.  Anything nontrivial lives in a single JSON config
 file; flags cover only paths, seed, strictness, and a ``jobs`` value that is
-recorded at the top of the report (nothing runs in parallel).
+recorded at the top of the report.  Nothing runs in parallel, numpy's BLAS
+included: the CLI runs one OpenBLAS thread unless the caller's environment
+sets ``OPENBLAS_NUM_THREADS``.
 Every report embeds the fully resolved config for reproducibility, and
 repeated runs with the same config and seed are byte-identical up to the
 timestamp field.
@@ -22,6 +24,12 @@ import json
 import math
 import os
 import sys
+
+# The cell data are 2x2 to 3x3 matrices, so an OpenBLAS worker thread never
+# helps and its start-up is the largest cost of a short run.  OpenBLAS reads
+# this once, when numpy first loads, so it is set before any numpy import; a
+# value the caller's environment sets wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -131,6 +139,13 @@ def _ints(value) -> list:
     return [_int(n) for n in value]
 
 
+def _count(value) -> int:
+    """A JSON integer that is not negative."""
+    if _int(value) < 0:
+        raise ValueError(f"must not be negative, got {value}")
+    return value
+
+
 def _sequence_ns(value) -> list:
     ns = _ints(value)
     if not ns:
@@ -194,15 +209,22 @@ def _build_domain(cfg: dict) -> BoxDomain:
         raise ConfigError(f"domain section missing {err}") from err
 
 
+# the catalog params keys, each with its coercion
+_PARAM_FIELDS = {"d": _int, "N": _int, "probe_range": _number, "t_min": _number, "a": _floats}
+
+
 def _build_density_component(which: str, cfg: dict, d: int, N: int):
     path = f"densities.{which}"
     cfg = _options(cfg, {"catalog": _text, "params": _object, "expression": _text}, path)
     if "catalog" in cfg:
-        params = dict(cfg.get("params", {}))
-        dims = _options({k: params.pop(k) for k in ("d", "N") if k in params},
-                        {"d": _int, "N": _int}, f"{path}.params")
+        params = cfg.get("params", {})
+        # the keys some density takes are typed here; catalog names any others
+        typed = _options({k: v for k, v in params.items() if k in _PARAM_FIELDS}, _PARAM_FIELDS,
+                         f"{path}.params")
+        others = {k: v for k, v in params.items() if k not in _PARAM_FIELDS}
+        d, N = typed.pop("d", d), typed.pop("N", N)
         try:
-            return catalog(cfg["catalog"], d=dims.get("d", d), N=dims.get("N", N), **params)
+            return catalog(cfg["catalog"], d=d, N=N, **typed, **others)
         except KeyError as err:  # an unknown catalog name
             raise ConfigError(f"bad density {path}: {err.args[0]}") from err
         except ValueError as err:
@@ -454,7 +476,7 @@ def _task_example(config: dict, seed: int) -> tuple[dict, int]:
     if "example" not in config:
         raise ConfigError("missing example section")
     section = _options(config["example"], {"a": _floats, "L": _floats, "M": _floats,
-                                           "tolerance": _number, "random_count": _int}, "example")
+                                           "tolerance": _number, "random_count": _count}, "example")
     a = section.get("a", np.array([1.0, 0.0]))
     N = len(a)
     report = verify_example(section.get("L", np.zeros((N, N, N))),

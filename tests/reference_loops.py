@@ -9,10 +9,12 @@ facet (no memo).  The plane families' competitors are built here as
 fields on the cube (``GridFamily``), the sequence's corrected primitive
 samples its target at the cell centres through ``evaluate``, and the bulk
 term of ``total_energy`` picks its sub-box with a mask over the whole
-grid.  The property tests in ``test_facet_table.py``, ``test_densities.py``,
-``test_cellformulas.py``, ``test_assembly.py``, ``test_integrate.py``,
-``test_constructions.py`` and ``test_energy.py`` require the library code
-to reproduce their results bit for bit (the laminate to a stated bound).
+grid.  The worked example's random competitors are drawn and priced one
+box and one laminate at a time.  The property tests in
+``test_facet_table.py``, ``test_densities.py``, ``test_cellformulas.py``,
+``test_assembly.py``, ``test_integrate.py``, ``test_constructions.py``,
+``test_energy.py`` and ``test_trace_formula.py`` require the library code to
+reproduce their results bit for bit (the laminate to a stated bound).
 """
 
 from __future__ import annotations
@@ -36,7 +38,15 @@ from sdrelax.densities import DEFAULT_SCHEDULE
 from sdrelax.fields import BoxDomain, PiecewiseAffineField, unit_cube
 from sdrelax.integrate import fsum, gauss_legendre_points
 from sdrelax.integrate import norm as _vnorm
-from sdrelax.trace_formula import swap_layout
+from sdrelax import integrate, trace_formula
+from sdrelax.trace_formula import (
+    BoxInclusion,
+    _slice,
+    closed_form_W2,
+    default_box_family,
+    is_in_S,
+    swap_layout,
+)
 
 
 @dataclass(frozen=True)
@@ -627,3 +637,101 @@ def bulk_energy_masked(u, densities, cell_ranges) -> float:
         mask &= (idx[k] >= lo) & (idx[k] < hi)
     vals = np.asarray(densities.W(centers[mask], A[mask], M[mask]), dtype=float)
     return fsum(vals * dom.cell_volume)
+
+
+# ---------------------------------------------------------------------------
+# the worked example's competitors, one box and one laminate at a time
+# ---------------------------------------------------------------------------
+
+
+def corners_inside_cube(box: BoxInclusion, margin: float = 0.0) -> bool:
+    N = len(box.center)
+    V = np.eye(N) if box.basis is None else box.basis
+    pts = []
+    for signs in np.ndindex(*(2,) * N):
+        z = np.array([(1.0 if s else -1.0) * h for s, h in zip(signs, box.half)])
+        pts.append(box.center + V @ z)
+    return bool(np.all(np.abs(np.asarray(pts)) < 0.5 - margin))
+
+
+def inclusion_energy(L, M, a, box: BoxInclusion) -> float:
+    """The inclusion box's energy with its own ``box_abs_affine`` call."""
+    a = np.asarray(a, dtype=float)
+    if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+        raise ValueError("a must be a unit vector")
+    if not corners_inside_cube(box, margin=1e-9):
+        raise ValueError("R must be compactly contained in the unit cell cube")
+    B = _slice(L, M, a)
+    N = B.shape[0]
+    V = np.eye(N) if box.basis is None else np.asarray(box.basis, dtype=float)
+    Vinv = np.linalg.inv(V)
+    C = Vinv @ B @ V
+    c0 = Vinv @ B @ np.asarray(box.center, dtype=float)
+    half = np.asarray(box.half, dtype=float)
+    vol_z = float(np.prod(2.0 * half))
+    tangents = [[t for t in range(N) if t != m] for m in range(N)]
+    const = np.array([c0[m] + sign * half[m] * C[m, m] for m in range(N) for sign in (-1.0, 1.0)])
+    grad = np.repeat([C[m, t] for m, t in enumerate(tangents)], 2, axis=0)
+    widths = np.repeat([2.0 * half[t] for t in tangents], 2, axis=0)
+    return fsum(integrate.box_abs_affine(const, grad, widths)) / vol_z
+
+
+def laminate_energy(L, M, a, basis=None) -> float:
+    B = _slice(L, M, a)
+    N = B.shape[0]
+    V = np.eye(N) if basis is None else np.asarray(basis, dtype=float)
+    C = np.linalg.inv(V) @ B @ V
+    return fsum([abs(C[m, m]) for m in range(N)])
+
+
+def random_competitors(L, M, a, count: int = 1000, seed: int = 0) -> list[dict]:
+    """Each box draws its center and half-widths with ``rng.uniform`` over
+    ``trace_formula._BOX_DRAWS`` and is priced alone; so is each laminate."""
+    (c_lo, c_hi), (h_lo, h_hi) = trace_formula._BOX_DRAWS
+    rng = np.random.default_rng(seed)
+    N = np.asarray(L).shape[0]
+    out = []
+    n_boxes = count // 2
+    for _ in range(n_boxes):
+        center = rng.uniform(c_lo, c_hi, N)
+        half = rng.uniform(h_lo, h_hi, N)
+        box = BoxInclusion(center, half)
+        if not corners_inside_cube(box):
+            half = np.minimum(half, 0.45 - np.abs(center))
+            box = BoxInclusion(center, half)
+        out.append({"kind": "box", "params": box.describe(),
+                    "energy": inclusion_energy(L, M, a, box)})
+    for _ in range(count - n_boxes):
+        Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        out.append({"kind": "laminate", "params": {"basis": Q.tolist()},
+                    "energy": laminate_energy(L, M, a, basis=Q)})
+    return out
+
+
+def verify_example(L, M, a, tolerance: float = 1e-9, random_count: int = 0, seed: int = 0) -> dict:
+    a = np.asarray(a, dtype=float)
+    closed = closed_form_W2(L, M, a)
+    boxes = [{"kind": "box", "params": box.describe(), "energy": inclusion_energy(L, M, a, box)}
+             for box in default_box_family(L, M, a)]
+    best = min(boxes, key=lambda e: e["energy"])
+    extras = [{"kind": "laminate", "params": {"basis": None},
+               "energy": laminate_energy(L, M, a)}]
+    if random_count:
+        extras.extend(random_competitors(L, M, a, count=random_count, seed=seed))
+    everything = boxes + extras
+    laminates = [e["energy"] for e in everything if e["kind"] == "laminate"]
+    return {
+        "closed_form": closed,
+        "best_upper": best["energy"],
+        "best_competitor": {"kind": best["kind"], "params": best["params"]},
+        "gap": best["energy"] - closed,
+        "lower_bound_ok": all(e["energy"] >= closed - tolerance for e in everything),
+        "in_S": bool(is_in_S(_slice(L, M, a))),
+        "family_stats": {
+            "evaluations": len(everything),
+            "kinds": sorted({e["kind"] for e in everything}),
+            "max_energy": max(e["energy"] for e in everything),
+            "best_laminate": min(laminates) if laminates else None,
+            "best_overall": min(e["energy"] for e in everything),
+        },
+    }

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -586,6 +588,17 @@ class TestWrongTypes:
          "bad check section: check.pair_scales: must be a list of numbers, got str"),
         (_edited(["example", "tolerance"], "0.5", EXAMPLE_CONFIG),
          "bad example section: example.tolerance: must be a number, got str"),
+        # catalog params a density takes are typed too
+        (_edited(["densities", "W", "params"], {"t_min": "0.5"}, CHECK_CONFIG),
+         "bad densities.W.params section: densities.W.params.t_min: must be a number, got str"),
+        (_edited(["densities", "W", "params"], {"probe_range": True}, CHECK_CONFIG),
+         "bad densities.W.params section: densities.W.params.probe_range: must be a number, "
+         "got bool"),
+        (_edited(["densities", "psi2"], {"catalog": "Psi2_proj", "params": {"a": ["1", 0.0]}},
+                 CHECK_CONFIG),
+         "bad densities.psi2.params section: densities.psi2.params.a: must be a number, got str"),
+        (_edited(["example", "random_count"], -5, EXAMPLE_CONFIG),
+         "bad example section: example.random_count: must not be negative, got -5"),
     ], ids=["sequence-n-int", "assemble-budget-list", "fields-G-string", "unknown-catalog",
             "assemble-list", "seed-list", "domain-resolution-object", "constant-object",
             "params-list", "collect-cells-string", "seed-float", "resolution-str",
@@ -595,7 +608,8 @@ class TestWrongTypes:
             "example-random-count-float", "assemble-budget-float", "assemble-budget-str",
             "assemble-budget-bool", "assemble-resolution-float", "assemble-w2-resolution-float",
             "cell-x-bool", "cell-A-str", "check-input-range-bool", "check-schedule-str",
-            "check-pair-scales-str", "example-tolerance-str"])
+            "check-pair-scales-str", "example-tolerance-str", "params-t-min-str",
+            "params-probe-range-bool", "params-a-str", "example-random-count-negative"])
     def test_exit_2(self, tmp_path, capsys, payload, message):
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2
@@ -618,6 +632,38 @@ class TestWrongTypes:
         assert run(cfg, out_dir=str(tmp_path), seed=7) == 0
         with open(tmp_path / "sweep.json") as fh:
             assert json.load(fh)["seed"] == 7
+
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+
+def child(code: str, **env) -> str:
+    """The stdout of ``python -c code`` with ``src`` importable, in this
+    process's environment without the variables that set OpenBLAS's thread
+    count (importing ``sdrelax.cli`` here has set one), plus ``env``."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+class TestOneBlasThread:
+    """The CLI pins OpenBLAS to one thread before numpy loads, unless the caller set it."""
+
+    def test_package_import_loads_no_numpy(self):
+        assert child("import sys, sdrelax; print('numpy' in sys.modules)") == "False"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_import_runs_one_thread(self):
+        code = ("import os, sdrelax.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+                "len(os.listdir('/proc/self/task')))")
+        assert child(code) == "1 1"
+
+    def test_the_callers_setting_wins(self):
+        code = "import os, sdrelax.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert child(code, OPENBLAS_NUM_THREADS="2") == "2"
 
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))

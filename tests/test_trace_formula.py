@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
+from sdrelax import trace_formula
 from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
 from sdrelax.constructions import SD2Triple
 from sdrelax.densities import example_triple
@@ -196,6 +200,56 @@ class TestVerifyExample:
             closed = closed_form_W2(L, M, A_E1)
             for comp in random_competitors(L, M, A_E1, count=1000, seed=int(rng.integers(1000))):
                 assert comp["energy"] >= closed - 1e-9
+
+
+def bits(records: list[dict]) -> list:
+    """Kind, params and the exact bits of the energy of each record."""
+    return [(r["kind"], r["params"], r["energy"].hex()) for r in records]
+
+
+class TestBatchMatchesReference:
+    """The batched draw and pricing reproduce the per-box loop bit for bit."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("widened", [False, True], ids=["shipped", "clamping"])
+    def test_random_competitors(self, monkeypatch, N, count, widened):
+        if widened:  # boxes that reach past 0.45 from the origin, so the clamp fires
+            monkeypatch.setattr(trace_formula, "_BOX_DRAWS", ((-0.3, 0.3), (0.02, 0.45)))
+        rng = np.random.default_rng(100 * N + count)
+        L = rng.standard_normal((N, N, N))
+        M = rng.standard_normal((N, N, N))
+        a = rng.standard_normal(N)
+        a /= np.linalg.norm(a)
+        got = random_competitors(L, M, a, count=count, seed=count + N)
+        assert len(got) == count
+        assert bits(got) == bits(ref.random_competitors(L, M, a, count=count, seed=count + N))
+        if widened and count == 1000:
+            reach = [abs(c) + h for r in got[:count // 2]
+                     for c, h in zip(r["params"]["center"], r["params"]["half"])]
+            assert min(abs(x - 0.45) for x in reach) < 1e-15
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_verify_example_on_the_example_triple(self, seed):
+        L = tensor_with_slice(np.eye(2))
+        Z = np.zeros((2, 2, 2))
+        got = verify_example(L, Z, A_E1, random_count=1000, seed=seed)
+        want = ref.verify_example(L, Z, A_E1, random_count=1000, seed=seed)
+        # the JSON text of a float round-trips its bits
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    def test_negative_count_refused(self):
+        with pytest.raises(ValueError, match="count must not be negative"):
+            random_competitors(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), A_E1, count=-5)
+
+    def test_one_bad_box_refuses_the_batch(self):
+        L = tensor_with_slice(np.eye(2))
+        with pytest.raises(ValueError, match="compactly contained"):
+            trace_formula.inclusion_energies(L, np.zeros((2, 2, 2)), A_E1,
+                                             [[0.0, 0.0], [0.4, 0.0]], [[0.1, 0.1], [0.1, 0.1]])
+        with pytest.raises(ValueError, match="unit vector"):
+            trace_formula.inclusion_energies(L, np.zeros((2, 2, 2)), 2 * A_E1,
+                                             [[0.0, 0.0]], [[0.1, 0.1]])
 
 
 class TestMembership:
