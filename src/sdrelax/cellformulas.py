@@ -18,14 +18,15 @@ of its cube.  The W2 families are the laminate (the affine map ``L y`` when
 ``M = L``) and the inclusion boxes.
 
 Every competitor reaches the sweep as :class:`Planes`: rows of grid facets
-and the gradients of its cells.  The inclusion box is built as a field on
-the cube and hands over one row per facet of its jump set and one gradient
-per cell.  Every other family is a stack of parallel planes with one
-gradient per layer of cells, priced without its grid field: one row per
-plane, and energies the grid fields' bit for bit (the laminate's to a few
-ulp).  Each competitor is admitted by the discrete Gauss-Green identity and
-the variant's gradient condition, and one density call prices all the
-admitted competitors of a problem.
+and the gradients of its cells, priced without building its grid field.
+The inclusion box hands over one row per grid facet on the faces of its box,
+with the traces the grid field's arithmetic gives (``fields.interior_jumps``)
+and one gradient per cell.  Every other family is a stack of parallel planes
+with one gradient per layer of cells: one row per plane.  The energies are
+the grid fields' bit for bit (the laminate's to a few ulp).  Each competitor
+is admitted by the discrete Gauss-Green identity and the variant's gradient
+condition, and one density call prices all the admitted competitors of a
+problem.
 
 Competitors on oriented cubes are built in rotated coordinates (the jump
 normal mapped to the last axis); densities receive the true normals and
@@ -51,8 +52,9 @@ from .fields import (
     BoundaryData,
     BoxDomain,
     FacetTable,
-    PiecewiseAffineField,
     StepBoundary,
+    _stack,
+    interior_jumps,
     trace_boundary,  # noqa: F401 - no caller here; perfbench/traced.py wraps it by this name
     unit_cube,
 )
@@ -213,9 +215,9 @@ class Planes:
 
     Row ``i`` of ``facets`` stands for ``counts[i]`` facets of the
     competitor's jump set with the same traces: a representative facet of
-    one plane, whose traces the grid's own arithmetic computes, or one facet
-    of a competitor built as a field (:func:`_of_field`).  ``gradients[j]``
-    is the gradient of ``cells[j]`` cells.  The laminate's planes are those
+    one plane, or one facet on a face of an inclusion box, whose traces the
+    grid's own arithmetic computes.  ``gradients[j]`` is the gradient of
+    ``cells[j]`` cells.  The laminate's planes are those
     of the zero-trace staircase of ``M - L`` (the laminate minus the affine
     map ``L y``), with the exact jumps ``h (L - M) e_m``; its grid field's
     carry the rounding of ``L y`` at each cell centre.
@@ -226,16 +228,6 @@ class Planes:
     counts: np.ndarray
     gradients: np.ndarray
     cells: np.ndarray
-
-
-def _of_field(field: PiecewiseAffineField) -> Planes:
-    """The rows of a competitor built as a field: one per facet of its jump
-    set, and one gradient per cell, in C order."""
-    dom = field.domain
-    facets = field.jump_set()
-    return Planes(dom, facets, np.ones(len(facets), dtype=int),
-                  field.lin.reshape((-1,) + field.value_shape + (dom.ndim,)),
-                  np.ones(dom.num_cells, dtype=int))
 
 
 @functools.cache
@@ -281,6 +273,25 @@ def _layer_layout(N: int, r: int) -> dict:
     for value in lay.values():
         value.flags.writeable = False
     return lay
+
+
+@functools.cache
+def _box_layout(N: int, r: int, params: tuple) -> dict:
+    """The data-free part of the inclusion box ``params`` on ``unit_cube(N, r)``:
+    per axis ``m``, the lower and upper cells of the facets on both faces
+    normal to ``m`` (one stepped slice along ``m``), and those facets'
+    geometry, in the order of the box's grid field's jump set."""
+    dom = unit_cube(N, r)
+    half = np.asarray(params[:N], dtype=int)
+    mid = r // 2 + np.asarray(params[N:], dtype=int)
+    box = tuple(slice(c - h, c + h) for c, h in zip(mid, half))
+    faces = tuple((m, box[:m] + (slice(c - h - 1, c + h, 2 * h),) + box[m + 1:],
+                   box[:m] + (slice(c - h, c + h + 1, 2 * h),) + box[m + 1:])
+                  for m, (c, h) in enumerate(zip(mid, half)))
+    geometry = _stack([dom.block_geometry(m, lo) for m, lo, _ in faces])
+    for column in geometry.values():
+        column.flags.writeable = False
+    return dict(faces=faces, box=box, volume=float(np.prod(2 * half * dom.widths)), geometry=geometry)
 
 
 def _layered(r: int, const: np.ndarray, lin: np.ndarray, prescription: BoundaryData) -> Planes:
@@ -489,21 +500,24 @@ class InclusionFamily:
                         yield (h,) * N + tuple(center)
 
     def planes(self, problem: CellProblem, params) -> Planes:
-        """The rows of the competitor's grid field (:func:`_of_field`)."""
-        N = len(problem.x)
-        half = np.asarray(params[:N], dtype=int)
-        mid = problem.resolution // 2 + np.asarray(params[N:], dtype=int)
-        dom = unit_cube(N, problem.resolution)
-        L_field = problem.prescription.lin
-        vol_R = float(np.prod(2 * half * dom.widths))
+        """The grid facets on the faces of the box (its grid field's jump
+        set, less any rounding of ``L y`` off them) and one gradient per cell."""
+        dom = unit_cube(len(problem.x), problem.resolution)
+        lay = _box_layout(dom.ndim, problem.resolution, tuple(params))
+        L_field, vol_R = problem.prescription.lin, lay["volume"]
         P_field = (problem.gradient - (1.0 - vol_R) * L_field) / vol_R
-        box = tuple(slice(m - h, m + h) for m, h in zip(mid, half))
-        centers = dom.cell_centers()
+        box, centers = lay["box"], dom.cell_centers()
         const = np.einsum("vwk,...k->...vw", L_field, centers)
         const[box] = np.einsum("vwk,...k->...vw", P_field, centers[box])
         lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
         lin[box] = P_field
-        return _of_field(PiecewiseAffineField(dom, const, lin, boundary_data=problem.prescription))
+        faces = [interior_jumps(const, lin, m, lo, hi, dom.widths[m], DEFAULT_JUMP_TOL)
+                 for m, lo, hi in lay["faces"]]
+        keep, plus, minus, jump_lin = (np.concatenate(column) for column in zip(*faces))
+        facets = FacetTable(plus=plus, minus=minus, jump_lin=jump_lin,
+                            **{name: column[keep] for name, column in lay["geometry"].items()})
+        return Planes(dom, facets, np.ones(len(facets), dtype=int),
+                      lin.reshape((-1,) + L_field.shape), np.ones(dom.num_cells, dtype=int))
 
     def refine(self, problem: CellProblem, params, evaluate, budget: int):
         """Deterministic coordinate descent over half-sides and centers."""

@@ -1,10 +1,10 @@
 """Explicit field constructions used in the relaxation arguments.
 
 These are the building blocks of the upper-bound side of the theory:
-zero-trace fields with prescribed constant gradient, piecewise-constant
-approximation, primitives with prescribed gradient, elementary jumps across a
-plane, and the composed approximating sequence for a second-order structured
-deformation.
+primitives with prescribed gradient, corrected toward a target at the cell
+centres, and the composed approximating sequence for a second-order
+structured deformation.  The cell formulas build their competitors as facet
+rows (``cellformulas``), not here.
 """
 
 from __future__ import annotations
@@ -13,16 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    AffineBoundary,
-    BoxDomain,
-    PiecewiseAffineField,
-    SecondOrderField,
-    StepBoundary,
-    common_refinement,
-    l1_distance,
-    unit_cube,
-)
+from .fields import BoxDomain, PiecewiseAffineField, SecondOrderField, common_refinement, l1_distance
 
 
 @dataclass
@@ -69,42 +60,6 @@ class SD2Triple:
         return self.domain.ndim
 
 
-def staircase(A, n: int, domain: BoxDomain) -> PiecewiseAffineField:
-    """Zero-trace field with cellwise gradient exactly A, on the box of
-    ``domain`` with ``n`` cells per axis (``domain`` itself when it has them).
-
-    Superposes, per axis j, a slab-centered sawtooth carrying jump vector
-    (A e_j) * width_j / n across n planes (slab interfaces plus the two face
-    mismatches, which are accounted as boundary jump facets).  Centering each
-    affine piece at its cell gives zero trace at every boundary facet
-    centroid, so the jump mass decomposes exactly per axis:
-
-        mass = sum_j |A e_j| * |domain|  <=  sqrt(N) |A| |domain|.
-    """
-    if n < 1:
-        raise ValueError("need at least one slab per axis")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    d, N = A.shape
-    if N != domain.ndim:
-        raise ValueError("column count of A must match the domain dimension")
-    grid = domain if np.all(domain.resolution == n) else \
-        BoxDomain(domain.lower, domain.upper, n * np.ones(N, dtype=int))
-    const = np.zeros(grid.cells_shape + (d,))
-    lin = np.broadcast_to(A, grid.cells_shape + (d, N)).copy()
-    return PiecewiseAffineField(grid, const, lin, boundary_data=AffineBoundary.zero((d,), N))
-
-
-def piecewise_constant_approx(u: PiecewiseAffineField, n) -> PiecewiseAffineField:
-    """Cell-midpoint sampling of u on the resolution-n grid (zero linear part)."""
-    n = np.broadcast_to(np.asarray(n, dtype=int), (u.domain.ndim,))
-    if np.any(n < 1):
-        raise ValueError("resolution must be >= 1")
-    grid = BoxDomain(u.domain.lower, u.domain.upper, n)
-    centers = grid.cell_centers().reshape(-1, grid.ndim)
-    values = u.evaluate(centers).reshape(grid.cells_shape + u.value_shape)
-    return PiecewiseAffineField(grid, values, jump_tol=u.jump_tol)
-
-
 def gradient_primitive(f: PiecewiseAffineField) -> PiecewiseAffineField:
     """Field u with cellwise gradient equal to f, anchored at zero at centers.
 
@@ -120,30 +75,6 @@ def gradient_primitive(f: PiecewiseAffineField) -> PiecewiseAffineField:
     const = np.zeros(f.domain.cells_shape + value_shape)
     lin = f.const.copy()
     return PiecewiseAffineField(f.domain, const, lin, jump_tol=f.jump_tol)
-
-
-def elementary_jump(payload, ndim: int | None = None, resolution: int = 4,
-                    domain: BoxDomain | None = None) -> PiecewiseAffineField:
-    """Field equal to ``payload`` above the mid-plane of the cell cube, 0 below.
-
-    The cube is the oriented unit cube in rotated coordinates (the jump normal
-    maps to the last axis); callers evaluating densities supply the true
-    normal themselves.  The resolution along the last axis must be even so the
-    mid-plane is a union of grid facets.
-    """
-    payload = np.asarray(payload, dtype=float)
-    if domain is None:
-        if ndim is None:
-            raise ValueError("give either a domain or the dimension")
-        domain = unit_cube(ndim, resolution)
-    N = domain.ndim
-    if int(domain.resolution[N - 1]) % 2 != 0:
-        raise ValueError("resolution along the jump axis must be even")
-    mid = 0.5 * (domain.lower[N - 1] + domain.upper[N - 1])
-    centers = domain.cell_centers()
-    above = centers[..., N - 1] > mid
-    const = np.where(above.reshape(above.shape + (1,) * payload.ndim), payload, np.zeros_like(payload))
-    return PiecewiseAffineField(domain, const, boundary_data=StepBoundary(payload, N - 1, mid))
 
 
 def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, dict]:

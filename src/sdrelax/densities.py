@@ -131,8 +131,13 @@ def bulk_norm(d: int = 2, N: int = 2, probe_range: float = 10.0, t_min: float = 
     """W(x, A, M) = |A| + |M| (Frobenius norms).
 
     The growth and recession-rate constants are exact for corner probes with
-    entries of magnitude ``probe_range`` and schedules starting at ``t_min``.
+    entries of magnitude ``probe_range`` and schedules starting at ``t_min``:
+    ``t_min`` must be finite and > 0, ``probe_range`` finite and >= 0.
     """
+    if not (math.isfinite(t_min) and t_min > 0.0):
+        raise ValueError(f"t_min must be finite and > 0, got {t_min}")
+    if not (math.isfinite(probe_range) and probe_range >= 0.0):
+        raise ValueError(f"probe_range must be finite and >= 0, got {probe_range}")
 
     def fn(x, A, M):
         return norm(A, 2) + norm(M, 3)

@@ -15,12 +15,11 @@ the cached table of all outer faces, which the boundary jump facets (its rows
 that jump) and the Gauss-Green closure read.
 
 The data-free columns of those tables (facet axes, cell indices, normals,
-areas, centroids) are the grid's geometry.  A cell-problem cube from
-:func:`unit_cube` builds it once and keeps it read-only, so every competitor
-field on the cube computes only its traces; any other grid builds it per
-table, which keeps a large grid from holding it.  A field also yields its
-jump set as blocks of bounded size (``facet_blocks``), which the energy
-prices one at a time without holding the whole table.
+areas, centroids) are the grid's geometry, built per table, so no grid holds
+it.  The traces of interior facets come from cell arrays alone
+(:func:`interior_jumps`), which the cell formulas share.  A field also
+yields its jump set as blocks of bounded size (``facet_blocks``), which the
+energy prices one at a time without holding the whole table.
 
 All operations are pure; fields are treated as immutable after construction.
 """
@@ -70,7 +69,6 @@ class BoxDomain:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "resolution", resolution)
-        object.__setattr__(self, "_geometry", None)  # a dict on a cell-problem cube
         # read on every facet table and competitor: computed once
         widths = (upper - lower) / resolution
         widths.flags.writeable = False
@@ -104,9 +102,9 @@ class BoxDomain:
         return self.lower[axis] + (np.arange(n) + 0.5) * w
 
     def cell_centers(self) -> np.ndarray:
-        """Array of shape cells_shape + (N,); read-only on a cell-problem cube."""
-        return self._cached("centers", lambda: np.stack(np.meshgrid(
-            *[self.axis_centers(k) for k in range(self.ndim)], indexing="ij"), axis=-1))
+        """Array of shape cells_shape + (N,)."""
+        return np.stack(np.meshgrid(*[self.axis_centers(k) for k in range(self.ndim)],
+                                    indexing="ij"), axis=-1)
 
     def interior_blocks(self) -> tuple:
         """The interior facets in blocks of at most ``_FACET_BLOCK`` rows.
@@ -119,13 +117,19 @@ class BoxDomain:
         by axis, then by lower cell in C order: the blocks, joined in order,
         give every interior facet in that order.
         """
-        return self._cached("blocks", lambda: tuple(_interior_blocks(self)))
+        return tuple(_interior_blocks(self))
 
-    def block_geometry(self, m: int, rows: slice, lo: tuple) -> dict:
+    def block_geometry(self, m: int, lo: tuple) -> dict:
         """The ``axis``, ``index``, ``boundary``, ``normal``, ``area`` and
-        ``centroid`` columns of the facets of one block of
-        ``interior_blocks``; read-only on a cell-problem cube."""
-        return self._cached(f"block {rows.start}", lambda: _interior_faces(self, m, lo))
+        ``centroid`` columns of the interior facets normal to axis ``m``
+        whose lower cells are ``cells[lo]``, in C order of those cells."""
+        N = self.ndim
+        index = np.stack(np.meshgrid(*[np.arange(self.cells_shape[k])[lo[k]] for k in range(N)],
+                                     indexing="ij"), axis=-1).reshape(-1, N)
+        cent = np.stack(np.meshgrid(*[self.axis_centers(k)[lo[k]] for k in range(N)],
+                                    indexing="ij"), axis=-1).reshape(-1, N)
+        cent[:, m] += 0.5 * self.widths[m]
+        return _faces(m, index, 1.0, self.cell_volume / self.widths[m], cent, False)
 
     def outer_geometry(self):
         """The data-free part of the outer faces: ``(cell, row, half, columns)``.
@@ -134,18 +138,24 @@ class BoxDomain:
         flat index of each face's cell, ``row`` the row number, ``half`` the
         signed half width from the cell centre to the face along its normal,
         and ``columns`` the ``axis``, ``index``, ``boundary``, ``normal``,
-        ``area`` and ``centroid`` columns; all read-only.
+        ``area`` and ``centroid`` columns.
         """
-        return self._cached("outer", lambda: _outer_geometry(self))
-
-    def _cached(self, key: str, build):
-        """``build()``, kept and reused on a cell-problem cube (see ``unit_cube``)."""
-        store = self._geometry
-        if store is None:
-            return build()
-        if key not in store:
-            store[key] = _read_only(build())
-        return store[key]
+        N = self.ndim
+        centers = self.cell_centers()
+        index = np.indices(self.cells_shape).transpose(*range(1, N + 1), 0)
+        parts = []
+        for m in range(N):
+            area = self.cell_volume / self.widths[m]
+            for side, normal_sign in ((0, -1.0), (-1, 1.0)):
+                sl = tuple(side if k == m else slice(None) for k in range(N))
+                cent = centers[sl].reshape((-1, N)).copy()
+                cent[:, m] = self.lower[m] if side == 0 else self.upper[m]
+                parts.append(_faces(m, index[sl].reshape(-1, N), normal_sign, area, cent, True))
+        columns = _stack(parts)
+        axis = columns["axis"]
+        row = np.arange(len(axis))
+        half = columns["normal"][row, axis] * 0.5 * self.widths[axis]
+        return np.ravel_multi_index(tuple(columns["index"].T), self.cells_shape), row, half, columns
 
     def refine(self, factor) -> "BoxDomain":
         factor = np.broadcast_to(np.asarray(factor, dtype=int), (self.ndim,))
@@ -170,10 +180,8 @@ class BoxDomain:
 def unit_cube(ndim: int, resolution: int = 4) -> BoxDomain:
     """Unit cube centered at the origin (the cell-problem domain).
 
-    One domain per argument pair.  It keeps its geometry (cell centres,
-    interior facets, outer faces) read-only once built, so the many
-    competitor fields of the cell formulas that share a cube do only data
-    arithmetic.  Other domains build their geometry per call.
+    One domain per argument pair, shared by every competitor of the cell
+    formulas, so its ``lower``, ``upper`` and ``resolution`` are read-only.
     """
     return _unit_cube(int(ndim), int(resolution))
 
@@ -182,21 +190,9 @@ def unit_cube(ndim: int, resolution: int = 4) -> BoxDomain:
 def _unit_cube(ndim: int, resolution: int) -> BoxDomain:
     half = 0.5 * np.ones(ndim)
     dom = BoxDomain(-half, half, resolution * np.ones(ndim, dtype=int))
-    _read_only((dom.lower, dom.upper, dom.resolution))
-    object.__setattr__(dom, "_geometry", {})
+    for arr in (dom.lower, dom.upper, dom.resolution):
+        arr.flags.writeable = False
     return dom
-
-
-def _read_only(value):
-    """Mark every array in ``value`` (an array, or nested tuples and dicts) read-only."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, dict):
-        _read_only(tuple(value.values()))
-    elif isinstance(value, tuple):
-        for item in value:
-            _read_only(item)
-    return value
 
 
 def _interior_blocks(dom: BoxDomain):
@@ -222,38 +218,6 @@ def _interior_blocks(dom: BoxDomain):
                        tuple(slice(s, e) for s, e in ranges),
                        tuple(slice(s + d, e + d) for (s, e), d in zip(ranges, shift)))
         start += int(np.prod(lower, dtype=int))
-
-
-def _interior_faces(dom: BoxDomain, m: int, lo: tuple) -> dict:
-    """The geometry columns of the facets normal to axis ``m`` whose lower
-    cells are ``cells[lo]``."""
-    N = dom.ndim
-    h = dom.widths[m]
-    index = np.stack(np.meshgrid(*[np.arange(dom.cells_shape[k])[lo[k]] for k in range(N)],
-                                 indexing="ij"), axis=-1).reshape(-1, N)
-    cent = np.stack(np.meshgrid(*[dom.axis_centers(k)[lo[k]] for k in range(N)],
-                                indexing="ij"), axis=-1).reshape(-1, N)
-    cent[:, m] += 0.5 * h
-    return _faces(m, index, 1.0, dom.cell_volume / h, cent, False)
-
-
-def _outer_geometry(dom: BoxDomain):
-    N = dom.ndim
-    centers = dom.cell_centers()
-    index = np.indices(dom.cells_shape).transpose(*range(1, N + 1), 0)
-    parts = []
-    for m in range(N):
-        area = dom.cell_volume / dom.widths[m]
-        for side, normal_sign in ((0, -1.0), (-1, 1.0)):
-            sl = tuple(side if k == m else slice(None) for k in range(N))
-            cent = centers[sl].reshape((-1, N)).copy()
-            cent[:, m] = dom.lower[m] if side == 0 else dom.upper[m]
-            parts.append(_faces(m, index[sl].reshape(-1, N), normal_sign, area, cent, True))
-    columns = _stack(parts)
-    axis = columns["axis"]
-    row = np.arange(len(axis))
-    half = columns["normal"][row, axis] * 0.5 * dom.widths[axis]
-    return np.ravel_multi_index(tuple(columns["index"].T), dom.cells_shape), row, half, columns
 
 
 def _faces(m: int, index, normal_sign: float, area: float, centroid, boundary: bool) -> dict:
@@ -438,6 +402,23 @@ def _rows(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(arr.shape[0], math.prod(arr.shape[1:]))
 
 
+def interior_jumps(const, lin, m: int, lo: tuple, hi: tuple, h: float, jump_tol: float):
+    """Over the facets normal to axis ``m`` between the cells ``lo`` and
+    ``hi`` of the cell arrays ``const`` and ``lin`` (width ``h`` along ``m``):
+    which of them jump by more than ``jump_tol``, and the ``plus``, ``minus``
+    and ``jump_lin`` rows of those that do, in C order of their cells."""
+    N = lin.shape[-1]
+    value_ndim = const.ndim - N
+    flat = (-1,) + const.shape[N:]
+    trace_lo = (const[lo] + 0.5 * h * lin[lo + (Ellipsis, m)]).reshape(flat)
+    trace_hi = (const[hi] - 0.5 * h * lin[hi + (Ellipsis, m)]).reshape(flat)
+    jlin = (lin[hi] - lin[lo]).reshape(flat + (N,))
+    jlin[..., m] = 0.0
+    mag = norm(trace_hi - trace_lo, value_ndim) + norm(jlin, value_ndim + 1)
+    keep = ~(mag <= jump_tol)  # a NaN magnitude counts as a jump here
+    return keep, trace_hi[keep], trace_lo[keep], jlin[keep]
+
+
 class PiecewiseAffineField:
     """Cellwise-affine field: value(y) = const[c] + lin[c] . (y - center[c])."""
 
@@ -467,16 +448,6 @@ class PiecewiseAffineField:
     def value_ndim(self) -> int:
         return len(self.value_shape)
 
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        idx = np.floor((points - self.domain.lower) / self.domain.widths).astype(int)
-        idx = np.clip(idx, 0, self.domain.resolution - 1)
-        centers = self.domain.lower + (idx + 0.5) * self.domain.widths
-        flat = np.ravel_multi_index(tuple(idx.T), self.domain.cells_shape)
-        const = self.const.reshape((-1,) + self.value_shape)[flat]
-        lin = self.lin.reshape((-1,) + self.value_shape + (self.domain.ndim,))[flat]
-        return const + np.einsum("m...k,mk->m...", lin, points - centers)
-
     # -- jump set -----------------------------------------------------------
 
     def jump_set(self) -> FacetTable:
@@ -503,26 +474,13 @@ class PiecewiseAffineField:
     def _interior_blocks(self):
         dom = self.domain
         widths = dom.widths
-        for m, rows, lo, hi in dom.interior_blocks():
-            keep, plus, minus, jump_lin = self._interior_jumps(m, lo, hi, widths[m])
-            geometry = dom.block_geometry(m, rows, lo)
+        for m, _, lo, hi in dom.interior_blocks():
+            keep, plus, minus, jump_lin = interior_jumps(self.const, self.lin, m, lo, hi, widths[m],
+                                                         self.jump_tol)
+            geometry = dom.block_geometry(m, lo)
             if not keep.all():
                 geometry = {name: column[keep] for name, column in geometry.items()}
             yield FacetTable(plus=plus, minus=minus, jump_lin=jump_lin, **geometry)
-
-    def _interior_jumps(self, m: int, sl_lo: tuple, sl_hi: tuple, h: float):
-        """Over the interior facets normal to axis ``m`` between the cells
-        ``sl_lo`` and ``sl_hi``: which of them jump by more than
-        ``jump_tol``, and the ``plus``, ``minus`` and ``jump_lin`` rows of
-        those that do."""
-        flat = (-1,) + self.value_shape
-        trace_lo = (self.const[sl_lo] + 0.5 * h * self.lin[sl_lo + (Ellipsis, m)]).reshape(flat)
-        trace_hi = (self.const[sl_hi] - 0.5 * h * self.lin[sl_hi + (Ellipsis, m)]).reshape(flat)
-        jlin = (self.lin[sl_hi] - self.lin[sl_lo]).reshape(flat + (self.domain.ndim,))
-        jlin[..., m] = 0.0
-        mag = norm(trace_hi - trace_lo, self.value_ndim) + norm(jlin, self.value_ndim + 1)
-        keep = ~(mag <= self.jump_tol)  # a NaN magnitude counts as a jump here
-        return keep, trace_hi[keep], trace_lo[keep], jlin[keep]
 
     def _build_boundary_facets(self) -> FacetTable:
         if self.boundary_data is None:
@@ -608,17 +566,6 @@ class PiecewiseAffineField:
 # ---------------------------------------------------------------------------
 
 
-def total_jump_mass(field: PiecewiseAffineField) -> float:
-    """Sum of |jump| * area over all jump facets (Frobenius on tensor jumps).
-
-    Jumps are sampled at facet centroids; for facets with affine jump
-    variation this is the centroid-sampled mass (a lower bound on the exact
-    facet integral), which is what all mass bounds in this package refer to.
-    """
-    facets = field.jump_set()
-    return fsum(facets.magnitudes() * facets.area)
-
-
 def common_refinement(f: PiecewiseAffineField, g: PiecewiseAffineField):
     """Both fields on the least common grid of their box; a field already on
     it is returned as the same object.  Value shapes may differ."""
@@ -651,10 +598,6 @@ def l1_distance(f: PiecewiseAffineField, g: PiecewiseAffineField) -> float:
     ff, gg = common_refinement(f, g)
     return _l1_of_cell_data(ff.domain, (ff.const, gg.const), (ff.lin, gg.lin), ff.value_shape,
                             _L1_QUAD_ORDER)
-
-
-def l1_norm(f: PiecewiseAffineField) -> float:
-    return _l1_of_cell_data(f.domain, f.const, f.lin, f.value_shape, _L1_QUAD_ORDER)
 
 
 # cells per batch of the L1 paths: bounds their temporaries

@@ -167,12 +167,6 @@ def gauss_legendre_rule(lower, upper, order: int):
     return nodes, wts
 
 
-def gauss_legendre_points(lower, upper, order: int):
-    """Tensor Gauss-Legendre rule on a box: (points (m, N), weights (m,))."""
-    nodes, wts = gauss_legendre_rule(lower, upper, order)
-    return tensor_points(nodes), wts
-
-
 def tensor_points(nodes) -> np.ndarray:
     """The points (m, N) of the tensor grid of per-axis ``nodes``, the last axis fastest."""
     return np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)

@@ -210,8 +210,7 @@ def default_box_family(L, M, a) -> list[BoxInclusion]:
 
 
 # the ranges a random box draws its center and its half-widths from; a box
-# then reaches at most 0.4 from the origin, so the 0.45 clamp does not fire
-# unless they are widened
+# then reaches at most 0.4 from the origin, inside the cube
 _BOX_DRAWS = ((-0.15, 0.15), (0.02, 0.25))
 
 
@@ -219,9 +218,8 @@ def random_competitors(L, M, a, count: int = 1000, seed: int = 0) -> list[dict]:
     """Seeded random admissible boxes and laminates with their exact energies.
 
     The first ``count // 2`` are axis boxes, each drawing its center and then
-    its half-widths, and a box that reaches the cube is clamped 0.05 inside
-    it; the rest are laminates in random orthonormal bases.  Each kind is
-    drawn and priced in one batch.
+    its half-widths; the rest are laminates in random orthonormal bases.
+    Each kind is drawn and priced in one batch.
     """
     if count < 0:
         raise ValueError(f"count must not be negative, got {count}")
@@ -232,8 +230,6 @@ def random_competitors(L, M, a, count: int = 1000, seed: int = 0) -> list[dict]:
     low, high = np.array(_BOX_DRAWS).T
     draws = low[:, None] + (high - low)[:, None] * rng.random((n_boxes, 2, N))
     centers, halves = draws[:, 0], draws[:, 1]
-    inside = _inside_cube(centers, halves, np.eye(N), 0.0)
-    halves = np.where(inside[:, None], halves, np.minimum(halves, 0.45 - np.abs(centers)))
     boxes = [{"kind": "box", "params": {"center": c, "half": h, "basis": None}, "energy": e}
              for c, h, e in zip(centers.tolist(), halves.tolist(),
                                 inclusion_energies(L, M, a, centers, halves))]

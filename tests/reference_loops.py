@@ -5,16 +5,20 @@ and sum facet by facet, integrate the L1 norm cell by cell (a scalar field's
 with one ``PiecewisePoly`` integral of ``|affine|`` per cell), evaluate the
 recession function one point at a time, price the Gamma2 bulk term cell by
 cell, and assemble the relaxed energy with one estimator call per cell and
-facet (no memo).  The plane families' competitors are built here as
-fields on the cube (``GridFamily``), the sequence's corrected primitive
-samples its target at the cell centres through ``evaluate``, and the bulk
-term of ``total_energy`` picks its sub-box with a mask over the whole
-grid.  The worked example's random competitors are drawn and priced one
+facet (no memo).  The plane families' competitors and the inclusion box
+are built here as fields on the cube (``GridFamily``, ``of_field``), the
+sequence's corrected primitive samples its target at the cell centres
+through ``evaluate``, and the bulk term of ``total_energy`` picks its
+sub-box with a mask over the whole grid.  The worked example's random competitors are drawn and priced one
 box and one laminate at a time.  The property tests in
 ``test_facet_table.py``, ``test_densities.py``, ``test_cellformulas.py``,
 ``test_assembly.py``, ``test_integrate.py``, ``test_constructions.py``,
 ``test_energy.py`` and ``test_trace_formula.py`` require the library code to
 reproduce their results bit for bit (the laminate to a stated bound).
+
+The fields, masses and quadrature points that only the tests build (the
+zero-trace staircase, the elementary jump, midpoint sampling, the jump mass,
+the L1 norm, the tensor Gauss-Legendre points) live here too.
 """
 
 from __future__ import annotations
@@ -26,17 +30,25 @@ from numpy.polynomial import polynomial as npoly
 
 from sdrelax.assembly import _trace_formula_estimate
 from sdrelax.cellformulas import (
-    _of_field,
+    Planes,
     estimate_W1,
     estimate_W2,
     estimate_gamma1,
     estimate_gamma2,
     rotation_to_last_axis,
 )
-from sdrelax.constructions import elementary_jump, gradient_primitive, staircase
+from sdrelax.constructions import gradient_primitive
 from sdrelax.densities import DEFAULT_SCHEDULE
-from sdrelax.fields import BoxDomain, PiecewiseAffineField, unit_cube
-from sdrelax.integrate import fsum, gauss_legendre_points
+from sdrelax.fields import (
+    _L1_QUAD_ORDER,
+    AffineBoundary,
+    BoxDomain,
+    PiecewiseAffineField,
+    StepBoundary,
+    _l1_of_cell_data,
+    unit_cube,
+)
+from sdrelax.integrate import fsum, gauss_legendre_rule, tensor_points
 from sdrelax.integrate import norm as _vnorm
 from sdrelax import integrate, trace_formula
 from sdrelax.trace_formula import (
@@ -179,7 +191,7 @@ def jump_set(field) -> list[JumpFacet]:
     return interior_facets(field) + boundary_facets(field)
 
 
-def total_jump_mass(field) -> float:
+def jump_mass_by_facet(field) -> float:
     return fsum([f.magnitude * f.area for f in jump_set(field)])
 
 
@@ -577,16 +589,46 @@ def gradient_zigzag_field(problem, params):
     return field, rotation_to_last_axis(problem.nu)
 
 
+def inclusion_field(problem, params):
+    """The inclusion box as a field on the cube: ``P y`` inside the box,
+    ``L y`` outside and on the outer faces."""
+    N = len(problem.x)
+    half = np.asarray(params[:N], dtype=int)
+    mid = problem.resolution // 2 + np.asarray(params[N:], dtype=int)
+    dom = unit_cube(N, problem.resolution)
+    L_field = problem.prescription.lin
+    vol_R = float(np.prod(2 * half * dom.widths))
+    P_field = (problem.gradient - (1.0 - vol_R) * L_field) / vol_R
+    box = tuple(slice(m - h, m + h) for m, h in zip(mid, half))
+    centers = dom.cell_centers()
+    const = np.einsum("vwk,...k->...vw", L_field, centers)
+    const[box] = np.einsum("vwk,...k->...vw", P_field, centers[box])
+    lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
+    lin[box] = P_field
+    field = PiecewiseAffineField(dom, const, lin, boundary_data=problem.prescription)
+    return field, None
+
+
 GRID_BUILDERS = {"staircase": staircase_field, "elementary_jump": elementary_jump_field,
                  "splitting": splitting_field, "laminate": laminate_field,
-                 "gradient_zigzag": gradient_zigzag_field}
+                 "gradient_zigzag": gradient_zigzag_field, "inclusion": inclusion_field}
+
+
+def of_field(field) -> Planes:
+    """The rows of a competitor built as a field: one per facet of its jump
+    set, and one gradient per cell, in C order."""
+    dom = field.domain
+    facets = field.jump_set()
+    return Planes(dom, facets, np.ones(len(facets), dtype=int),
+                  field.lin.reshape((-1,) + field.value_shape + (dom.ndim,)),
+                  np.ones(dom.num_cells, dtype=int))
 
 
 class GridFamily:
-    """A plane family whose competitors are built as fields on the cube, as
-    the package built them before it priced them by formula, and handed to
-    the sweep as one row per facet of the field's jump set and one gradient
-    per cell (``cellformulas._of_field``)."""
+    """A family whose competitors are built as fields on the cube, as the
+    package built them before it priced them by formula, and handed to the
+    sweep as one row per facet of the field's jump set and one gradient per
+    cell (``of_field``)."""
 
     def __init__(self, family):
         self.family = family
@@ -597,7 +639,7 @@ class GridFamily:
 
     def planes(self, problem, params):
         field, _ = GRID_BUILDERS[self.name](problem, params)
-        return _of_field(field)
+        return of_field(field)
 
 
 # ---------------------------------------------------------------------------
@@ -606,10 +648,11 @@ class GridFamily:
 
 
 def piecewise_constant_approx(u, n):
+    """Cell-midpoint sampling of u on the resolution-n grid (zero linear part)."""
     n = np.broadcast_to(np.asarray(n, dtype=int), (u.domain.ndim,))
     grid = BoxDomain(u.domain.lower, u.domain.upper, n)
     centers = grid.cell_centers().reshape(-1, grid.ndim)
-    values = u.evaluate(centers).reshape(grid.cells_shape + u.value_shape)
+    values = evaluate(u, centers).reshape(grid.cells_shape + u.value_shape)
     return PiecewiseAffineField(grid, values, jump_tol=u.jump_tol)
 
 
@@ -637,6 +680,90 @@ def bulk_energy_masked(u, densities, cell_ranges) -> float:
         mask &= (idx[k] >= lo) & (idx[k] < hi)
     vals = np.asarray(densities.W(centers[mask], A[mask], M[mask]), dtype=float)
     return fsum(vals * dom.cell_volume)
+
+
+# ---------------------------------------------------------------------------
+# fields, masses and quadrature points that only the tests build
+# ---------------------------------------------------------------------------
+
+
+def evaluate(field, points: np.ndarray) -> np.ndarray:
+    """The field's values at ``points`` (m, N), each in the cell that holds it."""
+    dom = field.domain
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    idx = np.floor((points - dom.lower) / dom.widths).astype(int)
+    idx = np.clip(idx, 0, dom.resolution - 1)
+    centers = dom.lower + (idx + 0.5) * dom.widths
+    flat = np.ravel_multi_index(tuple(idx.T), dom.cells_shape)
+    const = field.const.reshape((-1,) + field.value_shape)[flat]
+    lin = field.lin.reshape((-1,) + field.value_shape + (dom.ndim,))[flat]
+    return const + np.einsum("m...k,mk->m...", lin, points - centers)
+
+
+def staircase(A, n: int, domain: BoxDomain) -> PiecewiseAffineField:
+    """Zero-trace field with cellwise gradient exactly A, on the box of
+    ``domain`` with ``n`` cells per axis (``domain`` itself when it has them).
+
+    Superposes, per axis j, a slab-centered sawtooth carrying jump vector
+    (A e_j) * width_j / n across n planes (slab interfaces plus the two face
+    mismatches, which are accounted as boundary jump facets).  Centering each
+    affine piece at its cell gives zero trace at every boundary facet
+    centroid, so the jump mass decomposes exactly per axis:
+
+        mass = sum_j |A e_j| * |domain|  <=  sqrt(N) |A| |domain|.
+    """
+    if n < 1:
+        raise ValueError("need at least one slab per axis")
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    d, N = A.shape
+    if N != domain.ndim:
+        raise ValueError("column count of A must match the domain dimension")
+    grid = domain if np.all(domain.resolution == n) else \
+        BoxDomain(domain.lower, domain.upper, n * np.ones(N, dtype=int))
+    const = np.zeros(grid.cells_shape + (d,))
+    lin = np.broadcast_to(A, grid.cells_shape + (d, N)).copy()
+    return PiecewiseAffineField(grid, const, lin, boundary_data=AffineBoundary.zero((d,), N))
+
+
+def elementary_jump(payload, ndim: int | None = None, resolution: int = 4,
+                    domain: BoxDomain | None = None) -> PiecewiseAffineField:
+    """Field equal to ``payload`` above the mid-plane of the cell cube, 0 below.
+
+    The cube is the oriented unit cube in rotated coordinates (the jump normal
+    maps to the last axis).  The resolution along the last axis must be even
+    so the mid-plane is a union of grid facets.
+    """
+    payload = np.asarray(payload, dtype=float)
+    if domain is None:
+        if ndim is None:
+            raise ValueError("give either a domain or the dimension")
+        domain = unit_cube(ndim, resolution)
+    N = domain.ndim
+    if int(domain.resolution[N - 1]) % 2 != 0:
+        raise ValueError("resolution along the jump axis must be even")
+    mid = 0.5 * (domain.lower[N - 1] + domain.upper[N - 1])
+    centers = domain.cell_centers()
+    above = centers[..., N - 1] > mid
+    const = np.where(above.reshape(above.shape + (1,) * payload.ndim), payload, np.zeros_like(payload))
+    return PiecewiseAffineField(domain, const, boundary_data=StepBoundary(payload, N - 1, mid))
+
+
+def total_jump_mass(field) -> float:
+    """Sum of |jump| * area over the rows of the field's jump set (Frobenius
+    on tensor jumps), sampled at the facet centroids."""
+    facets = field.jump_set()
+    return fsum(facets.magnitudes() * facets.area)
+
+
+def l1_norm(field) -> float:
+    """The field's L1 norm through the library's block path."""
+    return _l1_of_cell_data(field.domain, field.const, field.lin, field.value_shape, _L1_QUAD_ORDER)
+
+
+def gauss_legendre_points(lower, upper, order: int):
+    """Tensor Gauss-Legendre rule on a box: (points (m, N), weights (m,))."""
+    nodes, wts = gauss_legendre_rule(lower, upper, order)
+    return tensor_points(nodes), wts
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +823,6 @@ def random_competitors(L, M, a, count: int = 1000, seed: int = 0) -> list[dict]:
         center = rng.uniform(c_lo, c_hi, N)
         half = rng.uniform(h_lo, h_hi, N)
         box = BoxInclusion(center, half)
-        if not corners_inside_cube(box):
-            half = np.minimum(half, 0.45 - np.abs(center))
-            box = BoxInclusion(center, half)
         out.append({"kind": "box", "params": box.describe(),
                     "energy": inclusion_energy(L, M, a, box)})
     for _ in range(count - n_boxes):

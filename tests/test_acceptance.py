@@ -13,13 +13,8 @@ import pytest
 from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
 from sdrelax.cellformulas import estimate_W1, estimate_W2, estimate_gamma1
 from sdrelax.cli import run as cli_run
-from sdrelax.constructions import (
-    SD2Triple,
-    approximating_sequence,
-    elementary_jump,
-    gradient_primitive,
-    staircase,
-)
+from reference_loops import elementary_jump, l1_norm, staircase, total_jump_mass
+from sdrelax.constructions import SD2Triple, approximating_sequence, gradient_primitive
 from sdrelax.densities import (
     DensityTriple,
     bulk_norm,
@@ -33,13 +28,7 @@ from sdrelax.densities import (
     psi2_proj,
 )
 from sdrelax.energy import total_energy
-from sdrelax.fields import (
-    BoxDomain,
-    PiecewiseAffineField,
-    gauss_green_residual,
-    l1_norm,
-    total_jump_mass,
-)
+from sdrelax.fields import BoxDomain, PiecewiseAffineField, gauss_green_residual
 from sdrelax.hypotheses import CheckConfig, check_hypotheses, check_interfacial
 from sdrelax.trace_formula import (
     BoxInclusion,

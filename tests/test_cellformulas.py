@@ -20,7 +20,6 @@ from sdrelax.cellformulas import (
     estimate_W2,
     estimate_gamma1,
     estimate_gamma2,
-    _of_field,
     rotation_to_last_axis,
 )
 from sdrelax.densities import (
@@ -33,7 +32,14 @@ from sdrelax.densities import (
     psi2_norm,
     triple_from_expressions,
 )
-from sdrelax.fields import DEFAULT_JUMP_TOL, AffineBoundary, BoxDomain, PiecewiseAffineField, unit_cube
+from sdrelax.fields import (
+    DEFAULT_JUMP_TOL,
+    AffineBoundary,
+    BoxDomain,
+    FacetTable,
+    PiecewiseAffineField,
+    unit_cube,
+)
 from sdrelax.integrate import fsum, norm
 from sdrelax.trace_formula import closed_form_W2
 
@@ -55,8 +61,8 @@ class AffineCompetitor:
         L_field = problem.L.transpose(0, 2, 1)
         const = np.einsum("vwk,...k->...vw", L_field, dom.cell_centers())
         lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
-        return _of_field(PiecewiseAffineField(dom, const, lin,
-                                              boundary_data=AffineBoundary.linear(L_field)))
+        return ref.of_field(PiecewiseAffineField(dom, const, lin,
+                                                 boundary_data=AffineBoundary.linear(L_field)))
 
 
 class TestCellProblemShapes:
@@ -304,7 +310,7 @@ class TestGamma2BulkReference:
                 field, R = ref.GRID_BUILDERS[family.name](problem, params)
                 bulk = ref.bulk_energy_recession(problem, field, R)
                 jump, _ = ref.facet_energy(densities.psi2, field, problem.x, R)
-                assert competitor_energy(problem, [_of_field(field)])[0][0] == bulk + jump
+                assert competitor_energy(problem, [ref.of_field(field)])[0][0] == bulk + jump
                 bulk_terms.append(bulk)
         assert any(b != 0.0 for b in bulk_terms)  # the zigzag pays bulk
 
@@ -498,6 +504,71 @@ class TestPlanesMatchTheGrid:
                     assert (new.best_family, new.best_params, new.evaluations) == \
                         (old.best_family, old.best_params, old.evaluations)
                     assert [r["params"] for r in new.rows] == [r["params"] for r in old.rows]
+
+
+class _BoxAgainstItsField(InclusionFamily):
+    """The inclusion box, checked at every parameter the sweep visits
+    (candidates and coordinate-descent steps) against the rows of its grid
+    field (``reference_loops.inclusion_field``)."""
+
+    def __init__(self):
+        self.visited = []
+
+    def planes(self, problem, params):
+        planes = super().planes(problem, params)
+        field, _ = ref.inclusion_field(problem, params)
+        grid = ref.of_field(field)
+        for name in FacetTable.__dataclass_fields__:
+            a, b = getattr(planes.facets, name), getattr(grid.facets, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        for name in ("counts", "gradients", "cells"):
+            a, b = getattr(planes, name), getattr(grid, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert planes.domain is grid.domain
+        self.visited.append(tuple(params))
+        return planes
+
+
+class TestInclusionBoxMatchesItsField:
+    """The inclusion box's face rows are its grid field's jump set bit for
+    bit, at data of order 1, where no rounding of ``L y`` off the box's faces
+    exceeds the jump tolerance."""
+
+    @pytest.mark.parametrize("resolution", [4, 8, 10])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_every_visited_box_is_its_field(self, N, resolution):
+        for seed in range(3):
+            rng = np.random.default_rng([N, resolution, seed])
+            x, A = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N))
+            L = rng.standard_normal((N, N, N))
+            M = L.copy() if seed == 0 else rng.standard_normal((N, N, N))
+            family = _BoxAgainstItsField()
+            problem = CellProblem("W2", x, norm_triple(d=N, N=N), A=A, L=L, M=M,
+                                  resolution=resolution)
+            candidates = set(family.candidates(problem, 2))
+            estimate_W2(x, A, L, M, norm_triple(d=N, N=N), budget=2, resolution=resolution,
+                        families=[family])
+            assert candidates and candidates <= set(family.visited)
+
+
+def test_no_cell_problem_builds_a_field(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell problem built a PiecewiseAffineField")
+
+    monkeypatch.setattr(PiecewiseAffineField, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        PiecewiseAffineField(unit_cube(1, 2), np.zeros(2))
+    for N in (1, 2, 3):
+        rng = np.random.default_rng(N)
+        densities = norm_triple(d=N, N=N)
+        x, A = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N))
+        nu = rng.standard_normal(N)
+        nu /= np.linalg.norm(nu)
+        estimate_W1(x, A, densities, budget=2)
+        estimate_gamma1(x, rng.standard_normal(N), nu, densities, budget=2)
+        estimate_W2(x, A, rng.standard_normal((N, N, N)), rng.standard_normal((N, N, N)), densities,
+                    budget=2)
+        estimate_gamma2(x, A, rng.standard_normal((N, N)), nu, densities, budget=2)
 
 
 class TestPlaneOracles:

@@ -599,6 +599,13 @@ class TestWrongTypes:
          "bad densities.psi2.params section: densities.psi2.params.a: must be a number, got str"),
         (_edited(["example", "random_count"], -5, EXAMPLE_CONFIG),
          "bad example section: example.random_count: must not be negative, got -5"),
+        # and range-checked by the density
+        (_edited(["densities", "W", "params"], {"t_min": 0}, CHECK_CONFIG),
+         "bad density densities.W: t_min must be finite and > 0, got 0"),
+        (_edited(["densities", "W", "params"], {"t_min": -1}, CHECK_CONFIG),
+         "bad density densities.W: t_min must be finite and > 0, got -1"),
+        (_edited(["densities", "W", "params"], {"probe_range": -3}, CHECK_CONFIG),
+         "bad density densities.W: probe_range must be finite and >= 0, got -3"),
     ], ids=["sequence-n-int", "assemble-budget-list", "fields-G-string", "unknown-catalog",
             "assemble-list", "seed-list", "domain-resolution-object", "constant-object",
             "params-list", "collect-cells-string", "seed-float", "resolution-str",
@@ -609,7 +616,8 @@ class TestWrongTypes:
             "assemble-budget-bool", "assemble-resolution-float", "assemble-w2-resolution-float",
             "cell-x-bool", "cell-A-str", "check-input-range-bool", "check-schedule-str",
             "check-pair-scales-str", "example-tolerance-str", "params-t-min-str",
-            "params-probe-range-bool", "params-a-str", "example-random-count-negative"])
+            "params-probe-range-bool", "params-a-str", "example-random-count-negative",
+            "params-t-min-zero", "params-t-min-negative", "params-probe-range-negative"])
     def test_exit_2(self, tmp_path, capsys, payload, message):
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2

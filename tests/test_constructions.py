@@ -3,21 +3,19 @@ import pytest
 
 import reference_loops as ref
 from sdrelax import constructions
-from sdrelax.constructions import (
-    SD2Triple,
-    approximating_sequence,
+from reference_loops import (
     elementary_jump,
-    gradient_primitive,
+    l1_norm,
     piecewise_constant_approx,
     staircase,
+    total_jump_mass,
 )
+from sdrelax.constructions import SD2Triple, approximating_sequence, gradient_primitive
 from sdrelax.fields import (
     BoxDomain,
     PiecewiseAffineField,
     gauss_green_residual,
     l1_distance,
-    l1_norm,
-    total_jump_mass,
     trace_boundary,
 )
 

@@ -3,7 +3,8 @@ import pytest
 
 import reference_loops as ref
 from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
-from sdrelax.constructions import SD2Triple, approximating_sequence, piecewise_constant_approx
+from reference_loops import l1_norm, piecewise_constant_approx, total_jump_mass
+from sdrelax.constructions import SD2Triple, approximating_sequence
 from sdrelax.densities import (
     DensityTriple,
     bulk_norm,
@@ -16,13 +17,7 @@ from sdrelax.densities import (
     triple_from_expressions,
 )
 from sdrelax.energy import total_energy
-from sdrelax.fields import (
-    BoxDomain,
-    PiecewiseAffineField,
-    SecondOrderField,
-    l1_norm,
-    total_jump_mass,
-)
+from sdrelax.fields import BoxDomain, PiecewiseAffineField, SecondOrderField
 
 NT1 = norm_triple(d=1, N=1)
 

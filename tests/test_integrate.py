@@ -11,12 +11,8 @@ import pytest
 
 import reference_loops as ref
 import sdrelax.integrate
-from reference_loops import PiecewisePoly
-from sdrelax.integrate import (
-    box_abs_affine,
-    fsum,
-    gauss_legendre_points,
-)
+from reference_loops import PiecewisePoly, gauss_legendre_points
+from sdrelax.integrate import box_abs_affine, fsum
 
 
 def mc_abs_affine(const, grad, widths, n=400_000, seed=0):

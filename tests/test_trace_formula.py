@@ -214,20 +214,29 @@ class TestBatchMatchesReference:
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("widened", [False, True], ids=["shipped", "clamping"])
     def test_random_competitors(self, monkeypatch, N, count, widened):
-        if widened:  # boxes that reach past 0.45 from the origin, so the clamp fires
+        if widened:  # boxes that may reach past the cube, which both refuse
             monkeypatch.setattr(trace_formula, "_BOX_DRAWS", ((-0.3, 0.3), (0.02, 0.45)))
         rng = np.random.default_rng(100 * N + count)
         L = rng.standard_normal((N, N, N))
         M = rng.standard_normal((N, N, N))
         a = rng.standard_normal(N)
         a /= np.linalg.norm(a)
+        try:
+            want = ref.random_competitors(L, M, a, count=count, seed=count + N)
+        except ValueError as err:
+            assert widened and "compactly contained" in str(err)
+            with pytest.raises(ValueError, match="compactly contained"):
+                random_competitors(L, M, a, count=count, seed=count + N)
+            return
         got = random_competitors(L, M, a, count=count, seed=count + N)
         assert len(got) == count
-        assert bits(got) == bits(ref.random_competitors(L, M, a, count=count, seed=count + N))
-        if widened and count == 1000:
-            reach = [abs(c) + h for r in got[:count // 2]
-                     for c, h in zip(r["params"]["center"], r["params"]["half"])]
-            assert min(abs(x - 0.45) for x in reach) < 1e-15
+        assert bits(got) == bits(want)
+
+    def test_random_boxes_lie_inside_the_cube(self):
+        # every drawn box is compactly inside, with the margin the pricing requires
+        (c_lo, c_hi), (h_lo, h_hi) = trace_formula._BOX_DRAWS
+        assert h_lo > 0.0
+        assert max(abs(c_lo), abs(c_hi)) + h_hi < 0.5 - 1e-9
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_verify_example_on_the_example_triple(self, seed):
