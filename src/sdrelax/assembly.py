@@ -130,6 +130,14 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
                              "and the directional-jump interfacial density")
     if config.gamma2_representative not in ("average", "plus", "minus"):
         raise ValueError(f"unknown trace representative {config.gamma2_representative!r}")
+    # checked before any solve: otherwise a bad value fails only where a cell or facet reads it
+    if config.resolution < 2 or config.resolution % 2:
+        raise ValueError("resolution must be an even integer >= 2 (the jump axis of the Gamma "
+                         f"cells), got {config.resolution}")
+    if config.w2_resolution < 1:
+        raise ValueError(f"w2_resolution must be at least 1, got {config.w2_resolution}")
+    if config.budget < 1:
+        raise ValueError(f"budget must be at least 1, got {config.budget}")
 
     g, G, Gamma = sd2.g, sd2.G, sd2.Gamma
     dom = G.domain

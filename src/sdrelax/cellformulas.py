@@ -20,13 +20,16 @@ of its cube.  The W2 families are the laminate (the affine map ``L y`` when
 Every competitor reaches the sweep as :class:`Planes`: rows of grid facets
 and the gradients of its cells, priced without building its grid field.
 The inclusion box hands over one row per grid facet on the faces of its box,
-with the traces the grid field's arithmetic gives (``fields.interior_jumps``)
-and one gradient per cell.  Every other family is a stack of parallel planes
-with one gradient per layer of cells: one row per plane.  The energies are
-the grid fields' bit for bit (the laminate's to a few ulp).  Each competitor
-is admitted by the discrete Gauss-Green identity and the variant's gradient
-condition, and one density call prices all the admitted competitors of a
-problem.
+with the traces the grid field's arithmetic gives (that of
+``fields.interior_jumps``) and one gradient per cell.  Every other family is
+a stack of parallel planes with one gradient per layer of cells: one row per
+plane.  The energies are the grid fields' bit for bit (the laminate's to a
+few ulp).  A family builds all the candidates of a problem in one call, one
+:class:`Planes` each; the inclusion boxes of a problem share one pass over
+their cell arrays, with their data-free geometry cached per cube and per
+candidate list.  Each competitor is admitted by the discrete Gauss-Green
+identity and the variant's gradient condition, and one density call prices
+all the admitted competitors of a problem.
 
 Competitors on oriented cubes are built in rotated coordinates (the jump
 normal mapped to the last axis); densities receive the true normals and
@@ -54,7 +57,6 @@ from .fields import (
     FacetTable,
     StepBoundary,
     _stack,
-    interior_jumps,
     trace_boundary,  # noqa: F401 - no caller here; perfbench/traced.py wraps it by this name
     unit_cube,
 )
@@ -221,6 +223,9 @@ class Planes:
     of the zero-trace staircase of ``M - L`` (the laminate minus the affine
     map ``L y``), with the exact jumps ``h (L - M) e_m``; its grid field's
     carry the rounding of ``L y`` at each cell centre.
+
+    A family's ``planes(problem, batch)`` returns one per candidate of
+    ``batch``, each the same whatever else the batch holds.
     """
 
     domain: BoxDomain
@@ -276,22 +281,45 @@ def _layer_layout(N: int, r: int) -> dict:
 
 
 @functools.cache
-def _box_layout(N: int, r: int, params: tuple) -> dict:
-    """The data-free part of the inclusion box ``params`` on ``unit_cube(N, r)``:
-    per axis ``m``, the lower and upper cells of the facets on both faces
-    normal to ``m`` (one stepped slice along ``m``), and those facets'
-    geometry, in the order of the box's grid field's jump set."""
+def _cell_centers(N: int, r: int) -> np.ndarray:
+    """The cell centres of ``unit_cube(N, r)``, read-only."""
+    centers = unit_cube(N, r).cell_centers()
+    centers.flags.writeable = False
+    return centers
+
+
+@functools.cache
+def _box_layout(N: int, r: int, boxes: tuple) -> dict:
+    """The data-free part of the inclusion boxes ``boxes`` on ``unit_cube(N, r)``,
+    whose cell arrays are stacked (box ``c``'s flat cell ``i`` at row
+    ``c * cells + i``): per box, its cells (``box``) and volume; the rows of
+    the cells inside the boxes (``inside``); per facet on the faces of a box,
+    box by box and in the order of its grid field's jump set (per axis, one
+    stepped slice of lower cells), the rows of its two cells (``rows``), half
+    the cell width along its axis and its geometry.  Box ``c`` has the
+    facets ``edges[c]:edges[c + 1]``."""
     dom = unit_cube(N, r)
-    half = np.asarray(params[:N], dtype=int)
-    mid = r // 2 + np.asarray(params[N:], dtype=int)
-    box = tuple(slice(c - h, c + h) for c, h in zip(mid, half))
-    faces = tuple((m, box[:m] + (slice(c - h - 1, c + h, 2 * h),) + box[m + 1:],
-                   box[:m] + (slice(c - h, c + h + 1, 2 * h),) + box[m + 1:])
-                  for m, (c, h) in enumerate(zip(mid, half)))
-    geometry = _stack([dom.block_geometry(m, lo) for m, lo, _ in faces])
-    for column in geometry.values():
+    flat = np.arange(dom.num_cells).reshape(dom.cells_shape)
+    slices, volumes, inside, rows, geometry = [], [], [], [], []
+    for c, params in enumerate(boxes):
+        half = np.asarray(params[:N], dtype=int)
+        mid = r // 2 + np.asarray(params[N:], dtype=int)
+        box = tuple(slice(k - h, k + h) for k, h in zip(mid, half))
+        slices.append(box)
+        volumes.append(float(np.prod(2 * half * dom.widths)))
+        inside.append(c * dom.num_cells + flat[box].ravel())
+        for m, (k, h) in enumerate(zip(mid, half)):
+            lo = box[:m] + (slice(k - h - 1, k + h, 2 * h),) + box[m + 1:]
+            hi = box[:m] + (slice(k - h, k + h + 1, 2 * h),) + box[m + 1:]
+            rows.append(c * dom.num_cells + np.stack([flat[lo].ravel(), flat[hi].ravel()]))
+            geometry.append(dom.block_geometry(m, lo))
+    geometry = _stack(geometry)
+    edges = np.cumsum([0] + [part.shape[1] for part in rows])[::N]
+    lay = dict(volume=np.array(volumes), inside=np.concatenate(inside), rows=np.concatenate(rows, axis=1),
+               half=0.5 * dom.widths[geometry["axis"], None, None], every=np.arange(edges[-1]), edges=edges)
+    for column in (*lay.values(), *geometry.values()):
         column.flags.writeable = False
-    return dict(faces=faces, box=box, volume=float(np.prod(2 * half * dom.widths)), geometry=geometry)
+    return dict(lay, box=tuple(slices), geometry=geometry)
 
 
 def _layered(r: int, const: np.ndarray, lin: np.ndarray, prescription: BoundaryData) -> Planes:
@@ -409,11 +437,10 @@ class StaircaseFamily:
         for level in range(budget):
             yield (base * 2**level,)
 
-    def planes(self, problem: CellProblem, params) -> Planes:
-        (n,) = params
+    def planes(self, problem: CellProblem, batch) -> list[Planes]:
         A = problem.A
-        return _layered(int(n), np.zeros((n,) + A.shape[:1]), np.broadcast_to(A, (n,) + A.shape),
-                        problem.prescription)
+        return [_layered(int(n), np.zeros((n,) + A.shape[:1]), np.broadcast_to(A, (n,) + A.shape),
+                         problem.prescription) for (n,) in batch]
 
 
 class ElementaryJumpFamily:
@@ -424,10 +451,11 @@ class ElementaryJumpFamily:
     def candidates(self, problem: CellProblem, budget: int):
         yield ()
 
-    def planes(self, problem: CellProblem, params) -> Planes:
+    def planes(self, problem: CellProblem, batch) -> list[Planes]:
         _, const = _jump_layers(problem, problem.resolution)
-        return _layered(problem.resolution, const, np.zeros(const.shape + (len(problem.x),)),
-                        problem.prescription)
+        planes = _layered(problem.resolution, const, np.zeros(const.shape + (len(problem.x),)),
+                          problem.prescription)
+        return [planes] * len(batch)
 
 
 class SplittingFamily:
@@ -445,17 +473,19 @@ class SplittingFamily:
                     for beta in (-0.5, 0.5):
                         yield (alpha, j, beta)
 
-    def planes(self, problem: CellProblem, params) -> Planes:
-        alpha, j, beta = params
+    def planes(self, problem: CellProblem, batch) -> list[Planes]:
         payload = problem.payload
-        part = alpha * payload
-        if j >= 0:
-            part[int(j)] += beta
         N = len(problem.x)
         r = max(4, problem.resolution)
         z = _layer_column(_layer_layout(N, r)["z"], payload)
-        const = np.where(z <= -0.25, np.zeros_like(payload), np.where(z > 0.25, payload, part))
-        return _layered(r, const, np.zeros(const.shape + (N,)), problem.prescription)
+        out = []
+        for alpha, j, beta in batch:
+            part = alpha * payload
+            if j >= 0:
+                part[int(j)] += beta
+            const = np.where(z <= -0.25, np.zeros_like(payload), np.where(z > 0.25, payload, part))
+            out.append(_layered(r, const, np.zeros(const.shape + (N,)), problem.prescription))
+        return out
 
 
 class LaminateFamily:
@@ -468,13 +498,13 @@ class LaminateFamily:
     def candidates(self, problem: CellProblem, budget: int):
         yield ()
 
-    def planes(self, problem: CellProblem, params) -> Planes:
+    def planes(self, problem: CellProblem, batch) -> list[Planes]:
         r = problem.resolution
         L, M = problem.prescription.lin, problem.gradient
         lin = np.broadcast_to(M - L, (r,) + M.shape)
         planes = _layered(r, np.zeros((r,) + M.shape[:-1]), lin,
                           AffineBoundary.zero(M.shape[:-1], len(problem.x)))
-        return replace(planes, gradients=np.broadcast_to(M, lin.shape))
+        return [replace(planes, gradients=np.broadcast_to(M, lin.shape))] * len(batch)
 
 
 class InclusionFamily:
@@ -499,25 +529,46 @@ class InclusionFamily:
                         center[axis] = shift
                         yield (h,) * N + tuple(center)
 
-    def planes(self, problem: CellProblem, params) -> Planes:
-        """The grid facets on the faces of the box (its grid field's jump
-        set, less any rounding of ``L y`` off them) and one gradient per cell."""
-        dom = unit_cube(len(problem.x), problem.resolution)
-        lay = _box_layout(dom.ndim, problem.resolution, tuple(params))
-        L_field, vol_R = problem.prescription.lin, lay["volume"]
-        P_field = (problem.gradient - (1.0 - vol_R) * L_field) / vol_R
-        box, centers = lay["box"], dom.cell_centers()
-        const = np.einsum("vwk,...k->...vw", L_field, centers)
-        const[box] = np.einsum("vwk,...k->...vw", P_field, centers[box])
-        lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
-        lin[box] = P_field
-        faces = [interior_jumps(const, lin, m, lo, hi, dom.widths[m], DEFAULT_JUMP_TOL)
-                 for m, lo, hi in lay["faces"]]
-        keep, plus, minus, jump_lin = (np.concatenate(column) for column in zip(*faces))
-        facets = FacetTable(plus=plus, minus=minus, jump_lin=jump_lin,
-                            **{name: column[keep] for name, column in lay["geometry"].items()})
-        return Planes(dom, facets, np.ones(len(facets), dtype=int),
-                      lin.reshape((-1,) + L_field.shape), np.ones(dom.num_cells, dtype=int))
+    def planes(self, problem: CellProblem, batch) -> list[Planes]:
+        """Per box: the grid facets on its faces (its grid field's jump set,
+        less any rounding of ``L y`` off them) and one gradient per cell.
+
+        One pass for all boxes over their stacked cell arrays (``L y`` and
+        ``L`` outside each box, ``P y`` and ``P = (M - (1 - |R|) L) / |R|``
+        inside), with one gather of the two cells of every face facet; the
+        traces and jump test are the field's (``fields.interior_jumps``).
+        """
+        if not batch:
+            return []
+        N, r, C = len(problem.x), problem.resolution, len(batch)
+        dom, centers = unit_cube(N, r), _cell_centers(N, r)
+        lay = _box_layout(N, r, tuple(tuple(int(p) for p in params) for params in batch))
+        L, inside, every, half = problem.prescription.lin, lay["inside"], lay["every"], lay["half"]
+        vol = lay["volume"][:, None, None, None]
+        P = (problem.gradient - (1.0 - vol) * L) / vol
+        # the boxes' cell arrays, stacked; each einsum takes the subscripts and
+        # operand shapes of the grid field's, so its sums round as the field's
+        value = L.shape[:-1]
+        const = np.tile(np.einsum("vwk,...k->...vw", L, centers).reshape((-1,) + value), (C, 1, 1))
+        const[inside] = np.concatenate([np.einsum("vwk,...k->...vw", p, centers[box]).reshape((-1,) + value)
+                                        for p, box in zip(P, lay["box"])])
+        lin = np.tile(L, (C * dom.num_cells, 1, 1, 1))
+        lin[inside] = P[inside // dom.num_cells]
+        # each face facet's lower and upper cell, in one gather
+        (minus, plus), (lin_lo, lin_hi) = const[lay["rows"]], lin[lay["rows"]]
+        axis = lay["geometry"]["axis"]
+        minus = minus + half * lin_lo[every, ..., axis]
+        plus = plus - half * lin_hi[every, ..., axis]
+        jump_lin = lin_hi - lin_lo
+        jump_lin[every, ..., axis] = 0.0
+        keep = ~(norm(plus - minus, 2) + norm(jump_lin, 3) <= DEFAULT_JUMP_TOL)
+        facets = FacetTable(plus=plus, minus=minus, jump_lin=jump_lin, **lay["geometry"]).select(keep)
+        columns = [getattr(facets, name) for name in FacetTable.__dataclass_fields__]
+        edges = np.concatenate([[0], np.cumsum(keep)])[lay["edges"]]
+        cells = np.ones(dom.num_cells, dtype=int)
+        return [Planes(dom, FacetTable(*(column[a:b] for column in columns)), np.ones(b - a, dtype=int),
+                       gradients, cells)
+                for a, b, gradients in zip(edges[:-1], edges[1:], lin.reshape((C, -1) + L.shape))]
 
     def refine(self, problem: CellProblem, params, evaluate, budget: int):
         """Deterministic coordinate descent over half-sides and centers."""
@@ -556,16 +607,18 @@ class GradientZigzagFamily:
         for alpha in (0.25, 0.5):
             yield (alpha,)
 
-    def planes(self, problem: CellProblem, params) -> Planes:
-        (alpha,) = params
+    def planes(self, problem: CellProblem, batch) -> list[Planes]:
         N = len(problem.x)
         r = max(4, problem.resolution)
         z, base = _jump_layers(problem, r)
-        D = alpha * problem.payload
-        const = base + (np.abs(z) - 0.25) * D
-        lin = np.zeros(const.shape + (N,))
-        lin[..., N - 1] += np.where(z > 0.0, 1.0, -1.0) * D
-        return _layered(r, const, lin, problem.prescription)
+        out = []
+        for (alpha,) in batch:
+            D = alpha * problem.payload
+            const = base + (np.abs(z) - 0.25) * D
+            lin = np.zeros(const.shape + (N,))
+            lin[..., N - 1] += np.where(z > 0.0, 1.0, -1.0) * D
+            out.append(_layered(r, const, lin, problem.prescription))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +632,12 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
     a declared constant ``c``: ``forced`` is the total directed jump that the
     boundary data pins on every admissible competitor (Gauss-Green).
 
-    Every family yields its competitors as :class:`Planes`; each is
-    admitted by ``check_admissibility`` and those admitted are priced
-    together by ``competitor_energy``.  Families are taken in order, and one
-    with ``refine`` descends from the best so far when it holds it, pricing
-    each step on its own.
+    Each family builds its candidates in one ``planes`` call, one
+    :class:`Planes` each; each competitor is admitted by
+    ``check_admissibility`` and those admitted are priced together by
+    ``competitor_energy``.  Families are taken in order, and one with
+    ``refine`` descends from the best so far when it holds it, building and
+    pricing each step on its own.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 (the coarsest parameter grid), got {budget}")
@@ -606,21 +660,22 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
         rows.append({"family": family_name, "params": params, "admissible": ok, "energy": energy})
         return energy
 
-    # the competitors of every family, admitted one by one and priced together
-    planes = [[(params, family.planes(problem, params))
-               for params in family.candidates(problem, budget)] for family in families]
-    admitted = [[check_admissibility(problem, p) for _, p in swept] for swept in planes]
-    prices = iter(competitor_energy(problem, [p for swept, checks in zip(planes, admitted)
-                                              for (_, p), (ok, _) in zip(swept, checks) if ok]))
+    # the competitors of every family, built in one call per family,
+    # admitted one by one and priced together
+    swept = [list(family.candidates(problem, budget)) for family in families]
+    planes = [family.planes(problem, batch) for family, batch in zip(families, swept)]
+    admitted = [[check_admissibility(problem, p) for p in built] for built in planes]
+    prices = iter(competitor_energy(problem, [p for built, checks in zip(planes, admitted)
+                                              for p, (ok, _) in zip(built, checks) if ok]))
 
-    for family, swept, checks in zip(families, planes, admitted):
-        for (params, _), check in zip(swept, checks):
+    for family, batch, checks in zip(families, swept, admitted):
+        for params, check in zip(batch, checks):
             consider(family.name, params, check, lambda: next(prices))
         if hasattr(family, "refine") and best is not None and best[1] == family.name:
 
             @functools.cache
             def evaluate(params):
-                step = family.planes(problem, params)
+                (step,) = family.planes(problem, [params])
                 return consider(family.name, params, check_admissibility(problem, step),
                                 lambda: competitor_energy(problem, [step])[0])
 

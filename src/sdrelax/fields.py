@@ -17,7 +17,8 @@ that jump) and the Gauss-Green closure read.
 The data-free columns of those tables (facet axes, cell indices, normals,
 areas, centroids) are the grid's geometry, built per table, so no grid holds
 it.  The traces of interior facets come from cell arrays alone
-(:func:`interior_jumps`), which the cell formulas share.  A field also
+(:func:`interior_jumps`), whose arithmetic the inclusion boxes of the cell
+formulas repeat on the gathered cells of their faces.  A field also
 yields its jump set as blocks of bounded size (``facet_blocks``), which the
 energy prices one at a time without holding the whole table.
 

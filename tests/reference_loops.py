@@ -637,9 +637,8 @@ class GridFamily:
     def candidates(self, problem, budget):
         return self.family.candidates(problem, budget)
 
-    def planes(self, problem, params):
-        field, _ = GRID_BUILDERS[self.name](problem, params)
-        return of_field(field)
+    def planes(self, problem, batch):
+        return [of_field(GRID_BUILDERS[self.name](problem, params)[0]) for params in batch]
 
 
 # ---------------------------------------------------------------------------

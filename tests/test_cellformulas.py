@@ -56,13 +56,14 @@ class AffineCompetitor:
     def candidates(self, problem, budget):
         yield ()
 
-    def planes(self, problem, params):
+    def planes(self, problem, batch):
         dom = unit_cube(len(problem.x), problem.resolution)
         L_field = problem.L.transpose(0, 2, 1)
         const = np.einsum("vwk,...k->...vw", L_field, dom.cell_centers())
         lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
-        return ref.of_field(PiecewiseAffineField(dom, const, lin,
-                                                 boundary_data=AffineBoundary.linear(L_field)))
+        return [ref.of_field(PiecewiseAffineField(dom, const, lin,
+                                                  boundary_data=AffineBoundary.linear(L_field)))
+                for _ in batch]
 
 
 class TestCellProblemShapes:
@@ -339,7 +340,7 @@ class TestSweepMechanics:
 
     def test_admissibility_re_verified(self):
         problem = CellProblem("W1", X0, NT, A=np.eye(2))
-        planes = StaircaseFamily().planes(problem, (4,))
+        (planes,) = StaircaseFamily().planes(problem, [(4,)])
         ok, residual = check_admissibility(problem, planes)
         assert ok and residual <= 1e-10
         # breaking the gradient breaks admissibility
@@ -363,7 +364,7 @@ class TestSweepMechanics:
             "Gamma2": (CellProblem("Gamma2", X0, NT, A=np.eye(2), Lam=np.eye(2), nu=nu),
                        GradientZigzagFamily(), (0.25,)),
         }[variant]
-        planes = family.planes(problem, params)
+        (planes,) = family.planes(problem, [params])
         assert check_admissibility(problem, planes) == (True, 0.0)
         # a NaN gradient with the facet rows kept: only the gradient condition sees it
         gradients = planes.gradients.copy()
@@ -481,7 +482,7 @@ class TestPlanesMatchTheGrid:
                                   resolution=resolution, **data[variant])
             for family in fams:
                 for params in family.candidates(problem, 2):
-                    planes = family.planes(problem, params)
+                    (planes,) = family.planes(problem, [params])
                     field, _ = ref.GRID_BUILDERS[family.name](problem, params)
                     facets = field.jump_set()
                     assert tally(planes.facets, planes.counts) == tally(facets, np.ones(len(facets)))
@@ -506,27 +507,34 @@ class TestPlanesMatchTheGrid:
                     assert [r["params"] for r in new.rows] == [r["params"] for r in old.rows]
 
 
+def _assert_same_planes(planes, other):
+    """Every ``FacetTable`` column, ``counts``, ``gradients`` and ``cells``
+    bit for bit, and the same cube."""
+    for name in FacetTable.__dataclass_fields__:
+        a, b = getattr(planes.facets, name), getattr(other.facets, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for name in ("counts", "gradients", "cells"):
+        a, b = getattr(planes, name), getattr(other, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert planes.domain is other.domain
+
+
 class _BoxAgainstItsField(InclusionFamily):
     """The inclusion box, checked at every parameter the sweep visits
-    (candidates and coordinate-descent steps) against the rows of its grid
-    field (``reference_loops.inclusion_field``)."""
+    (each entry of its candidate batch and each coordinate-descent step)
+    against the rows of its grid field (``reference_loops.inclusion_field``)."""
 
     def __init__(self):
         self.visited = []
 
-    def planes(self, problem, params):
-        planes = super().planes(problem, params)
-        field, _ = ref.inclusion_field(problem, params)
-        grid = ref.of_field(field)
-        for name in FacetTable.__dataclass_fields__:
-            a, b = getattr(planes.facets, name), getattr(grid.facets, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        for name in ("counts", "gradients", "cells"):
-            a, b = getattr(planes, name), getattr(grid, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        assert planes.domain is grid.domain
-        self.visited.append(tuple(params))
-        return planes
+    def planes(self, problem, batch):
+        built = super().planes(problem, batch)
+        assert len(built) == len(batch)
+        for params, planes in zip(batch, built):
+            field, _ = ref.inclusion_field(problem, params)
+            _assert_same_planes(planes, ref.of_field(field))
+            self.visited.append(tuple(params))
+        return built
 
 
 class TestInclusionBoxMatchesItsField:
@@ -549,6 +557,65 @@ class TestInclusionBoxMatchesItsField:
             estimate_W2(x, A, L, M, norm_triple(d=N, N=N), budget=2, resolution=resolution,
                         families=[family])
             assert candidates and candidates <= set(family.visited)
+
+
+def _problem_of(variant, N, resolution, rng):
+    x, A = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N))
+    nu = rng.standard_normal(N)
+    nu /= np.linalg.norm(nu)
+    L = rng.standard_normal((N, N, N))
+    data = {"W1": dict(A=A), "Gamma1": dict(lam=rng.standard_normal(N), nu=nu),
+            "Gamma2": dict(A=A, Lam=rng.standard_normal((N, N)), nu=nu),
+            "W2": dict(A=A, L=L, M=rng.standard_normal((N, N, N))),
+            "W2, M = L": dict(A=A, L=L, M=L)}[variant]
+    return CellProblem(variant.split(",")[0], x, norm_triple(d=N, N=N), resolution=resolution, **data)
+
+
+class TestBatchIsItsEntries:
+    """A family's ``planes`` on a batch of candidates gives each entry what a
+    one-entry batch gives, bit for bit, whatever else the batch holds."""
+
+    FAMILIES = [(StaircaseFamily(), "W1"), (ElementaryJumpFamily(), "Gamma1"),
+                (ElementaryJumpFamily(), "Gamma2"), (SplittingFamily(), "Gamma1"),
+                (SplittingFamily(), "Gamma2"), (GradientZigzagFamily(), "Gamma2"),
+                (LaminateFamily(), "W2"), (InclusionFamily(), "W2"), (InclusionFamily(), "W2, M = L")]
+
+    @pytest.mark.parametrize("resolution", [4, 8, 10])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_each_entry_is_its_one_entry_batch(self, N, resolution):
+        rng = np.random.default_rng([N, resolution])
+        for family, variant in self.FAMILIES:
+            problem = _problem_of(variant, N, resolution, rng)
+            candidates = list(family.candidates(problem, 2))
+            assert candidates
+            shuffled = [candidates[i] for i in rng.permutation(len(candidates))]
+            repeated = shuffled[:3] + candidates + shuffled[:2]
+            alone = {params: family.planes(problem, [params]) for params in candidates}
+            assert all(len(one) == 1 for one in alone.values())
+            for batch in (candidates, shuffled, repeated):
+                built = family.planes(problem, batch)
+                assert len(built) == len(batch)
+                for params, planes in zip(batch, built):
+                    _assert_same_planes(planes, alone[params][0])
+            assert family.planes(problem, []) == []
+
+    def test_budget_1_builds_every_box_of_a_problem_in_one_call(self, monkeypatch):
+        calls = []
+        planes = InclusionFamily.planes
+
+        def counted(self, problem, batch):
+            calls.append(list(batch))
+            return planes(self, problem, batch)
+
+        monkeypatch.setattr(InclusionFamily, "planes", counted)
+        # L = 0: the laminate wins, so no coordinate descent builds more
+        # boxes (in 1D every box ties with it, and the descent runs)
+        for problems, N in enumerate((2, 3), start=1):
+            rng = np.random.default_rng(N)
+            x, A, M = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N)), rng.standard_normal((N, N, N))
+            r = estimate_W2(x, A, np.zeros((N, N, N)), M, norm_triple(d=N, N=N), budget=1)
+            assert r.best_family == "laminate"
+            assert len(calls) == problems and len(calls[-1]) == 3 ** N
 
 
 def test_no_cell_problem_builds_a_field(monkeypatch):

@@ -606,6 +606,16 @@ class TestWrongTypes:
          "bad density densities.W: t_min must be finite and > 0, got -1"),
         (_edited(["densities", "W", "params"], {"probe_range": -3}, CHECK_CONFIG),
          "bad density densities.W: probe_range must be finite and >= 0, got -3"),
+        # and range-checked before any solve: this config has no jump facet,
+        # so no Gamma cell would read the resolution
+        (_edited(["assemble", "resolution"], 0),
+         "resolution must be an even integer >= 2 (the jump axis of the Gamma cells), got 0"),
+        (_edited(["assemble", "resolution"], 3),
+         "resolution must be an even integer >= 2 (the jump axis of the Gamma cells), got 3"),
+        (_edited(["assemble", "resolution"], -2),
+         "resolution must be an even integer >= 2 (the jump axis of the Gamma cells), got -2"),
+        (_edited(["assemble", "w2_resolution"], 0), "w2_resolution must be at least 1, got 0"),
+        (_edited(["assemble", "budget"], 0), "budget must be at least 1, got 0"),
     ], ids=["sequence-n-int", "assemble-budget-list", "fields-G-string", "unknown-catalog",
             "assemble-list", "seed-list", "domain-resolution-object", "constant-object",
             "params-list", "collect-cells-string", "seed-float", "resolution-str",
@@ -617,7 +627,9 @@ class TestWrongTypes:
             "cell-x-bool", "cell-A-str", "check-input-range-bool", "check-schedule-str",
             "check-pair-scales-str", "example-tolerance-str", "params-t-min-str",
             "params-probe-range-bool", "params-a-str", "example-random-count-negative",
-            "params-t-min-zero", "params-t-min-negative", "params-probe-range-negative"])
+            "params-t-min-zero", "params-t-min-negative", "params-probe-range-negative",
+            "assemble-resolution-zero", "assemble-resolution-odd", "assemble-resolution-negative",
+            "assemble-w2-resolution-zero", "assemble-budget-zero"])
     def test_exit_2(self, tmp_path, capsys, payload, message):
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2
