@@ -34,9 +34,9 @@ all the admitted competitors of a problem.
 Competitors on oriented cubes are built in rotated coordinates (the jump
 normal mapped to the last axis); densities receive the true normals and
 derivative slots are un-rotated before bulk terms are evaluated.  The
-parameter sweep is a deterministic grid search (nested as the budget grows)
-followed by coordinate descent on the inclusion boxes; ties break toward the
-lexicographically smallest parameter vector.
+parameter sweep is one deterministic pass over each family's candidate list
+(nested as the budget grows), each candidate built and priced once; ties
+break on ``(energy, family name, params)``.
 """
 
 from __future__ import annotations
@@ -80,11 +80,12 @@ _SHAPES = {"A": "(d, N)", "lam": "(d,)", "Lam": "(d, N)", "L": "(d, N, N)", "M":
 class CellProblem:
     """One cell-formula instance with its frozen material point.
 
-    ``__post_init__`` checks the shapes of the variant's data and fixes, once
-    and in field layout, what the variant decides: the interfacial density
-    ``psi``, the jump ``payload``, the prescribed outer trace
-    ``prescription``, the prescribed ``gradient`` (cell by cell, or on
-    average when ``averaged``), the admissibility tolerance ``tol``,
+    ``__post_init__`` checks the shapes of the variant's data and the
+    ``resolution`` (at least 1, and even along the jump axis of Gamma1 and
+    Gamma2), and fixes, once and in field layout, what the variant decides:
+    the interfacial density ``psi``, the jump ``payload``, the prescribed
+    outer trace ``prescription``, the prescribed ``gradient`` (cell by cell,
+    or on average when ``averaged``), the admissibility tolerance ``tol``,
     relative to the size of the prescribed data, the ``rotation`` of the
     cube (the jump normal to the last axis; ``None`` for W1 and W2) and
     ``directed``: the total directed jump, the sum of ``[v] (x) q`` times
@@ -120,6 +121,9 @@ class CellProblem:
             if v is not None:
                 setattr(self, name, np.asarray(v, dtype=float))
         self._check_shapes()
+        if self.resolution < 1 or self.variant in ("Gamma1", "Gamma2") and self.resolution % 2:
+            raise ValueError(f"resolution must be at least 1 and must be even for Gamma1 and Gamma2, "
+                             f"got {self.resolution} for {self.variant}")
         if self.nu is not None and abs(np.linalg.norm(self.nu) - 1.0) > 1e-12:
             raise ValueError("nu must be a unit vector")
         N = len(self.x)
@@ -422,8 +426,6 @@ def _jump_layers(problem: CellProblem, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The layer centres ``z`` along the jump axis of ``unit_cube(N, r)``, and
     the elementary jump's layers: the payload above the mid-plane, 0 below."""
     z = _layer_column(_layer_layout(len(problem.x), r)["z"], problem.payload)
-    if r % 2 != 0:
-        raise ValueError("resolution along the jump axis must be even")
     return z, np.where(z > 0.0, problem.payload, np.zeros_like(problem.payload))
 
 
@@ -570,31 +572,6 @@ class InclusionFamily:
                        gradients, cells)
                 for a, b, gradients in zip(edges[:-1], edges[1:], lin.reshape((C, -1) + L.shape))]
 
-    def refine(self, problem: CellProblem, params, evaluate, budget: int):
-        """Deterministic coordinate descent over half-sides and centers."""
-        N = len(problem.x)
-        best_params = tuple(int(p) for p in params)
-        best_energy = evaluate(best_params)
-        max_iter = 4 * budget
-        for _ in range(max_iter):
-            improved = False
-            for slot in range(2 * N):
-                for delta in (-1, 1):
-                    cand = list(best_params)
-                    cand[slot] += delta
-                    cand = tuple(cand)
-                    if min(cand[:N]) < 1:
-                        continue
-                    if max(cand[k] + abs(cand[N + k]) for k in range(N)) > problem.resolution // 2 - 1:
-                        continue
-                    e = evaluate(cand)
-                    if e is not None and e < best_energy - 1e-15:
-                        best_params, best_energy = cand, e
-                        improved = True
-            if not improved:
-                break
-        return best_params, best_energy
-
 
 class GradientZigzagFamily:
     """Zero-average gradient oscillation added to the elementary jump (Gamma2)."""
@@ -634,52 +611,31 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
 
     Each family builds its candidates in one ``planes`` call, one
     :class:`Planes` each; each competitor is admitted by
-    ``check_admissibility`` and those admitted are priced together by
-    ``competitor_energy``.  Families are taken in order, and one with
-    ``refine`` descends from the best so far when it holds it, building and
-    pricing each step on its own.
+    ``check_admissibility``, and the admitted ones of every family are priced
+    together in one ``competitor_energy`` call.  The best is the least
+    ``(energy, family name, params)``.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 (the coarsest parameter grid), got {budget}")
-    rows = []
-    best = None                 # (energy, family, params, residual) of the best so far
-    evaluations = 0
-    any_inexact = False
-
-    def consider(family_name, params, admitted, price):
-        nonlocal best, evaluations, any_inexact
-        params = tuple(params)
-        ok, residual = admitted
-        energy = None
-        if ok:
-            energy, inexact = price()
-            evaluations += 1
-            any_inexact = any_inexact or inexact > 0
-            if best is None or (energy, family_name, params) < best[:3]:
-                best = (energy, family_name, params, residual)
-        rows.append({"family": family_name, "params": params, "admissible": ok, "energy": energy})
-        return energy
-
-    # the competitors of every family, built in one call per family,
-    # admitted one by one and priced together
     swept = [list(family.candidates(problem, budget)) for family in families]
     planes = [family.planes(problem, batch) for family, batch in zip(families, swept)]
     admitted = [[check_admissibility(problem, p) for p in built] for built in planes]
     prices = iter(competitor_energy(problem, [p for built, checks in zip(planes, admitted)
                                               for p, (ok, _) in zip(built, checks) if ok]))
-
+    rows = []
+    best = None                 # (energy, family, params, residual) of the best so far
+    evaluations = 0
+    any_inexact = False
     for family, batch, checks in zip(families, swept, admitted):
-        for params, check in zip(batch, checks):
-            consider(family.name, params, check, lambda: next(prices))
-        if hasattr(family, "refine") and best is not None and best[1] == family.name:
-
-            @functools.cache
-            def evaluate(params):
-                (step,) = family.planes(problem, [params])
-                return consider(family.name, params, check_admissibility(problem, step),
-                                lambda: competitor_energy(problem, [step])[0])
-
-            family.refine(problem, best[2], evaluate, budget)
+        for params, (ok, residual) in zip(batch, checks):
+            params, energy = tuple(params), None
+            if ok:
+                energy, inexact = next(prices)
+                evaluations += 1
+                any_inexact = any_inexact or inexact > 0
+                if best is None or (energy, family.name, params) < best[:3]:
+                    best = (energy, family.name, params, residual)
+            rows.append({"family": family.name, "params": params, "admissible": ok, "energy": energy})
 
     if best is None:
         payload = {name: getattr(problem, name).tolist()

@@ -79,6 +79,10 @@ class TestCellProblemShapes:
         ("W2", {"A": E2, "L": np.ones((2, 2, 2)), "M": np.ones((3, 2, 2))}, "M must have shape (d, N, N)"),
         ("W2", {"A": E2, "L": np.ones((2, 2, 2))}, "W2 cell problem needs M"),
         ("W3", {"A": E2}, "unknown cell variant 'W3'"),
+        ("W2", {"A": E2, "L": np.ones((2, 2, 2)), "M": np.ones((2, 2, 2)), "resolution": 0},
+         "resolution must be at least 1 and must be even for Gamma1 and Gamma2, got 0 for W2"),
+        ("Gamma2", {"A": E2, "Lam": E2, "nu": NU, "resolution": 5},
+         "resolution must be at least 1 and must be even for Gamma1 and Gamma2, got 5 for Gamma2"),
     ])
     def test_mismatch_names_the_field(self, variant, data, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -338,6 +342,14 @@ class TestSweepMechanics:
         assert any(not row["admissible"] for row in r.rows)  # the affine map fails M != L
         assert all(row["energy"] is None for row in r.rows if not row["admissible"])
 
+    def test_each_competitor_is_built_and_priced_once(self):
+        # in 1D at L = M = 0 every competitor ties at 0: the laminate and the
+        # three boxes, each one row and one evaluation
+        r = estimate_W2(np.zeros(1), np.zeros((1, 1)), np.zeros((1, 1, 1)), np.zeros((1, 1, 1)),
+                        norm_triple(d=1, N=1))
+        named = [(row["family"], row["params"]) for row in r.rows]
+        assert r.evaluations == len(r.rows) == len(set(named)) == 4
+
     def test_admissibility_re_verified(self):
         problem = CellProblem("W1", X0, NT, A=np.eye(2))
         (planes,) = StaircaseFamily().planes(problem, [(4,)])
@@ -520,9 +532,9 @@ def _assert_same_planes(planes, other):
 
 
 class _BoxAgainstItsField(InclusionFamily):
-    """The inclusion box, checked at every parameter the sweep visits
-    (each entry of its candidate batch and each coordinate-descent step)
-    against the rows of its grid field (``reference_loops.inclusion_field``)."""
+    """The inclusion box, checked at every entry of the candidate batch the
+    sweep builds against the rows of its grid field
+    (``reference_loops.inclusion_field``)."""
 
     def __init__(self):
         self.visited = []
@@ -608,13 +620,10 @@ class TestBatchIsItsEntries:
             return planes(self, problem, batch)
 
         monkeypatch.setattr(InclusionFamily, "planes", counted)
-        # L = 0: the laminate wins, so no coordinate descent builds more
-        # boxes (in 1D every box ties with it, and the descent runs)
-        for problems, N in enumerate((2, 3), start=1):
+        for problems, N in enumerate((1, 2, 3), start=1):
             rng = np.random.default_rng(N)
             x, A, M = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N)), rng.standard_normal((N, N, N))
-            r = estimate_W2(x, A, np.zeros((N, N, N)), M, norm_triple(d=N, N=N), budget=1)
-            assert r.best_family == "laminate"
+            estimate_W2(x, A, np.zeros((N, N, N)), M, norm_triple(d=N, N=N), budget=1)
             assert len(calls) == problems and len(calls[-1]) == 3 ** N
 
 

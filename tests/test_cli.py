@@ -616,6 +616,14 @@ class TestWrongTypes:
          "resolution must be an even integer >= 2 (the jump axis of the Gamma cells), got -2"),
         (_edited(["assemble", "w2_resolution"], 0), "w2_resolution must be at least 1, got 0"),
         (_edited(["assemble", "budget"], 0), "budget must be at least 1, got 0"),
+        # a cell problem checks its own resolution, whichever family reads it
+        (_edited(["cell", "resolution"], 0, SWEEP_CONFIG),
+         "resolution must be at least 1 and must be even for Gamma1 and Gamma2, got 0 for W1"),
+        (_edited(["cell", "resolution"], -5, SWEEP_CONFIG),
+         "resolution must be at least 1 and must be even for Gamma1 and Gamma2, got -5 for W1"),
+        (_sweep({"variant": "W2", "A": [[1.0, 0.0], [0.0, 1.0]], "L": ZERO_L, "M": ZERO_L,
+                 "resolution": -5}),
+         "resolution must be at least 1 and must be even for Gamma1 and Gamma2, got -5 for W2"),
     ], ids=["sequence-n-int", "assemble-budget-list", "fields-G-string", "unknown-catalog",
             "assemble-list", "seed-list", "domain-resolution-object", "constant-object",
             "params-list", "collect-cells-string", "seed-float", "resolution-str",
@@ -629,7 +637,8 @@ class TestWrongTypes:
             "params-probe-range-bool", "params-a-str", "example-random-count-negative",
             "params-t-min-zero", "params-t-min-negative", "params-probe-range-negative",
             "assemble-resolution-zero", "assemble-resolution-odd", "assemble-resolution-negative",
-            "assemble-w2-resolution-zero", "assemble-budget-zero"])
+            "assemble-w2-resolution-zero", "assemble-budget-zero", "cell-w1-resolution-zero",
+            "cell-w1-resolution-negative", "cell-w2-resolution-negative"])
     def test_exit_2(self, tmp_path, capsys, payload, message):
         cfg = write_config(tmp_path, payload)
         assert run(cfg, out_dir=str(tmp_path)) == 2
