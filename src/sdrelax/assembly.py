@@ -9,13 +9,21 @@ areas.  Every term carries an upper/lower bracket; the report exposes the
 split into a first-gradient part and a second-gradient part whose sum is the
 total by construction.
 
-Cells and facets are solved one after another, in grid and table order.
+The first-order and Gamma problems are solved in batches: all the W1 cell
+problems in one ``estimate_batch`` sweep, then all the Gamma1 facet problems,
+then all the Gamma2 ones, each sweep in blocks of ``cellformulas._SWEEP_BLOCK``
+problems, so memory stays bounded at any grid size.  The W2 cell problems
+are solved one at a time, in grid order.  A batch returns its failures
+instead of raising them, and the first failure in grid and table order (a
+cell's W1 before its W2) is the one raised, naming its cell.
+
 Identical cell problems are solved once: each estimate is memoized under the
 exact float bits of its arguments (``-0.0`` folded into ``0.0``, and the
-position zeroed for densities that declare no dependence on it).  Only
-bit-equal problems share a solve, and the estimators are deterministic, so
-the memo changes no reported digit; every cell and facet is priced at its
-own data.
+position zeroed for densities that declare no dependence on it), and a
+problem is solved at the data of its first lookup.  Only bit-equal problems
+share a solve, and the estimators are deterministic (an entry of a batch is
+its one-problem solve bit for bit), so neither the memo nor the batches
+change a reported digit; every cell and facet is priced at its own data.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ import numpy as np
 from .cellformulas import (
     EstimateResult,
     EstimationError,
-    estimate_W1,
+    estimate_W1,  # noqa: F401 - solved by estimate_batch here; perfbench/traced.py wraps it by this name
     estimate_W2,
-    estimate_gamma1,
-    estimate_gamma2,
+    estimate_batch,
+    estimate_gamma1,  # noqa: F401 - as estimate_W1
+    estimate_gamma2,  # noqa: F401 - as estimate_W1
 )
 from .constructions import SD2Triple
 from .densities import DensityTriple
@@ -155,26 +164,49 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
     x_free_2 = (densities.W.constants.get("H3") == 0.0
                 and densities.psi2.constants.get("H6") == 0.0)
     zero_x = np.zeros(N)
-    memo: dict[tuple, EstimateResult] = {}
+    memo: dict[tuple, EstimateResult | EstimationError] = {}
     lookups = 0
+
+    def key_of(variant: str, args: tuple) -> tuple:
+        # exact float bits (+ 0.0 folds -0.0 into 0.0); each variant has fixed shapes
+        return (variant,) + tuple((np.asarray(a, dtype=float) + 0.0).tobytes() for a in args)
 
     def lookup(variant: str, args: tuple, solve) -> EstimateResult:
         nonlocal lookups
         lookups += 1
-        # exact float bits (+ 0.0 folds -0.0 into 0.0); each variant has fixed shapes
-        key = (variant,) + tuple((np.asarray(a, dtype=float) + 0.0).tobytes() for a in args)
+        key = key_of(variant, args)
         if key not in memo:
             memo[key] = solve()
         return memo[key]
 
-    def solve_cell(i: int) -> tuple[EstimateResult, EstimateResult]:
+    def lookup_all(variant: str, keyed: list) -> list:
+        """The result, or the EstimationError, of each ``(key args, args)``
+        problem, in order; the memo's misses are solved by one batch sweep,
+        each at the args of its first lookup."""
+        nonlocal lookups
+        lookups += len(keyed)
+        keys = [key_of(variant, key) for key, _ in keyed]
+        missing = {}
+        for key, (_, args) in zip(keys, keyed):
+            if key not in memo:
+                missing.setdefault(key, args)
+        memo.update(zip(missing, estimate_batch(variant, list(missing.values()), densities,
+                                                budget=config.budget, resolution=config.resolution)))
+        return [memo[key] for key in keys]
+
+    def first_failure(results: list) -> list:
+        for result in results:
+            if isinstance(result, EstimationError):
+                raise result
+        return results
+
+    def solve_cell(i: int, r1) -> tuple[EstimateResult, EstimateResult]:
         x = centers[i]
         L_bil = swap_layout(L_field[i])
         M_bil = swap_layout(M_field[i])
         try:
-            r1 = lookup("W1", (zero_x if x_free_1 else x, A1[i]),
-                        lambda: estimate_W1(x, A1[i], densities, budget=config.budget,
-                                            resolution=config.resolution))
+            if isinstance(r1, EstimationError):
+                raise r1
             if config.w2_estimator == "trace-formula":
                 r2 = lookup("W2t", (zero_x if x_free_2 else x, L_bil, M_bil),
                             lambda: _trace_formula_estimate(x, L_bil, M_bil,
@@ -190,17 +222,16 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
                 f"cell {i} at x={x.tolist()}: {err}; "
                 f"A1={A1[i].tolist()}, L={L_bil.tolist()}, M={M_bil.tolist()}") from err
 
-    cell_results = [solve_cell(i) for i in range(cells)]
+    w1 = lookup_all("W1", [((zero_x if x_free_1 else x, a), (x, a)) for x, a in zip(centers, A1)])
+    cell_results = [solve_cell(i, r1) for i, r1 in enumerate(w1)]
     bulk1 = _bracket([r1 for r1, _ in cell_results], [vol] * cells)
     bulk2 = _bracket([r2 for _, r2 in cell_results], [vol] * cells)
 
     facets_g = g.jump_set()
-    surf1 = _bracket([
-        lookup("G1", (zero_x if x_free_1 else centroid, jump, normal),
-               lambda: estimate_gamma1(centroid, jump, normal, densities,
-                                       budget=config.budget, resolution=config.resolution))
+    surf1 = _bracket(first_failure(lookup_all("Gamma1", [
+        ((zero_x if x_free_1 else centroid, jump, normal), (centroid, jump, normal))
         for centroid, jump, normal in zip(facets_g.centroid, facets_g.jump, facets_g.normal)
-    ], facets_g.area)
+    ])), facets_g.area)
 
     facets_G = G.jump_set()
     # the plus/minus representatives are mean +- half the jump; reading the
@@ -209,13 +240,11 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
     if config.gamma2_representative != "average":
         half = 0.5 * facets_G.jump
         reps = reps + half if config.gamma2_representative == "plus" else reps - half
-    surf2 = _bracket([
-        lookup("G2", (zero_x if x_free_2 else centroid, rep, jump, normal),
-               lambda: estimate_gamma2(centroid, rep, jump, normal, densities,
-                                       budget=config.budget, resolution=config.resolution))
+    surf2 = _bracket(first_failure(lookup_all("Gamma2", [
+        ((zero_x if x_free_2 else centroid, rep, jump, normal), (centroid, rep, jump, normal))
         for centroid, rep, jump, normal in zip(facets_G.centroid, reps, facets_G.jump,
                                                facets_G.normal)
-    ], facets_G.area)
+    ])), facets_G.area)
 
     cell_rows = []
     if config.collect_cells:

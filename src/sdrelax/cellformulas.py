@@ -24,12 +24,19 @@ with the traces the grid field's arithmetic gives (that of
 ``fields.interior_jumps``) and one gradient per cell.  Every other family is
 a stack of parallel planes with one gradient per layer of cells: one row per
 plane.  The energies are the grid fields' bit for bit (the laminate's to a
-few ulp).  A family builds all the candidates of a problem in one call, one
-:class:`Planes` each; the inclusion boxes of a problem share one pass over
-their cell arrays, with their data-free geometry cached per cube and per
-candidate list.  Each competitor is admitted by the discrete Gauss-Green
-identity and the variant's gradient condition, and one density call prices
-all the admitted competitors of a problem.
+few ulp).
+
+The sweep runs over a list of problems of one variant (``estimate_batch``,
+in blocks of ``_SWEEP_BLOCK`` problems); ``estimate_W1`` and its siblings are
+its one-problem case.  A family builds all the candidates of all the
+problems of a block in one call: the plane families in one stacked
+``_layered`` pass per layer count, the inclusion boxes of a problem in one
+pass over their cell arrays.  All the competitors of a block are admitted in
+one pass (the discrete Gauss-Green identity and the variant's gradient
+condition) and the admitted ones priced with one density call, each row at
+its own problem's point and rotation.  The certificate, ``fsum`` and the
+choice of the best competitor then run per problem, so an entry of a batch
+is its one-problem solve bit for bit.
 
 Competitors on oriented cubes are built in rotated coordinates (the jump
 normal mapped to the last axis); densities receive the true normals and
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -60,7 +68,7 @@ from .fields import (
     trace_boundary,  # noqa: F401 - no caller here; perfbench/traced.py wraps it by this name
     unit_cube,
 )
-from .integrate import fsum, norm
+from .integrate import norm
 from .trace_formula import swap_layout
 
 ADMISSIBILITY_TOL = 1e-10
@@ -92,7 +100,8 @@ class CellProblem:
     area over the facets, that the discrete Gauss-Green identity pins on
     every admissible competitor (the prescription's outer flux minus the
     integral of the prescribed gradient over the unit cube), in the cube's
-    coordinates.
+    coordinates.  ``forced`` is that jump as the certificate prices it:
+    ``A``, ``lam``, ``L - M`` or ``Lam``.
     """
 
     variant: str                        # W1 | Gamma1 | W2 | Gamma2
@@ -113,6 +122,7 @@ class CellProblem:
     tol: float = dataclass_field(init=False, repr=False)
     rotation: np.ndarray | None = dataclass_field(init=False, repr=False)
     directed: np.ndarray = dataclass_field(init=False, repr=False)
+    forced: np.ndarray = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
@@ -133,15 +143,15 @@ class CellProblem:
         if self.variant == "W1":
             self.prescription = AffineBoundary.zero(self.A.shape[:1], N)
             self.gradient, data = self.A, (self.A,)
-            flux = np.zeros_like(self.A)
+            flux, self.forced = np.zeros_like(self.A), self.A
         elif self.variant == "W2":
             self.prescription = AffineBoundary.linear(swap_layout(self.L))
             self.gradient, data = swap_layout(self.M), (self.L, self.M)
-            flux = self.prescription.lin
+            flux, self.forced = self.prescription.lin, self.L - self.M
         else:
             self.prescription = StepBoundary(self.payload, N - 1, 0.0)
             self.gradient, data = np.zeros(self.payload.shape + (N,)), (self.payload,)
-            flux = np.multiply.outer(self.payload, np.eye(N)[N - 1])
+            flux, self.forced = np.multiply.outer(self.payload, np.eye(N)[N - 1]), self.payload
         self.tol = ADMISSIBILITY_TOL * max(1.0, *(float(norm(t, t.ndim)) for t in data))
         self.rotation = None if self.nu is None else rotation_to_last_axis(self.nu)
         self.directed = flux - self.gradient
@@ -228,8 +238,9 @@ class Planes:
     map ``L y``), with the exact jumps ``h (L - M) e_m``; its grid field's
     carry the rounding of ``L y`` at each cell centre.
 
-    A family's ``planes(problem, batch)`` returns one per candidate of
-    ``batch``, each the same whatever else the batch holds.
+    A family's ``planes(problems, batch)`` returns, per problem of
+    ``problems``, one per candidate of ``batch``, each the same whatever else
+    the problems and the batch hold.
     """
 
     domain: BoxDomain
@@ -251,7 +262,8 @@ def _layer_layout(N: int, r: int) -> dict:
     minus side and ``side`` the face of that cell it is (0 lower, 1 upper);
     ``ahead`` is the layer on the plus side of an interior facet.  Each
     row's geometry is that of the facet whose other cell indices are 0;
-    ``z`` holds the layers' centres along the last axis.
+    ``z`` holds the layers' centres along the last axis, and ``above`` says
+    which outer rows lie above the mid-plane of the last axis.
     """
     dom = unit_cube(N, r)
     m = N - 1
@@ -278,7 +290,7 @@ def _layer_layout(N: int, r: int) -> dict:
     lay = dict(axis=axis, boundary=outer, side=side, behind=behind, ahead=ahead, count=count,
                index=index, centroid=centroid, normal=normal, every=every,
                area=dom.cell_volume / dom.widths[axis], half=0.5 * dom.widths,
-               cells=np.full(r, r ** m), z=dom.axis_centers(m))
+               cells=np.full(r, r ** m), z=dom.axis_centers(m), above=centroid[outer, m] > 0.0)
     for value in lay.values():
         value.flags.writeable = False
     return lay
@@ -326,90 +338,136 @@ def _box_layout(N: int, r: int, boxes: tuple) -> dict:
     return dict(lay, box=tuple(slices), geometry=geometry)
 
 
-def _layered(r: int, const: np.ndarray, lin: np.ndarray, prescription: BoundaryData) -> Planes:
-    """The planes of the field on ``unit_cube(N, r)`` equal to ``const[i]``
-    and ``lin[i]`` in every cell of layer ``i`` and carrying
-    ``prescription``, which may depend on the last coordinate only.
+def _layered(r: int, const: np.ndarray, lin: np.ndarray, step: np.ndarray) -> list[Planes]:
+    """The planes of ``K = len(const)`` fields on ``unit_cube(N, r)``: field
+    ``k`` equals ``const[k, i]`` and ``lin[k, i]`` in every cell of layer
+    ``i``, and its prescribed outer trace is ``step[k]`` above the mid-plane
+    of the last axis and 0 below (a ``StepBoundary``, or the zero
+    ``AffineBoundary`` when ``step[k]`` is 0).
 
     The traces and the jump variation of each representative facet are the
     field's, by its own arithmetic (``PiecewiseAffineField``'s interior
     jumps and outer traces), and facets jumping by at most
-    ``DEFAULT_JUMP_TOL`` are dropped, as the field drops them.
+    ``DEFAULT_JUMP_TOL`` are dropped, as the field drops them.  All K fields
+    go in one pass, with a leading axis; the kept rows are sliced per field.
     """
-    N = lin.shape[-1]
+    K, N = len(const), lin.shape[-1]
     lay = _layer_layout(N, r)
     axis, outer = lay["axis"], lay["boundary"]
-    step = lay["half"] * lin  # half a cell width times the slope, per axis
-    # each cell's trace at its lower and upper face along each axis: (face, layer, ..., axis)
-    traces = np.stack([const[..., None] - step, const[..., None] + step])
-    minus = traces[lay["side"], lay["behind"], ..., axis]
-    plus = traces[0, lay["ahead"], ..., axis]
-    plus[outer], ahead = prescription.value_and_lin(lay["centroid"][outer])
-    jump_lin = lin[lay["ahead"]]
-    jump_lin[outer] = ahead
-    jump_lin -= lin[lay["behind"]]
-    jump_lin[lay["every"], ..., axis] = 0.0
-    vnd = const.ndim - 1
+    half = lay["half"] * lin  # half a cell width times the slope, per axis
+    # each cell's trace at its lower and upper face along each axis: (face, field, layer, ..., axis)
+    traces = np.stack([const[..., None] - half, const[..., None] + half])
+    k = np.arange(K)[:, None]
+    minus = traces[lay["side"], k, lay["behind"], ..., axis]
+    plus = traces[0, k, lay["ahead"], ..., axis]
+    plus[:, outer] = np.where(_layer_column(lay["above"], step[0]), step[:, None], 0.0)
+    jump_lin = np.take(lin, lay["ahead"], axis=1)
+    jump_lin[:, outer] = 0.0
+    jump_lin -= np.take(lin, lay["behind"], axis=1)
+    jump_lin[:, lay["every"], ..., axis] = 0.0
+    vnd = step.ndim - 1
     keep = ~(norm(plus - minus, vnd) + norm(jump_lin, vnd + 1) <= DEFAULT_JUMP_TOL)
-    facets = FacetTable(axis=axis, index=lay["index"], boundary=outer, normal=lay["normal"],
-                        area=lay["area"], plus=plus, minus=minus, jump_lin=jump_lin,
-                        centroid=lay["centroid"])
-    return Planes(unit_cube(N, r), facets.select(keep), lay["count"][keep], lin, lay["cells"])
+    columns = {name: np.broadcast_to(lay[name], keep.shape + lay[name].shape[1:])[keep]
+               for name in ("axis", "index", "boundary", "normal", "area", "centroid", "count")}
+    columns.update(plus=plus[keep], minus=minus[keep], jump_lin=jump_lin[keep])
+    count = columns.pop("count")
+    edges = np.concatenate([[0], np.cumsum(np.count_nonzero(keep, axis=1))]).tolist()
+    dom = unit_cube(N, r)
+    return [Planes(dom, FacetTable(**{name: column[a:b] for name, column in columns.items()}),
+                   count[a:b], gradients, lay["cells"])
+            for a, b, gradients in zip(edges[:-1], edges[1:], lin)]
+
+
+def _admit(problems: list, competitors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Re-verify each competitor, against its own problem, before its energy
+    may count: the gradient condition (cell by cell, or on average when
+    ``averaged``) and the discrete Gauss-Green identity, the competitor's
+    total directed jump being ``problem.directed``.  Residuals combine as
+    ``np.max`` does (a NaN rejects); admitted when at most ``problem.tol``.
+
+    One pass over the stacked gradients for the cellwise condition; the
+    averages and the directed jumps are the one-competitor ``einsum`` sums,
+    whose rounding the reported residual keeps.
+    """
+    if not competitors:
+        return np.zeros(0, dtype=bool), np.zeros(0)
+    if problems[0].averaged:
+        averages = [np.einsum("j,j...->...", planes.cells, planes.gradients) * planes.domain.cell_volume
+                    for planes in competitors]
+        residual = np.array([float(norm(avg - problem.gradient, avg.ndim))
+                             for problem, avg in zip(problems, averages)])
+    else:
+        sizes = [len(planes.gradients) for planes in competitors]
+        gradients = np.concatenate([planes.gradients for planes in competitors])
+        gap = np.abs(gradients - np.repeat([problem.gradient for problem in problems], sizes, axis=0))
+        residual = np.maximum.reduceat(gap.reshape(len(gap), -1).max(axis=1), np.cumsum(sizes) - sizes)
+    tables = [planes.facets for planes in competitors]
+    directed = np.array([np.einsum("f...,f,fk->...k", f.jump, f.area * planes.counts, f.normal)
+                         for planes, f in zip(competitors, tables)])
+    gap = np.abs(directed - np.array([problem.directed for problem in problems]))
+    residual = np.maximum(residual, gap.reshape(len(gap), -1).max(axis=1))
+    return residual <= np.array([problem.tol for problem in problems]), residual
 
 
 def check_admissibility(problem: CellProblem, planes: Planes) -> tuple[bool, float]:
-    """Re-verify a competitor before its energy may count: the gradient
-    condition (cell by cell, or on average when ``problem.averaged``) and
-    the discrete Gauss-Green identity, the competitor's total directed jump
-    being ``problem.directed``.  Residuals combine with ``np.max`` (a NaN
-    rejects), admitted when at most ``problem.tol``."""
-    if problem.averaged:
-        avg = np.einsum("j,j...->...", planes.cells, planes.gradients) * planes.domain.cell_volume
-        residual = float(norm(avg - problem.gradient, avg.ndim))
-    else:
-        residual = float(np.max(np.abs(planes.gradients - problem.gradient), initial=0.0))
-    f = planes.facets
-    directed = np.einsum("f...,f,fk->...k", f.jump, f.area * planes.counts, f.normal)
-    residual = float(np.max(np.abs(directed - problem.directed), initial=residual))
-    return residual <= problem.tol, residual
+    """One competitor's admissibility and residual, as the sweep's ``_admit``
+    decides them."""
+    ok, residual = _admit([problem], [planes])
+    return bool(ok[0]), float(residual[0])
 
 
-def competitor_energy(problem: CellProblem, competitors: list) -> list[tuple[float, int]]:
-    """Energy of each competitor, and its count of centroid-only facets.
+def _fsums(terms: np.ndarray, repeats: np.ndarray, sizes: list) -> list[float]:
+    """Per run of ``sizes`` consecutive terms, the ``fsum`` of its terms, each
+    counted ``repeats`` times."""
+    edges = np.cumsum([0] + sizes).tolist()
+    return [math.fsum(np.repeat(terms[a:b], repeats[a:b]).tolist()) for a, b in zip(edges, edges[1:])]
 
-    One interfacial pass over the rows of all of them (one ``psi`` call,
-    plus the density's facet integral per row whose jump varies) and, for
-    W2 and Gamma2, one bulk call over all their gradients: W(x0, A, .) for
-    W2, its recession for Gamma2.  Each term is counted once per facet or
-    cell it stands for; the terms are the grid field's bit for bit and
-    ``fsum`` rounds their exact sum, so each energy is that of the
-    competitor's field.
+
+def competitor_energy(problems: list, competitors: list) -> list[tuple[float, int]]:
+    """Energy of each competitor for its own problem (``problems`` holds one
+    per competitor, all of one variant), and its count of centroid-only
+    facets.
+
+    One interfacial pass over the rows of all of them (one ``psi`` call, each
+    row at its problem's point and rotation, plus the density's facet
+    integral per row whose jump varies) and, for W2 and Gamma2, one bulk call
+    over all their gradients: W(x0, A, .) for W2, its recession for Gamma2.
+    Each term is counted once per facet or cell it stands for; the terms are
+    the grid field's bit for bit and ``fsum`` rounds their exact sum, so each
+    energy is that of the competitor's field.
     """
     if not competitors:
         return []
-    tables = [p.facets for p in competitors]
-    sizes = [len(t) for t in tables]
-    table = FacetTable.concat(tables, len(problem.x), tables[0].plus.shape[1:])
-    widths = np.repeat([p.domain.widths for p in competitors], sizes, axis=0)
-    terms, inexact = _interfacial_terms(problem.psi, table, widths, problem.x, problem.rotation)
-    starts = np.cumsum(sizes) - sizes
-    priced = [(fsum(np.repeat(terms[a:a + n], p.counts)), int(np.sum(p.counts[inexact[a:a + n]])))
-              for p, a, n in zip(competitors, starts, sizes)]
-    if not problem.averaged:
-        return priced
+    lead = problems[0]
+    tables = [planes.facets for planes in competitors]
+    sizes = [len(table) for table in tables]
+    table = FacetTable.concat(tables, len(lead.x), tables[0].plus.shape[1:])
+    widths = np.repeat([planes.domain.widths for planes in competitors], sizes, axis=0)
+    xs = np.repeat([problem.x for problem in problems], sizes, axis=0)
+    rotations = None if lead.rotation is None else \
+        np.repeat([problem.rotation for problem in problems], sizes, axis=0)
+    terms, inexact = _interfacial_terms(lead.psi, table, widths, xs, rotations)
+    counts = np.concatenate([planes.counts for planes in competitors])
+    edges = np.cumsum([0] + sizes)
+    centroid_only = np.diff(np.concatenate([[0], np.cumsum(counts * inexact)])[edges]).tolist()
+    jumps = _fsums(terms, counts, sizes)
+    if not lead.averaged:
+        return list(zip(jumps, centroid_only))
+    sizes = [len(planes.gradients) for planes in competitors]
     # in C order, as a field's cells: the bulk integrand's sums then round as the field's
-    gradients = np.ascontiguousarray(np.concatenate([p.gradients for p in competitors]))
-    if problem.rotation is not None:
-        gradients = np.einsum("...k,mk->...m", gradients, problem.rotation)
-    xs = np.broadcast_to(problem.x, (len(gradients), len(problem.x)))
-    As = np.broadcast_to(problem.A, (len(gradients),) + problem.A.shape)
-    if problem.variant == "W2":
-        values = np.asarray(problem.densities.W(xs, As, gradients), dtype=float)
+    gradients = np.ascontiguousarray(np.concatenate([planes.gradients for planes in competitors]))
+    if lead.rotation is not None:
+        gradients = np.einsum("g...k,gmk->g...m", gradients,
+                              np.repeat([problem.rotation for problem in problems], sizes, axis=0))
+    xs = np.repeat([problem.x for problem in problems], sizes, axis=0)
+    As = np.repeat([problem.A for problem in problems], sizes, axis=0)
+    if lead.variant == "W2":
+        values = np.asarray(lead.densities.W(xs, As, gradients), dtype=float)
     else:
-        values = recession(problem.densities.W, xs, As, gradients)
-    pieces = np.split(values, np.cumsum([len(p.gradients) for p in competitors])[:-1])
-    return [(fsum(np.repeat(v * p.domain.cell_volume, p.cells)) + jump, inexact)
-            for p, v, (jump, inexact) in zip(competitors, pieces, priced)]
+        values = recession(lead.densities.W, xs, As, gradients)
+    volumes = np.repeat([planes.domain.cell_volume for planes in competitors], sizes)
+    bulk = _fsums(values * volumes, np.concatenate([planes.cells for planes in competitors]), sizes)
+    return [(b + jump, c) for b, jump, c in zip(bulk, jumps, centroid_only)]
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +476,27 @@ def competitor_energy(problem: CellProblem, competitors: list) -> list[tuple[flo
 
 
 def _layer_column(values: np.ndarray, payload: np.ndarray) -> np.ndarray:
-    """Per-layer values shaped to broadcast against the payload."""
+    """Per-layer values shaped to broadcast against one payload."""
     return values.reshape(values.shape + (1,) * payload.ndim)
 
 
-def _jump_layers(problem: CellProblem, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The layer centres ``z`` along the jump axis of ``unit_cube(N, r)``, and
-    the elementary jump's layers: the payload above the mid-plane, 0 below."""
-    z = _layer_column(_layer_layout(len(problem.x), r)["z"], problem.payload)
-    return z, np.where(z > 0.0, problem.payload, np.zeros_like(problem.payload))
+def _payloads(problems: list) -> np.ndarray:
+    """The jump payloads of the problems, stacked along a leading axis."""
+    return np.array([problem.payload for problem in problems])
+
+
+def _jump_layers(payloads: np.ndarray, N: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The layer centres ``z`` along the jump axis of ``unit_cube(N, r)``,
+    shaped to broadcast against one payload, and the elementary jump's
+    layers of each payload: the payload above the mid-plane, 0 below."""
+    z = _layer_column(_layer_layout(N, r)["z"], payloads[0])
+    return z, np.where(z > 0.0, payloads[:, None], 0.0)
+
+
+def _per_problem(built: list, P: int) -> list[list[Planes]]:
+    """The planes of every candidate for each of ``P`` problems, candidate by
+    candidate, as one list per problem."""
+    return [built[p::P] for p in range(P)]
 
 
 class StaircaseFamily:
@@ -439,10 +509,13 @@ class StaircaseFamily:
         for level in range(budget):
             yield (base * 2**level,)
 
-    def planes(self, problem: CellProblem, batch) -> list[Planes]:
-        A = problem.A
-        return [_layered(int(n), np.zeros((n,) + A.shape[:1]), np.broadcast_to(A, (n,) + A.shape),
-                         problem.prescription) for (n,) in batch]
+    def planes(self, problems: list, batch) -> list[list[Planes]]:
+        A = np.array([problem.A for problem in problems])
+        P = len(A)
+        return _per_problem([planes for (n,) in batch
+                             for planes in _layered(int(n), np.zeros((P, n) + A.shape[1:2]),
+                                                    np.broadcast_to(A[:, None], (P, n) + A.shape[1:]),
+                                                    np.zeros(A.shape[:2]))], P)
 
 
 class ElementaryJumpFamily:
@@ -453,11 +526,11 @@ class ElementaryJumpFamily:
     def candidates(self, problem: CellProblem, budget: int):
         yield ()
 
-    def planes(self, problem: CellProblem, batch) -> list[Planes]:
-        _, const = _jump_layers(problem, problem.resolution)
-        planes = _layered(problem.resolution, const, np.zeros(const.shape + (len(problem.x),)),
-                          problem.prescription)
-        return [planes] * len(batch)
+    def planes(self, problems: list, batch) -> list[list[Planes]]:
+        payloads, N, r = _payloads(problems), len(problems[0].x), problems[0].resolution
+        _, const = _jump_layers(payloads, N, r)
+        built = _layered(r, const, np.zeros(const.shape + (N,)), payloads)
+        return [[planes] * len(batch) for planes in built]
 
 
 class SplittingFamily:
@@ -475,19 +548,20 @@ class SplittingFamily:
                     for beta in (-0.5, 0.5):
                         yield (alpha, j, beta)
 
-    def planes(self, problem: CellProblem, batch) -> list[Planes]:
-        payload = problem.payload
-        N = len(problem.x)
-        r = max(4, problem.resolution)
-        z = _layer_column(_layer_layout(N, r)["z"], payload)
-        out = []
-        for alpha, j, beta in batch:
-            part = alpha * payload
+    def planes(self, problems: list, batch) -> list[list[Planes]]:
+        if not batch:
+            return [[] for _ in problems]
+        payloads, N, r = _payloads(problems), len(problems[0].x), max(4, problems[0].resolution)
+        z = _layer_column(_layer_layout(N, r)["z"], payloads[0])
+        # (candidate, problem, ...): the value of the middle layers
+        parts = np.array([alpha * payloads for alpha, _, _ in batch])
+        for part, (_, j, beta) in zip(parts, batch):
             if j >= 0:
-                part[int(j)] += beta
-            const = np.where(z <= -0.25, np.zeros_like(payload), np.where(z > 0.25, payload, part))
-            out.append(_layered(r, const, np.zeros(const.shape + (N,)), problem.prescription))
-        return out
+                part[:, int(j)] += beta
+        const = np.where(z <= -0.25, 0.0, np.where(z > 0.25, payloads[:, None], parts[:, :, None]))
+        const = const.reshape((-1,) + const.shape[2:])
+        built = _layered(r, const, np.zeros(const.shape + (N,)), np.concatenate([payloads] * len(batch)))
+        return _per_problem(built, len(problems))
 
 
 class LaminateFamily:
@@ -500,13 +574,14 @@ class LaminateFamily:
     def candidates(self, problem: CellProblem, budget: int):
         yield ()
 
-    def planes(self, problem: CellProblem, batch) -> list[Planes]:
-        r = problem.resolution
-        L, M = problem.prescription.lin, problem.gradient
-        lin = np.broadcast_to(M - L, (r,) + M.shape)
-        planes = _layered(r, np.zeros((r,) + M.shape[:-1]), lin,
-                          AffineBoundary.zero(M.shape[:-1], len(problem.x)))
-        return [replace(planes, gradients=np.broadcast_to(M, lin.shape))] * len(batch)
+    def planes(self, problems: list, batch) -> list[list[Planes]]:
+        r, P = problems[0].resolution, len(problems)
+        L = np.array([problem.prescription.lin for problem in problems])
+        M = np.array([problem.gradient for problem in problems])
+        lin = np.broadcast_to((M - L)[:, None], (P, r) + M.shape[1:])
+        built = _layered(r, np.zeros((P, r) + M.shape[1:-1]), lin, np.zeros(M.shape[:-1]))
+        return [[replace(planes, gradients=np.broadcast_to(m, lin.shape[1:]))] * len(batch)
+                for planes, m in zip(built, M)]
 
 
 class InclusionFamily:
@@ -531,13 +606,16 @@ class InclusionFamily:
                         center[axis] = shift
                         yield (h,) * N + tuple(center)
 
-    def planes(self, problem: CellProblem, batch) -> list[Planes]:
+    def planes(self, problems: list, batch) -> list[list[Planes]]:
+        return [self._boxes(problem, batch) for problem in problems]
+
+    def _boxes(self, problem: CellProblem, batch) -> list[Planes]:
         """Per box: the grid facets on its faces (its grid field's jump set,
         less any rounding of ``L y`` off them) and one gradient per cell.
 
-        One pass for all boxes over their stacked cell arrays (``L y`` and
-        ``L`` outside each box, ``P y`` and ``P = (M - (1 - |R|) L) / |R|``
-        inside), with one gather of the two cells of every face facet; the
+        One pass for all boxes of a problem over their stacked cell arrays
+        (``L y`` and ``L`` outside each box, ``P y`` and
+        ``P = (M - (1 - |R|) L) / |R|`` inside), with one gather of the two cells of every face facet; the
         traces and jump test are the field's (``fields.interior_jumps``).
         """
         if not batch:
@@ -584,18 +662,19 @@ class GradientZigzagFamily:
         for alpha in (0.25, 0.5):
             yield (alpha,)
 
-    def planes(self, problem: CellProblem, batch) -> list[Planes]:
-        N = len(problem.x)
-        r = max(4, problem.resolution)
-        z, base = _jump_layers(problem, r)
-        out = []
-        for (alpha,) in batch:
-            D = alpha * problem.payload
-            const = base + (np.abs(z) - 0.25) * D
-            lin = np.zeros(const.shape + (N,))
-            lin[..., N - 1] += np.where(z > 0.0, 1.0, -1.0) * D
-            out.append(_layered(r, const, lin, problem.prescription))
-        return out
+    def planes(self, problems: list, batch) -> list[list[Planes]]:
+        if not batch:
+            return [[] for _ in problems]
+        payloads, N, r = _payloads(problems), len(problems[0].x), max(4, problems[0].resolution)
+        z, base = _jump_layers(payloads, N, r)
+        # (candidate, problem, layer, ...)
+        D = np.array([alpha * payloads for (alpha,) in batch])[:, :, None]
+        const = base + (np.abs(z) - 0.25) * D
+        lin = np.zeros(const.shape + (N,))
+        lin[..., N - 1] += np.where(z > 0.0, 1.0, -1.0) * D
+        built = _layered(r, const.reshape((-1,) + const.shape[2:]), lin.reshape((-1,) + lin.shape[2:]),
+                         np.concatenate([payloads] * len(batch)))
+        return _per_problem(built, len(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -603,32 +682,58 @@ class GradientZigzagFamily:
 # ---------------------------------------------------------------------------
 
 
-def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -> EstimateResult:
-    """Sweep the families for the best admissible competitor (the upper bound),
-    and certify ``c |forced|`` from below when ``problem.psi`` is coercive with
-    a declared constant ``c``: ``forced`` is the total directed jump that the
-    boundary data pins on every admissible competitor (Gauss-Green).
+_FAMILIES = {"W1": (StaircaseFamily,), "Gamma1": (ElementaryJumpFamily, SplittingFamily),
+             "W2": (LaminateFamily, InclusionFamily),
+             "Gamma2": (ElementaryJumpFamily, SplittingFamily, GradientZigzagFamily)}
+# problems per pass of the sweep: bounds the stacked competitors' arrays at any count
+_SWEEP_BLOCK = 64
 
-    Each family builds its candidates in one ``planes`` call, one
-    :class:`Planes` each; each competitor is admitted by
-    ``check_admissibility``, and the admitted ones of every family are priced
-    together in one ``competitor_energy`` call.  The best is the least
-    ``(energy, family name, params)``.
+
+def _sweep(problems: list, families, budget: int) -> list:
+    """Sweep the families for the best admissible competitor of each problem
+    (its upper bound), and certify ``c |forced|`` from below when ``psi`` is
+    coercive with a declared constant ``c``: ``forced`` is the total directed
+    jump that the boundary data pins on every admissible competitor
+    (Gauss-Green).
+
+    The problems share their variant, densities, resolution and data
+    shapes, so every family's candidates are those of the first.  Each
+    family builds its candidates for all the problems in one ``planes`` call;
+    all the competitors are admitted by one ``_admit``, and the admitted ones
+    priced by one ``competitor_energy`` call.  Per problem the best is the
+    least ``(energy, family name, params)``; a problem with no admissible
+    competitor gets an :class:`EstimationError` as its entry.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 (the coarsest parameter grid), got {budget}")
-    swept = [list(family.candidates(problem, budget)) for family in families]
-    planes = [family.planes(problem, batch) for family, batch in zip(families, swept)]
-    admitted = [[check_admissibility(problem, p) for p in built] for built in planes]
-    prices = iter(competitor_energy(problem, [p for built, checks in zip(planes, admitted)
-                                              for p, (ok, _) in zip(built, checks) if ok]))
+    lead = problems[0]
+    names = ("x",) + _VARIANT_DATA[lead.variant]
+    if len({tuple(getattr(problem, name).shape for name in names) for problem in problems}) > 1:
+        raise ValueError(f"the {lead.variant} problems of a batch must share the shapes of {names}")
+    swept = [list(family.candidates(lead, budget)) for family in families]
+    built = [family.planes(problems, batch) for family, batch in zip(families, swept)]
+    owners, competitors = [], []
+    for p, problem in enumerate(problems):
+        for planes in built:
+            owners += [problem] * len(planes[p])
+            competitors += planes[p]
+    admitted, residuals = _admit(owners, competitors)
+    prices = iter(competitor_energy([o for o, ok in zip(owners, admitted) if ok],
+                                    [c for c, ok in zip(competitors, admitted) if ok]))
+    checks = iter(zip(admitted.tolist(), residuals.tolist()))
+    return [_best(problem, families, swept, checks, prices) for problem in problems]
+
+
+def _best(problem: CellProblem, families, swept: list, checks, prices) -> EstimateResult | EstimationError:
+    """One problem's result from the next admission checks and prices of the
+    sweep, one per candidate in family order."""
     rows = []
     best = None                 # (energy, family, params, residual) of the best so far
     evaluations = 0
     any_inexact = False
-    for family, batch, checks in zip(families, swept, admitted):
-        for params, (ok, residual) in zip(batch, checks):
-            params, energy = tuple(params), None
+    for family, batch in zip(families, swept):
+        for params in batch:
+            (ok, residual), params, energy = next(checks), tuple(params), None
             if ok:
                 energy, inexact = next(prices)
                 evaluations += 1
@@ -641,9 +746,9 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
         payload = {name: getattr(problem, name).tolist()
                    for name in ("x", "A", "lam", "Lam", "nu", "L", "M")
                    if getattr(problem, name) is not None}
-        raise EstimationError(
-            f"no admissible competitor generated for {problem.variant}: {payload}")
+        return EstimationError(f"no admissible competitor generated for {problem.variant}: {payload}")
     upper, best_family, best_params, residual = best
+    forced = problem.forced
     c = problem.psi.constants.get("H5.lower") if problem.psi.coercive else None
     lower = None if c is None else c * float(norm(forced, forced.ndim))
     notes = "certified lower exceeded best upper; check declared constants" \
@@ -653,6 +758,39 @@ def _estimate(problem: CellProblem, families, budget: int, forced: np.ndarray) -
                           rows=rows, notes=notes)
 
 
+def estimate_batch(variant: str, problems: list, densities: DensityTriple, budget: int = 1,
+                   resolution: int | None = None, families=None) -> list:
+    """Estimate many cell problems of one variant in one sweep.
+
+    ``problems`` holds, per problem, the arguments its estimator takes before
+    ``densities``: ``(x, A)`` for W1, ``(x, lam, nu)`` for Gamma1,
+    ``(x, A, L, M)`` for W2 and ``(x, A, Lam, nu)`` for Gamma2, all of one
+    shape.  Returns one entry per problem, in order: the estimator's
+    :class:`EstimateResult` bit for bit, or the :class:`EstimationError` it
+    raises, so that the caller decides which failure to report first.
+    Invalid data raise ``ValueError`` at once.  The problems are swept
+    ``_SWEEP_BLOCK`` at a time, which bounds the memory at any count.
+    """
+    if resolution is None:
+        resolution = DEFAULT_W2_RESOLUTION if variant == "W2" else DEFAULT_RESOLUTION
+    if families is None:
+        families = [family() for family in _FAMILIES.get(variant, ())]
+    names = _VARIANT_DATA.get(variant, ())
+    results = []
+    for start in range(0, len(problems), _SWEEP_BLOCK):
+        block = [CellProblem(variant, x, densities, resolution=resolution, **dict(zip(names, data)))
+                 for x, *data in problems[start:start + _SWEEP_BLOCK]]
+        results += _sweep(block, families, budget)
+    return results
+
+
+def _one(results: list) -> EstimateResult:
+    (result,) = results
+    if isinstance(result, EstimationError):
+        raise result
+    return result
+
+
 def estimate_W1(x, A, densities: DensityTriple, budget: int = 1,
                 resolution: int = DEFAULT_RESOLUTION, families=None) -> EstimateResult:
     """Zero-trace prescribed-gradient formula for the first interfacial density.
@@ -660,19 +798,13 @@ def estimate_W1(x, A, densities: DensityTriple, budget: int = 1,
     The zero trace forces the total directed jump of any competitor to equal
     minus the prescribed gradient, so coercivity certifies c1 |A| from below.
     """
-    problem = CellProblem("W1", x, densities, A=np.atleast_2d(A), resolution=resolution)
-    if families is None:
-        families = [StaircaseFamily()]
-    return _estimate(problem, families, budget, problem.A)
+    return _one(estimate_batch("W1", [(x, np.atleast_2d(A))], densities, budget, resolution, families))
 
 
 def estimate_gamma1(x, lam, nu, densities: DensityTriple, budget: int = 1,
                     resolution: int = DEFAULT_RESOLUTION, families=None) -> EstimateResult:
     """Elementary-jump boundary formula for the first interfacial density."""
-    problem = CellProblem("Gamma1", x, densities, lam=lam, nu=nu, resolution=resolution)
-    if families is None:
-        families = [ElementaryJumpFamily(), SplittingFamily()]
-    return _estimate(problem, families, budget, problem.lam)
+    return _one(estimate_batch("Gamma1", [(x, lam, nu)], densities, budget, resolution, families))
 
 
 def estimate_W2(x, A, L, M, densities: DensityTriple, budget: int = 1,
@@ -683,17 +815,11 @@ def estimate_W2(x, A, L, M, densities: DensityTriple, budget: int = 1,
     second interfacial density the Gauss-Green closure certifies
     c2 |L - M| from below (the bulk term is nonnegative).
     """
-    problem = CellProblem("W2", x, densities, A=A, L=L, M=M, resolution=resolution)
-    if families is None:
-        families = [LaminateFamily(), InclusionFamily()]
-    return _estimate(problem, families, budget, problem.L - problem.M)
+    return _one(estimate_batch("W2", [(x, A, L, M)], densities, budget, resolution, families))
 
 
 def estimate_gamma2(x, A, Lam, nu, densities: DensityTriple, budget: int = 1,
                     resolution: int = DEFAULT_RESOLUTION, families=None) -> EstimateResult:
     """Elementary-jump boundary formula for the second interfacial density,
     with the recession of W as the bulk integrand."""
-    problem = CellProblem("Gamma2", x, densities, A=A, Lam=Lam, nu=nu, resolution=resolution)
-    if families is None:
-        families = [ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()]
-    return _estimate(problem, families, budget, problem.Lam)
+    return _one(estimate_batch("Gamma2", [(x, A, Lam, nu)], densities, budget, resolution, families))

@@ -47,7 +47,7 @@ def _in_ranges(facets: FacetTable, cell_ranges) -> FacetTable:
 
 
 def _interfacial_terms(psi: InterfacialDensity, facets: FacetTable, widths,
-                       x0: np.ndarray | None = None,
+                       x: np.ndarray | None = None,
                        R: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """psi over each facet times its area, in row order, and which facets
     went by their centroid only: the one interfacial routine of the energy
@@ -61,37 +61,41 @@ def _interfacial_terms(psi: InterfacialDensity, facets: FacetTable, widths,
     affine pairing of jumps against normals is integrated exactly by
     centroids.
 
-    A cell problem evaluates the density at its frozen point ``x0`` instead
-    of the facet centroids, and its competitors live in rotated coordinates:
-    ``R`` maps their facet normals to the true ones.  ``widths`` are the
-    grid's cell widths, or one row of them per facet.  Each term depends on
-    its own row only, so the terms of a table's row blocks, joined, are the
-    table's, and ``fsum`` of them is the energy.
+    Cell problems evaluate the density at their frozen points instead of the
+    facet centroids, ``x`` holding one per row, and their competitors live in
+    rotated coordinates: ``R`` holds, per row, the rotation that maps its
+    facet normal to the true one.  ``widths`` are the grid's cell widths, or
+    one row of them per facet.  Each term depends on its own row only, so
+    the terms of a table's row blocks, joined, are the table's, and ``fsum``
+    of them is the energy.
     """
     varies = facets.varies()
     if psi.facet_integral is None or not varies.any():
-        return _centroid_terms(psi, facets, x0, R), varies
+        return _centroid_terms(psi, facets, x, R), varies
     terms = np.zeros(len(facets))
-    terms[~varies] = _centroid_terms(psi, facets.select(~varies), x0, R)
+    flat = ~varies
+    terms[flat] = _centroid_terms(psi, facets.select(flat), None if x is None else x[flat],
+                                  None if R is None else R[flat])
     rows = facets.select(varies)
     row_widths = np.broadcast_to(np.asarray(widths, dtype=float), facets.normal.shape)[varies]
+    points = rows.centroid if x is None else x[varies]
+    rotations = [None] * len(rows) if R is None else R[varies]
     hooked_terms = []
-    for axis, centroid, jump, jump_lin, normal, w in zip(rows.axis, rows.centroid, rows.jump,
-                                                         rows.jump_lin, rows.normal, row_widths):
-        normal = normal if R is None else R @ normal
+    for axis, point, jump, jump_lin, normal, w, rotation in zip(rows.axis, points, rows.jump, rows.jump_lin,
+                                                                rows.normal, row_widths, rotations):
+        normal = normal if rotation is None else rotation @ normal
         tangent_axes = [k for k in range(len(w)) if k != axis]
-        hooked_terms.append(psi.facet_integral(centroid if x0 is None else x0, jump,
-                                               jump_lin, normal, w[tangent_axes], tangent_axes))
+        hooked_terms.append(psi.facet_integral(point, jump, jump_lin, normal, w[tangent_axes], tangent_axes))
     terms[varies] = hooked_terms
     return terms, np.zeros(len(facets), dtype=bool)
 
 
-def _centroid_terms(psi: InterfacialDensity, facets: FacetTable, x0, R) -> np.ndarray:
-    """psi at each facet's centroid (or at ``x0``) times its area."""
+def _centroid_terms(psi: InterfacialDensity, facets: FacetTable, x, R) -> np.ndarray:
+    """psi at each facet's centroid (or at its row of ``x``) times its area."""
     if not len(facets):
         return np.zeros(0)
-    x = facets.centroid if x0 is None else np.broadcast_to(x0, (len(facets), len(x0)))
-    nu = facets.normal if R is None else facets.normal @ R.T
+    x = facets.centroid if x is None else x
+    nu = facets.normal if R is None else np.einsum("fk,fmk->fm", facets.normal, R)
     return np.asarray(psi(x, facets.jump, nu), dtype=float) * facets.area
 
 

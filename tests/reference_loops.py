@@ -478,7 +478,9 @@ def bulk_energy_recession(problem, field, R) -> float:
 
 def assemble_relaxed_energy(sd2, densities, config) -> dict:
     """The relaxed-energy report body without the memo: every cell and facet
-    calls its estimator, at its own point.  The cache counts are left out."""
+    calls its estimator, at its own point, one after the other.  The cache
+    counts are left out; the cell rows are kept as ``cell_rows`` when the
+    config collects them."""
     g, G, Gamma = sd2.g, sd2.G, sd2.Gamma
     dom = G.domain
     N = dom.ndim
@@ -525,6 +527,10 @@ def assemble_relaxed_energy(sd2, densities, config) -> dict:
     body["total"] = {k: body["I1"][k] + body["I2"][k] for k in ("upper", "lower")}
     body.update(cells=dom.num_cells, facets_g=len(facets_g), facets_G=len(facets_G),
                 config=config.to_dict())
+    if config.collect_cells:
+        body["cell_rows"] = [{"cell": i, "x": centers[i].tolist(), "w1_upper": r1.upper,
+                              "w1_lower": r1.lower, "w2_upper": r2.upper, "w2_lower": r2.lower}
+                             for i, (r1, r2) in enumerate(zip(w1, w2))]
     return body
 
 
@@ -637,8 +643,9 @@ class GridFamily:
     def candidates(self, problem, budget):
         return self.family.candidates(problem, budget)
 
-    def planes(self, problem, batch):
-        return [of_field(GRID_BUILDERS[self.name](problem, params)[0]) for params in batch]
+    def planes(self, problems, batch):
+        return [[of_field(GRID_BUILDERS[self.name](problem, params)[0]) for params in batch]
+                for problem in problems]
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,11 @@ COLUMNS = ("normal", "jump", "jump_lin", "centroid", "trace_mean")
 
 def interfacial_energy(psi, facets, widths, x0=None, R=None):
     """A facet table's interfacial energy, the exact sum of the energy
-    module's terms, and its count of centroid-only facets."""
-    terms, inexact = energy._interfacial_terms(psi, facets, widths, x0, R)
+    module's terms, and its count of centroid-only facets; a cell problem's
+    frozen point ``x0`` and rotation ``R`` stand for every row."""
+    x = None if x0 is None else np.broadcast_to(x0, (len(facets), len(x0)))
+    rotations = None if R is None else np.broadcast_to(R, (len(facets),) + R.shape)
+    terms, inexact = energy._interfacial_terms(psi, facets, widths, x, rotations)
     return energy.fsum(terms), int(np.count_nonzero(inexact))
 
 
