@@ -9,21 +9,21 @@ areas.  Every term carries an upper/lower bracket; the report exposes the
 split into a first-gradient part and a second-gradient part whose sum is the
 total by construction.
 
-The first-order and Gamma problems are solved in batches: all the W1 cell
-problems in one ``estimate_batch`` sweep, then all the Gamma1 facet problems,
-then all the Gamma2 ones, each sweep in blocks of ``cellformulas._SWEEP_BLOCK``
-problems, so memory stays bounded at any grid size.  The W2 cell problems
-are solved one at a time, in grid order.  A batch returns its failures
-instead of raising them, and the first failure in grid and table order (a
-cell's W1 before its W2) is the one raised, naming its cell.
+Every variant goes one way.  Its problems are stacked as key rows (the
+position, zeroed for densities that declare no dependence on it, then the
+variant's data, ``-0.0`` folded into ``0.0``); one ``np.unique`` pass over
+the rows' bytes finds the distinct problems, and those are solved in one
+call, each at the data of its first occurrence: ``estimate_batch`` for W1,
+W2, Gamma1 and Gamma2, swept in blocks of ``cellformulas._SWEEP_BLOCK``
+problems so memory stays bounded at any grid size, or the closed form per
+problem for the trace-formula W2.  A batch returns its failures instead of
+raising them, and the first failure in grid and table order (a cell's W1
+before its W2) is the one raised, naming its cell.
 
-Identical cell problems are solved once: each estimate is memoized under the
-exact float bits of its arguments (``-0.0`` folded into ``0.0``, and the
-position zeroed for densities that declare no dependence on it), and a
-problem is solved at the data of its first lookup.  Only bit-equal problems
-share a solve, and the estimators are deterministic (an entry of a batch is
-its one-problem solve bit for bit), so neither the memo nor the batches
-change a reported digit; every cell and facet is priced at its own data.
+Only bit-equal problems share a solve, and the estimators are deterministic
+(an entry of a batch is its one-problem solve bit for bit), so neither the
+deduplication nor the batches change a reported digit; every cell and facet
+is priced at its own data.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .cellformulas import (
     EstimateResult,
     EstimationError,
     estimate_W1,  # noqa: F401 - solved by estimate_batch here; perfbench/traced.py wraps it by this name
-    estimate_W2,
+    estimate_W2,  # noqa: F401 - as estimate_W1
     estimate_batch,
     estimate_gamma1,  # noqa: F401 - as estimate_W1
     estimate_gamma2,  # noqa: F401 - as estimate_W1
@@ -44,7 +44,7 @@ from .cellformulas import (
 from .constructions import SD2Triple
 from .densities import DensityTriple
 from .integrate import fsum
-from .trace_formula import closed_form_W2, swap_layout
+from .trace_formula import closed_form_W2
 
 
 @dataclass
@@ -156,43 +156,41 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
     centers = dom.cell_centers().reshape(-1, N)
     A1 = (G.const - g.lin).reshape((-1,) + G.value_shape)
     A2 = G.const.reshape((-1,) + G.value_shape)
-    L_field = G.lin.reshape((-1,) + G.value_shape + (N,))
-    M_field = Gamma.reshape((-1,) + G.value_shape + (N,))
+    # the W2 tensors in the bilinear layout
+    L_bil = np.swapaxes(G.lin.reshape((-1,) + G.value_shape + (N,)), -1, -2)
+    M_bil = np.swapaxes(Gamma.reshape((-1,) + G.value_shape + (N,)), -1, -2)
     # densities with declared zero position modulus let identical cell
     # problems at different points share one solve
     x_free_1 = densities.psi1.constants.get("H6") == 0.0
     x_free_2 = (densities.W.constants.get("H3") == 0.0
                 and densities.psi2.constants.get("H6") == 0.0)
-    zero_x = np.zeros(N)
-    memo: dict[tuple, EstimateResult | EstimationError] = {}
-    lookups = 0
+    lookups = distinct = 0
 
-    def key_of(variant: str, args: tuple) -> tuple:
-        # exact float bits (+ 0.0 folds -0.0 into 0.0); each variant has fixed shapes
-        return (variant,) + tuple((np.asarray(a, dtype=float) + 0.0).tobytes() for a in args)
-
-    def lookup(variant: str, args: tuple, solve) -> EstimateResult:
-        nonlocal lookups
-        lookups += 1
-        key = key_of(variant, args)
-        if key not in memo:
-            memo[key] = solve()
-        return memo[key]
-
-    def lookup_all(variant: str, keyed: list) -> list:
-        """The result, or the EstimationError, of each ``(key args, args)``
-        problem, in order; the memo's misses are solved by one batch sweep,
-        each at the args of its first lookup."""
-        nonlocal lookups
-        lookups += len(keyed)
-        keys = [key_of(variant, key) for key, _ in keyed]
-        missing = {}
-        for key, (_, args) in zip(keys, keyed):
-            if key not in memo:
-                missing.setdefault(key, args)
-        memo.update(zip(missing, estimate_batch(variant, list(missing.values()), densities,
-                                                budget=config.budget, resolution=config.resolution)))
-        return [memo[key] for key in keys]
+    def solve(variant: str, x_free: bool, points: np.ndarray, *data: np.ndarray) -> list:
+        """The result, or the EstimationError, of each problem ``(point, *data)``
+        (row ``i`` of every array), in order.  Problems whose key rows (the
+        point, zeroed when ``x_free``, then the data) have the same bits share
+        one solve, at the data of the first; the distinct ones are solved in
+        one call, in first-occurrence order."""
+        nonlocal lookups, distinct
+        if not len(points):
+            return []
+        keys = [np.zeros_like(points) if x_free else points] + [a.reshape(len(a), -1) for a in data]
+        rows = np.concatenate(keys, axis=1) + 0.0   # + 0.0 folds -0.0 into 0.0
+        _, first, inverse = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)   # the distinct rows, in first-occurrence order
+        problems = [(points[i],) + tuple(a[i] for a in data) for i in first[order]]
+        if variant == "W2t":
+            results = [_trace_formula_estimate(*problem, densities.psi2.params["a"])
+                       for problem in problems]
+        else:
+            results = estimate_batch(variant, problems, densities, budget=config.budget,
+                                     resolution=config.w2_resolution if variant == "W2"
+                                     else config.resolution)
+        lookups += len(rows)
+        distinct += len(problems)
+        return [results[k] for k in np.argsort(order)[inverse.ravel()]]
 
     def first_failure(results: list) -> list:
         for result in results:
@@ -200,38 +198,24 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
                 raise result
         return results
 
-    def solve_cell(i: int, r1) -> tuple[EstimateResult, EstimateResult]:
-        x = centers[i]
-        L_bil = swap_layout(L_field[i])
-        M_bil = swap_layout(M_field[i])
-        try:
-            if isinstance(r1, EstimationError):
-                raise r1
-            if config.w2_estimator == "trace-formula":
-                r2 = lookup("W2t", (zero_x if x_free_2 else x, L_bil, M_bil),
-                            lambda: _trace_formula_estimate(x, L_bil, M_bil,
-                                                            densities.psi2.params["a"]))
-            else:
-                r2 = lookup("W2", (zero_x if x_free_2 else x, A2[i], L_bil, M_bil),
-                            lambda: estimate_W2(x, A2[i], L_bil, M_bil, densities,
-                                                budget=config.budget,
-                                                resolution=config.w2_resolution))
-            return r1, r2
-        except EstimationError as err:
-            raise EstimationError(
-                f"cell {i} at x={x.tolist()}: {err}; "
-                f"A1={A1[i].tolist()}, L={L_bil.tolist()}, M={M_bil.tolist()}") from err
-
-    w1 = lookup_all("W1", [((zero_x if x_free_1 else x, a), (x, a)) for x, a in zip(centers, A1)])
-    cell_results = [solve_cell(i, r1) for i, r1 in enumerate(w1)]
-    bulk1 = _bracket([r1 for r1, _ in cell_results], [vol] * cells)
-    bulk2 = _bracket([r2 for _, r2 in cell_results], [vol] * cells)
+    w1 = solve("W1", x_free_1, centers, A1)
+    if config.w2_estimator == "trace-formula":
+        w2 = solve("W2t", x_free_2, centers, L_bil, M_bil)
+    else:
+        w2 = solve("W2", x_free_2, centers, A2, L_bil, M_bil)
+    # a cell's W1 failure before its W2, and both after every earlier cell's
+    for i, results in enumerate(zip(w1, w2)):
+        for err in results:
+            if isinstance(err, EstimationError):
+                raise EstimationError(
+                    f"cell {i} at x={centers[i].tolist()}: {err}; "
+                    f"A1={A1[i].tolist()}, L={L_bil[i].tolist()}, M={M_bil[i].tolist()}") from err
+    bulk1 = _bracket(w1, [vol] * cells)
+    bulk2 = _bracket(w2, [vol] * cells)
 
     facets_g = g.jump_set()
-    surf1 = _bracket(first_failure(lookup_all("Gamma1", [
-        ((zero_x if x_free_1 else centroid, jump, normal), (centroid, jump, normal))
-        for centroid, jump, normal in zip(facets_g.centroid, facets_g.jump, facets_g.normal)
-    ])), facets_g.area)
+    surf1 = _bracket(first_failure(solve("Gamma1", x_free_1, facets_g.centroid, facets_g.jump,
+                                         facets_g.normal)), facets_g.area)
 
     facets_G = G.jump_set()
     # the plus/minus representatives are mean +- half the jump; reading the
@@ -240,15 +224,12 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
     if config.gamma2_representative != "average":
         half = 0.5 * facets_G.jump
         reps = reps + half if config.gamma2_representative == "plus" else reps - half
-    surf2 = _bracket(first_failure(lookup_all("Gamma2", [
-        ((zero_x if x_free_2 else centroid, rep, jump, normal), (centroid, rep, jump, normal))
-        for centroid, rep, jump, normal in zip(facets_G.centroid, reps, facets_G.jump,
-                                               facets_G.normal)
-    ])), facets_G.area)
+    surf2 = _bracket(first_failure(solve("Gamma2", x_free_2, facets_G.centroid, reps, facets_G.jump,
+                                         facets_G.normal)), facets_G.area)
 
     cell_rows = []
     if config.collect_cells:
-        for i, (r1, r2) in enumerate(cell_results):
+        for i, (r1, r2) in enumerate(zip(w1, w2)):
             cell_rows.append({
                 "cell": i,
                 "x": centers[i].tolist(),
@@ -263,6 +244,6 @@ def assemble_relaxed_energy(sd2: SD2Triple, densities: DensityTriple,
         bulk1=bulk1, bulk2=bulk2, surf1=surf1, surf2=surf2,
         I1=I1, I2=I2, total=total,
         cells=cells, facets_g=len(facets_g), facets_G=len(facets_G),
-        cache_hits=lookups - len(memo), cache_misses=len(memo),
+        cache_hits=lookups - distinct, cache_misses=distinct,
         config=config.to_dict(), cell_rows=cell_rows,
     )

@@ -27,12 +27,13 @@ plane.  The energies are the grid fields' bit for bit (the laminate's to a
 few ulp).
 
 The sweep runs over a list of problems of one variant (``estimate_batch``,
-in blocks of ``_SWEEP_BLOCK`` problems); ``estimate_W1`` and its siblings are
-its one-problem case.  A family builds all the candidates of all the
-problems of a block in one call: the plane families in one stacked
-``_layered`` pass per layer count, the inclusion boxes of a problem in one
-pass over their cell arrays.  All the competitors of a block are admitted in
-one pass (the discrete Gauss-Green identity and the variant's gradient
+in blocks of ``_SWEEP_BLOCK`` problems, the same for all four variants); the
+assembly sends every distinct problem of a variant through one such call,
+and ``estimate_W1`` and its siblings are its one-problem case.  A family
+builds all the candidates of all the problems of a block in one call: the
+plane families in one stacked ``_layered`` pass per layer count, the
+inclusion boxes of a problem in one pass over their cell arrays.  All the
+competitors of a block are admitted in one pass (the discrete Gauss-Green identity and the variant's gradient
 condition) and the admitted ones priced with one density call, each row at
 its own problem's point and rotation.  The certificate, ``fsum`` and the
 choice of the best competitor then run per problem, so an entry of a batch
@@ -685,8 +686,9 @@ class GradientZigzagFamily:
 _FAMILIES = {"W1": (StaircaseFamily,), "Gamma1": (ElementaryJumpFamily, SplittingFamily),
              "W2": (LaminateFamily, InclusionFamily),
              "Gamma2": (ElementaryJumpFamily, SplittingFamily, GradientZigzagFamily)}
-# problems per pass of the sweep: bounds the stacked competitors' arrays at any count
-_SWEEP_BLOCK = 64
+# problems per pass of the sweep, for every variant: bounds the stacked
+# competitors' arrays at any count (16 W2 problems hold ~160 inclusion boxes)
+_SWEEP_BLOCK = 16
 
 
 def _sweep(problems: list, families, budget: int) -> list:

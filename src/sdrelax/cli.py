@@ -210,7 +210,7 @@ def _build_domain(cfg: dict) -> BoxDomain:
 
 
 # the catalog params keys, each with its coercion
-_PARAM_FIELDS = {"d": _int, "N": _int, "probe_range": _number, "t_min": _number, "a": _floats}
+_PARAM_FIELDS = {"d": _int, "N": _int, "probe_range": _number, "t_min": _number, "a": _numbers}
 
 
 def _build_density_component(which: str, cfg: dict, d: int, N: int):
@@ -475,7 +475,7 @@ def _task_cell_sweep(config: dict, seed: int) -> tuple[dict, int]:
 def _task_example(config: dict, seed: int) -> tuple[dict, int]:
     if "example" not in config:
         raise ConfigError("missing example section")
-    section = _options(config["example"], {"a": _floats, "L": _floats, "M": _floats,
+    section = _options(config["example"], {"a": _numbers, "L": _floats, "M": _floats,
                                            "tolerance": _number, "random_count": _count}, "example")
     a = section.get("a", np.array([1.0, 0.0]))
     N = len(a)

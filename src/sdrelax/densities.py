@@ -258,9 +258,11 @@ def psi2_proj(a, d: int | None = None, N: int | None = None) -> InterfacialDensi
     so the lower interfacial bound is skipped with a note.
     """
     a = np.asarray(a, dtype=float)
+    N = len(a) if N is None and a.ndim == 1 else N
+    if a.shape != (N,):
+        raise ValueError(f"a must be a vector of length N = {N}, got shape {a.shape}")
     if abs(np.linalg.norm(a) - 1.0) > 1e-12:
         raise ValueError("a must be a unit vector")
-    N = len(a) if N is None else N
     d = N if d is None else d
 
     def fn(x, Lam, nu):
@@ -326,6 +328,9 @@ def catalog(name: str, d: int = 2, N: int = 2, **params):
     }
     if name not in table:
         raise KeyError(f"unknown catalog density {name!r}")
+    for axis, size in (("d", d), ("N", N)):
+        if size < 1:
+            raise ValueError(f"{axis} must be at least 1, got {size}")
     allowed, build = table[name]
     unknown = sorted(set(params) - set(allowed))
     if unknown:
@@ -359,8 +364,11 @@ def norm_triple(d: int = 2, N: int = 2) -> DensityTriple:
     return DensityTriple(bulk_norm(d=d, N=N), psi1_norm(d=d, N=N), psi2_norm(d=d, N=N))
 
 
-def example_triple(a=None, N: int = 2) -> DensityTriple:
-    """The worked-example setting: W = 0, Psi1 = 0, Psi2 = |nu . (J a)|."""
+def example_triple(a=None, N: int | None = None) -> DensityTriple:
+    """The worked-example setting: W = 0, Psi1 = 0, Psi2 = |nu . (J a)|, in
+    N = len(a) dimensions (2 when a is not given)."""
+    if N is None:
+        N = 2 if a is None else len(a)
     if a is None:
         a = _default_a(N)
     return DensityTriple(bulk_zero(d=N, N=N), psi1_zero(d=N, N=N), psi2_proj(a, d=N, N=N))

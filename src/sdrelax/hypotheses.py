@@ -46,6 +46,9 @@ class CheckConfig:
     pair_scales: tuple = (1e-1, 1e-2, 1e-3)
 
     def __post_init__(self):
+        for axis, size in (("d", self.d), ("N", self.N)):
+            if size < 1:
+                raise ValueError(f"{axis} must be at least 1, got {size}")
         if self.samples < MIN_SAMPLES:
             raise ValueError(f"samples must be at least {MIN_SAMPLES} (the structured probes), "
                              f"got {self.samples}")

@@ -226,10 +226,9 @@ def pooled_sd2(N, res, seed=0):
 
 
 class TestBatchedAssembly:
-    """The W1, Gamma1 and Gamma2 problems go through batched sweeps and the
-    W2 ones one at a time; the report is the reference loop's, which calls
-    each estimator once per cell and facet, byte for byte, cell rows
-    included."""
+    """The problems of all four variants go through batched sweeps; the
+    report is the reference loop's, which calls each estimator once per cell
+    and facet, byte for byte, cell rows included."""
 
     @pytest.mark.parametrize("representative", ["average", "plus", "minus"])
     @pytest.mark.parametrize("N, res", [(1, 6), (2, 3), (3, 2)])
@@ -301,17 +300,18 @@ class TestEstimationFailure:
         (2, 2, r"cell 2 at x=\[0.75, 0.25\]: no admissible competitor generated for W1: "),
     ], ids=["later-W1-after-earlier-W2", "earlier-W2-before-later-W1", "W1-before-W2-of-a-cell"])
     def test_first_failure_in_grid_order_names_its_cell(self, monkeypatch, w1_cell, w2_cell, named):
-        # the W1 batch is solved before any W2, but its failures are raised
-        # where the grid order reaches them: a cell's W1 before its W2, and
-        # after the W2 of every earlier cell
+        # the W1 and W2 batches are solved before any failure is raised, but
+        # their failures are raised where the grid order reaches them: a
+        # cell's W1 before its W2, and after the W2 of every earlier cell
         solved = []
-        estimate_W2 = assembly.estimate_W2
+        batch = assembly.estimate_batch
 
-        def spied(x, *args, **kwargs):
-            solved.append(x.tolist())
-            return estimate_W2(x, *args, **kwargs)
+        def spied(variant, problems, *args, **kwargs):
+            if variant == "W2":
+                solved.extend(x.tolist() for x, *_ in problems)
+            return batch(variant, problems, *args, **kwargs)
 
-        monkeypatch.setattr(assembly, "estimate_W2", spied)
+        monkeypatch.setattr(assembly, "estimate_batch", spied)
         with pytest.raises(EstimationError, match=named):
             assemble_relaxed_energy(self.failing_sd2(w1_cell, w2_cell), norm_triple())
         # the norm densities declare no position dependence: cell 0's W2 solve

@@ -666,19 +666,28 @@ def _batch_densities(N):
 def _batch_problems(variant, N, rng):
     """Arguments of eight problems of one variant, before ``densities``: a zero
     payload, payloads below and at the jump tolerance, random ones over four
-    decades, and random unit normals (Householder rotations)."""
+    decades, and random unit normals (Householder rotations).  For W2 the
+    payload is ``L - M``: ``L = M``, then a rounding-size difference, then
+    random ``L`` and ``M`` over four decades."""
     out = []
     for i in range(8):
         x, A, nu = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N)), _unit(rng, N)
         payload = rng.standard_normal((N, N)) * 10.0 ** rng.integers(-2, 3)
         if i < 3:  # the ROADMAP item 5 cases: a zero and rounding-size payloads
             payload = (0.0, 0.5 * DEFAULT_JUMP_TOL, DEFAULT_JUMP_TOL)[i] * np.eye(N)
+        if variant == "W2":
+            L, M = (rng.standard_normal((N, N, N)) * 10.0 ** rng.integers(-2, 3) for _ in range(2))
+            if i < 3:
+                M = L - payload[:, :, None] * np.eye(N)[0]
+            out.append((x, A, L, M))
+            continue
         out.append({"W1": (x, payload), "Gamma1": (x, payload[0], nu),
                     "Gamma2": (x, A, payload, nu)}[variant])
     return out
 
 
-ESTIMATORS = {"W1": estimate_W1, "Gamma1": estimate_gamma1, "Gamma2": estimate_gamma2}
+ESTIMATORS = {"W1": estimate_W1, "Gamma1": estimate_gamma1, "W2": estimate_W2,
+              "Gamma2": estimate_gamma2}
 RESULT_FIELDS = ("upper", "lower", "best_family", "best_params", "evaluations", "inexact_quadrature",
                  "admissibility_residual", "rows", "notes")
 
@@ -709,12 +718,14 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("budget", [1, 2])
     @pytest.mark.parametrize("N", [1, 2, 3])
-    @pytest.mark.parametrize("variant", ["W1", "Gamma1", "Gamma2"])
+    @pytest.mark.parametrize("variant", ["W1", "Gamma1", "W2", "Gamma2"])
     def test_each_entry_is_its_one_problem_solve(self, monkeypatch, variant, N, budget):
         rng = np.random.default_rng([N, budget, len(variant)])
         for name, densities in _batch_densities(N).items():
             problems = _batch_problems(variant, N, rng)
-            for resolution in (2, 4, 6, 8):
+            # a 3D W2 cube of 8^3 cells costs ~8 s here: the example density
+            # integrates each varying-jump facet row of its boxes on its own
+            for resolution in (2, 4, 6) if variant == "W2" and N == 3 else (2, 4, 6, 8):
                 kw = dict(budget=budget, resolution=resolution)
                 alone = [_alone(variant, args, densities, **kw) for args in problems]
                 assert any(isinstance(r, EstimateResult) for r in alone)
@@ -730,12 +741,12 @@ class TestBatchedSweep:
                 for entry, i in zip(shuffled, order):
                     _assert_same_entry(entry, alone[i])
 
-    @pytest.mark.parametrize("variant", ["W1", "Gamma1", "Gamma2"])
+    @pytest.mark.parametrize("variant", ["W1", "Gamma1", "W2", "Gamma2"])
     def test_a_nan_payload_is_rejected_alone(self, variant):
         # its competitors fail the Gauss-Green check; the other entries stand
         rng = np.random.default_rng(len(variant))
         problems = _batch_problems(variant, 2, rng)
-        bad, at = list(problems[4]), {"W1": 1, "Gamma1": 1, "Gamma2": 2}[variant]
+        bad, at = list(problems[4]), {"W1": 1, "Gamma1": 1, "W2": 2, "Gamma2": 2}[variant]
         bad[at] = np.full_like(bad[at], np.nan)
         problems[4] = tuple(bad)
         batched = estimate_batch(variant, problems, NT)

@@ -663,7 +663,45 @@ class TestWrongTypes:
             assert json.load(fh)["seed"] == 7
 
 
-SRC = str(Path(__file__).parent.parent / "src")
+PROJ = {"catalog": "Psi2_proj", "params": {"a": [1.0, 0.0]}}
+
+
+class TestBadSizes:
+    """A vector given as a number or as nested lists, a vector of the wrong
+    length and a dimension below 1 exit 2 and name their key: no traceback
+    and no run that warns and exits 0."""
+
+    @pytest.mark.parametrize("payload, message", [
+        (_edited(["example", "a"], 1.0, EXAMPLE_CONFIG),
+         "bad example section: example.a: must be a list of numbers, got float"),
+        (_edited(["densities", "psi2"], {**PROJ, "params": {"a": -1}}, CHECK_CONFIG),
+         "bad densities.psi2.params section: densities.psi2.params.a: must be a list of numbers, "
+         "got int"),
+        (_edited(["densities", "psi2"], {**PROJ, "params": {"a": [[1.0]]}}, CHECK_CONFIG),
+         "bad densities.psi2.params section: densities.psi2.params.a: must be a number, got list"),
+        (_edited(["densities", "psi2"], {**PROJ, "params": {"a": [1.0]}}, CHECK_CONFIG),
+         "bad density densities.psi2: a must be a vector of length N = 2, got shape (1,)"),
+        (_edited(["densities", "d"], -1, CHECK_CONFIG),
+         "bad density densities.W: d must be at least 1, got -1"),
+        (_edited(["densities", "N"], -1, CHECK_CONFIG),
+         "bad density densities.W: N must be at least 1, got -1"),
+        (_edited(["densities", "N"], 0, CHECK_CONFIG),
+         "bad density densities.W: N must be at least 1, got 0"),
+        (_edited(["densities", "W", "params", "d"], -1),
+         "bad density densities.W: d must be at least 1, got -1"),
+        (_edited(["densities", "d"], -1), "bad density densities.psi1: d must be at least 1, got -1"),
+        (_edited(["check", "d"], 0, CHECK_CONFIG), "bad check section: d must be at least 1, got 0"),
+    ], ids=["example-a-number", "proj-a-number", "proj-a-nested", "proj-a-short", "densities-d",
+            "densities-N", "densities-N-zero", "params-d", "assemble-densities-d", "check-d-zero"])
+    def test_exit_2(self, tmp_path, capsys, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err and "Warning" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
+
+SRC =str(Path(__file__).parent.parent / "src")
 
 
 def child(code: str, **env) -> str:
