@@ -10,12 +10,13 @@ the discrete Gauss-Green closure (the total directed jump mass of any
 admissible competitor is pinned by its boundary data, and coercivity converts
 mass into energy).
 
-A :class:`CellProblem` fixes once, in field layout, what its variant
-decides: the interfacial density, the jump payload, the prescribed outer
-trace, the prescribed gradient (cell by cell for W1/Gamma1, on average for
-W2/Gamma2), the total directed jump that Gauss-Green pins, and the rotation
-of its cube.  The W2 families are the laminate (the affine map ``L y`` when
-``M = L``) and the inclusion boxes.
+A :class:`ProblemTable` holds a block of problems of one variant, one row
+each, and fixes once, in field layout, what the variant decides: the jump
+payload, the prescribed trace and gradient (cell by cell for W1/Gamma1, on
+average for W2/Gamma2), the total directed jump that Gauss-Green pins, and
+the rotation of each cube.  A competitor names its problem by its row.  The
+W2 families are the laminate (the affine map ``L y`` when ``M = L``) and
+the inclusion boxes.
 
 Every competitor reaches the sweep as :class:`Planes`: rows of grid facets
 and the gradients of its cells, priced without building its grid field.
@@ -56,21 +57,17 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .densities import DensityTriple, InterfacialDensity, recession
+from .densities import DensityTriple, recession
 from .energy import _interfacial_terms
 from .fields import (
     DEFAULT_JUMP_TOL,
-    AffineBoundary,
-    BoundaryData,
     BoxDomain,
     FacetTable,
-    StepBoundary,
     _stack,
     trace_boundary,  # noqa: F401 - no caller here; perfbench/traced.py wraps it by this name
     unit_cube,
 )
 from .integrate import norm
-from .trace_formula import swap_layout
 
 ADMISSIBILITY_TOL = 1e-10
 DEFAULT_RESOLUTION = 4
@@ -85,94 +82,93 @@ _SHAPES = {"A": "(d, N)", "lam": "(d,)", "Lam": "(d, N)", "L": "(d, N, N)", "M":
            "nu": "(N,)"}
 
 
-@dataclass
-class CellProblem:
-    """One cell-formula instance with its frozen material point.
+class ProblemTable:
+    """Cell-formula instances of one variant, one row per problem, with
+    their frozen material points; ``problems`` holds, per problem, the
+    arguments its estimator takes before ``densities``.
 
-    ``__post_init__`` checks the shapes of the variant's data and the
-    ``resolution`` (at least 1, and even along the jump axis of Gamma1 and
-    Gamma2), and fixes, once and in field layout, what the variant decides:
-    the interfacial density ``psi``, the jump ``payload``, the prescribed
-    outer trace ``prescription``, the prescribed ``gradient`` (cell by cell,
-    or on average when ``averaged``), the admissibility tolerance ``tol``,
-    relative to the size of the prescribed data, the ``rotation`` of the
-    cube (the jump normal to the last axis; ``None`` for W1 and W2) and
-    ``directed``: the total directed jump, the sum of ``[v] (x) q`` times
-    area over the facets, that the discrete Gauss-Green identity pins on
-    every admissible competitor (the prescription's outer flux minus the
-    integral of the prescribed gradient over the unit cube), in the cube's
-    coordinates.  ``forced`` is that jump as the certificate prices it:
-    ``A``, ``lam``, ``L - M`` or ``Lam``.
+    Set once: ``variant``, ``densities``, ``resolution``, the interfacial
+    density ``psi`` and ``averaged`` (W2 and Gamma2 prescribe the gradient
+    on average).  Every other attribute is a column with a leading problem
+    axis, or ``None``: the point ``x``, the data ``A``, ``lam``, ``Lam``,
+    ``nu`` (the oriented cube's normal), ``L`` and ``M`` (bilinear layout),
+    and in field layout what the variant decides: the jump ``payload``, the
+    slope ``L_field`` of the prescribed outer trace ``L y`` (W2), the
+    prescribed ``gradient``, the admissibility tolerance ``tol``, relative
+    to the size of the prescribed data, the ``rotation`` of the cube (the
+    jump normal to the last axis) and ``directed``: the total directed jump,
+    the sum of ``[v] (x) q`` times area over the facets, that the discrete
+    Gauss-Green identity pins on every admissible competitor (the
+    prescribed trace's outer flux minus the integral of the prescribed
+    gradient over the cube), in the cube's coordinates.  ``forced`` is that
+    jump as the certificate prices it: ``A``, ``lam``, ``L - M`` or ``Lam``.
+
+    Stacking checks that the problems share their shapes; then the data's
+    shapes, the ``resolution`` (at least 1, and even for Gamma1 and Gamma2)
+    and the unit normals are checked.  The normal check and the rotation run
+    once per distinct normal, so each row's rotation is its own normal's.
     """
 
-    variant: str                        # W1 | Gamma1 | W2 | Gamma2
-    x: np.ndarray
-    densities: DensityTriple
-    A: np.ndarray | None = None         # W1 target gradient / frozen first-gradient slot
-    lam: np.ndarray | None = None       # Gamma1 jump payload
-    Lam: np.ndarray | None = None       # Gamma2 jump payload
-    nu: np.ndarray | None = None        # oriented-cube normal
-    L: np.ndarray | None = None         # W2 boundary tensor (bilinear layout)
-    M: np.ndarray | None = None         # W2 average-gradient tensor (bilinear layout)
-    resolution: int = DEFAULT_RESOLUTION
-    psi: InterfacialDensity = dataclass_field(init=False, repr=False)
-    payload: np.ndarray | None = dataclass_field(init=False, repr=False)
-    prescription: BoundaryData = dataclass_field(init=False, repr=False)
-    gradient: np.ndarray = dataclass_field(init=False, repr=False)
-    averaged: bool = dataclass_field(init=False, repr=False)
-    tol: float = dataclass_field(init=False, repr=False)
-    rotation: np.ndarray | None = dataclass_field(init=False, repr=False)
-    directed: np.ndarray = dataclass_field(init=False, repr=False)
-    forced: np.ndarray = dataclass_field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        for name in ("A", "lam", "Lam", "nu", "L", "M"):
-            v = getattr(self, name)
-            if v is not None:
-                setattr(self, name, np.asarray(v, dtype=float))
+    def __init__(self, variant: str, problems: list, densities: DensityTriple, resolution: int):
+        names = ("x",) + _VARIANT_DATA.get(variant, ())
+        try:
+            # np.stack keeps the memory layout the rows share (the assembly's L and M are
+            # transposed views), so each row's sums round as its problem's own
+            columns = dict(zip(names, (np.stack(values) for values in zip(*problems))))
+        except ValueError as err:
+            raise ValueError(f"the {variant} problems of a batch must share the shapes of {names}") from err
+        self.variant, self.densities, self.resolution = variant, densities, resolution
+        for name in ("x", "A", "lam", "Lam", "nu", "L", "M"):
+            setattr(self, name, None if name not in columns else columns[name].astype(float, copy=False))
         self._check_shapes()
         if self.resolution < 1 or self.variant in ("Gamma1", "Gamma2") and self.resolution % 2:
             raise ValueError(f"resolution must be at least 1 and must be even for Gamma1 and Gamma2, "
                              f"got {self.resolution} for {self.variant}")
-        if self.nu is not None and abs(np.linalg.norm(self.nu) - 1.0) > 1e-12:
-            raise ValueError("nu must be a unit vector")
-        N = len(self.x)
+        self.rotation = None
+        if self.nu is not None:
+            normals, inverse = np.unique(self.nu, axis=0, return_inverse=True)
+            if any(abs(np.linalg.norm(nu) - 1.0) > 1e-12 for nu in normals):
+                raise ValueError("nu must be a unit vector")
+            self.rotation = np.array([rotation_to_last_axis(nu) for nu in normals])[inverse.reshape(-1)]
+        P, N = self.x.shape
         self.averaged = self.variant in ("W2", "Gamma2")
         self.psi = self.densities.psi2 if self.averaged else self.densities.psi1
         self.payload = self.lam if self.variant == "Gamma1" else self.Lam
+        self.L_field = None
         if self.variant == "W1":
-            self.prescription = AffineBoundary.zero(self.A.shape[:1], N)
             self.gradient, data = self.A, (self.A,)
             flux, self.forced = np.zeros_like(self.A), self.A
         elif self.variant == "W2":
-            self.prescription = AffineBoundary.linear(swap_layout(self.L))
-            self.gradient, data = swap_layout(self.M), (self.L, self.M)
-            flux, self.forced = self.prescription.lin, self.L - self.M
+            # the rows of these views have the strides of each problem's own transpose
+            self.L_field = np.swapaxes(self.L, -1, -2)
+            self.gradient, data = np.swapaxes(self.M, -1, -2), (self.L, self.M)
+            flux, self.forced = self.L_field, self.L - self.M
         else:
-            self.prescription = StepBoundary(self.payload, N - 1, 0.0)
             self.gradient, data = np.zeros(self.payload.shape + (N,)), (self.payload,)
-            flux, self.forced = np.multiply.outer(self.payload, np.eye(N)[N - 1]), self.payload
-        self.tol = ADMISSIBILITY_TOL * max(1.0, *(float(norm(t, t.ndim)) for t in data))
-        self.rotation = None if self.nu is None else rotation_to_last_axis(self.nu)
+            flux, self.forced = self.payload[..., None] * np.eye(N)[N - 1], self.payload
+        # fmax, as Python's max after 1.0, passes over a NaN size
+        self.tol = ADMISSIBILITY_TOL * np.fmax.reduce([np.ones(P)] + [norm(t, t.ndim - 1) for t in data])
         self.directed = flux - self.gradient
+
+    def __len__(self) -> int:
+        return len(self.x)
 
     def _check_shapes(self):
         if self.variant not in _VARIANT_DATA:
             raise ValueError(f"unknown cell variant {self.variant!r}")
-        if self.x.ndim != 1:
-            raise ValueError(f"x must be a vector, got shape {self.x.shape}")
-        N = len(self.x)
+        if self.x.ndim != 2:
+            raise ValueError(f"x must be a vector, got shape {self.x.shape[1:]}")
+        N = self.x.shape[1]
         names = _VARIANT_DATA[self.variant]
         first = getattr(self, names[0])
-        sizes = {"N": N, "d": first.shape[0] if first is not None and first.ndim else None}
+        sizes = {"N": N, "d": first.shape[1] if first is not None and first.ndim > 1 else None}
         for name in names:
             value = getattr(self, name)
             if value is None:
                 raise ValueError(f"{self.variant} cell problem needs {name}")
-            if value.shape != tuple(sizes[axis] for axis in _SHAPES[name] if axis in sizes):
+            if value.shape[1:] != tuple(sizes[axis] for axis in _SHAPES[name] if axis in sizes):
                 raise ValueError(f"{name} must have shape {_SHAPES[name]} with N = len(x) = {N}, "
-                                 f"got {value.shape}")
+                                 f"got {value.shape[1:]}")
 
 
 @dataclass
@@ -239,9 +235,9 @@ class Planes:
     map ``L y``), with the exact jumps ``h (L - M) e_m``; its grid field's
     carry the rounding of ``L y`` at each cell centre.
 
-    A family's ``planes(problems, batch)`` returns, per problem of
-    ``problems``, one per candidate of ``batch``, each the same whatever else
-    the problems and the batch hold.
+    A family's ``planes(table, batch)`` returns, per problem (row) of
+    ``table``, one per candidate of ``batch``, each the same whatever else
+    the table and the batch hold.
     """
 
     domain: BoxDomain
@@ -379,12 +375,13 @@ def _layered(r: int, const: np.ndarray, lin: np.ndarray, step: np.ndarray) -> li
             for a, b, gradients in zip(edges[:-1], edges[1:], lin)]
 
 
-def _admit(problems: list, competitors: list) -> tuple[np.ndarray, np.ndarray]:
-    """Re-verify each competitor, against its own problem, before its energy
-    may count: the gradient condition (cell by cell, or on average when
-    ``averaged``) and the discrete Gauss-Green identity, the competitor's
-    total directed jump being ``problem.directed``.  Residuals combine as
-    ``np.max`` does (a NaN rejects); admitted when at most ``problem.tol``.
+def _admit(table: ProblemTable, owner: np.ndarray, competitors: list) -> tuple[np.ndarray, np.ndarray]:
+    """Re-verify each competitor, against its own problem (row ``owner[i]``
+    of ``table`` for competitor ``i``), before its energy may count: the
+    gradient condition (cell by cell, or on average when ``averaged``) and the
+    discrete Gauss-Green identity, the competitor's total directed jump being
+    its row of ``directed``.  Residuals combine as ``np.max`` does (a NaN
+    rejects); admitted when at most the row's ``tol``.
 
     One pass over the stacked gradients for the cellwise condition; the
     averages and the directed jumps are the one-competitor ``einsum`` sums,
@@ -392,28 +389,26 @@ def _admit(problems: list, competitors: list) -> tuple[np.ndarray, np.ndarray]:
     """
     if not competitors:
         return np.zeros(0, dtype=bool), np.zeros(0)
-    if problems[0].averaged:
-        averages = [np.einsum("j,j...->...", planes.cells, planes.gradients) * planes.domain.cell_volume
-                    for planes in competitors]
-        residual = np.array([float(norm(avg - problem.gradient, avg.ndim))
-                             for problem, avg in zip(problems, averages)])
+    if table.averaged:
+        averages = np.array([np.einsum("j,j...->...", planes.cells, planes.gradients) * planes.domain.cell_volume
+                             for planes in competitors])
+        residual = norm(averages - table.gradient[owner], averages.ndim - 1)
     else:
         sizes = [len(planes.gradients) for planes in competitors]
         gradients = np.concatenate([planes.gradients for planes in competitors])
-        gap = np.abs(gradients - np.repeat([problem.gradient for problem in problems], sizes, axis=0))
+        gap = np.abs(gradients - table.gradient[np.repeat(owner, sizes)])
         residual = np.maximum.reduceat(gap.reshape(len(gap), -1).max(axis=1), np.cumsum(sizes) - sizes)
-    tables = [planes.facets for planes in competitors]
-    directed = np.array([np.einsum("f...,f,fk->...k", f.jump, f.area * planes.counts, f.normal)
-                         for planes, f in zip(competitors, tables)])
-    gap = np.abs(directed - np.array([problem.directed for problem in problems]))
+    directed = np.array([np.einsum("f...,f,fk->...k", planes.facets.jump, planes.facets.area * planes.counts,
+                                   planes.facets.normal) for planes in competitors])
+    gap = np.abs(directed - table.directed[owner])
     residual = np.maximum(residual, gap.reshape(len(gap), -1).max(axis=1))
-    return residual <= np.array([problem.tol for problem in problems]), residual
+    return residual <= table.tol[owner], residual
 
 
-def check_admissibility(problem: CellProblem, planes: Planes) -> tuple[bool, float]:
-    """One competitor's admissibility and residual, as the sweep's ``_admit``
-    decides them."""
-    ok, residual = _admit([problem], [planes])
+def check_admissibility(table: ProblemTable, planes: Planes) -> tuple[bool, float]:
+    """One competitor's admissibility and residual for the first problem of
+    ``table``, as the sweep's ``_admit`` decides them."""
+    ok, residual = _admit(table, np.zeros(1, dtype=int), [planes])
     return bool(ok[0]), float(residual[0])
 
 
@@ -424,14 +419,13 @@ def _fsums(terms: np.ndarray, repeats: np.ndarray, sizes: list) -> list[float]:
     return [math.fsum(np.repeat(terms[a:b], repeats[a:b]).tolist()) for a, b in zip(edges, edges[1:])]
 
 
-def competitor_energy(problems: list, competitors: list) -> list[tuple[float, int]]:
-    """Energy of each competitor for its own problem (``problems`` holds one
-    per competitor, all of one variant), and its count of centroid-only
-    facets.
+def competitor_energy(table: ProblemTable, owner: np.ndarray, competitors: list) -> list[tuple[float, int]]:
+    """Energy of each competitor for its own problem (row ``owner[i]`` of
+    ``table`` for competitor ``i``), and its count of centroid-only facets.
 
     One interfacial pass over the rows of all of them (one ``psi`` call, each
-    row at its problem's point and rotation, plus the density's facet
-    integral per row whose jump varies) and, for W2 and Gamma2, one bulk call
+    row at its problem's point and rotation, plus one facet-integral call
+    over the rows whose jump varies) and, for W2 and Gamma2, one bulk call
     over all their gradients: W(x0, A, .) for W2, its recession for Gamma2.
     Each term is counted once per facet or cell it stands for; the terms are
     the grid field's bit for bit and ``fsum`` rounds their exact sum, so each
@@ -439,33 +433,29 @@ def competitor_energy(problems: list, competitors: list) -> list[tuple[float, in
     """
     if not competitors:
         return []
-    lead = problems[0]
     tables = [planes.facets for planes in competitors]
-    sizes = [len(table) for table in tables]
-    table = FacetTable.concat(tables, len(lead.x), tables[0].plus.shape[1:])
+    sizes = [len(facets) for facets in tables]
+    facets = FacetTable.concat(tables, table.x.shape[1], tables[0].plus.shape[1:])
     widths = np.repeat([planes.domain.widths for planes in competitors], sizes, axis=0)
-    xs = np.repeat([problem.x for problem in problems], sizes, axis=0)
-    rotations = None if lead.rotation is None else \
-        np.repeat([problem.rotation for problem in problems], sizes, axis=0)
-    terms, inexact = _interfacial_terms(lead.psi, table, widths, xs, rotations)
+    rows = np.repeat(owner, sizes)
+    rotations = None if table.rotation is None else table.rotation[rows]
+    terms, inexact = _interfacial_terms(table.psi, facets, widths, table.x[rows], rotations)
     counts = np.concatenate([planes.counts for planes in competitors])
     edges = np.cumsum([0] + sizes)
     centroid_only = np.diff(np.concatenate([[0], np.cumsum(counts * inexact)])[edges]).tolist()
     jumps = _fsums(terms, counts, sizes)
-    if not lead.averaged:
+    if not table.averaged:
         return list(zip(jumps, centroid_only))
     sizes = [len(planes.gradients) for planes in competitors]
+    rows = np.repeat(owner, sizes)
     # in C order, as a field's cells: the bulk integrand's sums then round as the field's
     gradients = np.ascontiguousarray(np.concatenate([planes.gradients for planes in competitors]))
-    if lead.rotation is not None:
-        gradients = np.einsum("g...k,gmk->g...m", gradients,
-                              np.repeat([problem.rotation for problem in problems], sizes, axis=0))
-    xs = np.repeat([problem.x for problem in problems], sizes, axis=0)
-    As = np.repeat([problem.A for problem in problems], sizes, axis=0)
-    if lead.variant == "W2":
-        values = np.asarray(lead.densities.W(xs, As, gradients), dtype=float)
+    if table.rotation is not None:
+        gradients = np.einsum("g...k,gmk->g...m", gradients, table.rotation[rows])
+    if table.variant == "W2":
+        values = np.asarray(table.densities.W(table.x[rows], table.A[rows], gradients), dtype=float)
     else:
-        values = recession(lead.densities.W, xs, As, gradients)
+        values = recession(table.densities.W, table.x[rows], table.A[rows], gradients)
     volumes = np.repeat([planes.domain.cell_volume for planes in competitors], sizes)
     bulk = _fsums(values * volumes, np.concatenate([planes.cells for planes in competitors]), sizes)
     return [(b + jump, c) for b, jump, c in zip(bulk, jumps, centroid_only)]
@@ -479,11 +469,6 @@ def competitor_energy(problems: list, competitors: list) -> list[tuple[float, in
 def _layer_column(values: np.ndarray, payload: np.ndarray) -> np.ndarray:
     """Per-layer values shaped to broadcast against one payload."""
     return values.reshape(values.shape + (1,) * payload.ndim)
-
-
-def _payloads(problems: list) -> np.ndarray:
-    """The jump payloads of the problems, stacked along a leading axis."""
-    return np.array([problem.payload for problem in problems])
 
 
 def _jump_layers(payloads: np.ndarray, N: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -505,14 +490,13 @@ class StaircaseFamily:
 
     name = "staircase"
 
-    def candidates(self, problem: CellProblem, budget: int):
-        base = max(2, problem.resolution)
+    def candidates(self, table: ProblemTable, budget: int):
+        base = max(2, table.resolution)
         for level in range(budget):
             yield (base * 2**level,)
 
-    def planes(self, problems: list, batch) -> list[list[Planes]]:
-        A = np.array([problem.A for problem in problems])
-        P = len(A)
+    def planes(self, table: ProblemTable, batch) -> list[list[Planes]]:
+        A, P = table.A, len(table)
         return _per_problem([planes for (n,) in batch
                              for planes in _layered(int(n), np.zeros((P, n) + A.shape[1:2]),
                                                     np.broadcast_to(A[:, None], (P, n) + A.shape[1:]),
@@ -524,11 +508,11 @@ class ElementaryJumpFamily:
 
     name = "elementary_jump"
 
-    def candidates(self, problem: CellProblem, budget: int):
+    def candidates(self, table: ProblemTable, budget: int):
         yield ()
 
-    def planes(self, problems: list, batch) -> list[list[Planes]]:
-        payloads, N, r = _payloads(problems), len(problems[0].x), problems[0].resolution
+    def planes(self, table: ProblemTable, batch) -> list[list[Planes]]:
+        payloads, N, r = table.payload, table.x.shape[1], table.resolution
         _, const = _jump_layers(payloads, N, r)
         built = _layered(r, const, np.zeros(const.shape + (N,)), payloads)
         return [[planes] * len(batch) for planes in built]
@@ -539,20 +523,20 @@ class SplittingFamily:
 
     name = "splitting"
 
-    def candidates(self, problem: CellProblem, budget: int):
+    def candidates(self, table: ProblemTable, budget: int):
         fractions = (0.5,) if budget < 2 else (0.25, 0.5, 0.75)
         for alpha in fractions:
             yield (alpha, -1, 0.0)
-        if budget >= 2 and problem.variant == "Gamma1":
+        if budget >= 2 and table.variant == "Gamma1":
             for alpha in fractions:
-                for j in range(len(problem.lam)):
+                for j in range(table.lam.shape[1]):
                     for beta in (-0.5, 0.5):
                         yield (alpha, j, beta)
 
-    def planes(self, problems: list, batch) -> list[list[Planes]]:
+    def planes(self, table: ProblemTable, batch) -> list[list[Planes]]:
         if not batch:
-            return [[] for _ in problems]
-        payloads, N, r = _payloads(problems), len(problems[0].x), max(4, problems[0].resolution)
+            return [[] for _ in range(len(table))]
+        payloads, N, r = table.payload, table.x.shape[1], max(4, table.resolution)
         z = _layer_column(_layer_layout(N, r)["z"], payloads[0])
         # (candidate, problem, ...): the value of the middle layers
         parts = np.array([alpha * payloads for alpha, _, _ in batch])
@@ -562,7 +546,7 @@ class SplittingFamily:
         const = np.where(z <= -0.25, 0.0, np.where(z > 0.25, payloads[:, None], parts[:, :, None]))
         const = const.reshape((-1,) + const.shape[2:])
         built = _layered(r, const, np.zeros(const.shape + (N,)), np.concatenate([payloads] * len(batch)))
-        return _per_problem(built, len(problems))
+        return _per_problem(built, len(table))
 
 
 class LaminateFamily:
@@ -572,13 +556,13 @@ class LaminateFamily:
 
     name = "laminate"
 
-    def candidates(self, problem: CellProblem, budget: int):
+    def candidates(self, table: ProblemTable, budget: int):
         yield ()
 
-    def planes(self, problems: list, batch) -> list[list[Planes]]:
-        r, P = problems[0].resolution, len(problems)
-        L = np.array([problem.prescription.lin for problem in problems])
-        M = np.array([problem.gradient for problem in problems])
+    def planes(self, table: ProblemTable, batch) -> list[list[Planes]]:
+        r, P = table.resolution, len(table)
+        # in C order: the layer arrays and gradients then round as each problem's own
+        L, M = np.ascontiguousarray(table.L_field), np.ascontiguousarray(table.gradient)
         lin = np.broadcast_to((M - L)[:, None], (P, r) + M.shape[1:])
         built = _layered(r, np.zeros((P, r) + M.shape[1:-1]), lin, np.zeros(M.shape[:-1]))
         return [[replace(planes, gradients=np.broadcast_to(m, lin.shape[1:]))] * len(batch)
@@ -590,9 +574,9 @@ class InclusionFamily:
 
     name = "inclusion"
 
-    def candidates(self, problem: CellProblem, budget: int):
-        N = len(problem.x)
-        max_half = problem.resolution // 2 - 1
+    def candidates(self, table: ProblemTable, budget: int):
+        N = table.x.shape[1]
+        max_half = table.resolution // 2 - 1
         if max_half < 1 or N > 3:
             return
         for half in itertools.product(range(1, max_half + 1), repeat=N):
@@ -607,12 +591,16 @@ class InclusionFamily:
                         center[axis] = shift
                         yield (h,) * N + tuple(center)
 
-    def planes(self, problems: list, batch) -> list[list[Planes]]:
-        return [self._boxes(problem, batch) for problem in problems]
+    def planes(self, table: ProblemTable, batch) -> list[list[Planes]]:
+        return [self._boxes(table.resolution, L, gradient, batch)
+                for L, gradient in zip(table.L_field, table.gradient)]
 
-    def _boxes(self, problem: CellProblem, batch) -> list[Planes]:
+    @staticmethod
+    def _boxes(r: int, L: np.ndarray, gradient: np.ndarray, batch) -> list[Planes]:
         """Per box: the grid facets on its faces (its grid field's jump set,
-        less any rounding of ``L y`` off them) and one gradient per cell.
+        less any rounding of ``L y`` off them) and one gradient per cell, for
+        the problem whose outer trace has slope ``L`` and whose average
+        gradient is ``gradient`` (both in field layout) on ``unit_cube(N, r)``.
 
         One pass for all boxes of a problem over their stacked cell arrays
         (``L y`` and ``L`` outside each box, ``P y`` and
@@ -621,12 +609,12 @@ class InclusionFamily:
         """
         if not batch:
             return []
-        N, r, C = len(problem.x), problem.resolution, len(batch)
+        N, C = L.shape[-1], len(batch)
         dom, centers = unit_cube(N, r), _cell_centers(N, r)
         lay = _box_layout(N, r, tuple(tuple(int(p) for p in params) for params in batch))
-        L, inside, every, half = problem.prescription.lin, lay["inside"], lay["every"], lay["half"]
+        inside, every, half = lay["inside"], lay["every"], lay["half"]
         vol = lay["volume"][:, None, None, None]
-        P = (problem.gradient - (1.0 - vol) * L) / vol
+        P = (gradient - (1.0 - vol) * L) / vol
         # the boxes' cell arrays, stacked; each einsum takes the subscripts and
         # operand shapes of the grid field's, so its sums round as the field's
         value = L.shape[:-1]
@@ -657,16 +645,16 @@ class GradientZigzagFamily:
 
     name = "gradient_zigzag"
 
-    def candidates(self, problem: CellProblem, budget: int):
+    def candidates(self, table: ProblemTable, budget: int):
         if budget < 2:
             return
         for alpha in (0.25, 0.5):
             yield (alpha,)
 
-    def planes(self, problems: list, batch) -> list[list[Planes]]:
+    def planes(self, table: ProblemTable, batch) -> list[list[Planes]]:
         if not batch:
-            return [[] for _ in problems]
-        payloads, N, r = _payloads(problems), len(problems[0].x), max(4, problems[0].resolution)
+            return [[] for _ in range(len(table))]
+        payloads, N, r = table.payload, table.x.shape[1], max(4, table.resolution)
         z, base = _jump_layers(payloads, N, r)
         # (candidate, problem, layer, ...)
         D = np.array([alpha * payloads for (alpha,) in batch])[:, :, None]
@@ -675,7 +663,7 @@ class GradientZigzagFamily:
         lin[..., N - 1] += np.where(z > 0.0, 1.0, -1.0) * D
         built = _layered(r, const.reshape((-1,) + const.shape[2:]), lin.reshape((-1,) + lin.shape[2:]),
                          np.concatenate([payloads] * len(batch)))
-        return _per_problem(built, len(problems))
+        return _per_problem(built, len(table))
 
 
 # ---------------------------------------------------------------------------
@@ -691,15 +679,15 @@ _FAMILIES = {"W1": (StaircaseFamily,), "Gamma1": (ElementaryJumpFamily, Splittin
 _SWEEP_BLOCK = 16
 
 
-def _sweep(problems: list, families, budget: int) -> list:
+def _sweep(table: ProblemTable, families, budget: int) -> list:
     """Sweep the families for the best admissible competitor of each problem
-    (its upper bound), and certify ``c |forced|`` from below when ``psi`` is
-    coercive with a declared constant ``c``: ``forced`` is the total directed
-    jump that the boundary data pins on every admissible competitor
-    (Gauss-Green).
+    of ``table`` (its upper bound), and certify ``c |forced|`` from below
+    when ``psi`` is coercive with a declared constant ``c``: ``forced`` is the
+    total directed jump that the boundary data pins on every admissible
+    competitor (Gauss-Green).
 
     The problems share their variant, densities, resolution and data
-    shapes, so every family's candidates are those of the first.  Each
+    shapes, so every family's candidates are the same for all of them.  Each
     family builds its candidates for all the problems in one ``planes`` call;
     all the competitors are admitted by one ``_admit``, and the admitted ones
     priced by one ``competitor_energy`` call.  Per problem the best is the
@@ -708,27 +696,20 @@ def _sweep(problems: list, families, budget: int) -> list:
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1 (the coarsest parameter grid), got {budget}")
-    lead = problems[0]
-    names = ("x",) + _VARIANT_DATA[lead.variant]
-    if len({tuple(getattr(problem, name).shape for name in names) for problem in problems}) > 1:
-        raise ValueError(f"the {lead.variant} problems of a batch must share the shapes of {names}")
-    swept = [list(family.candidates(lead, budget)) for family in families]
-    built = [family.planes(problems, batch) for family, batch in zip(families, swept)]
-    owners, competitors = [], []
-    for p, problem in enumerate(problems):
-        for planes in built:
-            owners += [problem] * len(planes[p])
-            competitors += planes[p]
-    admitted, residuals = _admit(owners, competitors)
-    prices = iter(competitor_energy([o for o, ok in zip(owners, admitted) if ok],
-                                    [c for c, ok in zip(competitors, admitted) if ok]))
+    swept = [list(family.candidates(table, budget)) for family in families]
+    built = [family.planes(table, batch) for family, batch in zip(families, swept)]
+    P = len(table)
+    competitors = [planes for p in range(P) for family_planes in built for planes in family_planes[p]]
+    owner = np.repeat(np.arange(P), sum(len(batch) for batch in swept))
+    admitted, residuals = _admit(table, owner, competitors)
+    prices = iter(competitor_energy(table, owner[admitted], [c for c, ok in zip(competitors, admitted) if ok]))
     checks = iter(zip(admitted.tolist(), residuals.tolist()))
-    return [_best(problem, families, swept, checks, prices) for problem in problems]
+    return [_best(table, p, families, swept, checks, prices) for p in range(P)]
 
 
-def _best(problem: CellProblem, families, swept: list, checks, prices) -> EstimateResult | EstimationError:
-    """One problem's result from the next admission checks and prices of the
-    sweep, one per candidate in family order."""
+def _best(table: ProblemTable, p: int, families, swept: list, checks, prices) -> EstimateResult | EstimationError:
+    """Problem ``p``'s result from the next admission checks and prices of
+    the sweep, one per candidate in family order."""
     rows = []
     best = None                 # (energy, family, params, residual) of the best so far
     evaluations = 0
@@ -745,13 +726,11 @@ def _best(problem: CellProblem, families, swept: list, checks, prices) -> Estima
             rows.append({"family": family.name, "params": params, "admissible": ok, "energy": energy})
 
     if best is None:
-        payload = {name: getattr(problem, name).tolist()
-                   for name in ("x", "A", "lam", "Lam", "nu", "L", "M")
-                   if getattr(problem, name) is not None}
-        return EstimationError(f"no admissible competitor generated for {problem.variant}: {payload}")
+        payload = {name: getattr(table, name)[p].tolist() for name in ("x",) + _VARIANT_DATA[table.variant]}
+        return EstimationError(f"no admissible competitor generated for {table.variant}: {payload}")
     upper, best_family, best_params, residual = best
-    forced = problem.forced
-    c = problem.psi.constants.get("H5.lower") if problem.psi.coercive else None
+    forced = table.forced[p]
+    c = table.psi.constants.get("H5.lower") if table.psi.coercive else None
     lower = None if c is None else c * float(norm(forced, forced.ndim))
     notes = "certified lower exceeded best upper; check declared constants" \
         if lower is not None and lower > upper else ""
@@ -770,19 +749,18 @@ def estimate_batch(variant: str, problems: list, densities: DensityTriple, budge
     shape.  Returns one entry per problem, in order: the estimator's
     :class:`EstimateResult` bit for bit, or the :class:`EstimationError` it
     raises, so that the caller decides which failure to report first.
-    Invalid data raise ``ValueError`` at once.  The problems are swept
-    ``_SWEEP_BLOCK`` at a time, which bounds the memory at any count.
+    Invalid data raise ``ValueError``.  The problems are swept
+    ``_SWEEP_BLOCK`` at a time, one :class:`ProblemTable` per block, which
+    bounds the memory at any count.
     """
     if resolution is None:
         resolution = DEFAULT_W2_RESOLUTION if variant == "W2" else DEFAULT_RESOLUTION
     if families is None:
         families = [family() for family in _FAMILIES.get(variant, ())]
-    names = _VARIANT_DATA.get(variant, ())
     results = []
     for start in range(0, len(problems), _SWEEP_BLOCK):
-        block = [CellProblem(variant, x, densities, resolution=resolution, **dict(zip(names, data)))
-                 for x, *data in problems[start:start + _SWEEP_BLOCK]]
-        results += _sweep(block, families, budget)
+        table = ProblemTable(variant, problems[start:start + _SWEEP_BLOCK], densities, resolution)
+        results += _sweep(table, families, budget)
     return results
 
 

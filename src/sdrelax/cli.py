@@ -12,7 +12,8 @@ timestamp field.
 Exit codes: 0 success, 2 config validation error (unknown keys, a section
 that is not an object, a value of the wrong type, non-finite input and any
 value the library rejects with ``ValueError`` included), 3 estimator failure
-or a non-finite result, 4 hypothesis-check hard failures under --strict.
+or a non-finite result (finite data whose energy overflows included), 4
+hypothesis-check hard failures under --strict.
 """
 
 from __future__ import annotations
@@ -109,6 +110,13 @@ def _typed(kind: type, what: str):
 _object = _typed(dict, "an object")
 _text = _typed(str, "a string")
 _flag = _typed(bool, "true or false")  # not bool(): bool("false") is True
+
+
+def _file_name(value) -> str:
+    """A string naming a file in the output directory, not the directory."""
+    if os.path.basename(_text(value)) in ("", ".", ".."):
+        raise ValueError(f"must name a file, got {value!r}")
+    return value
 
 
 def _int(value) -> int:
@@ -559,8 +567,12 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None,
             resolved_seed = top.get("seed", 0) if seed is None else _int(seed)
         except TypeError as err:
             raise ConfigError(f"bad seed argument: {err}") from err
-        output_cfg = _options(top.get("output", {}), {"json": _text, "csv": _text}, "output")
-        payload, code = _RUNNERS[task](config, resolved_seed)
+        output_cfg = _options(top.get("output", {}), {"json": _file_name, "csv": _file_name}, "output")
+        # overflow to inf and underflow to zero are IEEE results that the run
+        # checks itself (non-finite fields exit 2, a non-finite report exits 3),
+        # whatever the caller's errstate
+        with np.errstate(over="ignore", under="ignore"):
+            payload, code = _RUNNERS[task](config, resolved_seed)
     except ValueError as err:  # ConfigError, and bad values the library rejects
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -250,6 +250,19 @@ def psi2_norm(d: int = 2, N: int = 2) -> InterfacialDensity:
     return InterfacialDensity("Psi2_norm", 2, fn, constants=constants, coercive=True)
 
 
+def _contract(nu, J, a) -> np.ndarray:
+    """``nu . (J a)`` per row of ``nu`` (F, N) and ``J`` (F, N, N, ...): the
+    products ``(nu_i J_ij) a_j`` summed as a one-row ``einsum("i,ij,j->")``
+    sums them, ``(p00 + p01) + (p10 + p11)`` in 2D and in C order after a
+    ``0.0`` otherwise, written out so that no host's SIMD width decides the
+    last bits."""
+    extra = (1,) * (J.ndim - 3)
+    p = (nu.reshape(nu.shape + (1,) + extra) * J) * a.reshape(a.shape + extra)
+    if len(a) == 2:
+        return 0.0 + ((p[:, 0, 0] + p[:, 0, 1]) + (p[:, 1, 0] + p[:, 1, 1]))
+    return sum((p[:, i, j] for i, j in np.ndindex(p.shape[1:3])), 0.0)
+
+
 def psi2_proj(a, d: int | None = None, N: int | None = None) -> InterfacialDensity:
     """Psi2(x, J, nu) = |nu . (J a)| for a fixed unit vector a.
 
@@ -269,10 +282,11 @@ def psi2_proj(a, d: int | None = None, N: int | None = None) -> InterfacialDensi
         return np.abs(np.einsum("...i,...ij,j->...", nu, Lam, a))
 
     def facet_integral(x, jump, jump_lin, nu, tangential_widths, tangent_axes):
-        """Exact facet integral: the integrand |nu . J(y) a| is |affine|."""
-        s0 = float(np.einsum("i,ij,j->", nu, jump, a))
-        grad = np.array([float(np.einsum("i,ij,j->", nu, jump_lin[..., k], a)) for k in tangent_axes])
-        return box_abs_affine(s0, grad, tangential_widths)
+        """Exact facet integrals, one per row (its jump, slopes, normal, and
+        widths along its tangent axes): |nu . J(y) a| is |affine|."""
+        s0 = _contract(nu, jump, a)
+        slopes = np.take_along_axis(jump_lin, tangent_axes[:, None, None, :], axis=3)
+        return box_abs_affine(s0, _contract(nu, slopes, a), tangential_widths)
 
     nu0 = np.zeros(N)
     nu0[0] = 1.0

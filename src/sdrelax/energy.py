@@ -55,11 +55,11 @@ def _interfacial_terms(psi: InterfacialDensity, facets: FacetTable, widths,
 
     The discrete interfacial measure samples each facet at its centroid
     (exact for facet-constant jumps).  Affine jump variation is integrated
-    exactly when the density ships a facet integral; otherwise the centroid
-    sample stands and the facet counts as inexact in the metadata.  Centroid
-    sums stay compatible with the discrete Gauss-Green certificates: the
-    affine pairing of jumps against normals is integrated exactly by
-    centroids.
+    exactly when the density ships a facet integral, called once on all
+    such rows; otherwise the centroid sample stands and the facet counts as
+    inexact in the metadata.  Centroid sums stay compatible with the
+    discrete Gauss-Green certificates: the affine pairing of jumps against
+    normals is integrated exactly by centroids.
 
     Cell problems evaluate the density at their frozen points instead of the
     facet centroids, ``x`` holding one per row, and their competitors live in
@@ -77,16 +77,15 @@ def _interfacial_terms(psi: InterfacialDensity, facets: FacetTable, widths,
     terms[flat] = _centroid_terms(psi, facets.select(flat), None if x is None else x[flat],
                                   None if R is None else R[flat])
     rows = facets.select(varies)
+    N = rows.normal.shape[1]
+    # each row's tangent axes, as trace_formula.inclusion_energies lists them
+    tangents = np.array([[k for k in range(N) if k != m] for m in range(N)], dtype=int).reshape(N, N - 1)
+    tangents = tangents[rows.axis]
     row_widths = np.broadcast_to(np.asarray(widths, dtype=float), facets.normal.shape)[varies]
+    normals = rows.normal if R is None else np.einsum("fmk,fk->fm", R[varies], rows.normal)
     points = rows.centroid if x is None else x[varies]
-    rotations = [None] * len(rows) if R is None else R[varies]
-    hooked_terms = []
-    for axis, point, jump, jump_lin, normal, w, rotation in zip(rows.axis, points, rows.jump, rows.jump_lin,
-                                                                rows.normal, row_widths, rotations):
-        normal = normal if rotation is None else rotation @ normal
-        tangent_axes = [k for k in range(len(w)) if k != axis]
-        hooked_terms.append(psi.facet_integral(point, jump, jump_lin, normal, w[tangent_axes], tangent_axes))
-    terms[varies] = hooked_terms
+    terms[varies] = psi.facet_integral(points, rows.jump, rows.jump_lin, normals,
+                                       np.take_along_axis(row_widths, tangents, axis=1), tangents)
     return terms, np.zeros(len(facets), dtype=bool)
 
 

@@ -269,15 +269,6 @@ class AffineBoundary(BoundaryData):
         if self.lin.shape[: self.const.ndim] != self.const.shape:
             raise ValueError("lin must extend const shape by one axis")
 
-    @classmethod
-    def zero(cls, value_shape: tuple, ndim: int) -> "AffineBoundary":
-        return cls(np.zeros(value_shape), np.zeros(value_shape + (ndim,)))
-
-    @classmethod
-    def linear(cls, lin) -> "AffineBoundary":
-        lin = np.asarray(lin, dtype=float)
-        return cls(np.zeros(lin.shape[:-1]), lin)
-
     def value_and_lin(self, points: np.ndarray):
         vals = self.const + np.einsum("...k,mk->m...", self.lin, points)
         lins = np.broadcast_to(self.lin, (points.shape[0],) + self.lin.shape)

@@ -10,7 +10,9 @@ are built here as fields on the cube (``GridFamily``, ``of_field``), the
 sequence's corrected primitive samples its target at the cell centres
 through ``evaluate``, and the bulk term of ``total_energy`` picks its
 sub-box with a mask over the whole grid.  The worked example's random competitors are drawn and priced one
-box and one laminate at a time.  The property tests in
+box and one laminate at a time.  A cell problem is one ``CellProblem`` object,
+one row of ``cellformulas.ProblemTable`` fixed alone, and ``Psi2_proj``'s
+facet integral runs one facet at a time (``facet_integral``).  The property tests in
 ``test_facet_table.py``, ``test_densities.py``, ``test_cellformulas.py``,
 ``test_assembly.py``, ``test_integrate.py``, ``test_constructions.py``,
 ``test_energy.py`` and ``test_trace_formula.py`` require the library code to
@@ -23,14 +25,19 @@ the L1 norm, the tensor Gauss-Legendre points) live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from sdrelax.assembly import _trace_formula_estimate
 from sdrelax.cellformulas import (
+    _SHAPES,
+    _VARIANT_DATA,
+    ADMISSIBILITY_TOL,
+    DEFAULT_RESOLUTION,
     Planes,
+    ProblemTable,
     estimate_W1,
     estimate_W2,
     estimate_gamma1,
@@ -38,10 +45,11 @@ from sdrelax.cellformulas import (
     rotation_to_last_axis,
 )
 from sdrelax.constructions import gradient_primitive
-from sdrelax.densities import DEFAULT_SCHEDULE
+from sdrelax.densities import DEFAULT_SCHEDULE, DensityTriple, InterfacialDensity
 from sdrelax.fields import (
     _L1_QUAD_ORDER,
     AffineBoundary,
+    BoundaryData,
     BoxDomain,
     PiecewiseAffineField,
     StepBoundary,
@@ -219,7 +227,7 @@ def interfacial_energy(psi, facets: list[JumpFacet], widths) -> tuple[float, int
     for f in hooked:
         tangent_axes = [k for k in range(len(widths)) if k != f.axis]
         twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
-        terms.append(psi.facet_integral(f.centroid, f.jump, f.jump_lin, f.normal, twidths, tangent_axes))
+        terms.append(facet_integral(psi, f.centroid, f.jump, f.jump_lin, f.normal, twidths, tangent_axes))
     return fsum(terms), inexact
 
 
@@ -247,8 +255,26 @@ def facet_energy(psi, field, x0, R) -> tuple[float, int]:
         normal = f.normal if R is None else R @ f.normal
         tangent_axes = [k for k in range(len(widths)) if k != f.axis]
         twidths = np.asarray([widths[k] for k in tangent_axes], dtype=float)
-        terms.append(psi.facet_integral(x0, f.jump, f.jump_lin, normal, twidths, tangent_axes))
+        terms.append(facet_integral(psi, x0, f.jump, f.jump_lin, normal, twidths, tangent_axes))
     return fsum(terms), inexact
+
+
+def proj_facet_terms(psi, x, jump, jump_lin, nu, tangential_widths, tangent_axes) -> tuple[float, np.ndarray]:
+    """``Psi2_proj``'s integrand on one facet, ``nu . (J(y) a)``, as the
+    affine function ``s0 + grad . t`` of the tangential offset: two
+    one-facet ``einsum`` sums."""
+    a = np.asarray(psi.params["a"], dtype=float)
+    s0 = float(np.einsum("i,ij,j->", nu, jump, a))
+    grad = np.array([float(np.einsum("i,ij,j->", nu, jump_lin[..., k], a)) for k in tangent_axes])
+    return s0, grad
+
+
+def facet_integral(psi, x, jump, jump_lin, nu, tangential_widths, tangent_axes) -> float:
+    """``Psi2_proj``'s exact integral over one facet: the per-row loop that
+    ``energy._interfacial_terms`` ran before the density's facet integral
+    took arrays of rows (one ``box_abs_affine`` call per facet)."""
+    s0, grad = proj_facet_terms(psi, x, jump, jump_lin, nu, tangential_widths, tangent_axes)
+    return integrate.box_abs_affine(s0, grad, tangential_widths)
 
 
 def l1_of_cell_data(dom, const, lin, value_shape, quad_order) -> float:
@@ -535,6 +561,115 @@ def assemble_relaxed_energy(sd2, densities, config) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# one cell problem at a time
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CellProblem:
+    """One cell-formula instance with its frozen material point: the
+    per-problem object that ``cellformulas.ProblemTable`` replaced, one row
+    of the table.
+
+    ``__post_init__`` checks the shapes of the variant's data and the
+    ``resolution``, and fixes, once and in field layout, what the variant
+    decides: the interfacial density ``psi``, the jump ``payload``, the
+    prescribed outer trace ``prescription``, the prescribed ``gradient``,
+    ``averaged``, the admissibility tolerance ``tol``, the ``rotation`` of
+    the cube, ``directed`` and ``forced`` (see ``ProblemTable``).
+    """
+
+    variant: str
+    x: np.ndarray
+    densities: DensityTriple
+    A: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    Lam: np.ndarray | None = None
+    nu: np.ndarray | None = None
+    L: np.ndarray | None = None
+    M: np.ndarray | None = None
+    resolution: int = DEFAULT_RESOLUTION
+    psi: InterfacialDensity = dataclass_field(init=False, repr=False)
+    payload: np.ndarray | None = dataclass_field(init=False, repr=False)
+    prescription: BoundaryData = dataclass_field(init=False, repr=False)
+    gradient: np.ndarray = dataclass_field(init=False, repr=False)
+    averaged: bool = dataclass_field(init=False, repr=False)
+    tol: float = dataclass_field(init=False, repr=False)
+    rotation: np.ndarray | None = dataclass_field(init=False, repr=False)
+    directed: np.ndarray = dataclass_field(init=False, repr=False)
+    forced: np.ndarray = dataclass_field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.x = np.asarray(self.x, dtype=float)
+        for name in ("A", "lam", "Lam", "nu", "L", "M"):
+            v = getattr(self, name)
+            if v is not None:
+                setattr(self, name, np.asarray(v, dtype=float))
+        self._check_shapes()
+        if self.resolution < 1 or self.variant in ("Gamma1", "Gamma2") and self.resolution % 2:
+            raise ValueError(f"resolution must be at least 1 and must be even for Gamma1 and Gamma2, "
+                             f"got {self.resolution} for {self.variant}")
+        if self.nu is not None and abs(np.linalg.norm(self.nu) - 1.0) > 1e-12:
+            raise ValueError("nu must be a unit vector")
+        N = len(self.x)
+        self.averaged = self.variant in ("W2", "Gamma2")
+        self.psi = self.densities.psi2 if self.averaged else self.densities.psi1
+        self.payload = self.lam if self.variant == "Gamma1" else self.Lam
+        if self.variant == "W1":
+            self.prescription = AffineBoundary(np.zeros(self.A.shape[:1]), np.zeros(self.A.shape[:1] + (N,)))
+            self.gradient, data = self.A, (self.A,)
+            flux, self.forced = np.zeros_like(self.A), self.A
+        elif self.variant == "W2":
+            self.prescription = AffineBoundary(np.zeros(self.L.shape[:2]), swap_layout(self.L))
+            self.gradient, data = swap_layout(self.M), (self.L, self.M)
+            flux, self.forced = self.prescription.lin, self.L - self.M
+        else:
+            self.prescription = StepBoundary(self.payload, N - 1, 0.0)
+            self.gradient, data = np.zeros(self.payload.shape + (N,)), (self.payload,)
+            flux, self.forced = np.multiply.outer(self.payload, np.eye(N)[N - 1]), self.payload
+        self.tol = ADMISSIBILITY_TOL * max(1.0, *(float(_vnorm(t, t.ndim)) for t in data))
+        self.rotation = None if self.nu is None else rotation_to_last_axis(self.nu)
+        self.directed = flux - self.gradient
+
+    def _check_shapes(self):
+        if self.variant not in _VARIANT_DATA:
+            raise ValueError(f"unknown cell variant {self.variant!r}")
+        if self.x.ndim != 1:
+            raise ValueError(f"x must be a vector, got shape {self.x.shape}")
+        N = len(self.x)
+        names = _VARIANT_DATA[self.variant]
+        first = getattr(self, names[0])
+        sizes = {"N": N, "d": first.shape[0] if first is not None and first.ndim else None}
+        for name in names:
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.variant} cell problem needs {name}")
+            if value.shape != tuple(sizes[axis] for axis in _SHAPES[name] if axis in sizes):
+                raise ValueError(f"{name} must have shape {_SHAPES[name]} with N = len(x) = {N}, "
+                                 f"got {value.shape}")
+
+
+def table_of(variant, x, densities, resolution=DEFAULT_RESOLUTION, **data) -> ProblemTable:
+    """The one-row table of the problem ``CellProblem`` takes the same
+    arguments for."""
+    return ProblemTable(variant, [(x, *(data[name] for name in _VARIANT_DATA[variant]))], densities, resolution)
+
+
+def problem_of(variant, args, densities, resolution=DEFAULT_RESOLUTION) -> CellProblem:
+    """The ``CellProblem`` of one problem's estimator arguments before ``densities``."""
+    x, *data = args
+    return CellProblem(variant, x, densities, resolution=resolution, **dict(zip(_VARIANT_DATA[variant], data)))
+
+
+def problems_of(table: ProblemTable) -> list[CellProblem]:
+    """One ``CellProblem`` per row of the table."""
+    names = ("x",) + _VARIANT_DATA[table.variant]
+    return [problem_of(table.variant, [getattr(table, name)[p] for name in names], table.densities,
+                       table.resolution)
+            for p in range(len(table))]
+
+
+# ---------------------------------------------------------------------------
 # the plane families built as grid fields
 # ---------------------------------------------------------------------------
 
@@ -643,9 +778,9 @@ class GridFamily:
     def candidates(self, problem, budget):
         return self.family.candidates(problem, budget)
 
-    def planes(self, problems, batch):
+    def planes(self, table, batch):
         return [[of_field(GRID_BUILDERS[self.name](problem, params)[0]) for params in batch]
-                for problem in problems]
+                for problem in problems_of(table)]
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +863,7 @@ def staircase(A, n: int, domain: BoxDomain) -> PiecewiseAffineField:
         BoxDomain(domain.lower, domain.upper, n * np.ones(N, dtype=int))
     const = np.zeros(grid.cells_shape + (d,))
     lin = np.broadcast_to(A, grid.cells_shape + (d, N)).copy()
-    return PiecewiseAffineField(grid, const, lin, boundary_data=AffineBoundary.zero((d,), N))
+    return PiecewiseAffineField(grid, const, lin, boundary_data=AffineBoundary(np.zeros(d), np.zeros((d, N))))
 
 
 def elementary_jump(payload, ndim: int | None = None, resolution: int = 4,

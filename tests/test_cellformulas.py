@@ -7,13 +7,14 @@ import pytest
 import reference_loops as ref
 from sdrelax import cellformulas
 from sdrelax.cellformulas import (
-    CellProblem,
+    DEFAULT_RESOLUTION,
     ElementaryJumpFamily,
     EstimateResult,
     EstimationError,
     GradientZigzagFamily,
     InclusionFamily,
     LaminateFamily,
+    ProblemTable,
     SplittingFamily,
     StaircaseFamily,
     check_admissibility,
@@ -59,8 +60,8 @@ class AffineCompetitor:
     def candidates(self, problem, budget):
         yield ()
 
-    def planes(self, problems, batch):
-        return [[self.build(problem) for _ in batch] for problem in problems]
+    def planes(self, table, batch):
+        return [[self.build(problem) for _ in batch] for problem in ref.problems_of(table)]
 
     @staticmethod
     def build(problem):
@@ -68,8 +69,8 @@ class AffineCompetitor:
         L_field = problem.L.transpose(0, 2, 1)
         const = np.einsum("vwk,...k->...vw", L_field, dom.cell_centers())
         lin = np.broadcast_to(L_field, dom.cells_shape + L_field.shape).copy()
-        return ref.of_field(PiecewiseAffineField(dom, const, lin,
-                                                 boundary_data=AffineBoundary.linear(L_field)))
+        boundary = AffineBoundary(np.zeros(L_field.shape[:2]), L_field)
+        return ref.of_field(PiecewiseAffineField(dom, const, lin, boundary_data=boundary))
 
 
 class TestCellProblemShapes:
@@ -91,12 +92,93 @@ class TestCellProblemShapes:
          "resolution must be at least 1 and must be even for Gamma1 and Gamma2, got 5 for Gamma2"),
     ])
     def test_mismatch_names_the_field(self, variant, data, message):
+        data = dict(data)
+        resolution = data.pop("resolution", DEFAULT_RESOLUTION)
         with pytest.raises(ValueError, match=re.escape(message)):
-            CellProblem(variant, X0, NT, **data)
+            estimate_batch(variant, [(X0, *data.values())], NT, resolution=resolution)
 
     def test_x_must_be_a_vector(self):
-        with pytest.raises(ValueError, match="x must be a vector"):
-            CellProblem("W1", np.zeros((1, 2)), NT, A=self.E2)
+        with pytest.raises(ValueError, match=re.escape("x must be a vector, got shape (1, 2)")):
+            estimate_batch("W1", [(np.zeros((1, 2)), self.E2)], NT)
+
+
+def _bits(value) -> tuple:
+    """A float array's shape and bytes: the bits of every entry, NaN and -0.0 included."""
+    value = np.asarray(value, dtype=float)
+    return value.shape, value.tobytes()
+
+
+def _table_rows(variant, N, rng):
+    """Arguments of twelve problems of one variant: normals holding -0.0 and
+    random unit normals, zero, rounding-size and NaN payloads, data over
+    twelve decades and, for W2, ``L = M`` and a rounding-size ``L - M``."""
+    rows = []
+    for i in range(12):
+        x, A = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N)) * 10.0 ** rng.integers(-6, 7)
+        nu = _unit(rng, N)
+        if i % 3 == 0:  # an axis normal whose other entries are -0.0 or 0.0
+            nu = np.where(np.arange(N) == rng.integers(N), rng.choice([-1.0, 1.0]), rng.choice([-0.0, 0.0]))
+        payload = rng.standard_normal((N, N)) * 10.0 ** rng.integers(-6, 7)
+        if i < 4:
+            payload = (0.0, 0.5 * DEFAULT_JUMP_TOL, DEFAULT_JUMP_TOL, np.nan)[i] * np.eye(N)
+        L, M = (rng.standard_normal((N, N, N)) * 10.0 ** rng.integers(-6, 7) for _ in range(2))
+        if i < 4:
+            M = L - payload[:, :, None] * np.eye(N)[0]
+        elif i == 4:
+            M = L.copy()
+        rows.append({"W1": (x, payload), "Gamma1": (x, payload[0], nu), "W2": (x, A, L, M),
+                     "Gamma2": (x, A, payload, nu)}[variant])
+    return rows
+
+
+def _transposed(T):
+    """``T``'s values as a view with its last two axes swapped in memory."""
+    return np.swapaxes(np.ascontiguousarray(np.swapaxes(T, -1, -2)), -1, -2)
+
+
+class TestProblemTableIsItsRows:
+    """Every column of a ``ProblemTable`` is, row by row, what the problem
+    built alone (``reference_loops.CellProblem``) fixes, bit for bit."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["W1", "Gamma1", "W2", "W2, transposed", "Gamma2"])
+    def test_each_column_is_its_problem_alone(self, variant, N):
+        # "transposed": L and M as the assembly passes them, views with their
+        # last two axes swapped, whose sums round in that memory order
+        densities, kind = norm_triple(d=N, N=N), variant.split(",")[0]
+        for seed in range(4):
+            rows = _table_rows(kind, N, np.random.default_rng([N, seed, len(variant)]))
+            rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+            if variant.endswith("transposed"):
+                rows = [(x, A, _transposed(L), _transposed(M)) for x, A, L, M in rows]
+            table = ProblemTable(kind, rows, densities, DEFAULT_RESOLUTION)
+            assert len(table) == len(rows)
+            for p, args in enumerate(rows):
+                problem = ref.problem_of(kind, args, densities)
+                assert _bits(table.tol[p]) == _bits(problem.tol)
+                for name in ("gradient", "directed", "forced"):
+                    assert _bits(getattr(table, name)[p]) == _bits(getattr(problem, name)), name
+                for name in ("rotation", "payload"):
+                    mine, alone = getattr(table, name), getattr(problem, name)
+                    assert (mine is None) == (alone is None), name
+                    if alone is not None:
+                        assert _bits(mine[p]) == _bits(alone), name
+                if kind == "W2":
+                    assert _bits(table.L_field[p]) == _bits(problem.prescription.lin)
+                    assert table.L_field[p].strides == problem.prescription.lin.strides
+                    assert table.gradient[p].strides == problem.gradient.strides
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["Gamma1", "Gamma2"])
+    def test_a_non_unit_normal_is_refused(self, variant, N):
+        rows = _table_rows(variant, N, np.random.default_rng(N))
+        bad = list(rows[5])
+        bad[-1] = 1.5 * bad[-1]
+        for table_rows in ([tuple(bad)], rows[:5] + [tuple(bad)] + rows[6:]):
+            with pytest.raises(ValueError, match="nu must be a unit vector"):
+                ProblemTable(variant, table_rows, norm_triple(d=N, N=N), DEFAULT_RESOLUTION)
+            with pytest.raises(ValueError, match="nu must be a unit vector"):
+                ref.problem_of(variant, bad, norm_triple(d=N, N=N))
 
 
 class TestRotation:
@@ -312,16 +394,18 @@ class TestGamma2BulkReference:
             triple_from_expressions(W, "norm(lam)", "norm(Lam)")
         rng = np.random.default_rng(10 * N + len(W))
         nu = rng.standard_normal(N)
-        problem = CellProblem("Gamma2", rng.uniform(0.0, 1.0, N), densities,
-                              A=rng.standard_normal((2, N)), Lam=rng.standard_normal((2, N)),
-                              nu=nu / np.linalg.norm(nu))
+        table = ref.table_of("Gamma2", rng.uniform(0.0, 1.0, N), densities,
+                             A=rng.standard_normal((2, N)), Lam=rng.standard_normal((2, N)),
+                             nu=nu / np.linalg.norm(nu))
+        (problem,) = ref.problems_of(table)
         bulk_terms = []
         for family in (ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()):
-            for params in family.candidates(problem, 2):
+            for params in family.candidates(table, 2):
                 field, R = ref.GRID_BUILDERS[family.name](problem, params)
                 bulk = ref.bulk_energy_recession(problem, field, R)
                 jump, _ = ref.facet_energy(densities.psi2, field, problem.x, R)
-                assert competitor_energy([problem], [ref.of_field(field)])[0][0] == bulk + jump
+                assert competitor_energy(table, np.zeros(1, dtype=int), [ref.of_field(field)])[0][0] == \
+                    bulk + jump
                 bulk_terms.append(bulk)
         assert any(b != 0.0 for b in bulk_terms)  # the zigzag pays bulk
 
@@ -357,37 +441,37 @@ class TestSweepMechanics:
         assert r.evaluations == len(r.rows) == len(set(named)) == 4
 
     def test_admissibility_re_verified(self):
-        problem = CellProblem("W1", X0, NT, A=np.eye(2))
-        ((planes,),) = StaircaseFamily().planes([problem], [(4,)])
-        ok, residual = check_admissibility(problem, planes)
+        table = ref.table_of("W1", X0, NT, A=np.eye(2))
+        ((planes,),) = StaircaseFamily().planes(table, [(4,)])
+        ok, residual = check_admissibility(table, planes)
         assert ok and residual <= 1e-10
         # breaking the gradient breaks admissibility
         gradients = planes.gradients.copy()
         gradients[0] += 0.5
-        ok2, residual2 = check_admissibility(problem, replace(planes, gradients=gradients))
+        ok2, residual2 = check_admissibility(table, replace(planes, gradients=gradients))
         assert not ok2 and residual2 > 1e-10
         # and so does dropping a facet row: the Gauss-Green identity no longer holds
-        ok3, residual3 = check_admissibility(problem, replace(planes, counts=planes.counts - 1))
+        ok3, residual3 = check_admissibility(table, replace(planes, counts=planes.counts - 1))
         assert not ok3 and residual3 > 1e-10
 
     @pytest.mark.parametrize("variant", ["W1", "Gamma1", "W2", "Gamma2"])
     def test_nan_gradient_rejected(self, variant):
         nu = np.array([0.0, 1.0])
         L = np.arange(8.0).reshape(2, 2, 2)
-        problem, family, params = {
-            "W1": (CellProblem("W1", X0, NT, A=np.eye(2)), StaircaseFamily(), (4,)),
-            "Gamma1": (CellProblem("Gamma1", X0, NT, lam=np.array([1.0, 0.0]), nu=nu),
+        table, family, params = {
+            "W1": (ref.table_of("W1", X0, NT, A=np.eye(2)), StaircaseFamily(), (4,)),
+            "Gamma1": (ref.table_of("Gamma1", X0, NT, lam=np.array([1.0, 0.0]), nu=nu),
                        ElementaryJumpFamily(), ()),
-            "W2": (CellProblem("W2", X0, NT, A=np.eye(2), L=L, M=L), LaminateFamily(), ()),
-            "Gamma2": (CellProblem("Gamma2", X0, NT, A=np.eye(2), Lam=np.eye(2), nu=nu),
+            "W2": (ref.table_of("W2", X0, NT, A=np.eye(2), L=L, M=L), LaminateFamily(), ()),
+            "Gamma2": (ref.table_of("Gamma2", X0, NT, A=np.eye(2), Lam=np.eye(2), nu=nu),
                        GradientZigzagFamily(), (0.25,)),
         }[variant]
-        ((planes,),) = family.planes([problem], [params])
-        assert check_admissibility(problem, planes) == (True, 0.0)
+        ((planes,),) = family.planes(table, [params])
+        assert check_admissibility(table, planes) == (True, 0.0)
         # a NaN gradient with the facet rows kept: only the gradient condition sees it
         gradients = planes.gradients.copy()
         gradients.flat[0] = np.nan
-        ok, residual = check_admissibility(problem, replace(planes, gradients=gradients))
+        ok, residual = check_admissibility(table, replace(planes, gradients=gradients))
         assert ok is False and np.isnan(residual)
 
     def test_lower_never_exceeds_upper(self):
@@ -505,11 +589,12 @@ class TestPlanesMatchTheGrid:
         families = {"W1": [StaircaseFamily()], "Gamma1": [ElementaryJumpFamily(), SplittingFamily()],
                     "Gamma2": [ElementaryJumpFamily(), SplittingFamily(), GradientZigzagFamily()]}
         for variant, fams in families.items():
-            problem = CellProblem(variant, rng.uniform(0.0, 1.0, N), norm_triple(d=N, N=N),
-                                  resolution=resolution, **data[variant])
+            table = ref.table_of(variant, rng.uniform(0.0, 1.0, N), norm_triple(d=N, N=N),
+                                 resolution=resolution, **data[variant])
+            (problem,) = ref.problems_of(table)
             for family in fams:
-                for params in family.candidates(problem, 2):
-                    ((planes,),) = family.planes([problem], [params])
+                for params in family.candidates(table, 2):
+                    ((planes,),) = family.planes(table, [params])
                     field, _ = ref.GRID_BUILDERS[family.name](problem, params)
                     facets = field.jump_set()
                     assert tally(planes.facets, planes.counts) == tally(facets, np.ones(len(facets)))
@@ -554,10 +639,10 @@ class _BoxAgainstItsField(InclusionFamily):
     def __init__(self):
         self.visited = []
 
-    def planes(self, problems, batch):
-        built = super().planes(problems, batch)
-        assert len(built) == len(problems)
-        for problem, boxes in zip(problems, built):
+    def planes(self, table, batch):
+        built = super().planes(table, batch)
+        assert len(built) == len(table)
+        for problem, boxes in zip(ref.problems_of(table), built):
             assert len(boxes) == len(batch)
             for params, planes in zip(batch, boxes):
                 field, _ = ref.inclusion_field(problem, params)
@@ -580,24 +665,22 @@ class TestInclusionBoxMatchesItsField:
             L = rng.standard_normal((N, N, N))
             M = L.copy() if seed == 0 else rng.standard_normal((N, N, N))
             family = _BoxAgainstItsField()
-            problem = CellProblem("W2", x, norm_triple(d=N, N=N), A=A, L=L, M=M,
-                                  resolution=resolution)
-            candidates = set(family.candidates(problem, 2))
+            table = ref.table_of("W2", x, norm_triple(d=N, N=N), A=A, L=L, M=M, resolution=resolution)
+            candidates = set(family.candidates(table, 2))
             estimate_W2(x, A, L, M, norm_triple(d=N, N=N), budget=2, resolution=resolution,
                         families=[family])
             assert candidates and candidates <= set(family.visited)
 
 
-def _problem_of(variant, N, resolution, rng):
+def _problem_of(variant, N, rng):
+    """One problem's arguments before ``densities``, as ``estimate_batch`` takes them."""
     x, A = rng.uniform(0.0, 1.0, N), rng.standard_normal((N, N))
     nu = rng.standard_normal(N)
     nu /= np.linalg.norm(nu)
     L = rng.standard_normal((N, N, N))
-    data = {"W1": dict(A=A), "Gamma1": dict(lam=rng.standard_normal(N), nu=nu),
-            "Gamma2": dict(A=A, Lam=rng.standard_normal((N, N)), nu=nu),
-            "W2": dict(A=A, L=L, M=rng.standard_normal((N, N, N))),
-            "W2, M = L": dict(A=A, L=L, M=L)}[variant]
-    return CellProblem(variant.split(",")[0], x, norm_triple(d=N, N=N), resolution=resolution, **data)
+    return {"W1": (x, A), "Gamma1": (x, rng.standard_normal(N), nu),
+            "Gamma2": (x, A, rng.standard_normal((N, N)), nu),
+            "W2": (x, A, L, rng.standard_normal((N, N, N))), "W2, M = L": (x, A, L, L)}[variant]
 
 
 class TestBatchIsItsEntries:
@@ -615,31 +698,35 @@ class TestBatchIsItsEntries:
     def test_each_entry_is_its_one_entry_batch(self, N, resolution):
         rng = np.random.default_rng([N, resolution])
         for family, variant in self.FAMILIES:
-            problems = [_problem_of(variant, N, resolution, rng) for _ in range(3)]
-            candidates = list(family.candidates(problems[0], 2))
+            problems = [_problem_of(variant, N, rng) for _ in range(3)]
+
+            def table(rows):
+                return ProblemTable(variant.split(",")[0], rows, norm_triple(d=N, N=N), resolution)
+
+            candidates = list(family.candidates(table(problems), 2))
             assert candidates
             shuffled = [candidates[i] for i in rng.permutation(len(candidates))]
             repeated = shuffled[:3] + candidates + shuffled[:2]
-            alone = [{params: family.planes([problem], [params]) for params in candidates}
+            alone = [{params: family.planes(table([problem]), [params]) for params in candidates}
                      for problem in problems]
             assert all(len(one) == 1 and len(one[0]) == 1 for own in alone for one in own.values())
             for batch in (candidates, shuffled, repeated):
                 for order in ([0, 1, 2], [2, 1, 0], [1]):
-                    built = family.planes([problems[i] for i in order], batch)
+                    built = family.planes(table([problems[i] for i in order]), batch)
                     assert len(built) == len(order)
                     for i, entries in zip(order, built):
                         assert len(entries) == len(batch)
                         for params, planes in zip(batch, entries):
                             _assert_same_planes(planes, alone[i][params][0][0])
-            assert family.planes(problems, []) == [[], [], []]
+            assert family.planes(table(problems), []) == [[], [], []]
 
     def test_budget_1_builds_every_box_of_a_problem_in_one_call(self, monkeypatch):
         calls = []
         planes = InclusionFamily.planes
 
-        def counted(self, problems, batch):
+        def counted(self, table, batch):
             calls.append(list(batch))
-            return planes(self, problems, batch)
+            return planes(self, table, batch)
 
         monkeypatch.setattr(InclusionFamily, "planes", counted)
         for problems, N in enumerate((1, 2, 3), start=1):
@@ -723,9 +810,7 @@ class TestBatchedSweep:
         rng = np.random.default_rng([N, budget, len(variant)])
         for name, densities in _batch_densities(N).items():
             problems = _batch_problems(variant, N, rng)
-            # a 3D W2 cube of 8^3 cells costs ~8 s here: the example density
-            # integrates each varying-jump facet row of its boxes on its own
-            for resolution in (2, 4, 6) if variant == "W2" and N == 3 else (2, 4, 6, 8):
+            for resolution in (2, 4, 6, 8):
                 kw = dict(budget=budget, resolution=resolution)
                 alone = [_alone(variant, args, densities, **kw) for args in problems]
                 assert any(isinstance(r, EstimateResult) for r in alone)

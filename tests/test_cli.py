@@ -701,6 +701,44 @@ class TestBadSizes:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
 
 
+class TestOutputNames:
+    """An output name that names no file (the output directory itself) exits
+    2 naming its key, instead of an ``IsADirectoryError`` traceback."""
+
+    @pytest.mark.parametrize("key", ["json", "csv"])
+    @pytest.mark.parametrize("name", ["", ".", "sub/"])
+    def test_exit_2(self, tmp_path, capsys, key, name):
+        cfg = write_config(tmp_path, _edited(["output", key], name))
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"bad output section: output.{key}: must name a file, got {name!r}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
+
+class TestOverflowingData:
+    """A finite datum whose energy overflows, such as 1e300 in
+    ``domain.upper`` or ``cell.A``, exits 3 as a non-finite result, also when
+    the caller's numpy errstate raises on overflow: the run keeps IEEE
+    overflow and underflow and checks the result itself."""
+
+    @pytest.mark.parametrize("payload", [_edited(["domain", "upper"], [1e300]),
+                                         _edited(["cell", "A"], [[1e300, 0.0], [0.0, 1.0]], SWEEP_CONFIG)],
+                             ids=["domain-upper", "cell-A"])
+    @pytest.mark.parametrize("errstate", ["warn", "raise"])
+    def test_exit_3(self, tmp_path, capsys, payload, errstate):
+        cfg = write_config(tmp_path, payload)
+        with np.errstate(all=errstate):
+            assert run(cfg, out_dir=str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "error: non-finite result, no report written" in err and "Warning" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
+    def test_an_underflowing_datum_runs(self, tmp_path):
+        cfg = write_config(tmp_path, _edited(["cell", "A"], [[1e-300, 0.0], [0.0, 1.0]], SWEEP_CONFIG))
+        with np.errstate(all="raise"):
+            assert run(cfg, out_dir=str(tmp_path)) == 0
+
+
 SRC =str(Path(__file__).parent.parent / "src")
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 
+from sdrelax import densities
+
 from sdrelax.densities import (
     BulkDensity,
     DensityTriple,
@@ -167,8 +169,42 @@ def test_proj_facet_integral_matches_quadrature():
     jump_lin = np.zeros((2, 2, 2))
     jump_lin[..., 1] = rng.standard_normal((2, 2))
     widths = np.array([0.5])
-    exact = psi.facet_integral(np.zeros(2), jump, jump_lin, nu, widths, [1])
+    (exact,) = psi.facet_integral(np.zeros((1, 2)), jump[None], jump_lin[None], nu[None], widths[None],
+                                  np.array([[1]]))
     pts = np.linspace(-0.25, 0.25, 20001)
     vals = [abs(nu @ ((jump + jump_lin[..., 1] * t) @ a)) for t in pts]
     approx = np.trapezoid(vals, pts)
     assert exact == pytest.approx(float(approx), rel=1e-6)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_proj_facet_integral_rows_are_the_per_row_loop(N):
+    # the batched integral against one einsum pair and one box_abs_affine call
+    # per facet (reference_loops.facet_integral): the value and the affine
+    # integrand's constant and slopes, bit for bit
+    rng = np.random.default_rng(N)
+    F = 2000
+    a = rng.standard_normal(N)
+    a /= np.linalg.norm(a)
+    psi = psi2_proj(a)
+    nu = rng.standard_normal((F, N))
+    nu /= np.linalg.norm(nu, axis=1)[:, None]
+    nu[::3] = np.where(np.arange(N) == rng.integers(N, size=(F, 1))[::3], 1.0, -0.0)
+    jump = rng.standard_normal((F, N, N)) * 10.0 ** rng.integers(-8, 9, (F, 1, 1))
+    jump_lin = rng.standard_normal((F, N, N, N)) * 10.0 ** rng.integers(-8, 9, (F, 1, 1, 1))
+    for column in (jump, jump_lin):
+        column[rng.random(column.shape) < 0.2] = 0.0
+        column[rng.random(column.shape) < 0.1] *= -0.0
+    axis = rng.integers(N, size=F)
+    tangents = np.array([[k for k in range(N) if k != m] for m in range(N)], dtype=int).reshape(N, N - 1)[axis]
+    widths = rng.uniform(0.01, 1.0, (F, N - 1))
+    x = rng.uniform(0.0, 1.0, (F, N))
+    batched = psi.facet_integral(x, jump, jump_lin, nu, widths, tangents)
+    slopes = np.take_along_axis(jump_lin, tangents[:, None, None, :], axis=3)
+    s0, grad = densities._contract(nu, jump, a), densities._contract(nu, slopes, a)
+    for f in range(F):
+        args = (psi, x[f], jump[f], jump_lin[f], nu[f], widths[f], tangents[f].tolist())
+        s0_f, grad_f = ref.proj_facet_terms(*args)
+        assert np.float64(s0_f).tobytes() == s0[f].tobytes()
+        assert grad_f.tobytes() == grad[f].tobytes()
+        assert np.float64(ref.facet_integral(*args)).tobytes() == batched[f].tobytes()

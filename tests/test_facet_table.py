@@ -84,7 +84,8 @@ def fields(draw, value_shape=None):
     if boundary == "affine":
         data = AffineBoundary(rng.standard_normal(value_shape), rng.standard_normal(value_shape + (N,)))
     elif boundary == "matching":  # the trace of an affine or zero field: no boundary jumps
-        data = AffineBoundary(c0, A) if kind == "affine" else AffineBoundary.zero(value_shape, N)
+        data = AffineBoundary(c0, A) if kind == "affine" else \
+            AffineBoundary(np.zeros(value_shape), np.zeros(value_shape + (N,)))
     elif boundary == "step":
         payload = rng.integers(0, 2, value_shape).astype(float)
         axis = int(rng.integers(0, N))
@@ -453,7 +454,7 @@ class TestFacetTable:
     def test_rows_and_selection(self):
         dom = BoxDomain([0.0], [1.0], [3])
         u = PiecewiseAffineField(dom, np.array([[0.0], [1.0], [3.0]]),
-                                 boundary_data=AffineBoundary.zero((1,), 1))
+                                 boundary_data=AffineBoundary(np.zeros(1), np.zeros((1, 1))))
         table = u.jump_set()
         assert len(table) == 3
         assert table.index.tolist() == [[0], [1], [2]]
@@ -467,7 +468,7 @@ class TestFacetTable:
     def test_one_sided_traces(self):
         dom = BoxDomain([0.0], [1.0], [3])
         u = PiecewiseAffineField(dom, np.array([[0.0], [1.0], [3.0]]),
-                                 boundary_data=AffineBoundary.zero((1,), 1))
+                                 boundary_data=AffineBoundary(np.zeros(1), np.zeros((1, 1))))
         table = u.jump_set()
         # interior facets: plus is the upper cell; the boundary facet: plus is the prescribed zero
         assert table.plus[:, 0].tolist() == [1.0, 3.0, 0.0]
@@ -485,7 +486,7 @@ class TestFacetTable:
     def test_nan_cells_match_the_reference_facet_choice(self):
         dom = BoxDomain([0.0], [1.0], [2])
         const = np.array([[0.0], [np.nan]])
-        u = PiecewiseAffineField(dom, const, boundary_data=AffineBoundary.zero((1,), 1))
+        u = PiecewiseAffineField(dom, const, boundary_data=AffineBoundary(np.zeros(1), np.zeros((1, 1))))
         assert len(u.jump_set()) == 2  # the interior facet and the upper outer face
         assert_rows_equal(u.jump_set(), ref.jump_set(u))
 

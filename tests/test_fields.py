@@ -35,7 +35,7 @@ def staircase_1d_left_anchored(n=4):
     dom = BoxDomain([0.0], [1.0], [n])
     const = np.full((n, 1), 0.5 / n)
     lin = np.ones((n, 1, 1))
-    return PiecewiseAffineField(dom, const, lin, boundary_data=AffineBoundary.zero((1,), 1))
+    return PiecewiseAffineField(dom, const, lin, boundary_data=AffineBoundary(np.zeros(1), np.zeros((1, 1))))
 
 
 class TestJumpSet:
@@ -190,7 +190,7 @@ class TestGaussGreen:
         L = np.array([[1.0, 2.0], [3.0, 4.0]])
         dom = BoxDomain([0, 0], [1, 1], [2, 2])
         u = affine_field(dom, L)
-        u = PiecewiseAffineField(dom, u.const, u.lin, boundary_data=AffineBoundary.linear(L))
+        u = PiecewiseAffineField(dom, u.const, u.lin, boundary_data=AffineBoundary(np.zeros(L.shape[:-1]), L))
         assert np.max(np.abs(gauss_green_residual(u))) <= 1e-10
 
 
