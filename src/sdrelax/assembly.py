@@ -44,7 +44,6 @@ from .cellformulas import (
 from .constructions import SD2Triple
 from .densities import DensityTriple
 from .integrate import fsum
-from .trace_formula import closed_form_W2
 
 
 @dataclass
@@ -116,6 +115,8 @@ def _bracket(results, weights) -> TermBracket:
 
 
 def _trace_formula_estimate(x, L_bil, M_bil, a) -> EstimateResult:
+    from .trace_formula import closed_form_W2  # loaded only by the trace-formula estimator
+
     value = closed_form_W2(L_bil, M_bil, np.asarray(a, dtype=float))
     return EstimateResult(upper=value, lower=value, best_family="trace-formula",
                           best_params=(), evaluations=1,

@@ -57,6 +57,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
+from . import EstimationError
 from .densities import DensityTriple, recession
 from .energy import _interfacial_terms
 from .fields import (
@@ -196,10 +197,6 @@ class EstimateResult:
             "admissibility_residual": self.admissibility_residual,
             "notes": self.notes,
         }
-
-
-class EstimationError(RuntimeError):
-    """No admissible competitor was generated for a cell problem."""
 
 
 def rotation_to_last_axis(nu: np.ndarray) -> np.ndarray:

@@ -9,6 +9,14 @@ Every report embeds the fully resolved config for reproducibility, and
 repeated runs with the same config and seed are byte-identical up to the
 timestamp field.
 
+Start-up: this module imports only the standard library, numpy and
+``__version__``; each task imports the modules it runs.  check-hypotheses
+loads densities, expressions, integrate and hypotheses; example-verify loads
+trace_formula and integrate; energy loads fields, densities, expressions,
+integrate and energy, approx-sequence adds constructions, cell-sweep adds
+cellformulas and relax-assemble adds constructions, cellformulas and
+assembly.
+
 Exit codes: 0 success, 2 config validation error (unknown keys, a section
 that is not an object, a value of the wrong type, non-finite input and any
 value the library rejects with ``ValueError`` included), 3 estimator failure
@@ -25,6 +33,7 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 # The cell data are 2x2 to 3x3 matrices, so an OpenBLAS worker thread never
 # helps and its start-up is the largest cost of a short run.  OpenBLAS reads
@@ -34,22 +43,40 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import __version__
-from .assembly import AssembleConfig, assemble_relaxed_energy
-from .cellformulas import (
-    EstimationError,
-    estimate_W1,
-    estimate_W2,
-    estimate_gamma1,
-    estimate_gamma2,
-)
-from .constructions import SD2Triple, approximating_sequence
-from .densities import DensityTriple, catalog, triple_from_expressions
-from .energy import total_energy
-from .expressions import CompiledExpression, ExpressionError
-from .fields import AffineBoundary, BoxDomain, PiecewiseAffineField, SecondOrderField, StepBoundary
-from .hypotheses import CheckConfig, check_hypotheses
-from .trace_formula import verify_example
+from . import EstimationError, __version__
+
+if TYPE_CHECKING:  # names for annotations only; each task imports the modules it runs
+    from .constructions import SD2Triple
+    from .densities import DensityTriple
+    from .fields import BoxDomain, PiecewiseAffineField
+
+
+def _on_first_call(module: str, name: str):
+    """``name`` of ``sdrelax.<module>``, whose module is imported on the first call.
+
+    The task code calls these names through this module's globals, where
+    ``perfbench/traced.py`` and the tests patch them.  They can go once
+    ``traced.py`` reads counters instead of wrapping names (ROADMAP item 1);
+    the tasks then import the functions where they call them.
+    """
+
+    def call(*args, **kwargs):
+        # __import__, unlike importlib.import_module, shows in -X importtime
+        return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+approximating_sequence = _on_first_call("constructions", "approximating_sequence")
+total_energy = _on_first_call("energy", "total_energy")
+assemble_relaxed_energy = _on_first_call("assembly", "assemble_relaxed_energy")
+check_hypotheses = _on_first_call("hypotheses", "check_hypotheses")
+verify_example = _on_first_call("trace_formula", "verify_example")
+estimate_W1 = _on_first_call("cellformulas", "estimate_W1")
+estimate_W2 = _on_first_call("cellformulas", "estimate_W2")
+estimate_gamma1 = _on_first_call("cellformulas", "estimate_gamma1")
+estimate_gamma2 = _on_first_call("cellformulas", "estimate_gamma2")
 
 TASKS = ("check-hypotheses", "energy", "approx-sequence", "cell-sweep",
          "example-verify", "relax-assemble")
@@ -173,6 +200,8 @@ def _expressions(value):
 def _require_finite_field(name: str, field: PiecewiseAffineField):
     """Cell data, jump tolerance and boundary data of a field (``BoxDomain``
     checks its own bounds)."""
+    from .fields import AffineBoundary, StepBoundary
+
     arrays = [field.const, field.lin, field.jump_tol]
     bd = field.boundary_data
     if isinstance(bd, AffineBoundary):
@@ -209,6 +238,8 @@ def _options(section, fields: dict, name: str) -> dict:
 
 
 def _build_domain(cfg: dict) -> BoxDomain:
+    from .fields import BoxDomain
+
     opts = _options(cfg, {"lower": _floats, "upper": _floats, "resolution": _int_array},
                     "domain")
     try:
@@ -222,6 +253,8 @@ _PARAM_FIELDS = {"d": _int, "N": _int, "probe_range": _number, "t_min": _number,
 
 
 def _build_density_component(which: str, cfg: dict, d: int, N: int):
+    from .densities import catalog
+
     path = f"densities.{which}"
     cfg = _options(cfg, {"catalog": _text, "params": _object, "expression": _text}, path)
     if "catalog" in cfg:
@@ -248,6 +281,9 @@ _DENSITY_FIELDS = {"W": _object, "psi1": _object, "psi2": _object, "expressions"
 
 
 def _build_densities(cfg: dict) -> DensityTriple:
+    from .densities import DensityTriple, triple_from_expressions
+    from .expressions import ExpressionError
+
     cfg = _options(cfg, _DENSITY_FIELDS, "densities")
     d = cfg.get("d", 2)
     N = cfg.get("N", 2)
@@ -261,6 +297,8 @@ def _build_densities(cfg: dict) -> DensityTriple:
                 coercive_bulk=ex.get("coercive_bulk", True),
                 coercive_interfacial=ex.get("coercive_interfacial", True),
             )
+        except KeyError as err:
+            raise ConfigError(f"densities.expressions section missing {err}") from err
         except ExpressionError as err:
             raise ConfigError(f"bad density expression: {err}") from err
     try:
@@ -278,6 +316,8 @@ def _sample_expression_field(domain: BoxDomain, exprs, grad_exprs=None) -> Piece
     Gradients come from ``grad_exprs`` when given (exact for closed forms),
     otherwise from central differences at the cell centers.
     """
+    from .expressions import CompiledExpression
+    from .fields import PiecewiseAffineField
 
     def compile_nested(node):
         if isinstance(node, str):
@@ -317,6 +357,9 @@ _FIELD_FIELDS = {"file": _text, "expression": _expressions, "grad_expression": _
 
 
 def _build_field(domain: BoxDomain, cfg: dict, name: str) -> PiecewiseAffineField:
+    from .expressions import ExpressionError
+    from .fields import PiecewiseAffineField
+
     cfg = _options(cfg, _FIELD_FIELDS, f"fields.{name}")
     if "file" in cfg:
         try:
@@ -352,6 +395,9 @@ def _build_field(domain: BoxDomain, cfg: dict, name: str) -> PiecewiseAffineFiel
 
 
 def _build_sd2(config: dict) -> SD2Triple:
+    from .constructions import SD2Triple
+    from .expressions import ExpressionError
+
     if "domain" not in config:
         raise ConfigError("missing domain section")
     domain = _build_domain(config["domain"])
@@ -403,6 +449,8 @@ _CHECK_FIELDS = {"d": _int, "N": _int, "samples": _int, "input_range": _number,
 
 
 def _task_check(config: dict, seed: int) -> tuple[dict, int]:
+    from .hypotheses import CheckConfig
+
     densities_cfg = config.get("densities", {})
     densities = _build_densities(densities_cfg)
     # the dimensions default to the densities section's, the rest to CheckConfig's
@@ -417,6 +465,8 @@ def _task_check(config: dict, seed: int) -> tuple[dict, int]:
 
 
 def _task_energy(config: dict, seed: int) -> tuple[dict, int]:
+    from .fields import SecondOrderField
+
     domain = _build_domain(config.get("domain", {}))
     sd2_like = _options(config.get("fields", {}), dict.fromkeys(("u", "grad", "g", "G", "Gamma"),
                                                                 _object), "fields")
@@ -452,12 +502,19 @@ _CELL_FIELDS = {"variant": _text, "budget": _int, "resolution": _int,
 
 
 def _task_cell_sweep(config: dict, seed: int) -> tuple[dict, int]:
-    densities = _build_densities(config.get("densities", {}))
+    densities_cfg = config.get("densities", {})
+    densities = _build_densities(densities_cfg)
     if "cell" not in config:
         raise ConfigError("missing cell section")
     section = _options(config["cell"], _CELL_FIELDS, "cell")
     variant = section.get("variant")
-    x = section.get("x", np.zeros(2))
+    if "x" in section:
+        x = section["x"]
+    else:  # the origin of the densities section's N, 2 as there
+        N = densities_cfg.get("N", 2)
+        if N < 1:  # catalog densities check N themselves, expression densities do not
+            raise ConfigError(f"densities.N must be at least 1 for the default cell.x, got {N}")
+        x = np.zeros(N)
     kwargs = {"budget": section.get("budget", 1)}
     if "resolution" in section:
         kwargs["resolution"] = section["resolution"]
@@ -501,6 +558,8 @@ _ASSEMBLE_FIELDS = {"budget": _int, "resolution": _int, "w2_resolution": _int,
 
 
 def _task_assemble(config: dict, seed: int) -> tuple[dict, int]:
+    from .assembly import AssembleConfig
+
     sd2 = _build_sd2(config)
     densities = _build_densities(config.get("densities", {}))
     cfg = AssembleConfig(**_options(config.get("assemble", {}), _ASSEMBLE_FIELDS, "assemble"))

@@ -26,6 +26,8 @@ from .integrate import norm
 _TINY = 1e-300
 # each position-modulus rung probes at least this many of the random samples
 MIN_SAMPLES = 64
+# the largest input range: the growth probes square norms of 100 * input_range
+MAX_INPUT_RANGE = 1e100
 # positions are drawn from the unit cube [DOMAIN_LOWER, DOMAIN_UPPER]^N
 DOMAIN_LOWER = 0.0
 DOMAIN_UPPER = 1.0
@@ -62,8 +64,9 @@ class CheckConfig:
             raise ValueError(f"pair_scales must be a non-empty list of finite values > 0, "
                              f"got {list(self.pair_scales)}")
         # the h2infty probe draws its scales from [0.5, input_range]
-        if not (np.isfinite(self.input_range) and self.input_range >= 0.5):
-            raise ValueError(f"input_range must be finite and at least 0.5, got {self.input_range}")
+        if not 0.5 <= self.input_range <= MAX_INPUT_RANGE:
+            raise ValueError(f"input_range must be at least 0.5 and at most {MAX_INPUT_RANGE:g}, "
+                             f"got {self.input_range}")
 
     def to_dict(self) -> dict:
         return {

@@ -60,6 +60,14 @@ ASSEMBLE_CONFIG = {
     "output": {"json": "relax.json", "csv": "cells.csv"},
 }
 
+ENERGY_CONFIG = {
+    "task": "energy",
+    "densities": {"W": {"catalog": "W_norm"}, "psi1": {"catalog": "Psi1_norm"},
+                  "psi2": {"catalog": "Psi2_norm"}, "d": 1, "N": 1},
+    "domain": {"lower": [0.0], "upper": [1.0], "resolution": [2]},
+    "fields": {"u": {"linear": [[1.0]]}},
+}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -396,7 +404,7 @@ class TestIngestionErrors:
     @pytest.mark.parametrize("key, value", [
         ("schedule", [0.0, 1.0, 2.0]), ("schedule", [-1.0, 2.0, 3.0]), ("schedule", [4.0, 2.0, 8.0]),
         ("schedule", []), ("schedule", 5), ("pair_scales", []), ("pair_scales", [0.1, 0.0]),
-        ("input_range", 0.3),
+        ("input_range", 0.3), ("input_range", 1e300),
     ])
     def test_bad_check_ladder_exit_2(self, tmp_path, capsys, key, value):
         payload = json.loads(json.dumps(CHECK_CONFIG))
@@ -406,6 +414,14 @@ class TestIngestionErrors:
         err = capsys.readouterr().err
         assert "bad check section" in err and key in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("which", ["W", "psi1", "psi2"])
+    def test_missing_density_expression_exit_2(self, tmp_path, capsys, which):
+        expressions = {"W": "norm(A) + norm(M)", "psi1": "norm(lam)", "psi2": "norm(Lam)"}
+        del expressions[which]
+        cfg = write_config(tmp_path, {**CHECK_CONFIG, "densities": {"expressions": expressions}})
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        assert f"densities.expressions section missing '{which}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("which, name", [("W", "W_norm"), ("psi1", "Psi1_norm")])
     def test_unknown_catalog_param_exit_2(self, tmp_path, capsys, which, name):
@@ -772,6 +788,118 @@ class TestOneBlasThread:
 
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+
+# the sdrelax modules each task loads, besides the package and the CLI
+CORE = {"fields", "densities", "expressions", "integrate", "energy"}
+TASK_MODULES = {
+    "check_catalog": {"densities", "expressions", "integrate", "hypotheses"},
+    "example_identity": {"trace_formula", "integrate"},
+    "sequence_quadratic": CORE | {"constructions"},
+    "energy": CORE,
+    "sweep_w1": CORE | {"cellformulas"},
+    "relax_slip": CORE | {"constructions", "cellformulas", "assembly"},
+}
+
+
+def loaded_modules(code: str) -> set:
+    """The sdrelax modules a fresh interpreter has loaded after running ``code``."""
+    out = child(code + "\nprint(' '.join(m for m in sys.modules if m.startswith('sdrelax')))")
+    return set(out.splitlines()[-1].split())
+
+
+class TestStartup:
+    """Each task loads the modules it runs, and importing the CLI loads none of them."""
+
+    def test_cli_import_loads_no_task_module(self):
+        assert loaded_modules("import sys, sdrelax.cli") == {"sdrelax", "sdrelax.cli"}
+
+    @pytest.mark.parametrize("name", TASK_MODULES)
+    def test_task_loads_its_modules(self, tmp_path, name):
+        path = (Path(__file__).parent.parent / "configs" / f"{name}.json"
+                if name != "energy" else Path(write_config(tmp_path, ENERGY_CONFIG)))
+        code = (f"import sys\nfrom sdrelax.cli import main\n"
+                f"assert main(['run', {str(path)!r}, '--out', {str(tmp_path)!r}]) == 0")
+        expected = {"sdrelax", "sdrelax.cli"} | {f"sdrelax.{m}" for m in TASK_MODULES[name]}
+        assert loaded_modules(code) == expected
+
+    def test_every_shipped_config_is_covered(self):
+        assert {p.stem for p in CONFIGS} < set(TASK_MODULES)
+
+
+# each name perfbench/traced.py patches on the CLI module, and the smallest
+# config that calls it
+PATCHED = {
+    "approximating_sequence": _sequence([2]),
+    "total_energy": ENERGY_CONFIG,
+    "assemble_relaxed_energy": ASSEMBLE_CONFIG,
+    "check_hypotheses": {**CHECK_CONFIG, "check": {"samples": 64}},
+    "verify_example": _example(),
+    "estimate_W1": _sweep({"variant": "W1", "A": [[1.0, 0.0], [0.0, 1.0]]}),
+    "estimate_W2": _sweep({"variant": "W2", "A": [[1.0, 0.0], [0.0, 1.0]], "L": ZERO_L,
+                           "M": ZERO_L, "resolution": 2}),
+    "estimate_gamma1": _sweep({"variant": "Gamma1", "lam": [1.0, 0.0], "nu": [0.0, 1.0]}),
+    "estimate_gamma2": _sweep({"variant": "Gamma2", "A": [[1.0, 0.0], [0.0, 1.0]],
+                               "Lam": [[1.0, 0.0], [0.0, 1.0]], "nu": [0.0, 1.0]}),
+}
+
+
+class TestPatchedNames:
+    """The tasks call these names through the CLI module's globals."""
+
+    @pytest.mark.parametrize("name", PATCHED)
+    def test_reached_through_cli(self, tmp_path, monkeypatch, name):
+        from sdrelax import cli
+
+        original, calls = getattr(cli, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        assert run(write_config(tmp_path, PATCHED[name]), out_dir=str(tmp_path)) == 0
+        assert calls == [name]
+
+    def test_estimation_error_of_cellformulas_exit_3(self, tmp_path, monkeypatch, capsys):
+        import sdrelax
+        from sdrelax import assembly, cellformulas, cli
+
+        assert cellformulas.EstimationError is assembly.EstimationError is sdrelax.EstimationError
+
+        def boom(*args, **kwargs):
+            raise cellformulas.EstimationError("no admissible competitor generated for W2")
+
+        monkeypatch.setattr(cli, "assemble_relaxed_energy", boom)
+        assert run(write_config(tmp_path, ASSEMBLE_CONFIG), out_dir=str(tmp_path)) == 3
+        assert "estimator failure: no admissible competitor" in capsys.readouterr().err
+
+
+class TestCellSweepDefaultPoint:
+    """Without cell.x, the cell point is the origin of the densities section's N (2 if unset)."""
+
+    @pytest.mark.parametrize("N, A", [(1, [[1.0]]), (3, [[1.0, 0.5, 0.0]]),
+                                      (None, [[1.0, 0.0], [0.0, 1.0]])], ids=["1d", "3d", "2d"])
+    def test_same_estimate_as_explicit_zeros(self, tmp_path, N, A):
+        payload = json.loads(json.dumps(SWEEP_CONFIG))
+        if N is not None:
+            payload["densities"].update(d=len(A), N=N)
+        payload["cell"] = {"variant": "W1", "A": A, "budget": 1}
+        estimates = []
+        for name, cell in (("default", {}), ("zeros", {"x": [0.0] * len(A[0])})):
+            out = tmp_path / name
+            payload["cell"].update(cell)
+            assert run(write_config(tmp_path, payload), out_dir=str(out)) == 0
+            estimates.append(json.loads((out / "sweep.json").read_text())["estimate"])
+        assert estimates[0] == estimates[1]
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_expression_densities_below_one_dimension_exit_2(self, tmp_path, capsys, N):
+        densities = {"expressions": {"W": "norm(A) + norm(M)", "psi1": "norm(lam)",
+                                     "psi2": "norm(Lam)"}, "N": N}
+        payload = {**SWEEP_CONFIG, "densities": densities,
+                   "cell": {"variant": "W1", "A": [[1.0, 0.0], [0.0, 1.0]]}}
+        assert run(write_config(tmp_path, payload), out_dir=str(tmp_path)) == 2
+        assert f"densities.N must be at least 1 for the default cell.x, got {N}" in capsys.readouterr().err
 
 
 class TestShippedConfigs:
