@@ -9,6 +9,8 @@ rows (``cellformulas``), not here.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,18 +88,25 @@ def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, di
     error budget).  The returned pair has cellwise second gradient exactly
     Gamma; the diagnostics dict reports the L1 errors and masses.
 
-    Each fine-grid intermediate is dropped after its last use, so the peak
-    memory is a few fields on the n^2-refined grid, not all of them.
+    At most two fields on the n^2-refined grid live at once, plus one block
+    of the L1 distance: ``w_n2``'s distance to ``G`` is taken before ``g``
+    is refined, and ``u_n``'s linear part is ``w_n2``'s constant part itself.
+    An ``n`` whose grid numpy cannot index raises ``ValueError`` first.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     base = sd2.domain
-    res1 = np.lcm(base.resolution, n * np.ones(base.ndim, dtype=int))
-    res2 = np.lcm(base.resolution, n * n * np.ones(base.ndim, dtype=int))
+    n = operator.index(n)
+    res1 = np.array([math.lcm(int(r), n) for r in base.resolution])
+    res2 = [math.lcm(int(r), n * n) for r in base.resolution]
+    # G's refinement, its const and lin entries per cell, is the largest field there
+    if math.prod(res2) * math.prod(sd2.G.value_shape) * (1 + base.ndim) > np.iinfo(np.intp).max:
+        raise ValueError(f"sequence n = {n} needs a {'x'.join(map(str, res2))} grid, too large for numpy to index")
+    res2 = np.array(res2)
 
     gamma_field = PiecewiseAffineField(base, sd2.Gamma).refine(res1 // base.resolution)
-    w_n = _corrected_primitive(gamma_field, sd2.G.refine(res1 // base.resolution))
-    w_n2 = w_n.refine(res2 // res1)
+    w_n2 = _corrected_primitive(gamma_field, sd2.G.refine(res1 // base.resolution)).refine(res2 // res1)
+    l1_grad = l1_distance(w_n2, sd2.G.refine(res2 // base.resolution))
     g2 = sd2.g.refine(res2 // base.resolution)
     u_n = _corrected_primitive(w_n2, g2)
     l1_u = l1_distance(u_n, g2)
@@ -107,7 +116,7 @@ def approximating_sequence(sd2: SD2Triple, n: int) -> tuple[SecondOrderField, di
         "grid_stage1": [int(r) for r in res1],
         "grid_stage2": [int(r) for r in res2],
         "l1_u": l1_u,
-        "l1_grad": l1_distance(w_n2, sd2.G.refine(res2 // base.resolution)),
+        "l1_grad": l1_grad,
         "second_gradient_exact": _blocks_equal(w_n2.lin, sd2.Gamma, res2 // base.resolution),
     }
     return SecondOrderField(u_n, w_n2), diagnostics
@@ -120,10 +129,10 @@ def _corrected_primitive(f: PiecewiseAffineField, target: PiecewiseAffineField) 
 
     The primitive is anchored at the cell centres, where it is 0, so the
     samples are ``target.const`` itself; ``+ 0.0`` turns a ``-0.0`` into
-    ``0.0``, as adding the primitive's zero constant did.
+    ``0.0``, as adding the primitive's zero constant did.  The linear part
+    is ``f.const`` itself.
     """
-    return PiecewiseAffineField(target.domain, target.const + 0.0, gradient_primitive(f).lin,
-                                jump_tol=target.jump_tol)
+    return PiecewiseAffineField(target.domain, target.const + 0.0, f.const, jump_tol=target.jump_tol)
 
 
 def _blocks_equal(fine: np.ndarray, coarse: np.ndarray, factor) -> bool:

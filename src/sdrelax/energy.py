@@ -11,12 +11,13 @@ defined up to that flip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .densities import DensityTriple, InterfacialDensity
-from .fields import FacetTable, PiecewiseAffineField, SecondOrderField
+from .fields import _FACET_BLOCK, FacetTable, PiecewiseAffineField, SecondOrderField
 from .integrate import fsum
 
 
@@ -108,12 +109,14 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
     their lower adjacent cell, so ranges partitioning the grid partition the
     energy.
 
-    The jump facets are priced block by block as the fields'
-    ``facet_blocks`` build them, and no jump set is built or cached: the
-    fields hold one block of facets at a time, at most
-    ``fields._FACET_BLOCK`` interior facets or the boundary facets.  The
-    energy is that of their ``jump_set`` bit for bit, as every facet's term
-    keeps its bits and each ``fsum`` rounds its terms' exact sum.
+    The bulk term evaluates ``W`` on ``fields._FACET_BLOCK`` cells at a
+    time (a scalar it returns stands for every cell of the block).  The jump
+    facets are priced block by block as the fields' ``facet_blocks`` build
+    them, and no jump set is built or cached: the fields hold one block of
+    facets at a time, at most ``fields._FACET_BLOCK`` interior facets or the
+    boundary facets.  The energy is that of their ``jump_set`` bit for bit,
+    as every facet's term keeps its bits and each ``fsum`` rounds its terms'
+    exact sum.
     """
     if isinstance(u, PiecewiseAffineField):
         u = SecondOrderField.from_affine(u)
@@ -126,13 +129,16 @@ def total_energy(u, densities: DensityTriple, cell_ranges=None) -> EnergyBreakdo
         raise ValueError(f"cell_ranges {cell_ranges} must hold one (lo, hi) per axis with "
                          f"0 <= lo <= hi <= resolution {dom.cells_shape}")
 
-    # the sub-box as slices: views of the cell arrays, copied only where partial
-    box = tuple(slice(lo, hi) for lo, hi in cell_ranges)
-    centers = dom.cell_centers()[box].reshape(-1, N)
-    A = u.grad.const[box].reshape((-1,) + u.grad.value_shape)
-    M = u.grad.lin[box].reshape((-1,) + u.grad.value_shape + (N,))
-    vals = np.asarray(densities.W(centers, A, M), dtype=float)
-    bulk = fsum(vals * dom.cell_volume)
+    # the sub-box's cells in C order, _FACET_BLOCK at a time (one block, maybe empty, at least)
+    box = tuple(hi - lo for lo, hi in cell_ranges)
+    count, terms = math.prod(box), []
+    for start in range(0, max(count, 1), _FACET_BLOCK):
+        rows = np.unravel_index(np.arange(start, min(start + _FACET_BLOCK, count)), box)
+        index = tuple(i + lo for i, (lo, _) in zip(rows, cell_ranges))
+        centers = np.stack([dom.axis_centers(k)[i] for k, i in enumerate(index)], axis=-1)
+        vals = np.asarray(densities.W(centers, u.grad.const[index], u.grad.lin[index]), dtype=float)
+        terms.append(np.broadcast_to(vals, index[0].shape) * dom.cell_volume)
+    bulk = fsum(np.concatenate(terms))
 
     jump1, inexact1 = _jump_energy(densities.psi1, u.u, cell_ranges)
     jump2, inexact2 = _jump_energy(densities.psi2, u.grad, cell_ranges)

@@ -33,13 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import box_abs_affine, fsum, gauss_legendre_rule, norm, tensor_points
+from .integrate import _L1_BLOCK_CELLS, box_abs_affine, fsum, gauss_legendre_rule, norm, tensor_points
 
 DEFAULT_JUMP_TOL = 1e-12
 GRADIENT_MATCH_TOL = 1e-9
 # numpy sums up to this many terms one after the other, and more pairwise
 _SEQUENTIAL_SUM_MAX = 7
-# interior facets per block of a jump set built block by block: bounds its temporaries
+# interior facets per block of a jump set built block by block, and cells per
+# block of the bulk term and the gradient check: bounds their temporaries
 _FACET_BLOCK = 16384
 
 
@@ -503,30 +504,38 @@ class PiecewiseAffineField:
     # -- grid surgery ---------------------------------------------------------
 
     def refine(self, factor) -> "PiecewiseAffineField":
-        """Exact restriction of each affine piece to a finer grid."""
+        """Exact restriction of each affine piece to a finer grid.
+
+        The coarse arrays are read as ``(R_0, 1, R_1, 1, ...)`` views broadcast
+        to ``(R_0, f_0, R_1, f_1, ...)`` and each axis's shift from the coarse
+        centre is one 1D array, so no full-grid temporary is built but one
+        product ``lin_k * shift_k`` at a time.
+        """
         dom = self.domain
         N = dom.ndim
         factor = np.broadcast_to(np.asarray(factor, dtype=int), (N,))
         new_dom = dom.refine(factor)
-        const = self.const
-        lin = self.lin
-        for ax in range(N):
-            const = np.repeat(const, factor[ax], axis=ax)
-            lin = np.repeat(lin, factor[ax], axis=ax)
-        new_centers = new_dom.cell_centers()
-        old_idx = (np.indices(new_dom.cells_shape).transpose(*range(1, N + 1), 0)) // factor
-        old_centers = dom.lower + (old_idx + 0.5) * dom.widths
-        shift = new_centers - old_centers
-        shift_b = shift.reshape(new_dom.cells_shape + (1,) * self.value_ndim + (N,))
+        wide = tuple(x for r, f in zip(dom.cells_shape, factor) for x in (r, int(f)))
+        split = tuple(x for r in dom.cells_shape for x in (r, 1))
+        const = np.broadcast_to(self.const.reshape(split + self.value_shape), wide + self.value_shape)
+        lin = np.broadcast_to(self.lin.reshape(split + self.value_shape + (N,)),
+                              wide + self.value_shape + (N,))
+        shifts = []  # the shift along axis k, shaped to broadcast against ``const``
+        for k in range(N):
+            old = dom.lower[k] + (np.arange(new_dom.cells_shape[k]) // factor[k] + 0.5) * dom.widths[k]
+            shape = (1,) * 2 * k + wide[2 * k:2 * k + 2] + (1,) * (2 * (N - k - 1) + self.value_ndim)
+            shifts.append((new_dom.axis_centers(k) - old).reshape(shape))
         if N > _SEQUENTIAL_SUM_MAX:
-            offset = np.sum(lin * shift_b, axis=-1)
+            offset = np.sum(lin * np.stack(np.broadcast_arrays(*shifts), axis=-1), axis=-1)
         else:
             # numpy's sum of these few products, in its order
-            offset = lin[..., 0] * shift_b[..., 0]
+            offset = lin[..., 0] * shifts[0]
             for k in range(1, N):
-                offset = offset + lin[..., k] * shift_b[..., k]
-        const = const + offset
-        return PiecewiseAffineField(new_dom, const, lin, boundary_data=self.boundary_data, jump_tol=self.jump_tol)
+                offset += lin[..., k] * shifts[k]
+        np.add(const, offset, out=offset)
+        fine = new_dom.cells_shape + self.value_shape
+        return PiecewiseAffineField(new_dom, offset.reshape(fine), np.ascontiguousarray(lin).reshape(fine + (N,)),
+                                    boundary_data=self.boundary_data, jump_tol=self.jump_tol)
 
     # -- serialization --------------------------------------------------------
 
@@ -592,10 +601,6 @@ def l1_distance(f: PiecewiseAffineField, g: PiecewiseAffineField) -> float:
                             _L1_QUAD_ORDER)
 
 
-# cells per batch of the L1 paths: bounds their temporaries
-_L1_BLOCK_CELLS = 1024
-
-
 def _l1_of_cell_data(dom: BoxDomain, const, lin, value_shape, quad_order) -> float:
     """The L1 norm of the cell data ``const`` and ``lin``, block by block.
 
@@ -609,16 +614,18 @@ def _l1_of_cell_data(dom: BoxDomain, const, lin, value_shape, quad_order) -> flo
               for start in range(0, dom.num_cells, _L1_BLOCK_CELLS)]
     const_rows = _cell_rows(const, tuple(value_shape))
     lin_rows = _cell_rows(lin, tuple(value_shape) + (dom.ndim,))
-    if all(np.all(lin_rows(block) == 0.0) for block in blocks):
+    # the first block whose linear part is not zero, kept so that it is formed once
+    first = next(((i, rows) for i, rows in enumerate(map(lin_rows, blocks)) if not np.all(rows == 0.0)), None)
+    if first is None:
         return fsum(np.concatenate([norm(const_rows(block), len(value_shape)) * vol
                                     for block in blocks]))
     if entries > 1:
         nodes, wts = gauss_legendre_rule(-widths / 2.0, widths / 2.0, quad_order)
     terms = []
-    for block in blocks:
+    for i, block in enumerate(blocks):
         # one column per value entry
         flat_c = const_rows(block).reshape(-1, entries)
-        flat_l = lin_rows(block).reshape(-1, entries, dom.ndim)
+        flat_l = (first[1] if i == first[0] else lin_rows(block)).reshape(-1, entries, dom.ndim)
         if entries <= 1:
             terms.append(box_abs_affine(flat_c[:, 0], flat_l[:, 0], widths))
         else:
@@ -725,7 +732,10 @@ class SecondOrderField:
     def __init__(self, u: PiecewiseAffineField, grad: PiecewiseAffineField, check: bool = True):
         if check:
             uu, gg = common_refinement(u, grad)
-            mismatch = np.max(np.abs(uu.lin - gg.const)) if uu.lin.size else 0.0
+            # a block of cells at a time, so no full-grid temporary is formed
+            a, b = (x.reshape((-1,) + x.shape[uu.domain.ndim:]) for x in (uu.lin, gg.const))
+            mismatch = np.max([np.max(np.abs(a[s:s + _FACET_BLOCK] - b[s:s + _FACET_BLOCK]))
+                               for s in range(0, len(a), _FACET_BLOCK)]) if uu.lin.size else 0.0
             if not mismatch <= GRADIENT_MATCH_TOL:  # a NaN mismatch fails too
                 raise ValueError(f"gradient field inconsistent with u (max mismatch {mismatch:.3e})")
             u, grad = uu, gg
@@ -738,6 +748,7 @@ class SecondOrderField:
 
     @classmethod
     def from_affine(cls, u: PiecewiseAffineField) -> "SecondOrderField":
-        grad = PiecewiseAffineField(u.domain, u.lin.copy(), jump_tol=u.jump_tol)
+        """``u`` with its jump-free gradient field, whose constant part is ``u.lin`` itself."""
+        grad = PiecewiseAffineField(u.domain, u.lin, jump_tol=u.jump_tol)
         return cls(u, grad, check=False)
 

@@ -11,9 +11,13 @@ norm, the faces of an inclusion box) is integrated in one pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+# cells per batch of the L1 paths, and values per chunk of ``fsum``: bounds their temporaries
+_L1_BLOCK_CELLS = 1024
 
 
 def box_abs_affine(const, grad, widths):
@@ -182,5 +186,9 @@ def norm(arr, rank: int) -> np.ndarray:
 
 
 def fsum(values) -> float:
-    """Exactly rounded sum; shared by all energy accumulations."""
-    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+    """Exactly rounded sum; shared by all energy accumulations.  ``math.fsum``
+    reads one chunk of ``_L1_BLOCK_CELLS`` values at a time as floats, so no
+    list of them all is built; the sum is exact, so its bits do not move."""
+    flat = np.asarray(values, dtype=float).ravel()
+    chunks = (flat[start:start + _L1_BLOCK_CELLS].tolist() for start in range(0, flat.size, _L1_BLOCK_CELLS))
+    return math.fsum(itertools.chain.from_iterable(chunks))

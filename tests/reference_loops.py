@@ -8,7 +8,8 @@ cell, and assemble the relaxed energy with one estimator call per cell and
 facet (no memo).  The plane families' competitors and the inclusion box
 are built here as fields on the cube (``GridFamily``, ``of_field``), the
 sequence's corrected primitive samples its target at the cell centres
-through ``evaluate``, and the bulk term of ``total_energy`` picks its
+through ``evaluate``, a field is refined through ``np.repeat`` and whole-grid
+centres, and the bulk term of ``total_energy`` picks its
 sub-box with a mask over the whole grid.  The worked example's random competitors are drawn and priced one
 box and one laminate at a time.  A cell problem is one ``CellProblem`` object,
 one row of ``cellformulas.ProblemTable`` fixed alone, and ``Psi2_proj``'s
@@ -48,6 +49,7 @@ from sdrelax.constructions import gradient_primitive
 from sdrelax.densities import DEFAULT_SCHEDULE, DensityTriple, InterfacialDensity
 from sdrelax.fields import (
     _L1_QUAD_ORDER,
+    _SEQUENTIAL_SUM_MAX,
     AffineBoundary,
     BoundaryData,
     BoxDomain,
@@ -805,6 +807,34 @@ def corrected_primitive(f, target):
     correction = piecewise_constant_approx(diff, target.domain.resolution)
     return PiecewiseAffineField(target.domain, correction.const + h.const, h.lin,
                                 jump_tol=target.jump_tol)
+
+
+def refine(field, factor):
+    """``PiecewiseAffineField.refine`` through ``np.repeat`` along one axis
+    after another and whole-grid centres from ``np.indices``."""
+    dom = field.domain
+    N = dom.ndim
+    factor = np.broadcast_to(np.asarray(factor, dtype=int), (N,))
+    new_dom = dom.refine(factor)
+    const = field.const
+    lin = field.lin
+    for ax in range(N):
+        const = np.repeat(const, factor[ax], axis=ax)
+        lin = np.repeat(lin, factor[ax], axis=ax)
+    new_centers = new_dom.cell_centers()
+    old_idx = (np.indices(new_dom.cells_shape).transpose(*range(1, N + 1), 0)) // factor
+    old_centers = dom.lower + (old_idx + 0.5) * dom.widths
+    shift = new_centers - old_centers
+    shift_b = shift.reshape(new_dom.cells_shape + (1,) * field.value_ndim + (N,))
+    if N > _SEQUENTIAL_SUM_MAX:
+        offset = np.sum(lin * shift_b, axis=-1)
+    else:
+        # numpy's sum of these few products, in its order
+        offset = lin[..., 0] * shift_b[..., 0]
+        for k in range(1, N):
+            offset = offset + lin[..., k] * shift_b[..., k]
+    const = const + offset
+    return PiecewiseAffineField(new_dom, const, lin, boundary_data=field.boundary_data, jump_tol=field.jump_tol)
 
 
 def bulk_energy_masked(u, densities, cell_ranges) -> float:

@@ -488,6 +488,22 @@ ZERO_L = np.zeros((2, 2, 2)).tolist()
 class TestLibraryValueErrors:
     """Bad values that only the library checks still exit 2, with no traceback."""
 
+    @pytest.mark.parametrize("n", [2**32, 2**31 + 1, 100000])
+    def test_huge_sequence_n_exit_2(self, tmp_path, capsys, n):
+        # a 4x4 grid whose n^2-refined grid numpy cannot index: refused before
+        # any allocation (2**32 overflowed in n * n, the others ran out of memory)
+        payload = {"task": "approx-sequence", "seed": 0, "densities": SWEEP_CONFIG["densities"],
+                   "domain": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "resolution": [4, 4]},
+                   "fields": {"g": {"linear": [[1.0, 0.0], [0.0, 1.0]]},
+                              "G": {"constant": [[1.0, 0.0], [0.0, 1.0]]},
+                              "Gamma": {"constant": np.zeros((2, 2, 2)).tolist()}},
+                   "sequence": {"n": [n]}}
+        cfg = write_config(tmp_path, payload)
+        assert run(cfg, out_dir=str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"sequence n = {n} needs a" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]  # no report
+
     @pytest.mark.parametrize("payload, message", [
         (_sweep({"variant": "Gamma1", "lam": [1.0, 0.0], "nu": [0.0, 2.0]}), "unit vector"),
         (_sweep({"variant": "Gamma1", "lam": [1.0, 0.0], "nu": [0.0, 1.0], "resolution": 3}),

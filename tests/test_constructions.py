@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,8 @@ from reference_loops import (
     total_jump_mass,
 )
 from sdrelax.constructions import SD2Triple, approximating_sequence, gradient_primitive
+from sdrelax.densities import norm_triple
+from sdrelax.energy import total_energy
 from sdrelax.fields import (
     BoxDomain,
     PiecewiseAffineField,
@@ -270,7 +275,8 @@ def fixture_triple(res: int, seed: int = 0) -> SD2Triple:
 
 class TestCorrectedPrimitive:
     """The sequence's corrected primitive reads the target's constants; the
-    cell-midpoint sampling it replaced gave the same bits, signed zeros too."""
+    cell-midpoint sampling it replaced gave the same bits, signed zeros too,
+    and so does the sequence built with both and the ``np.repeat`` refine."""
 
     def test_matches_midpoint_sampling_bitwise(self):
         rng = np.random.default_rng(19)
@@ -295,7 +301,35 @@ class TestCorrectedPrimitive:
         sd2 = fixture_triple(4) if case == "fixture" else CORPUS[case]()
         new = approximating_sequence(sd2, 4)
         monkeypatch.setattr(constructions, "_corrected_primitive", ref.corrected_primitive)
+        monkeypatch.setattr(PiecewiseAffineField, "refine", ref.refine)
         old = approximating_sequence(sd2, 4)
         for a, b in ((new[0].u, old[0].u), (new[0].grad, old[0].grad)):
             assert a.const.tobytes() == b.const.tobytes() and a.lin.tobytes() == b.lin.tobytes()
         assert new[1] == old[1]
+
+
+class TestSequenceFootprint:
+    def test_peak_is_bounded_by_the_returned_pair(self):
+        # the sequence and its energy at n = 16 on a 4x4 grid (the benchmark's
+        # seq-fine fixture, 256x256 fine cells).  The peak traced above the
+        # inputs read 1.53x the pair's bytes, its four arrays counted apart,
+        # against 2.57x while refine repeated whole grids and the sequence held
+        # three fine fields; the bound 1.9 leaves 24% over the reading
+        sd2, densities = fixture_triple(4), norm_triple()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pair, _ = approximating_sequence(sd2, 16)
+            total_energy(pair, densities)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pair.domain.cells_shape == (256, 256)
+        nbytes = sum(a.nbytes for f in (pair.u, pair.grad) for a in (f.const, f.lin))
+        assert peak <= 1.9 * nbytes
+
+    @pytest.mark.parametrize("n", [2**32, 2**31 + 1, 100000])
+    def test_a_grid_numpy_cannot_index_is_refused_first(self, n):
+        # 2**32 overflowed in n * n; the others asked numpy for 2 TiB and 596 GiB
+        with pytest.raises(ValueError, match=f"n = {n} needs a"):
+            approximating_sequence(fixture_triple(4), n)

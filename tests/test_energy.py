@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
+from sdrelax import energy
 from sdrelax.assembly import AssembleConfig, assemble_relaxed_energy
 from reference_loops import l1_norm, piecewise_constant_approx, total_jump_mass
 from sdrelax.constructions import SD2Triple, approximating_sequence
@@ -118,6 +119,27 @@ class TestBulkSubBox:
                 triple = densities[case % 2]
                 got = total_energy(pair, triple, cell_ranges).bulk
                 assert got == ref.bulk_energy_masked(pair, triple, cell_ranges)
+
+    @pytest.mark.parametrize("block", [1, 4, 7])
+    def test_blocks_match_the_mask_form_bitwise(self, block, monkeypatch):
+        # the bulk term evaluates the sub-box's cells a block at a time
+        monkeypatch.setattr(energy, "_FACET_BLOCK", block)
+        rng = np.random.default_rng(block)
+        triple = triple_from_expressions("norm(M)*(norm(A) - 2) + x[0]*x[1]", "norm(lam)", "norm(Lam)")
+        dom = BoxDomain([-0.3, 0.1], [0.9, 1.7], [5, 6])
+        C = rng.standard_normal(dom.cells_shape + (2, 2))
+        pair = SecondOrderField(PiecewiseAffineField(dom, rng.standard_normal(dom.cells_shape + (2,)), C),
+                                PiecewiseAffineField(dom, C, rng.standard_normal(dom.cells_shape + (2, 2, 2))))
+        for cell_ranges in (((0, 5), (0, 6)), ((1, 4), (2, 5)), ((2, 3), (0, 6)), ((3, 3), (0, 6))):
+            got = total_energy(pair, triple, cell_ranges).bulk
+            assert got == ref.bulk_energy_masked(pair, triple, cell_ranges)
+
+    def test_constant_density_covers_every_cell(self):
+        # a density that returns one scalar is that value on every cell of the sub-box
+        u = PiecewiseAffineField(BoxDomain([0.0, 0.0], [1.0, 2.0], [4, 4]), np.zeros((4, 4, 2)))
+        triple = triple_from_expressions("2", "norm(lam)", "norm(Lam)")
+        for cell_ranges, bulk in ((None, 4.0), (((1, 3), (0, 4)), 2.0), (((1, 1), (0, 4)), 0.0)):
+            assert total_energy(u, triple, cell_ranges).bulk == bulk
 
 
     @pytest.mark.parametrize("cell_ranges", [((-1, 2), (0, 4)), ((0, 5), (0, 4)), ((3, 2), (0, 4)),

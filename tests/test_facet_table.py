@@ -429,25 +429,40 @@ def test_vecdot_rounds_as_per_row_dot(points):
     assert np.array_equal(out, [np.dot(row, w) for row in rows])
 
 
+def _same_refinement(u, factor):
+    new, old = u.refine(factor), ref.refine(u, factor)
+    assert new.const.shape == old.const.shape and new.lin.shape == old.lin.shape
+    assert new.const.tobytes() == old.const.tobytes() and new.lin.tobytes() == old.lin.tobytes()
+    assert new.domain.compatible(old.domain) and np.array_equal(new.domain.resolution, old.domain.resolution)
+    assert (new.boundary_data, new.jump_tol) == (old.boundary_data, old.jump_tol)
+
+
 @pytest.mark.parametrize("value_shape", [(), (2,), (2, 2), (3, 3)])
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_refine_matches_summed_products(N, value_shape):
-    # refine adds the products lin_k * shift_k one axis after the other
+    # refine adds the products lin_k * shift_k one axis after the other; its
+    # broadcast views and per-axis shifts give the bits of np.repeat and
+    # whole-grid centres, on boxes off dyadic bounds and at every magnitude
     rng = np.random.default_rng(N + 7 * len(value_shape))
-    lower = rng.uniform(-1.0, 0.0, N)
-    dom = BoxDomain(lower, lower + rng.uniform(0.5, 2.0, N), [3] * N)
-    u = PiecewiseAffineField(dom, rng.standard_normal(dom.cells_shape + value_shape),
-                             rng.standard_normal(dom.cells_shape + value_shape + (N,)))
-    factor = [2, 3, 2][:N]
-    v = u.refine(factor)
-    old_idx = np.indices(v.domain.cells_shape).transpose(*range(1, N + 1), 0) // factor
-    shift = v.domain.cell_centers() - (dom.lower + (old_idx + 0.5) * dom.widths)
-    const, lin = u.const, u.lin
-    for ax in range(N):
-        const = np.repeat(const, factor[ax], axis=ax)
-        lin = np.repeat(lin, factor[ax], axis=ax)
-    shift_b = shift.reshape(v.domain.cells_shape + (1,) * len(value_shape) + (N,))
-    assert np.array_equal(v.const, const + np.sum(lin * shift_b, axis=-1))
+    for _ in range(20):
+        lower = rng.uniform(-1.0, 1.0, N) * 10.0 ** rng.integers(-3, 4)
+        dom = BoxDomain(lower, lower + rng.uniform(0.1, 3.0, N), rng.integers(1, 4, N))
+        scale = 10.0 ** rng.integers(-8, 9, dom.cells_shape + value_shape)
+        u = PiecewiseAffineField(dom, rng.standard_normal(dom.cells_shape + value_shape) * scale,
+                                 rng.standard_normal(dom.cells_shape + value_shape + (N,)) * scale[..., None],
+                                 jump_tol=float(rng.uniform(1e-13, 1e-11)))
+        _same_refinement(u, rng.integers(1, 6, N))
+
+
+def test_refine_matches_repeat_reference_above_sequential_sum():
+    # eight axes: the offset is numpy's pairwise sum of the stacked products
+    N = 8
+    rng = np.random.default_rng(8)
+    dom = BoxDomain(rng.uniform(-1.0, 0.0, N), rng.uniform(0.3, 1.7, N), [1] * N)
+    u = PiecewiseAffineField(dom, rng.standard_normal((1,) * N + (2,)),
+                             rng.standard_normal((1,) * N + (2, N)))
+    # products at axes 0, 4 and 5: numpy adds them as p0 + (p4 + p5), not (p0 + p4) + p5
+    _same_refinement(u, [2, 1, 1, 1, 2, 2, 1, 1])
 
 
 class TestFacetTable:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ import pytest
 import reference_loops as ref
 import sdrelax.integrate
 from reference_loops import PiecewisePoly, gauss_legendre_points
-from sdrelax.integrate import box_abs_affine, fsum
+from sdrelax.integrate import _L1_BLOCK_CELLS, box_abs_affine, fsum
 
 
 def mc_abs_affine(const, grad, widths, n=400_000, seed=0):
@@ -262,3 +263,26 @@ def test_gauss_legendre_exact_for_cubics():
 def test_fsum_is_order_stable():
     values = [0.1] * 10 + [1e16, -1e16]
     assert fsum(values) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("length", [0, 1, _L1_BLOCK_CELLS - 1, _L1_BLOCK_CELLS, _L1_BLOCK_CELLS + 1,
+                                    3 * _L1_BLOCK_CELLS + 7])
+def test_streamed_fsum_matches_one_list(length):
+    # fsum hands math.fsum one chunk at a time; the exact sum keeps its bits,
+    # with cancellation between chunks and magnitudes from 1e-300 to 1e300
+    rng = np.random.default_rng(length)
+    values = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 301, length)
+    values[length // 2:] = -values[:length - length // 2][::-1] * (1.0 + rng.integers(0, 2, length - length // 2))
+    for array in (values, values.reshape(1, -1), values.tolist()):
+        assert math.fsum(np.ravel(values).tolist()).hex() == fsum(array).hex()
+
+
+@pytest.mark.parametrize("at", [0, _L1_BLOCK_CELLS - 1, _L1_BLOCK_CELLS])
+def test_streamed_fsum_raises_as_math_fsum(at):
+    values = np.ones(2 * _L1_BLOCK_CELLS)
+    for first, second in ((np.inf, -np.inf), (1.5e308, 1.5e308)):
+        values[at], values[-1] = first, second
+        with pytest.raises((ValueError, OverflowError)) as expected:
+            math.fsum(values.tolist())
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            fsum(values)
